@@ -71,28 +71,29 @@ let rec skip_ws st =
     skip_ws st
   | _ -> ()
 
+(* WearC ints are 16 bits wide: a literal past 0xFFFF is an error
+   here, rather than a value that wraps later or overflows the host. *)
+let int_literal l text =
+  match int_of_string_opt text with
+  | Some n when n <= 0xFFFF -> Token.INT_LIT n
+  | _ -> Srcloc.errf l "integer literal %s does not fit in 16 bits" text
+
 let lex_number st =
   let l = loc st in
   let start = st.pos in
   let hex =
     peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X')
   in
+  let digit = if hex then is_hex else is_digit in
   if hex then begin
     advance st;
-    advance st;
-    while (match peek st with Some c -> is_hex c | None -> false) do
-      advance st
-    done;
-    let s = String.sub st.src (start + 2) (st.pos - start - 2) in
-    if s = "" then Srcloc.errf l "malformed hex literal";
-    Token.INT_LIT (int_of_string ("0x" ^ s))
-  end
-  else begin
-    while (match peek st with Some c -> is_digit c | None -> false) do
-      advance st
-    done;
-    Token.INT_LIT (int_of_string (String.sub st.src start (st.pos - start)))
-  end
+    advance st
+  end;
+  while (match peek st with Some c -> digit c | None -> false) do
+    advance st
+  done;
+  if hex && st.pos = start + 2 then Srcloc.errf l "malformed hex literal";
+  int_literal l (String.sub st.src start (st.pos - start))
 
 let lex_escape st l =
   match peek st with

@@ -161,6 +161,10 @@ let parse_sensors = function
          "sensors: unknown backdrop %S (resting|walking|running|daily_mix|fall@<ms>)"
          s)
 
+(* Arrival times are whole virtual milliseconds, so a faster stream
+   could only be clamped; reject it instead. *)
+let max_rate = 1000.0
+
 let parse_traffic args =
   match args with
   | [] -> Error "traffic: missing kind"
@@ -184,6 +188,11 @@ let parse_traffic args =
           match split_eq tok with
           | Some ("rate", v) -> (
             match float_of_string_opt v with
+            | Some r when r > max_rate ->
+              Error
+                (Printf.sprintf
+                   "traffic: rate must be <= %g (arrivals are whole ms apart), got %S"
+                   max_rate v)
             | Some r when r > 0.0 -> go (Some r) burst tl
             | _ -> Error (Printf.sprintf "traffic: rate must be > 0, got %S" v))
           | Some ("burst", v) -> (

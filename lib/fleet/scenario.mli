@@ -13,7 +13,7 @@
     modes    <mode>=<weight> ...         # isolation-mode mix
     apps     <suite-app> ...             # loaded on every device
     sensors  resting|walking|running|daily_mix|fall@<ms>
-    traffic  button|ble|tick rate=<ev/s> [burst=<n>]
+    traffic  button|ble|tick rate=<ev/s, at most 1000> [burst=<n>]
     churn    <int>[ms]                   # re-deliver handle_init this often
     v}
 
@@ -36,7 +36,13 @@ type traffic_kind =
 
 type traffic = {
   tr_kind : traffic_kind;
-  tr_rate : float;  (** mean arrivals per virtual second, > 0 *)
+  tr_rate : float;
+      (** nominal arrivals per virtual second, in (0, 1000]: arrivals
+          are whole milliseconds apart, so the parser rejects faster
+          rates.  Gaps are uniform on [\[1, 2m\]] ms with
+          [m = max 1 (floor (1000 / rate))], a mean of [m + 0.5] ms: the
+          delivered rate runs below nominal (500/s delivers 400/s,
+          1000/s delivers about 667/s). *)
   tr_burst : int;  (** events delivered per arrival, >= 1 *)
 }
 

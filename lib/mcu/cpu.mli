@@ -33,9 +33,10 @@ val step : t -> Opcode.t
     The per-form executors behind {!step}, exposed so the machine's
     predecoded-block engine can run instructions it has already
     decoded without re-entering fetch/decode.  Both engines share this
-    exact code, so their semantics cannot drift.  Callers must have
-    advanced PC past the instruction first (as {!step} does) and pass
-    the extension-word addresses that fetch would have used. *)
+    exact code, so their semantics cannot drift.  They allocate
+    nothing beyond what the bus does.  Callers must have advanced PC
+    past the instruction first (as {!step} does) and pass the
+    extension-word addresses that fetch would have used. *)
 
 val exec_fmt1 :
   t ->

@@ -78,11 +78,11 @@ let regs t = t.cpu.Cpu.regs
 (* During an instruction, events go to the watcher chain snapshotted
    at step entry: a watcher armed mid-step (from an event callback)
    must observe whole instructions starting at the next boundary,
-   never a suffix of the one in flight. *)
-let emit t e =
-  match if t.in_step then t.emit_hook else t.on_event with
-  | None -> ()
-  | Some f -> f e
+   never a suffix of the one in flight.  Hot paths match on it and
+   build their event record only when someone is watching. *)
+let watcher t = if t.in_step then t.emit_hook else t.on_event
+
+let emit t e = match watcher t with None -> () | Some f -> f e
 
 let add_watch t f =
   match t.on_event with
@@ -115,19 +115,24 @@ let peripheral_read t width addr =
   in
   Word.norm width v
 
+let emit_io t addr value =
+  match watcher t with
+  | None -> ()
+  | Some f -> f (Trace.Io_write { addr; value })
+
 let peripheral_write t width addr v =
   let v = Word.norm width v in
   if Mpu.handles addr then begin
     (* The MPU's password check comes first: a rejected or ignored
        write must not appear in traces as if it happened. *)
     match Mpu.mmio_write t.mpu addr v with
-    | Mpu.Write_ok -> emit t (Trace.Io_write { addr; value = v })
+    | Mpu.Write_ok -> emit_io t addr v
     | Mpu.Locked_ignored -> ()
     | Mpu.Bad_password ->
       raise (Fault (Mpu_bad_password { addr; pc = pc_of t }))
   end
   else begin
-    emit t (Trace.Io_write { addr; value = v });
+    emit_io t addr v;
     if Timer.handles addr then Timer.mmio_write t.timer ~now:(cycles t) addr v
     else if addr = host_call_port then t.host_call t v
     else if addr = console_port then
@@ -136,11 +141,28 @@ let peripheral_write t width addr v =
     else if addr = sw_fault_port then t.sw_fault <- Some v
   end
 
+(* Permission-table bits for each access (see [Mpu.t.perm]). *)
+let exec_bit = Mpu.access_bit Mpu.Exec
+let read_bit = Mpu.access_bit Mpu.Dread
+let write_bit = Mpu.access_bit Mpu.Dwrite
+
+let permits perm bit granule =
+  Char.code (String.unsafe_get perm granule) land bit <> 0
+
+(* One table load and a bit test; the full [Mpu.check] runs only to
+   flag and report a violation.  [addr] must be masked to 16 bits. *)
 let mpu_check t access addr =
-  match Mpu.check t.mpu access addr with
-  | Mpu.Allowed -> ()
-  | Mpu.Violation segment ->
-    raise (Fault (Mpu_violation { access; addr; pc = pc_of t; segment }))
+  let bit =
+    match access with
+    | Mpu.Exec -> exec_bit
+    | Mpu.Dread -> read_bit
+    | Mpu.Dwrite -> write_bit
+  in
+  if not (permits t.mpu.Mpu.perm bit (addr lsr Mpu.granule_shift)) then
+    match Mpu.check t.mpu access addr with
+    | Mpu.Allowed -> ()
+    | Mpu.Violation segment ->
+      raise (Fault (Mpu_violation { access; addr; pc = pc_of t; segment }))
 
 let bus_read t (kind : Cpu.access) width addr =
   let addr = addr land 0xFFFF in
@@ -149,18 +171,21 @@ let bus_read t (kind : Cpu.access) width addr =
   | Memory_map.Unmapped ->
     raise (Fault (Unmapped { addr; pc = pc_of t; write = false }))
   | Memory_map.Fram | Memory_map.Info_mem | Memory_map.Sram
-  | Memory_map.Vectors | Memory_map.Bootstrap ->
-    let access =
-      match kind with Cpu.Afetch -> Mpu.Exec | Cpu.Aread -> Mpu.Dread
-    in
-    mpu_check t access addr;
-    let value = Memory.read t.mem width addr in
-    (match kind with
-    | Cpu.Afetch -> t.stats.Trace.fetch_words <- t.stats.Trace.fetch_words + 1
+  | Memory_map.Vectors | Memory_map.Bootstrap -> (
+    match kind with
+    | Cpu.Afetch ->
+      mpu_check t Mpu.Exec addr;
+      let value = Memory.read t.mem width addr in
+      t.stats.Trace.fetch_words <- t.stats.Trace.fetch_words + 1;
+      value
     | Cpu.Aread ->
+      mpu_check t Mpu.Dread addr;
+      let value = Memory.read t.mem width addr in
       t.stats.Trace.data_reads <- t.stats.Trace.data_reads + 1;
-      emit t (Trace.Mem_read { addr; width; value; pc = pc_of t }));
-    value
+      (match watcher t with
+      | None -> ()
+      | Some f -> f (Trace.Mem_read { addr; width; value; pc = pc_of t }));
+      value)
 
 let bus_write t width addr v =
   let addr = addr land 0xFFFF in
@@ -173,7 +198,10 @@ let bus_write t width addr v =
     mpu_check t Mpu.Dwrite addr;
     Memory.write t.mem width addr v;
     t.stats.Trace.data_writes <- t.stats.Trace.data_writes + 1;
-    emit t (Trace.Mem_write { addr; width; value = Word.norm width v; pc = pc_of t })
+    match watcher t with
+    | None -> ()
+    | Some f ->
+      f (Trace.Mem_write { addr; width; value = Word.norm width v; pc = pc_of t })
 
 let create () =
   let self = ref None in
@@ -291,9 +319,9 @@ let sync_code_cache t =
   end
 
 let block_at t pc =
-  match Hashtbl.find_opt t.blocks pc with
-  | Some b -> b
-  | None ->
+  match Hashtbl.find t.blocks pc with
+  | b -> b
+  | exception Not_found ->
     let b = Predecode.build ~read_word:(Memory.read_word t.mem) ~pc in
     Memory.watch_code_span t.mem ~lo:b.Predecode.b_lo ~hi:b.Predecode.b_hi;
     Hashtbl.replace t.blocks pc b;
@@ -305,7 +333,8 @@ let block_at t pc =
    cycle counts exactly as the slow path would. *)
 let exec_uop t (u : Predecode.uop) =
   let cpu = t.cpu in
-  Registers.set_pc cpu.Cpu.regs (u.Predecode.u_pc + u.Predecode.u_len);
+  let regs = cpu.Cpu.regs in
+  regs.(Registers.pc) <- (u.Predecode.u_pc + u.Predecode.u_len) land 0xFFFF;
   (match u.Predecode.u_instr with
   | Opcode.Fmt1 (op, width, src, dst) ->
     Cpu.exec_fmt1 cpu op width src dst ~src_ext_addr:u.Predecode.u_src_ext
@@ -313,27 +342,43 @@ let exec_uop t (u : Predecode.uop) =
   | Opcode.Fmt2 (op, width, src) ->
     Cpu.exec_fmt2 cpu op width src ~src_ext_addr:u.Predecode.u_src_ext
   | Opcode.Jump (c, _) ->
-    if Cpu.cond_true cpu.Cpu.regs c then
-      Registers.set_pc cpu.Cpu.regs u.Predecode.u_target
+    if Cpu.cond_true regs c then regs.(Registers.pc) <- u.Predecode.u_target
   | Opcode.Reti -> Cpu.exec_reti cpu);
   cpu.Cpu.cycles <- cpu.Cpu.cycles + u.Predecode.u_cost;
   cpu.Cpu.insns <- cpu.Cpu.insns + 1
 
+(* Is every instruction word of [b] executable under the MPU's current
+   configuration?  A pure table scan: the words tile [b_lo, b_hi) two
+   bytes apart, so they start in exactly the granules from [b_lo]'s to
+   the last word's.  A yes is recorded as [b_mpu_key] and holds until
+   the configuration key differs, so a block validated while app k
+   runs needs no re-check after the OS round trip. *)
+let validated t (b : Predecode.block) =
+  let mpu = t.mpu in
+  b.Predecode.b_mpu_key = mpu.Mpu.key
+  ||
+  let perm = mpu.Mpu.perm in
+  let last = (b.Predecode.b_hi - 2) lsr Mpu.granule_shift in
+  let rec scan g = g > last || (permits perm exec_bit g && scan (g + 1)) in
+  scan (b.Predecode.b_lo lsr Mpu.granule_shift)
+  && begin
+    b.Predecode.b_mpu_key <- mpu.Mpu.key;
+    true
+  end
+
 (* Run uops from a block until it ends or something demands the
    per-instruction path.  Returns the fault, if one was raised.
 
-   Exec-permission handling: while [b_mpu_gen] matches the live MPU
-   generation, every instruction word is known Allowed and fetch words
-   are bulk-counted; otherwise each word is re-checked in fetch order,
-   counting words only after their check passes — the slow path's
-   exact fault/statistics ordering.  The generation is re-read per
-   uop, so an instruction that reconfigures the MPU demotes the rest
-   of its own block to careful mode. *)
+   Exec-permission handling: while the block is validated under the
+   live configuration key, every instruction word is known Allowed and
+   fetch words are bulk-counted; otherwise each word is checked in
+   fetch order, counting words only after their check passes — the
+   slow path's exact fault/statistics ordering.  The key is re-read
+   per uop, so an instruction that reconfigures the MPU moves the rest
+   of its own block onto the new key. *)
 let run_block t (b : Predecode.block) budget =
   t.emit_hook <- None;
   t.in_step <- true;
-  let entry_gen = Mpu.gen t.mpu in
-  let unvalidated = b.Predecode.b_mpu_gen <> entry_gen in
   let mem_gen0 = Memory.code_gen t.mem in
   let uops = b.Predecode.b_uops in
   let n = Array.length uops in
@@ -344,7 +389,7 @@ let run_block t (b : Predecode.block) budget =
      let continue = ref true in
      while !continue && !i < n do
        let u = Array.unsafe_get uops !i in
-       if b.Predecode.b_mpu_gen = Mpu.gen t.mpu then
+       if validated t b then
          stats.Trace.fetch_words <-
            stats.Trace.fetch_words + u.Predecode.u_words
        else
@@ -366,9 +411,7 @@ let run_block t (b : Predecode.block) budget =
          || Memory.code_gen t.mem <> mem_gen0
          || !budget = 0
        then continue := false
-     done;
-     if unvalidated && !i = n && Mpu.gen t.mpu = entry_gen then
-       b.Predecode.b_mpu_gen <- entry_gen
+     done
    with Fault f -> fault := Some f);
   t.in_step <- false;
   !fault

@@ -107,10 +107,10 @@ val run : ?fuel:int -> t -> stop_reason
     installed, instructions execute from a cache of predecoded basic
     blocks ({!Predecode}): decoded once, chained to the next control
     transfer, with per-word MPU execute checks elided while the MPU
-    configuration generation is unchanged.  The moment any hook is
-    armed — profiler, fault injector, watchpoint — dispatch falls
-    back to {!step}, the reference per-instruction path, at the next
-    instruction boundary.  Both tiers run the same {!Cpu} executors
+    configuration key the block was validated under is live.  The
+    moment any hook is armed — profiler, fault injector, watchpoint —
+    dispatch falls back to {!step}, the reference per-instruction
+    path, at the next instruction boundary.  Both tiers run the same {!Cpu} executors
     and charge the same {!Cycles.cycles}, so registers, memory,
     statistics, cycle counts and faults are identical instruction for
     instruction (asserted by the differential lockstep tests and the

@@ -17,7 +17,30 @@
     Register addresses match the real part: MPUCTL0 0x05A0, MPUCTL1
     0x05A2, MPUSEGB2 0x05A4, MPUSEGB1 0x05A6, MPUSAM 0x05A8. *)
 
-type t
+type t = private {
+  mutable ctl0 : int;  (** MPUENA / MPULOCK / MPUSEGIE bits *)
+  mutable ctl1 : int;  (** violation interrupt flags *)
+  mutable segb1 : int;  (** boundary register: address / 16 *)
+  mutable segb2 : int;
+  mutable sam : int;  (** one RE/WE/XE/VS nibble per segment *)
+  mutable gen : int;  (** see {!gen} *)
+  mutable key : int;
+      (** The configuration every {!check} verdict is a function of,
+          packed as [ena|segb1|segb2|sam]; [0] while the MPU is
+          disabled.  Never negative. *)
+  mutable perm : string;
+      (** The permission table derived from [key]: entry
+          [addr lsr granule_shift] holds the access bits the granule
+          allows — [0x1] read, [0x2] write, [0x4] execute (MPUSAM's
+          RE/WE/XE positions) — and its segment in bits 4-5.  Re-derived
+          on every configuration change and memoised by [key]; an
+          uncovered or disabled granule allows everything. *)
+  mutable memo : (int * string) list;
+      (** Tables already derived for this unit, by key, newest first:
+          a cache of at most 8. *)
+}
+(** Fields are read-only outside this module: the machine reads [perm]
+    and [key] on its hot paths without a call. *)
 
 type access = Exec | Dread | Dwrite
 
@@ -68,20 +91,30 @@ val boundary1 : t -> int
 val boundary2 : t -> int
 (** Effective (1 KiB-aligned) segment boundaries. *)
 
+val access_bit : access -> int
+(** The permission-table bit that grants an access. *)
+
+val granule_shift : int
+(** [7]: the permission table has one entry per 128 B granule.  Every
+    edge of the segment map — InfoMem's half-KiB, the 1 KiB-snapped
+    boundaries, FRAM's end at the vector page 0xFF80 — falls on a
+    granule edge, so the table is exact for all 65 536 addresses. *)
+
 val check : t -> access -> int -> check_result
-(** Permission check for one access.  Always [Allowed] when the MPU is
-    disabled or the address is not covered. *)
+(** Permission check for one access to a 16-bit address: one table
+    load and a bit test.  Always [Allowed] when the MPU is disabled or
+    the address is not covered; a violation sets the segment's MPUCTL1
+    flag.  Agrees with {!segment_of_addr} and the MPUSAM nibbles, which
+    remain the specification the table is built from. *)
 
 val violation_flags : t -> int
 (** Current MPUCTL1 interrupt-flag bits. *)
 
 val gen : t -> int
-(** Configuration generation: bumped by every accepted register write,
-    {!configure}, {!raw_set} and {!reset}.  {!check} verdicts are a
-    pure function of the configuration, so a cached "allowed" result
-    stays valid exactly as long as [gen] is unchanged — the machine's
-    predecoded-block cache uses this to skip per-word execute checks
-    on revisited blocks. *)
+(** Configuration write counter: bumped by every accepted register
+    write, {!configure}, {!raw_set} and {!reset}, whether or not the
+    value changed.  Validity of cached verdicts is keyed by [key], not
+    by this counter. *)
 
 (** Raw register cells, for the fault injector: a bit flip in the
     MPU's own configuration state models the paper's concern that a

@@ -37,9 +37,9 @@ type block = {
   b_lo : int; (* decoded byte span [b_lo, b_hi): the invalidation key *)
   b_hi : int;
   b_tail : tail;
-  mutable b_mpu_gen : int;
-      (* Mpu.gen under which every word passed the Exec check;
-         -1 until the first full careful pass *)
+  mutable b_mpu_key : int;
+      (* Mpu key under which every word passes the Exec check;
+         -1 until first validated *)
 }
 
 let max_uops = 64
@@ -124,4 +124,4 @@ let build ~read_word ~pc:start =
   (* Even an empty block spans its first word, so a write that makes
      the bytes decodable flushes the cached "unhandled" verdict. *)
   { b_pc = start; b_uops = uops; b_lo = start; b_hi = hi; b_tail = tail;
-    b_mpu_gen = -1 }
+    b_mpu_key = -1 }

@@ -40,11 +40,13 @@ type block = {
           invalidates the block.  Empty blocks still span their first
           word so a write can flush a cached "unhandled" verdict. *)
   b_tail : tail;
-  mutable b_mpu_gen : int;
-      (** {!Mpu.gen} under which every instruction word passed the
-          Exec permission check, or [-1] before the first full pass.
-          While it matches the live MPU generation the machine skips
-          per-word checks and bulk-counts fetch words. *)
+  mutable b_mpu_key : int;
+      (** The MPU configuration key ({!Mpu.t.key}) under which every
+          instruction word passes the Exec permission check, or [-1]
+          before the first validation.  While it matches the live key
+          the machine skips per-word checks and bulk-counts fetch
+          words; a configuration that changes and changes back (an OS
+          round trip) leaves it valid. *)
 }
 
 val max_uops : int

@@ -4,7 +4,10 @@
     constant generator 1, R3 = constant generator 2, R4..R15 general
     purpose. *)
 
-type t
+type t = int array
+(** R0..R15, each holding a 16-bit value.  Concrete so the CPU's
+    executors index it without a call; everything else reads and
+    writes through {!get} and {!set}, which keep values 16-bit. *)
 
 val pc : int
 val sp : int
@@ -22,6 +25,12 @@ val set_sp : t -> int -> unit
 
 (** Status-register flag accessors (bit positions follow the MSP430:
     C=0, Z=1, N=2, GIE=3, V=8). *)
+
+val bit_c : int
+val bit_z : int
+val bit_n : int
+val bit_v : int
+(** The flag masks within SR. *)
 
 val carry : t -> bool
 val zero : t -> bool

@@ -1,14 +1,11 @@
-(** 16-bit and 8-bit machine arithmetic for the MSP430-like core.
+(** 16-bit and 8-bit machine words for the MSP430-like core.
 
     Values are plain OCaml [int]s constrained to the range of the
     operation width; every operation re-normalizes its result.  The
-    module also computes the MSP430 status flags (carry, zero,
-    negative, signed overflow) for arithmetic results. *)
+    arithmetic itself, with its status flags, lives in {!Cpu}'s
+    executors. *)
 
 type width = W8 | W16
-
-val bits : width -> int
-(** [bits w] is 8 or 16. *)
 
 val mask : width -> int
 (** [mask w] is [0xFF] or [0xFFFF]. *)
@@ -27,21 +24,6 @@ val to_signed : width -> int -> int
 
 val of_signed : width -> int -> int
 (** Inverse of {!to_signed}: wrap a signed integer into the width. *)
-
-(** Result of an arithmetic operation together with flag outcomes. *)
-type flags = { value : int; carry : bool; overflow : bool }
-
-val add : width -> ?carry_in:bool -> int -> int -> flags
-(** [add w a b] computes [a + b (+1 if carry_in)] with carry-out and
-    signed-overflow detection. *)
-
-val sub : width -> ?borrow_in:bool -> int -> int -> flags
-(** [sub w dst src] computes [dst - src] the MSP430 way
-    ([dst + lnot src + 1]); [carry] is the NOT-borrow convention.
-    [borrow_in] subtracts one more (for SUBC with carry clear). *)
-
-val dadd : width -> ?carry_in:bool -> int -> int -> flags
-(** Decimal (BCD) addition, digit by digit, as the DADD instruction. *)
 
 val swap_bytes : int -> int
 (** Exchange high and low byte of a 16-bit value. *)

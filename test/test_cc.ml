@@ -57,6 +57,26 @@ let expect_src_error f =
   | exception Cc.Srcloc.Error _ -> ()
   | _ -> Alcotest.fail "expected a compile error"
 
+(* Literals wider than a WearC int are located lexer errors, not a
+   silent 16-bit wrap or a host-int overflow. *)
+let test_literal_range () =
+  let located src =
+    match Cc.Parser.parse src with
+    | exception Cc.Srcloc.Error (l, msg) -> (l.Cc.Srcloc.line, l.Cc.Srcloc.col, msg)
+    | _ -> Alcotest.failf "expected a compile error for %S" src
+  in
+  Alcotest.(check (triple int int string))
+    "a[70000]" (2, 20, "integer literal 70000 does not fit in 16 bits")
+    (located "int a[4];\nint f() { return a[70000]; }");
+  Alcotest.(check (triple int int string))
+    "20-digit literal"
+    (1, 9, "integer literal 99999999999999999999 does not fit in 16 bits")
+    (located "int x = 99999999999999999999;");
+  expect_src_error (fun () -> Cc.Lexer.tokenize "0x10000");
+  Alcotest.(check bool) "0xFFFF and 65535 still lex" true
+    (List.map (fun t -> t.Cc.Token.tok) (Cc.Lexer.tokenize "0xFFFF 65535")
+    = [ Cc.Token.INT_LIT 0xFFFF; Cc.Token.INT_LIT 65535; Cc.Token.EOF ])
+
 let test_goto_rejected () =
   expect_src_error (fun () -> Cc.Parser.parse "void f() { goto end; }")
 
@@ -577,6 +597,7 @@ let () =
       ( "frontend",
         [
           Alcotest.test_case "lexer basics" `Quick test_lexer_basics;
+          Alcotest.test_case "literal range" `Quick test_literal_range;
           Alcotest.test_case "lexer operators" `Quick test_lexer_operators;
           Alcotest.test_case "precedence" `Quick test_parser_precedence;
           Alcotest.test_case "declarators" `Quick test_parser_declarators;

@@ -390,6 +390,88 @@ let corpus_lockstep_mode mode () =
           (Mem.equal fast.Kernel.machine.M.mem slow.Kernel.machine.M.mem))
     Attacks.corpus
 
+(* Config-keyed block validation.  An MPU-mode dispatch switches the
+   unit from the OS configuration to the app's and back, and every
+   gate crossing does so again.  A block validated while the app runs
+   must keep its key across that round trip, so the next dispatch
+   needs no per-word Exec checks.  Once the configuration can no
+   longer become the app's, the stale key must not be trusted: the
+   handler then faults at the same pc and cycle as under the reference
+   stepper. *)
+
+module Aft = Amulet_aft.Aft
+module Event = Amulet_os.Event
+module Mpu = Amulet_mcu.Mpu
+module Predecode = Amulet_mcu.Predecode
+
+let keyed_app =
+  {
+    Aft.name = "keyed";
+    source =
+      {|
+int acc = 0;
+void handle_init(int arg) { acc = 0; }
+void handle_button(int arg) {
+  int i;
+  for (i = 0; i < 8; i++) acc += i;
+  api_null();
+}
+|};
+  }
+
+let test_keyed_validation () =
+  let fw = Aft.build ~mode:Iso.Mpu_assisted [ keyed_app ] in
+  let fast = Kernel.create ~policy:Kernel.Disable fw in
+  let slow = Kernel.create ~policy:Kernel.Disable fw in
+  M.add_watch slow.Kernel.machine (fun _ -> ());
+  let press k =
+    Kernel.post k ~delay_ms:0 ~app:0 (Event.Button 1) ~arg:1;
+    match Kernel.dispatch_next k with
+    | Some r -> r
+    | None -> Alcotest.fail "button event not dispatched"
+  in
+  let both () =
+    let a = press fast and b = press slow in
+    if a <> b then
+      Alcotest.failf "dispatch records diverged (%d vs %d cycles)"
+        a.Kernel.dr_cycles b.Kernel.dr_cycles;
+    a
+  in
+  ignore (Kernel.run_for_ms fast 1);
+  ignore (Kernel.run_for_ms slow 1);
+  ignore (both ());
+  let haddr =
+    Option.get (Aft.handler_addr fast.Kernel.apps.(0).Kernel.build "handle_button")
+  in
+  let mpu = fast.Kernel.machine.M.mpu in
+  let block () = Hashtbl.find fast.Kernel.machine.M.blocks haddr in
+  let b = block () in
+  let key = b.Predecode.b_mpu_key in
+  Alcotest.(check bool) "handler block validated" true (key >= 0);
+  Alcotest.(check bool) "OS configuration live between dispatches" true
+    (mpu.Mpu.key <> key);
+  ignore (both ());
+  Alcotest.(check bool) "same cached block" true (block () == b);
+  Alcotest.(check int) "key kept across the OS round trip" key
+    b.Predecode.b_mpu_key;
+  (* Lock the unit in the OS configuration, which grants the app region
+     rw but not x: the trampoline's reconfiguration writes are then
+     ignored, and the handler's first fetch must fault. *)
+  List.iter
+    (fun k -> Mpu.raw_set k.Kernel.machine.M.mpu Mpu.Raw_ctl0 0x03)
+    [ fast; slow ];
+  let r = both () in
+  (match r.Kernel.dr_outcome with
+  | Kernel.App_fault msg ->
+    Alcotest.(check string) "fault at the handler entry"
+      (Printf.sprintf "MPU violation: execute of %04X (seg3) at pc=%04X" haddr
+         haddr)
+      msg
+  | _ -> Alcotest.fail "revoked execute permission did not fault");
+  Alcotest.(check int) "same cycle as the reference stepper"
+    (M.cycles slow.Kernel.machine)
+    (M.cycles fast.Kernel.machine)
+
 let () =
   let to_alcotest t = QCheck_alcotest.to_alcotest ~rand:(fresh_rand ()) t in
   Alcotest.run "diff"
@@ -422,5 +504,9 @@ let () =
               Alcotest.test_case
                 ("attack corpus (" ^ Iso.name mode ^ ")")
                 `Quick (corpus_lockstep_mode mode))
-            Iso.all );
+            Iso.all
+        @ [
+            Alcotest.test_case "keyed validation (mpu)" `Quick
+              test_keyed_validation;
+          ] );
     ]

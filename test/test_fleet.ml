@@ -96,6 +96,7 @@ let test_parse_errors () =
   check_err ~line:1 "modes mpu=1 mpu=2";
   check_err ~line:1 "apps not_a_suite_app";
   check_err ~line:1 "traffic ble rate=0";
+  check_err ~line:2 "devices 4\ntraffic tick rate=1500";
   check_err ~line:1 "traffic ble rate=1 burst=0";
   check_err ~line:1 "devices zero";
   check_err ~line:1 "sensors flying";

@@ -6,39 +6,60 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
-(* Word arithmetic *)
+(* Word arithmetic, as the CPU's executors compute it: one
+   register-to-register instruction on a bare CPU whose bus is never
+   touched. *)
+
+type alu_out = { value : int; carry : bool; overflow : bool }
+
+(* [op.width R6, R5] with R5 = [dst], R6 = [src] and C = [carry]. *)
+let alu ?(carry = false) op width dst src =
+  let cpu =
+    Cpu.create { Cpu.read = (fun _ _ _ -> 0); write = (fun _ _ _ -> ()) }
+  in
+  let regs = cpu.Cpu.regs in
+  Registers.set regs 5 dst;
+  Registers.set regs 6 src;
+  Registers.set_carry regs carry;
+  Cpu.exec_fmt1 cpu op width (Opcode.S_reg 6) (Opcode.D_reg 5) ~src_ext_addr:0
+    ~dst_ext_addr:0;
+  {
+    value = Registers.get regs 5;
+    carry = Registers.carry regs;
+    overflow = Registers.overflow regs;
+  }
 
 let test_word_add () =
-  let r = Word.add Word.W16 0xFFFF 1 in
-  check_int "wrap value" 0 r.Word.value;
-  check_bool "carry out" true r.Word.carry;
-  check_bool "no overflow" false r.Word.overflow;
-  let r = Word.add Word.W16 0x7FFF 1 in
-  check_int "0x8000" 0x8000 r.Word.value;
-  check_bool "overflow" true r.Word.overflow;
-  check_bool "no carry" false r.Word.carry
+  let r = alu Opcode.ADD Word.W16 0xFFFF 1 in
+  check_int "wrap value" 0 r.value;
+  check_bool "carry out" true r.carry;
+  check_bool "no overflow" false r.overflow;
+  let r = alu Opcode.ADD Word.W16 0x7FFF 1 in
+  check_int "0x8000" 0x8000 r.value;
+  check_bool "overflow" true r.overflow;
+  check_bool "no carry" false r.carry
 
 let test_word_sub () =
-  let r = Word.sub Word.W16 5 3 in
-  check_int "5-3" 2 r.Word.value;
-  check_bool "no borrow -> carry set" true r.Word.carry;
-  let r = Word.sub Word.W16 3 5 in
-  check_int "3-5" 0xFFFE r.Word.value;
-  check_bool "borrow -> carry clear" false r.Word.carry
+  let r = alu Opcode.SUB Word.W16 5 3 in
+  check_int "5-3" 2 r.value;
+  check_bool "no borrow -> carry set" true r.carry;
+  let r = alu Opcode.SUB Word.W16 3 5 in
+  check_int "3-5" 0xFFFE r.value;
+  check_bool "borrow -> carry clear" false r.carry
 
 let test_word_byte () =
-  let r = Word.add Word.W8 0xFF 1 in
-  check_int "byte wrap" 0 r.Word.value;
-  check_bool "byte carry" true r.Word.carry;
+  let r = alu Opcode.ADD Word.W8 0xFF 1 in
+  check_int "byte wrap" 0 r.value;
+  check_bool "byte carry" true r.carry;
   check_int "sign extend" 0xFF80 (Word.sign_extend_byte 0x80);
   check_int "swap" 0x3412 (Word.swap_bytes 0x1234)
 
 let test_word_dadd () =
-  let r = Word.dadd Word.W16 0x1299 0x0001 in
-  check_int "BCD 1299+1" 0x1300 r.Word.value;
-  let r = Word.dadd Word.W16 0x9999 0x0001 in
-  check_int "BCD wrap" 0x0000 r.Word.value;
-  check_bool "BCD carry" true r.Word.carry
+  let r = alu Opcode.DADD Word.W16 0x1299 0x0001 in
+  check_int "BCD 1299+1" 0x1300 r.value;
+  let r = alu Opcode.DADD Word.W16 0x9999 0x0001 in
+  check_int "BCD wrap" 0x0000 r.value;
+  check_bool "BCD carry" true r.carry
 
 let test_word_signed () =
   check_int "to_signed" (-1) (Word.to_signed Word.W16 0xFFFF);
@@ -601,10 +622,10 @@ let alu_add_property =
   QCheck2.Test.make ~count:2000 ~name:"ALU add matches reference"
     QCheck2.Gen.(triple gen_width (int_range 0 0xFFFF) (int_range 0 0xFFFF))
     (fun (w, a, b) ->
-      let r = Word.add w a b in
+      let r = alu Opcode.ADD w a b in
       let mask = Word.mask w in
       let reference = (a land mask) + (b land mask) in
-      r.Word.value = reference land mask && r.Word.carry = (reference > mask))
+      r.value = reference land mask && r.carry = (reference > mask))
 
 let alu_sub_borrow_property =
   QCheck2.Test.make ~count:2000 ~name:"ALU sub carry = not-borrow"
@@ -612,18 +633,18 @@ let alu_sub_borrow_property =
     (fun (w, a, b) ->
       let mask = Word.mask w in
       let a = a land mask and b = b land mask in
-      let r = Word.sub w a b in
-      r.Word.value = (a - b) land mask && r.Word.carry = (a >= b))
+      let r = alu Opcode.SUB w a b in
+      r.value = (a - b) land mask && r.carry = (a >= b))
 
 let alu_overflow_property =
   (* signed overflow iff the true sum leaves the signed range *)
   QCheck2.Test.make ~count:2000 ~name:"ALU add signed overflow"
     QCheck2.Gen.(pair (int_range 0 0xFFFF) (int_range 0 0xFFFF))
     (fun (a, b) ->
-      let r = Word.add Word.W16 a b in
+      let r = alu Opcode.ADD Word.W16 a b in
       let sa = Word.to_signed Word.W16 a and sb = Word.to_signed Word.W16 b in
       let s = sa + sb in
-      r.Word.overflow = (s < -32768 || s > 32767))
+      r.overflow = (s < -32768 || s > 32767))
 
 let dadd_property =
   (* on BCD-valid operands DADD is decimal addition *)
@@ -641,9 +662,8 @@ let dadd_property =
   QCheck2.Test.make ~count:1000 ~name:"DADD is decimal addition"
     QCheck2.Gen.(pair gen_bcd gen_bcd)
     (fun (da, db) ->
-      let r = Word.dadd Word.W16 (to_bcd da) (to_bcd db) in
-      r.Word.value = of_decimal (da + db)
-      && r.Word.carry = (da + db > 9999))
+      let r = alu Opcode.DADD Word.W16 (to_bcd da) (to_bcd db) in
+      r.value = of_decimal (da + db) && r.carry = (da + db > 9999))
 
 let decode_totality_property =
   (* any word either decodes or raises Illegal — never anything else *)
@@ -884,6 +904,118 @@ let test_mpu_raw_bypasses_password_and_lock () =
   Alcotest.(check bool) "raw set emitted no extra Io_write" true (!io = 1)
 
 (* ------------------------------------------------------------------ *)
+(* The permission table against the segment walk it is built from. *)
+
+(* One configuration change: a register written over the bus or
+   flipped raw, or a whole [Mpu.configure]. *)
+type mpu_step =
+  | Mmio of Mpu.raw_reg * int
+  | Raw of Mpu.raw_reg * int
+  | Configure of int * int * int * bool
+
+(* The verdict [Mpu.segment_of_addr] and the MPUSAM nibbles define. *)
+let spec_check mpu access addr =
+  if not (Mpu.enabled mpu) then Mpu.Allowed
+  else
+    match Mpu.segment_of_addr mpu addr with
+    | None -> Mpu.Allowed
+    | Some seg ->
+      let shift =
+        match seg with
+        | Mpu.Seg1 -> 0 | Mpu.Seg2 -> 4 | Mpu.Seg3 -> 8 | Mpu.Seg_info -> 12
+      in
+      let bit =
+        match access with Mpu.Dread -> 1 | Mpu.Dwrite -> 2 | Mpu.Exec -> 4
+      in
+      if (Mpu.raw_get mpu Mpu.Raw_sam lsr shift) land bit <> 0 then Mpu.Allowed
+      else Mpu.Violation seg
+
+let seg_flag = function
+  | Mpu.Seg1 -> 1 | Mpu.Seg2 -> 2 | Mpu.Seg3 -> 4 | Mpu.Seg_info -> 8
+
+let apply_mpu_step mpu = function
+  | Mmio (reg, v) ->
+    let addr, v =
+      match reg with
+      | Mpu.Raw_ctl0 -> (Mpu.ctl0_addr, 0xA500 lor v)
+      | Mpu.Raw_ctl1 -> (Mpu.ctl1_addr, 0xA500 lor v)
+      | Mpu.Raw_segb1 -> (Mpu.segb1_addr, v)
+      | Mpu.Raw_segb2 -> (Mpu.segb2_addr, v)
+      | Mpu.Raw_sam -> (Mpu.sam_addr, v)
+    in
+    ignore (Mpu.mmio_write mpu addr v)
+  | Raw (reg, v) -> Mpu.raw_set mpu reg v
+  | Configure (b1, b2, sam, enable) ->
+    Mpu.configure mpu ~b1:(b1 lsl 4) ~b2:(b2 lsl 4) ~sam ~enable
+
+(* Each address and access: the same verdict, and a violation sets
+   exactly its segment's MPUCTL1 flag. *)
+let table_matches_spec mpu addrs =
+  List.for_all
+    (fun addr ->
+      List.for_all
+        (fun access ->
+          if Mpu.violation_flags mpu <> 0 then Mpu.raw_set mpu Mpu.Raw_ctl1 0;
+          let want = spec_check mpu access addr in
+          let flags =
+            match want with Mpu.Allowed -> 0 | Mpu.Violation s -> seg_flag s
+          in
+          Mpu.check mpu access addr = want && Mpu.violation_flags mpu = flags)
+        [ Mpu.Exec; Mpu.Dread; Mpu.Dwrite ])
+    addrs
+
+let every_address = List.init 0x10000 Fun.id
+
+(* The first and last byte of every 128 B granule. *)
+let granule_edges =
+  List.concat (List.init 512 (fun g -> [ g * 128; (g * 128) + 127 ]))
+
+(* Random single-register writes and whole reconfigurations, with
+   values drawn mostly from small pools so configurations recur (memo
+   hits) and differ in one field only (stale-table traps); boundary
+   values favour the segment map's edges.  Every step is checked at
+   each granule's edges, the final configuration at every address. *)
+let mpu_table_property =
+  let open QCheck2.Gen in
+  let boundary =
+    frequency
+      [ (1, int_range 0 0xFFF);
+        (4, oneofl [ 0; 0x440; 0x460; 0x800; 0xA00; 0xC40; 0xFC0; 0xFF8; 0xFFF ]) ]
+  in
+  let sam =
+    frequency
+      [ (1, int_range 0 0xFFFF);
+        (4, oneofl [ 0x7777; 0x0064; 0x0664; 0x3064; 0x1234 ]) ]
+  in
+  let value = function
+    | Mpu.Raw_ctl0 -> oneofl [ 0; 1; 3; 0x11 ]
+    | Mpu.Raw_ctl1 -> int_range 0 0xF
+    | Mpu.Raw_segb1 | Mpu.Raw_segb2 -> boundary
+    | Mpu.Raw_sam -> sam
+  in
+  let reg =
+    oneofl [ Mpu.Raw_ctl0; Mpu.Raw_ctl1; Mpu.Raw_segb1; Mpu.Raw_segb2; Mpu.Raw_sam ]
+  in
+  let step =
+    frequency
+      [
+        (3, reg >>= fun r -> map (fun v -> Mmio (r, v)) (value r));
+        (3, reg >>= fun r -> map (fun v -> Raw (r, v)) (value r));
+        (1, map (fun (b1, b2, s, e) -> Configure (b1, b2, s, e))
+              (quad boundary boundary sam bool));
+      ]
+  in
+  QCheck2.Test.make ~count:20 ~name:"permission table = segment walk"
+    (list_size (1 -- 40) step) (fun steps ->
+      let mpu = Mpu.create () in
+      List.for_all
+        (fun st ->
+          apply_mpu_step mpu st;
+          table_matches_spec mpu granule_edges)
+        steps
+      && table_matches_spec mpu every_address)
+
+(* ------------------------------------------------------------------ *)
 (* Predecoded-block engine: byte-PUSH store width, self-modifying-code
    invalidation, reset dropping the cache *)
 
@@ -1043,6 +1175,7 @@ let () =
           Alcotest.test_case "raw bypasses password+lock" `Quick
             test_mpu_raw_bypasses_password_and_lock;
         ] );
+      qsuite "mpu-table" [ mpu_table_property ];
       ( "hooks",
         [
           Alcotest.test_case "mid-step watch deferred" `Quick
