@@ -159,280 +159,6 @@ let run_ablations () =
      OS in-region, so the kernel skips its per-call range validation)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Observability: zero-cycle overhead + profiler exactness *)
-
-let run_observability () =
-  section "Observability: tracing overhead and profiler exactness";
-  let module Aft = Amulet_aft.Aft in
-  let module Os = Amulet_os in
-  let module Obs = Amulet_obs.Obs in
-  let module Apps = Amulet_apps.Suite in
-  let app = List.find (fun a -> a.Apps.name = "pedometer") Apps.all in
-  let seconds = 5 in
-  let run ?obs () =
-    let fw = Aft.build ~mode:Iso.Mpu_assisted [ Apps.spec_for Iso.Mpu_assisted app ] in
-    let k = Os.Kernel.create ~scenario:Os.Sensors.Walking ?obs fw in
-    let _ = Os.Kernel.run_for_ms k (seconds * 1000) in
-    (Amulet_mcu.Machine.cycles k.Os.Kernel.machine, k)
-  in
-  (* 1. no observability at all *)
-  let bare, _ = run () in
-  (* 2. context attached, no sinks, no profiler *)
-  let plain_obs = Obs.create () in
-  let attached, _ = run ~obs:plain_obs () in
-  Obs.close plain_obs;
-  (* 3. full tracing: JSONL sink + cycle profiler *)
-  let obs = Obs.create () in
-  let buf = Buffer.create 65536 in
-  Obs.add_sink obs (Obs.jsonl_buffer_sink buf);
-  let fw = Aft.build ~mode:Iso.Mpu_assisted [ Apps.spec_for Iso.Mpu_assisted app ] in
-  Obs.enable_profile obs fw;
-  let k = Os.Kernel.create ~scenario:Os.Sensors.Walking ~obs fw in
-  let _ = Os.Kernel.run_for_ms k (seconds * 1000) in
-  let traced = Amulet_mcu.Machine.cycles k.Os.Kernel.machine in
-  Obs.close obs;
-  Printf.printf
-    "pedometer, mpu mode, %d virtual s: %d cycles bare, %d attached, %d fully traced\n"
-    seconds bare attached traced;
-  if bare <> attached || bare <> traced then
-    failwith
-      (Printf.sprintf
-         "tracing is not free: %d cycles bare vs %d attached vs %d traced"
-         bare attached traced);
-  Printf.printf "tracing overhead: 0 cycles (asserted)\n";
-  let p =
-    match Obs.profile obs with Some p -> p | None -> failwith "no profiler"
-  in
-  let r = Amulet_obs.Profile.report p ~machine:k.Os.Kernel.machine in
-  if r.Amulet_obs.Profile.r_total <> r.Amulet_obs.Profile.r_machine then
-    failwith
-      (Printf.sprintf "profiler total %d <> machine cycles %d"
-         r.Amulet_obs.Profile.r_total r.Amulet_obs.Profile.r_machine);
-  Printf.printf
-    "profiler accounts for every cycle: %d classified = %d machine (exact)\n"
-    r.Amulet_obs.Profile.r_total r.Amulet_obs.Profile.r_machine;
-  Printf.printf "\nmeasured isolation-cost breakdown (single run):\n";
-  List.iter
-    (fun (cat, cycles) ->
-      Printf.printf "  %-16s %8d cycles  (%5.1f %%)\n"
-        (Amulet_obs.Profile.category_name cat)
-        cycles
-        (100.0 *. float_of_int cycles /. float_of_int (max 1 traced)))
-    r.Amulet_obs.Profile.r_cats;
-  Printf.printf "  %-16s %8d cycles\n" "host services"
-    r.Amulet_obs.Profile.r_host_cycles;
-  Printf.printf "trace: %d JSONL records captured\n"
-    (List.length (Amulet_obs.Summary.of_string (Buffer.contents buf)));
-  (* 4. statistical telemetry: Agg sink + profiler, which also arms the
-     per-dispatch profile-counter emission (energy attribution).  All
-     of it is host-side: same cycle count, byte-identical profiler
-     report. *)
-  let module Agg = Amulet_obs.Agg in
-  let module Profile = Amulet_obs.Profile in
-  let obs4 = Obs.create () in
-  let agg = Agg.create () in
-  Obs.add_sink obs4 (Agg.sink agg);
-  let fw4 =
-    Aft.build ~mode:Iso.Mpu_assisted [ Apps.spec_for Iso.Mpu_assisted app ]
-  in
-  Obs.enable_profile obs4 fw4;
-  let k4 = Os.Kernel.create ~scenario:Os.Sensors.Walking ~obs:obs4 fw4 in
-  let _ = Os.Kernel.run_for_ms k4 (seconds * 1000) in
-  let telemetry = Amulet_mcu.Machine.cycles k4.Os.Kernel.machine in
-  Obs.close obs4;
-  if telemetry <> bare then
-    failwith
-      (Printf.sprintf "telemetry is not free: %d cycles bare vs %d aggregated"
-         bare telemetry);
-  let report_of obs k =
-    match Obs.profile obs with
-    | Some p ->
-      Format.asprintf "%a" Profile.pp_report
-        (Profile.report p ~machine:k.Os.Kernel.machine)
-    | None -> failwith "no profiler"
-  in
-  if not (String.equal (report_of obs k) (report_of obs4 k4)) then
-    failwith "agg sink perturbed the profiler report";
-  if Agg.spans agg = [] then failwith "agg sink saw no dispatch spans";
-  (match Agg.counter agg (Profile.counter_name Profile.App_code) with
-  | Some c ->
-    let p4 =
-      match Obs.profile obs4 with Some p -> p | None -> assert false
-    in
-    let total = List.assoc Profile.App_code (Profile.totals p4) in
-    if c.Agg.c_last <> total then
-      failwith
-        (Printf.sprintf "energy counter drifted: last %d <> profiler %d"
-           c.Agg.c_last total)
-  | None -> failwith "no per-class energy counters in the trace");
-  Printf.printf
-    "agg sink + energy counters armed: %d cycles (identical), profiler\n\
-     report byte-identical, %d records aggregated (asserted)\n"
-    telemetry (Agg.records agg)
-
-(* ------------------------------------------------------------------ *)
-(* Fault injector: zero cost when armed with an empty schedule *)
-
-let run_injector_zero_cost () =
-  section "Fault injector: armed-but-idle runs are byte-identical";
-  let module Aft = Amulet_aft.Aft in
-  let module Os = Amulet_os in
-  let module Obs = Amulet_obs.Obs in
-  let module Apps = Amulet_apps.Suite in
-  let app = List.find (fun a -> a.Apps.name = "pedometer") Apps.all in
-  let seconds = 5 in
-  let run ~armed =
-    let fw =
-      Aft.build ~mode:Iso.Mpu_assisted [ Apps.spec_for Iso.Mpu_assisted app ]
-    in
-    let obs = Obs.create () in
-    Obs.enable_profile obs fw;
-    let k = Os.Kernel.create ~scenario:Os.Sensors.Walking ~obs fw in
-    let inj =
-      if armed then
-        Some
-          (Amulet_sec.Inject.arm
-             (Amulet_sec.Inject.plan ~seed:7 ~flips:0 ~window:(0, 1)
-                Amulet_sec.Inject.Regs)
-             k.Os.Kernel.machine)
-      else None
-    in
-    let _ = Os.Kernel.run_for_ms k (seconds * 1000) in
-    let cycles = Amulet_mcu.Machine.cycles k.Os.Kernel.machine in
-    let report =
-      match Obs.profile obs with
-      | Some p ->
-        Format.asprintf "%a" Amulet_obs.Profile.pp_report
-          (Amulet_obs.Profile.report p ~machine:k.Os.Kernel.machine)
-      | None -> failwith "no profiler"
-    in
-    Obs.close obs;
-    (match inj with
-    | Some inj ->
-      if Amulet_sec.Inject.flips_done inj <> 0 then
-        failwith "idle injector applied a flip";
-      if Amulet_sec.Inject.steps inj = 0 then
-        failwith "armed injector observed no instructions"
-    | None -> ());
-    (cycles, report)
-  in
-  let bare_cycles, bare_report = run ~armed:false in
-  let armed_cycles, armed_report = run ~armed:true in
-  Printf.printf "pedometer, mpu mode, %d virtual s: %d cycles bare, %d armed\n"
-    seconds bare_cycles armed_cycles;
-  if bare_cycles <> armed_cycles then
-    failwith
-      (Printf.sprintf "idle injector is not free: %d vs %d cycles" bare_cycles
-         armed_cycles);
-  if not (String.equal bare_report armed_report) then
-    failwith "idle injector perturbed the profiler report";
-  Printf.printf
-    "injector armed with an empty schedule: cycle totals equal and\n\
-     profiler reports byte-identical (asserted)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Predecode engine: the block cache must be invisible to simulated
-   state.  Three runs of the same workload: hooks-off (block engine,
-   warm cache), a no-op watcher (the reference per-instruction
-   stepper), and hooks-off with the cache dropped every 100 virtual ms
-   (every block decodes cold, so a decoder that charged cycles or
-   perturbed state would show up).  Cycles, every dispatch record and
-   the console must be byte-identical across all three. *)
-
-let run_predecode_identity () =
-  section "Predecode: fast path, reference path, cold and warm caches agree";
-  let module Aft = Amulet_aft.Aft in
-  let module Os = Amulet_os in
-  let module Apps = Amulet_apps.Suite in
-  let module M = Amulet_mcu.Machine in
-  let app = List.find (fun a -> a.Apps.name = "pedometer") Apps.all in
-  let seconds = 5 in
-  let mk () =
-    let fw =
-      Aft.build ~mode:Iso.Mpu_assisted [ Apps.spec_for Iso.Mpu_assisted app ]
-    in
-    Os.Kernel.create ~scenario:Os.Sensors.Walking fw
-  in
-  (* run in 100 ms slices ([run_for_ms] composes exactly: the deadline
-     accumulates), calling [between] at every slice boundary *)
-  let run ~between k =
-    let records = ref [] in
-    for _ = 1 to seconds * 10 do
-      between k;
-      records := List.rev_append (Os.Kernel.run_for_ms k 100) !records
-    done;
-    ( Amulet_mcu.Machine.cycles k.Os.Kernel.machine,
-      List.rev !records,
-      Amulet_mcu.Machine.console_contents k.Os.Kernel.machine )
-  in
-  let nothing _ = () in
-  let warm = run ~between:nothing (mk ()) in
-  let slow_k = mk () in
-  M.add_watch slow_k.Os.Kernel.machine (fun _ -> ());
-  let slow = run ~between:nothing slow_k in
-  let cold =
-    run ~between:(fun k -> Hashtbl.reset k.Os.Kernel.machine.M.blocks) (mk ())
-  in
-  let wc, wr, wcon = warm in
-  let check label (c, r, con) =
-    if c <> wc then
-      failwith
-        (Printf.sprintf "predecode %s run diverged: %d cycles vs %d warm"
-           label c wc);
-    if r <> wr then
-      failwith (Printf.sprintf "predecode %s run: dispatch records diverged"
-                  label);
-    if not (String.equal con wcon) then
-      failwith (Printf.sprintf "predecode %s run: console diverged" label)
-  in
-  check "reference-stepper" slow;
-  check "cold-cache" cold;
-  Printf.printf
-    "pedometer, mpu mode, %d virtual s: %d cycles warm-cache, identical\n\
-     under the reference stepper and with the cache dropped every 100 ms\n\
-     (%d dispatch records byte-identical, asserted)\n"
-    seconds wc (List.length wr)
-
-let run_fleet_shard_identity () =
-  section "Fleet: sharded aggregates are schedule-independent";
-  let module Scenario = Amulet_fleet_core.Scenario in
-  let module Fleet = Amulet_fleet_core.Fleet in
-  let module Json = Amulet_obs.Json in
-  let devices = if quick then 24 else 96 in
-  let scenario =
-    match
-      Scenario.parse
-        (Printf.sprintf
-           "scenario bench_fleet\n\
-            devices %d\n\
-            duration 200ms\n\
-            seed 42\n\
-            modes none=1 amuletc=1 software=1 mpu=1\n\
-            apps pedometer\n\
-            sensors daily_mix\n\
-            traffic button rate=5\n\
-            traffic tick rate=5\n"
-           devices)
-    with
-    | Ok s -> s
-    | Error e -> failwith ("fleet bench scenario: " ^ e)
-  in
-  let serial = Fleet.run ~jobs:1 scenario in
-  let parallel = Fleet.run ~jobs:4 scenario in
-  let a = Json.to_string (Fleet.summary_json serial) in
-  let b = Json.to_string (Fleet.summary_json parallel) in
-  if a <> b then
-    failwith "fleet aggregate diverged between jobs=1 and jobs=4";
-  if not (Fleet.ok serial) then
-    failwith "fleet bench run reported oracle violations";
-  Printf.printf
-    "%d devices, 200 virtual ms, 4 isolation modes: aggregate JSON\n\
-     byte-identical at jobs=1 and jobs=4 (asserted); %d dispatches,\n\
-     0 oracle violations; jobs=4 wall %.2fs (%.0f devices/sec)\n"
-    devices serial.Fleet.fs_dispatches parallel.Fleet.fs_elapsed_s
-    (float_of_int devices /. max 1e-9 parallel.Fleet.fs_elapsed_s)
-
-(* ------------------------------------------------------------------ *)
 (* Perf-trajectory snapshot: BENCH_gateheavy.json.
 
    One machine-readable record per PR so the simulator-speed and
@@ -551,11 +277,7 @@ let () =
     run_table1 ();
     run_figure3 ();
     run_figure2 ();
-    run_ablations ();
-    run_observability ();
-    run_injector_zero_cost ();
-    run_predecode_identity ();
-    run_fleet_shard_identity ()
+    run_ablations ()
   end;
   run_gateheavy_snapshot ();
   if not snapshot_only then bechamel_benches ();

@@ -3,7 +3,7 @@
    Runs the per-mode benchmark with warmup + N trials, prints the
    median/MAD table with dispatch-latency percentiles and energy per
    dispatch, optionally writes a schema-v2 BENCH_*.json snapshot, and
-   optionally compares against a baseline snapshot (schema 1 or 2)
+   optionally compares against a schema-2 baseline snapshot
    with noise-aware thresholds, exiting non-zero on regression. *)
 
 module Iso = Amulet_cc.Isolation
@@ -35,21 +35,12 @@ let compare_and_report ~path ~current ~baseline ~threshold ~rate_threshold =
        run — nothing was compared.@."
       path baseline.Schema.d_schema;
     List.iter (Format.eprintf "  not in baseline: %s@.") skipped;
-    if baseline.Schema.d_schema = 1 then
-      Format.eprintf
-        "hint: schema-1 baselines carry only per-mode throughput and whole-run \
-         cycles; re-record with the current amulet_bench to gate histograms \
-         and energy.@.";
     exit 2
   end;
   Format.printf "%a" Schema.pp_verdicts verdicts;
   if skipped <> [] then begin
     Format.printf "not gated (absent from baseline): %s@."
-      (String.concat ", " skipped);
-    if baseline.Schema.d_schema = 1 then
-      Format.printf
-        "note: baseline is schema 1 (no histograms or energy); re-record it \
-         to gate those metrics.@."
+      (String.concat ", " skipped)
   end;
   if Schema.regressed verdicts then begin
     Format.printf "REGRESSION: at least one gated metric exceeded %.1f%%@."
@@ -106,9 +97,9 @@ let run_cmd quick trials dispatches warmup modes out compare threshold
       in
       if regressed then exit 1
 
-(* speedup: gate the hooks-off (predecoded fast path) throughput
+(* speedup: gate the hooks-off (unobserved interpreter) throughput
    against a committed baseline snapshot.  The floor is a ratio, not a
-   noise threshold: the fast path must stay at least MIN_RATIO times
+   noise threshold: the interpreter must stay at least MIN_RATIO times
    faster than the baseline's throughput for the same mode.  A
    pre-predecode baseline carries only armed rows, so the baseline row
    is the mode's hooks-off row when present and the armed row
@@ -233,7 +224,7 @@ let compare_opt =
     & opt (some string) None
     & info [ "compare" ] ~docv:"BASELINE"
         ~doc:
-          "Compare against a baseline BENCH_*.json (schema 1 or 2); exit 1 \
+          "Compare against a baseline BENCH_*.json (schema 2); exit 1 \
            on regression.")
 
 let threshold =
@@ -274,7 +265,7 @@ let diff_term =
     Arg.(
       required
       & pos 1 (some string) None
-      & info [] ~docv:"BASELINE" ~doc:"Baseline snapshot JSON (schema 1 or 2).")
+      & info [] ~docv:"BASELINE" ~doc:"Baseline snapshot JSON (schema 2).")
   in
   Term.(const diff_cmd $ new_path $ base_path $ threshold $ rate_threshold)
 
@@ -306,7 +297,7 @@ let speedup_term =
 let speedup_info =
   Cmd.info "speedup"
     ~doc:
-      "Run the hooks-off (predecoded fast path) benchmark and enforce the \
+      "Run the hooks-off (unobserved interpreter) benchmark and enforce the \
        speedup floor against a committed baseline."
 
 let () =

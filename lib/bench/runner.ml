@@ -92,11 +92,11 @@ let run_mode ?(warmup = 100) ~trials ~dispatches mode =
     mr_measured_dispatches = trials * dispatches;
   }
 
-(* Same workload with no observability attached: the machine runs on
-   the predecoded-block fast path.  Simulated cycles per trial must be
-   byte-identical to the armed run — [run] asserts it — so the only
-   thing these rows add is the host-side throughput of the fast
-   engine. *)
+(* Same workload with no observability attached: no watcher sees an
+   event and no trace record is built.  Simulated cycles per trial must
+   be byte-identical to the armed run — [run] asserts it — so the only
+   thing these rows add is the host-side throughput of an unobserved
+   interpreter. *)
 let run_mode_hooks_off ?(warmup = 100) ~trials ~dispatches mode =
   let fw = Aft.build ~mode [ Apps.spec_for mode Apps.gateheavy ] in
   let k = Os.Kernel.create ~scenario:Os.Sensors.Walking fw in
@@ -220,14 +220,14 @@ let gate_costs ~runs () =
   }
 
 (* The armed and hooks-off runs drive identical workloads, so their
-   simulated cycle trajectories must agree exactly: the fast engine is
-   not allowed to change what the machine computes, only how fast the
-   host gets there. *)
+   simulated cycle trajectories must agree exactly: observing the
+   machine may change how fast the host gets there, never what the
+   machine computes. *)
 let assert_identity (armed : mode_run) (fast : mode_run) =
   if armed.mr_trial_cycles <> fast.mr_trial_cycles then
     failwith
       (Format.asprintf
-         "predecode identity violated (%s): armed trial cycles [%s] <> \
+         "observer identity violated (%s): armed trial cycles [%s] <> \
           hooks-off [%s]"
          (Iso.name armed.mr_mode)
          (String.concat ";"

@@ -28,8 +28,8 @@ val run_mode :
 
 val run_mode_hooks_off :
   ?warmup:int -> trials:int -> dispatches:int -> Iso.mode -> mode_run
-(** Same workload with no observability attached, so the machine runs
-    on the predecoded-block fast path.  Simulated cycles are
+(** Same workload with no observability attached: the interpreter
+    runs with no watcher and no step hook.  Simulated cycles are
     byte-identical to {!run_mode} (asserted by {!run}); only the host
     throughput differs.  Latency/handler histograms are empty and the
     class breakdown absent — there is no profiler to fill them. *)

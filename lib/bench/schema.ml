@@ -244,53 +244,8 @@ let of_json_v2 j =
         | None -> { g_ctx_switch = []; g_cert = [] });
     }
 
-(* Schema 1: one trial per mode, throughput and whole-run sim cycles
-   under "simulator", no histograms or energy. *)
-let of_json_v1 j =
-  let* bench = require "bench" (str j "bench") in
-  let dispatches = Option.value ~default:0 (inum j "dispatches") in
-  let* modes =
-    match Json.member "simulator" j with
-    | Some (Json.Arr ms) ->
-      map_result
-        (fun m ->
-          let* mode = require "simulator.mode" (str m "mode") in
-          let* cycles = require "sim_cycles" (fnum m "sim_cycles") in
-          let rate = Option.to_list (fnum m "cycles_per_sec") in
-          Ok
-            {
-              m_mode = mode;
-              m_rate = rate_of_floats rate;
-              m_cycles_per_dispatch =
-                (if dispatches = 0 then 0.0
-                 else cycles /. float_of_int dispatches);
-              m_latency = None;
-              m_handler = None;
-              m_class_cycles = [];
-              m_energy_per_dispatch_j = None;
-            })
-        ms
-    | _ -> Error "missing simulator"
-  in
-  Ok
-    {
-      d_schema = 1;
-      d_bench = bench;
-      d_quick = (match Json.member "quick" j with Some (Json.Bool b) -> b | _ -> false);
-      d_trials = 1;
-      d_dispatches = dispatches;
-      d_warmup = 0;
-      d_host = [];
-      d_modes = modes;
-      d_gate =
-        (match Json.member "gate_costs" j with
-        | Some g -> gate_of_json g
-        | None -> { g_ctx_switch = []; g_cert = [] });
-    }
-
 let of_json j =
   match inum j "schema" with
-  | Some 1 -> of_json_v1 j
   | Some 2 -> of_json_v2 j
   | Some n -> Error (Printf.sprintf "unknown schema %d" n)
   | None -> Error "missing schema"
@@ -446,10 +401,10 @@ let regressed vs = List.exists (fun v -> v.v_regressed) vs
 
 (* Metrics the current snapshot carries that the baseline cannot gate,
    using the same comparability conditions as [compare_docs] — each
-   entry reads like "latency p99 (mpu)".  A schema-1 baseline has no
-   histograms, no energy and a single throughput trial, so most rows
-   of a schema-2 run land here; surfacing the list keeps a quiet
-   comparison from being mistaken for a passing one. *)
+   entry reads like "latency p99 (mpu)".  A baseline recorded with
+   fewer modes, no histograms or a single throughput trial leaves rows
+   here; surfacing the list keeps a quiet comparison from being
+   mistaken for a passing one. *)
 let missing_in_baseline ~current ~baseline =
   let misses = ref [] in
   let push fmt = Printf.ksprintf (fun s -> misses := s :: !misses) fmt in

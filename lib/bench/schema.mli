@@ -1,6 +1,6 @@
-(** The [BENCH_*.json] perf-trajectory snapshot: schema v2 writer,
-    v1+v2 reader, and the noise-aware regression comparator that
-    gates PR-over-PR performance.
+(** The [BENCH_*.json] perf-trajectory snapshot: schema v2 writer and
+    reader, and the noise-aware regression comparator that gates
+    PR-over-PR performance.
 
     Schema v2 records, per isolation mode: host throughput over N
     trials (median/MAD/CI and the raw trials), deterministic
@@ -8,10 +8,7 @@
     handler-duration histograms ({!Amulet_obs.Hist} sparse encoding,
     so later tooling can merge snapshots losslessly), and cycle-exact
     energy attribution per PC class; plus the deterministic gate
-    costs (context switch, gate certification) and host metadata.
-
-    The v1 reader accepts the single-trial snapshots earlier PRs
-    committed, so [--compare] works across the schema migration. *)
+    costs (context switch, gate certification) and host metadata. *)
 
 module Hist := Amulet_obs.Hist
 module Json := Amulet_obs.Json
@@ -61,8 +58,7 @@ val to_json : doc -> Json.t
 (** Always schema v2. *)
 
 val of_json : Json.t -> (doc, string) result
-(** Reads schema 1 (mapped into the v2 shape: one trial, no
-    histograms, no energy) and schema 2. *)
+(** Reads schema 2; any other schema is [Error "unknown schema N"]. *)
 
 val write_file : string -> doc -> unit
 val read_file : string -> (doc, string) result
@@ -100,6 +96,4 @@ val pp_verdicts : Format.formatter -> verdict list -> unit
 val missing_in_baseline : current:doc -> baseline:doc -> string list
 (** Human-readable list of metrics the current snapshot carries that
     the baseline lacks — what {!compare_docs} silently skipped.
-    Typical for a schema-1 baseline, which predates histograms, energy
-    accounting and multi-trial throughput.  Empty when every current
-    metric found a baseline counterpart. *)
+    Empty when every current metric found a baseline counterpart. *)

@@ -6,8 +6,7 @@
     rngs are all instantiated per device from
     {!Scenario.device_seed}, no module-level state is shared — so
     devices can execute on any domain in any order.  No hook, watcher
-    or observability context is armed: the whole run stays on the
-    predecoded hooks-off fast path. *)
+    or observability context is armed, so no trace record is built. *)
 
 type result = {
   r_index : int;

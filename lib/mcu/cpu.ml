@@ -1,7 +1,5 @@
-type access = Afetch | Aread
-
 type bus = {
-  read : access -> Word.width -> int -> int;
+  read : Word.width -> int -> int;
   write : Word.width -> int -> int -> unit;
 }
 
@@ -26,7 +24,7 @@ let tag_reg = 0x10000
 let tag_imm = 0x20000
 
 let read_op t width p =
-  if p < tag_reg then t.bus.read Aread width p
+  if p < tag_reg then t.bus.read width p
   else if p < tag_imm then t.regs.(p - tag_reg) land mask width
   else p land mask width
 
@@ -199,32 +197,8 @@ let exec_fmt2 t op width src ~src_ext_addr =
 
 let exec_reti t =
   let sp = t.regs.(Registers.sp) in
-  let sr = t.bus.read Aread Word.W16 sp in
-  let pc = t.bus.read Aread Word.W16 (sp + 2) in
+  let sr = t.bus.read Word.W16 sp in
+  let pc = t.bus.read Word.W16 (sp + 2) in
   t.regs.(Registers.sp) <- (sp + 4) land 0xFFFF;
   t.regs.(Registers.sr) <- sr;
   t.regs.(Registers.pc) <- pc
-
-let step t =
-  let pc0 = t.regs.(Registers.pc) in
-  let fetch a = t.bus.read Afetch Word.W16 a in
-  let instr, len = Decode.decode ~fetch ~addr:pc0 in
-  t.regs.(Registers.pc) <- (pc0 + len) land 0xFFFF;
-  (match instr with
-  | Opcode.Fmt1 (op, width, src, dst) ->
-    let src_ext_addr = pc0 + 2 in
-    let dst_ext_addr =
-      pc0 + 2 + if Encode.src_needs_ext width src then 2 else 0
-    in
-    exec_fmt1 t op width src dst ~src_ext_addr ~dst_ext_addr
-  | Opcode.Fmt2 (op, width, src) ->
-    exec_fmt2 t op width src ~src_ext_addr:(pc0 + 2)
-  | Opcode.Jump (c, off) ->
-    if cond_true t.regs c then
-      t.regs.(Registers.pc) <- (pc0 + 2 + (2 * off)) land 0xFFFF
-  | Opcode.Reti -> exec_reti t);
-  t.cycles <- t.cycles + Cycles.cycles instr;
-  t.insns <- t.insns + 1;
-  instr
-
-let call_depth_hint t = Registers.get_sp t.regs

@@ -1,16 +1,14 @@
-(** Fetch-decode-execute engine.
+(** Instruction executors over the register file.
 
-    The CPU owns the register file and an instruction/cycle budget; it
-    talks to the rest of the machine through a {!bus}, which is where
+    The CPU owns the register file and the cycle and retired-instruction
+    counters; it reads and writes data through a {!bus}, which is where
     MPU checks, MMIO dispatch and tracing are implemented (see
-    {!Machine}).  Bus functions may raise; the exception aborts the
-    current instruction and propagates out of {!step}. *)
-
-(** Why the CPU is touching memory. *)
-type access = Afetch | Aread
+    {!Machine}).  Fetch and decode are not here: {!Machine.run} executes
+    predecoded micro-ops ({!Predecode}) through these executors.  Bus
+    functions may raise; the exception aborts the current instruction. *)
 
 type bus = {
-  read : access -> Word.width -> int -> int;
+  read : Word.width -> int -> int;  (** a data read *)
   write : Word.width -> int -> int -> unit;
 }
 
@@ -23,20 +21,13 @@ type t = {
 
 val create : bus -> t
 
-val step : t -> Opcode.t
-(** Execute one instruction; returns it (for tracing).  Raises
-    whatever the bus raises on a faulting access, and
-    {!Decode.Illegal} on an undecodable word. *)
+(** {2 Executors}
 
-(** {2 Execution primitives}
-
-    The per-form executors behind {!step}, exposed so the machine's
-    predecoded-block engine can run instructions it has already
-    decoded without re-entering fetch/decode.  Both engines share this
-    exact code, so their semantics cannot drift.  They allocate
-    nothing beyond what the bus does.  Callers must have advanced PC
-    past the instruction first (as {!step} does) and pass the
-    extension-word addresses that fetch would have used. *)
+    One per instruction form.  They allocate nothing beyond what the
+    bus does.  Callers must have advanced PC past the instruction
+    first and pass the extension-word addresses fetch used; the
+    caller charges cycles and counts the instruction after the
+    executor returns. *)
 
 val exec_fmt1 :
   t ->
@@ -54,6 +45,3 @@ val exec_fmt2 :
 val exec_reti : t -> unit
 
 val cond_true : Registers.t -> Opcode.cond -> bool
-
-val call_depth_hint : t -> int
-(** Stack pointer value, useful to assert stack discipline in tests. *)

@@ -41,6 +41,10 @@ let decode_dst ~reg ~adbit ~ext =
   | 2, _ -> (D_absolute (ext ()), true)
   | r, _ -> (D_indexed (r, signed16 (ext ())), true)
 
+(* The source field names an immediate: a constant generator or @PC+. *)
+let src_is_immediate ~reg ~abits =
+  reg = 3 || (reg = 2 && abits >= 2) || (reg = 0 && abits = 3)
+
 let decode ~fetch ~addr =
   let word0 = fetch addr in
   let next = ref (addr + 2) in
@@ -49,6 +53,8 @@ let decode ~fetch ~addr =
     next := !next + 2;
     w
   in
+  (* The forms [Encode] refuses are rejected from the first word, before
+     any extension word is fetched. *)
   let instr =
     if word0 land 0xE000 = 0x2000 then
       (* Format III: jump *)
@@ -63,6 +69,12 @@ let decode ~fetch ~addr =
         let op = op1_of_code ((word0 lsr 7) land 0x7) in
         let width = if word0 land 0x40 <> 0 then Word.W8 else Word.W16 in
         let reg = word0 land 0xF and abits = (word0 lsr 4) land 0x3 in
+        (match (op, width) with
+        | (SWPB | SXT | CALL), Word.W8 -> raise (Illegal word0)
+        | (RRC | RRA | SWPB | SXT), _ when src_is_immediate ~reg ~abits ->
+          (* read-modify-write with nowhere to write *)
+          raise (Illegal word0)
+        | _ -> ());
         let src, _ = decode_src width ~reg ~abits ~ext in
         Fmt2 (op, width, src)
     else if word0 lsr 12 >= 0x4 then
@@ -73,6 +85,8 @@ let decode ~fetch ~addr =
       let abits = (word0 lsr 4) land 0x3 in
       let dreg = word0 land 0xF in
       let adbit = (word0 lsr 7) land 0x1 in
+      (* x(R3) destination: R3 is the constant generator *)
+      if dreg = 3 && adbit = 1 then raise (Illegal word0);
       let src, _ = decode_src width ~reg:sreg ~abits ~ext in
       let dst, _ = decode_dst ~reg:dreg ~adbit ~ext in
       Fmt1 (op, width, src, dst)

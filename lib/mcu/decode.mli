@@ -5,7 +5,11 @@
     [decode (encode i) = i] for canonically-formed instructions. *)
 
 exception Illegal of int
-(** Raised with the offending word when no instruction matches. *)
+(** Raised with the offending word when no instruction matches, and
+    with the first word for the forms {!Encode} refuses: byte-mode
+    SWPB/SXT/CALL, RRC/RRA/SWPB/SXT of an immediate or constant
+    generator, and an [x(R3)] destination.  Every word [decode]
+    accepts therefore re-encodes and executes. *)
 
 val decode : fetch:(int -> int) -> addr:int -> Opcode.t * int
 (** [decode ~fetch ~addr] reads the instruction starting at [addr]

@@ -76,10 +76,10 @@ let add_cycles t n = t.extra_cycles <- t.extra_cycles + n
 let regs t = t.cpu.Cpu.regs
 
 (* During an instruction, events go to the watcher chain snapshotted
-   at step entry: a watcher armed mid-step (from an event callback)
-   must observe whole instructions starting at the next boundary,
-   never a suffix of the one in flight.  Hot paths match on it and
-   build their event record only when someone is watching. *)
+   at its boundary: a watcher armed mid-instruction (from an event
+   callback) must observe whole instructions starting at the next
+   boundary, never a suffix of the one in flight.  Hot paths match on
+   it and build their event record only when someone is watching. *)
 let watcher t = if t.in_step then t.emit_hook else t.on_event
 
 let emit t e = match watcher t with None -> () | Some f -> f e
@@ -164,28 +164,34 @@ let mpu_check t access addr =
     | Mpu.Violation segment ->
       raise (Fault (Mpu_violation { access; addr; pc = pc_of t; segment }))
 
-let bus_read t (kind : Cpu.access) width addr =
+let bus_read t width addr =
   let addr = addr land 0xFFFF in
   match Memory_map.region_of_addr addr with
   | Memory_map.Peripherals -> peripheral_read t width addr
   | Memory_map.Unmapped ->
     raise (Fault (Unmapped { addr; pc = pc_of t; write = false }))
   | Memory_map.Fram | Memory_map.Info_mem | Memory_map.Sram
-  | Memory_map.Vectors | Memory_map.Bootstrap -> (
-    match kind with
-    | Cpu.Afetch ->
-      mpu_check t Mpu.Exec addr;
-      let value = Memory.read t.mem width addr in
-      t.stats.Trace.fetch_words <- t.stats.Trace.fetch_words + 1;
-      value
-    | Cpu.Aread ->
-      mpu_check t Mpu.Dread addr;
-      let value = Memory.read t.mem width addr in
-      t.stats.Trace.data_reads <- t.stats.Trace.data_reads + 1;
-      (match watcher t with
-      | None -> ()
-      | Some f -> f (Trace.Mem_read { addr; width; value; pc = pc_of t }));
-      value)
+  | Memory_map.Vectors | Memory_map.Bootstrap ->
+    mpu_check t Mpu.Dread addr;
+    let value = Memory.read t.mem width addr in
+    t.stats.Trace.data_reads <- t.stats.Trace.data_reads + 1;
+    (match watcher t with
+    | None -> ()
+    | Some f -> f (Trace.Mem_read { addr; width; value; pc = pc_of t }));
+    value
+
+let fetch t addr =
+  let addr = addr land 0xFFFF in
+  match Memory_map.region_of_addr addr with
+  | Memory_map.Peripherals -> peripheral_read t Word.W16 addr
+  | Memory_map.Unmapped ->
+    raise (Fault (Unmapped { addr; pc = pc_of t; write = false }))
+  | Memory_map.Fram | Memory_map.Info_mem | Memory_map.Sram
+  | Memory_map.Vectors | Memory_map.Bootstrap ->
+    mpu_check t Mpu.Exec addr;
+    let value = Memory.read_word t.mem addr in
+    t.stats.Trace.fetch_words <- t.stats.Trace.fetch_words + 1;
+    value
 
 let bus_write t width addr v =
   let addr = addr land 0xFFFF in
@@ -208,7 +214,7 @@ let create () =
   let me () = match !self with Some t -> t | None -> assert false in
   let bus =
     {
-      Cpu.read = (fun k w a -> bus_read (me ()) k w a);
+      Cpu.read = (fun w a -> bus_read (me ()) w a);
       Cpu.write = (fun w a v -> bus_write (me ()) w a v);
     }
   in
@@ -253,50 +259,9 @@ let reset t =
   Registers.set_pc (regs t) (Memory.read_word t.mem Memory_map.reset_vector);
   Registers.set_sp (regs t) Memory_map.sram_limit
 
-let step t =
-  (* Pre-instruction hook: the fault injector's entry point.  A plain
-     [None] match when no hook is installed, so simulated cycle counts
-     are identical with and without the facility armed (asserted by
-     the bench suite). *)
-  (match t.on_step with None -> () | Some f -> f t);
-  (* Snapshot the watcher chain AFTER the step hook, so a watchpoint
-     armed pre-instruction observes this instruction from its first
-     event, and one armed mid-instruction starts at the next boundary
-     — deterministic either way. *)
-  t.emit_hook <- t.on_event;
-  t.in_step <- true;
-  let pc0 = pc_of t in
-  let faulted f =
-    emit t (Trace.Fault_event (Format.asprintf "%a" pp_fault f));
-    Error f
-  in
-  let result =
-    try
-      let i = Cpu.step t.cpu in
-      emit t (Trace.Exec { pc = pc0; instr = i });
-      Ok i
-    with
-    | Fault f -> faulted f
-    | Decode.Illegal word -> faulted (Illegal_instruction { pc = pc0; word })
-  in
-  t.in_step <- false;
-  result
-
 (* ------------------------------------------------------------------ *)
-(* Tier 2: predecoded basic-block execution.                          *)
-(*                                                                    *)
-(* [run] dispatches through a cache of predecoded blocks whenever no  *)
-(* hook is armed.  The moment any step hook or event watcher is       *)
-(* installed — profiler, fault injector, campaign oracle — it falls   *)
-(* back to [step], the reference per-instruction path, so armed runs  *)
-(* observe the exact semantics they always did.  Both paths execute   *)
-(* instructions through the same [Cpu] code and charge the same       *)
-(* [Cycles.cycles], so simulated state is byte-identical either way.  *)
+(* The interpreter: one loop over predecoded blocks.                  *)
 (* ------------------------------------------------------------------ *)
-
-let hooks_armed t =
-  (match t.on_step with Some _ -> true | None -> false)
-  || match t.on_event with Some _ -> true | None -> false
 
 (* Drop cached blocks overlapping spans written since the last drain.
    One integer compare when nothing changed. *)
@@ -327,10 +292,9 @@ let block_at t pc =
     Hashtbl.replace t.blocks pc b;
     b
 
-(* Mirror of [Cpu.step] minus fetch/decode: PC advances past the
-   instruction first, then the shared executors run, then cost is
-   charged — so a fault mid-execution leaves registers, statistics and
-   cycle counts exactly as the slow path would. *)
+(* PC advances past the instruction first, then the executors run,
+   then cost is charged — so a fault mid-execution leaves registers,
+   statistics and cycle counts as they stood at the faulting access. *)
 let exec_uop t (u : Predecode.uop) =
   let cpu = t.cpu in
   let regs = cpu.Cpu.regs in
@@ -366,89 +330,113 @@ let validated t (b : Predecode.block) =
     true
   end
 
-(* Run uops from a block until it ends or something demands the
-   per-instruction path.  Returns the fault, if one was raised.
+(* The fetch words of a predecoded uop: bulk-counted while its block is
+   validated under the live configuration key, otherwise checked one by
+   one in fetch order, each counted only after its check passes.  The
+   key is re-read per uop, so an instruction that reconfigures the MPU
+   moves the rest of its own block onto the new key. *)
+let fetch_predecoded t b (u : Predecode.uop) =
+  let stats = t.stats in
+  if validated t b then
+    stats.Trace.fetch_words <- stats.Trace.fetch_words + u.Predecode.u_words
+  else
+    for w = 0 to u.Predecode.u_words - 1 do
+      mpu_check t Mpu.Exec ((u.Predecode.u_pc + (2 * w)) land 0xFFFF);
+      stats.Trace.fetch_words <- stats.Trace.fetch_words + 1
+    done
 
-   Exec-permission handling: while the block is validated under the
-   live configuration key, every instruction word is known Allowed and
-   fetch words are bulk-counted; otherwise each word is checked in
-   fetch order, counting words only after their check passes — the
-   slow path's exact fault/statistics ordering.  The key is re-read
-   per uop, so an instruction that reconfigures the MPU moves the rest
-   of its own block onto the new key. *)
-let run_block t (b : Predecode.block) budget =
-  t.emit_hook <- None;
-  t.in_step <- true;
-  let mem_gen0 = Memory.code_gen t.mem in
+(* The step hook at the boundary before [pc], run with no instruction
+   in flight.  False when it moved PC or wrote into predecoded code:
+   the block in hand is stale, and [hooked] records that this
+   boundary's hook has run, so the re-dispatch does not run it again. *)
+let step_hook t f ~pc ~gen0 hooked =
+  if !hooked then begin
+    hooked := false;
+    true
+  end
+  else begin
+    t.in_step <- false;
+    f t;
+    t.in_step <- true;
+    (pc_of t = pc && Memory.code_gen t.mem = gen0)
+    || begin
+      hooked := true;
+      false
+    end
+  end
+
+(* Run [b] from uop [i] until the block ends, the machine stops, code
+   is written or fuel runs out.  At each instruction boundary the step
+   hook runs first, then the watcher chain is snapshotted: the
+   instruction's events, and its fault if it raises one, go to that
+   snapshot.  An empty block decodes one instruction through the
+   checked [fetch]. *)
+let rec exec_from t (b : Predecode.block) ~gen0 budget hooked i =
   let uops = b.Predecode.b_uops in
   let n = Array.length uops in
-  let stats = t.stats in
-  let fault = ref None in
-  let i = ref 0 in
-  (try
-     let continue = ref true in
-     while !continue && !i < n do
-       let u = Array.unsafe_get uops !i in
-       if validated t b then
-         stats.Trace.fetch_words <-
-           stats.Trace.fetch_words + u.Predecode.u_words
-       else
-         for w = 0 to u.Predecode.u_words - 1 do
-           mpu_check t Mpu.Exec ((u.Predecode.u_pc + (2 * w)) land 0xFFFF);
-           stats.Trace.fetch_words <- stats.Trace.fetch_words + 1
-         done;
-       exec_uop t u;
-       decr budget;
-       incr i;
-       (* Instruction boundary: leave the fast loop the moment state
-          demands attention — halt/fault ports, a hook armed by a host
-          call, a write into predecoded code (even this block's own
-          bytes), or exhausted fuel. *)
-       if
-         t.halted
-         || t.sw_fault <> None
-         || hooks_armed t
-         || Memory.code_gen t.mem <> mem_gen0
-         || !budget = 0
-       then continue := false
-     done
-   with Fault f -> fault := Some f);
+  let pc =
+    if n = 0 then b.Predecode.b_lo else (Array.unsafe_get uops i).Predecode.u_pc
+  in
+  if
+    match t.on_step with
+    | None -> true
+    | Some f -> step_hook t f ~pc ~gen0 hooked
+  then begin
+    let w = t.on_event in
+    if w != t.emit_hook then t.emit_hook <- w;
+    let u =
+      if n = 0 then Predecode.decode ~fetch:(fetch t) ~pc
+      else begin
+        let u = Array.unsafe_get uops i in
+        fetch_predecoded t b u;
+        u
+      end
+    in
+    exec_uop t u;
+    (match t.emit_hook with
+    | None -> ()
+    | Some f -> f (Trace.Exec { pc; instr = u.Predecode.u_instr }));
+    decr budget;
+    if
+      i + 1 < n
+      && not
+           (t.halted || t.sw_fault <> None
+           || Memory.code_gen t.mem <> gen0
+           || !budget = 0)
+    then exec_from t b ~gen0 budget hooked (i + 1)
+  end
+
+(* One block, returning the fault that stopped it, if any. *)
+let run_block t b budget hooked =
+  t.in_step <- true;
+  let fault =
+    match exec_from t b ~gen0:(Memory.code_gen t.mem) budget hooked 0 with
+    | () -> None
+    | exception Fault f -> Some f
+    | exception Decode.Illegal word ->
+      Some (Illegal_instruction { pc = pc_of t; word })
+  in
+  (match fault with
+  | Some f -> emit t (Trace.Fault_event (Format.asprintf "%a" pp_fault f))
+  | None -> ());
   t.in_step <- false;
-  !fault
+  fault
 
 let run ?(fuel = 10_000_000) t =
-  let budget = ref fuel in
+  let budget = ref fuel and hooked = ref false in
+  (* A boundary whose hook already ran commits to its instruction. *)
   let rec loop () =
-    if t.halted then Halted
+    if !hooked then dispatch ()
+    else if t.halted then Halted
     else
       match t.sw_fault with
       | Some code -> Sw_fault code
-      | None ->
-        if !budget = 0 then Out_of_fuel
-        else if hooks_armed t then begin
-          match step t with
-          | Ok _ ->
-            decr budget;
-            loop ()
-          | Error f -> Faulted f
-        end
-        else begin
-          sync_code_cache t;
-          let b = block_at t (pc_of t) in
-          if Array.length b.Predecode.b_uops = 0 then begin
-            (* Not predecodable here (MMIO fetch, illegal word, wrap):
-               one reference step does exactly what decode would. *)
-            match step t with
-            | Ok _ ->
-              decr budget;
-              loop ()
-            | Error f -> Faulted f
-          end
-          else
-            match run_block t b budget with
-            | None -> loop ()
-            | Some f -> Faulted f
-        end
+      | None -> if !budget = 0 then Out_of_fuel else dispatch ()
+  and dispatch () =
+    sync_code_cache t;
+    match run_block t (block_at t (pc_of t)) budget hooked with
+    | None -> loop ()
+    | Some f -> Faulted f
   in
   loop ()
 

@@ -3,7 +3,7 @@
     The machine implements the CPU bus: it dispatches MMIO in the
     peripheral region, performs MPU permission checks on FRAM/InfoMem
     accesses, raises {!Fault} on violations, and maintains access
-    statistics.
+    statistics.  {!run} is the simulator's only instruction executor.
 
     Debug "peripherals" (simulator devices, not real MSP430 hardware;
     they stand in for the JTAG/console facilities of the real bench):
@@ -56,8 +56,8 @@ type t = {
           cycles whether installed or not.  Prefer {!add_step_hook}
           over assigning this field directly. *)
   mutable emit_hook : (Trace.event -> unit) option;
-      (** internal: the watcher chain snapshotted at step entry;
-          {!step} maintains it — do not assign *)
+      (** internal: the watcher chain snapshotted at the instruction
+          boundary; {!run} maintains it — do not assign *)
   mutable in_step : bool;  (** internal: an instruction is in flight *)
   mutable extra_cycles : int;
       (** cycles charged by host services, included in {!cycles} *)
@@ -94,27 +94,35 @@ val reset : t -> unit
     the console buffer.  Does not clear memory or the CPU cycle
     counter. *)
 
-val step : t -> (Opcode.t, fault) result
-(** One instruction; faults are caught and returned (after emitting a
-    {!Trace.Fault_event} to the event hook, so trace rings end with
-    the fault they led up to). *)
+val fetch : t -> int -> int
+(** An instruction word read through the bus at the given address:
+    MMIO space answers with its register value, unmapped space raises
+    {!Fault}, and backing RAM is checked for execute permission before
+    the word is counted in [stats.fetch_words].  {!run} fetches this way
+    where it cannot predecode; tests use it as the reference fetch. *)
 
 val run : ?fuel:int -> t -> stop_reason
 (** Run until halt, fault, software fault, or [fuel] instructions
     (default 10 million).
 
-    Two-tier engine.  While no step hook and no event watcher is
-    installed, instructions execute from a cache of predecoded basic
-    blocks ({!Predecode}): decoded once, chained to the next control
-    transfer, with per-word MPU execute checks elided while the MPU
-    configuration key the block was validated under is live.  The
-    moment any hook is armed — profiler, fault injector, watchpoint —
-    dispatch falls back to {!step}, the reference per-instruction
-    path, at the next instruction boundary.  Both tiers run the same {!Cpu} executors
-    and charge the same {!Cycles.cycles}, so registers, memory,
-    statistics, cycle counts and faults are identical instruction for
-    instruction (asserted by the differential lockstep tests and the
-    bench identity runs).
+    The one interpreter.  Instructions execute from a cache of
+    predecoded basic blocks ({!Predecode}): decoded once, chained to
+    the next control transfer, with per-word MPU execute checks elided
+    while the MPU configuration key the block was validated under is
+    live.  An entry pc that cannot be predecoded (MMIO fetch, unmapped
+    pc, illegal word, wrap mid-instruction) decodes one instruction
+    through {!fetch}, which raises the faults a fetch raises.
+
+    Every instruction boundary follows one contract, observed or not:
+    the step hook ({!add_step_hook}) runs first, with no instruction in
+    flight; then the watcher chain is snapshotted ({!add_watch}); then
+    the instruction fetches, executes and is charged
+    {!Cycles.cycles}, and a watcher in the snapshot receives its
+    events, a {!Trace.Exec} after it retires or a
+    {!Trace.Fault_event} if it faults.  A hook that moves PC or writes
+    into predecoded code sends dispatch back to the block cache
+    without running again for that boundary.  [run ~fuel:1] executes
+    exactly one instruction.
 
     The cache is invalidated by writes into predecoded code spans
     (tracked by {!Memory.code_gen}; self-modifying code re-decodes
@@ -126,7 +134,7 @@ val add_watch : t -> (Trace.event -> unit) -> unit
     Watchers are host-side observers: they charge no cycles and cannot
     alter the access they observe.
 
-    Ordering contract: {!step} snapshots the watcher chain once per
+    Ordering contract: {!run} snapshots the watcher chain once per
     instruction, after the pre-instruction hook ({!add_step_hook})
     has run.  A watcher armed from a step hook therefore observes the
     imminent instruction from its very first event (pre-instruction
@@ -134,7 +142,7 @@ val add_watch : t -> (Trace.event -> unit) -> unit
     watcher's callback — observes nothing until the next instruction
     boundary.  Either way a watcher sees whole instructions only,
     never a suffix of the one that installed it, so observation is
-    deterministic regardless of where inside a step the arming
+    deterministic regardless of where inside an instruction the arming
     happened. *)
 
 val add_step_hook : t -> (t -> unit) -> unit

@@ -8,9 +8,9 @@
 
    The builder is pure over a raw word reader: it performs no MPU
    checks and touches no statistics — permission validation and
-   fetch-word accounting happen at execution time in [Machine], where
-   the slow path's ordering rules (check word k before counting it,
-   fault before PC moves) are reproduced exactly. *)
+   fetch-word accounting happen at execution time in [Machine], in
+   fetch order (check word k before counting it, fault before PC
+   moves). *)
 
 type uop = {
   u_pc : int;
@@ -23,20 +23,10 @@ type uop = {
   u_target : int; (* jump target (masked); 0 for non-jumps *)
 }
 
-type tail =
-  | T_fallthrough of int
-      (** the cap stopped the block; execution continues at this pc *)
-  | T_control  (** ended on an instruction that (may) rewrite PC *)
-  | T_unhandled of int
-      (** the next pc is not predecodable (MMIO fetch, illegal word,
-          address-space wrap mid-instruction); single-step it *)
-
 type block = {
-  b_pc : int;
   b_uops : uop array;
   b_lo : int; (* decoded byte span [b_lo, b_hi): the invalidation key *)
   b_hi : int;
-  b_tail : tail;
   mutable b_mpu_key : int;
       (* Mpu key under which every word passes the Exec check;
          -1 until first validated *)
@@ -44,12 +34,34 @@ type block = {
 
 let max_uops = 64
 
+let decode ~fetch ~pc =
+  let instr, len = Decode.decode ~fetch ~addr:pc in
+  {
+    u_pc = pc;
+    u_len = len;
+    u_words = len / 2;
+    u_cost = Cycles.cycles instr;
+    u_instr = instr;
+    u_src_ext = pc + 2;
+    u_dst_ext =
+      (pc + 2
+      +
+      match instr with
+      | Opcode.Fmt1 (_, width, src, _) ->
+        if Encode.src_needs_ext width src then 2 else 0
+      | _ -> 0);
+    u_target =
+      (match instr with
+      | Opcode.Jump (_, off) -> (pc + 2 + (2 * off)) land 0xFFFF
+      | _ -> 0);
+  }
+
 exception Unfetchable
 
 (* Instruction words come from backing RAM only; a pc in the
    peripheral or unmapped ranges reads MMIO (or faults) through the
-   bus, which the builder cannot reproduce — leave those to the
-   per-instruction path. *)
+   bus, which the builder cannot reproduce — the machine decodes those
+   through its checked fetch. *)
 let fetchable a =
   match Memory_map.region_of_addr (a land 0xFFFF) with
   | Memory_map.Fram | Memory_map.Info_mem | Memory_map.Sram
@@ -74,54 +86,28 @@ let build ~read_word ~pc:start =
   let fetch a =
     if fetchable a then read_word (a land 0xFFFF) else raise Unfetchable
   in
-  let rev_uops = ref [] in
-  let count = ref 0 in
-  let rec go pc =
-    if !count >= max_uops then T_fallthrough (pc land 0xFFFF)
+  (* Uops from [pc], latest first.  The block stops after a control
+     transfer, at the cap, where fall-through would wrap the address
+     space, and before anything undecodable. *)
+  let rec go pc n acc =
+    if n = max_uops then acc
     else
-      match Decode.decode ~fetch ~addr:pc with
-      | exception (Unfetchable | Decode.Illegal _) ->
-        T_unhandled (pc land 0xFFFF)
-      | instr, len ->
-        let u =
-          {
-            u_pc = pc;
-            u_len = len;
-            u_words = len / 2;
-            u_cost = Cycles.cycles instr;
-            u_instr = instr;
-            u_src_ext = pc + 2;
-            u_dst_ext =
-              (pc + 2
-              +
-              match instr with
-              | Opcode.Fmt1 (_, width, src, _) ->
-                if Encode.src_needs_ext width src then 2 else 0
-              | _ -> 0);
-            u_target =
-              (match instr with
-              | Opcode.Jump (_, off) -> (pc + 2 + (2 * off)) land 0xFFFF
-              | _ -> 0);
-          }
-        in
-        rev_uops := u :: !rev_uops;
-        incr count;
-        if ends_block instr then T_control
-        else if pc + len >= Memory_map.address_space then
-          (* Fall-through wraps the address space; the next entry pc is
-             re-dispatched (it lands in MMIO space anyway). *)
-          T_fallthrough ((pc + len) land 0xFFFF)
-        else go (pc + len)
+      match decode ~fetch ~pc with
+      | exception (Unfetchable | Decode.Illegal _) -> acc
+      | u ->
+        let next = pc + u.u_len in
+        if ends_block u.u_instr || next >= Memory_map.address_space then
+          u :: acc
+        else go next (n + 1) (u :: acc)
   in
-  let tail = go start in
-  let uops = Array.of_list (List.rev !rev_uops) in
+  let uops = Array.of_list (List.rev (go start 0 [])) in
   let hi =
-    if Array.length uops = 0 then start + 2
-    else
+    match uops with
+    | [||] -> start + 2
+    | _ ->
       let last = uops.(Array.length uops - 1) in
       last.u_pc + last.u_len
   in
   (* Even an empty block spans its first word, so a write that makes
-     the bytes decodable flushes the cached "unhandled" verdict. *)
-  { b_pc = start; b_uops = uops; b_lo = start; b_hi = hi; b_tail = tail;
-    b_mpu_key = -1 }
+     the bytes decodable flushes the cached empty block. *)
+  { b_uops = uops; b_lo = start; b_hi = hi; b_mpu_key = -1 }

@@ -5,11 +5,12 @@
    footprint* — which addresses it loads, which it stores, where
    control goes next.  That collapse is only sound if the footprint
    predicted from the opcode's addressing shape matches what the
-   concrete decoder/ALU pipeline actually does on the bus.  For every
-   opcode in [lib/mcu/decode.ml]/[alu.ml] this module states the
+   concrete decoder/executor pipeline actually does on the bus.  For
+   every opcode in [lib/mcu/decode.ml]/[cpu.ml] this module states the
    footprint as a function of the pre-instruction register file
-   (the lemma), executes one real [Machine] step, and compares the
-   observed [Trace] events and next PC against the prediction.
+   (the lemma), executes one instruction on a real [Machine]
+   ([run ~fuel:1]), and compares the observed [Trace] events and next
+   PC against the prediction.
 
    Scope (stated, not hidden): data values and arithmetic flags are
    not abstracted — the isolation argument never depends on *what* is
@@ -207,10 +208,10 @@ let run_case ?(flags = false) (i : O.t) : failure option =
         | T.Mem_read { addr; width; _ } -> loads := (addr, width) :: !loads
         | T.Mem_write { addr; width; _ } -> stores := (addr, width) :: !stores
         | _ -> ());
-      match M.step m with
-      | Error f ->
+      match M.run ~fuel:1 m with
+      | M.Faulted f ->
         Some { f_case = name; f_reason = Format.asprintf "%a" M.pp_fault f }
-      | Ok decoded ->
+      | M.Out_of_fuel | M.Halted | M.Sw_fault _ ->
         let fail reason = Some { f_case = name; f_reason = reason } in
         if sort_accs !loads <> sort_accs fp.fp_loads then
           fail
@@ -227,7 +228,7 @@ let run_case ?(flags = false) (i : O.t) : failure option =
             (Printf.sprintf "next pc: predicted %04X observed %04X (%s)"
                fp.fp_next_pc
                (R.get_pc (M.regs m))
-               (O.to_string decoded))
+               (O.to_string i))
         else None))
 
 (* ------------------------------------------------------------------ *)

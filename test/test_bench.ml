@@ -1,5 +1,5 @@
 (* Benchmark-harness tests: robust statistics, BENCH_*.json schema v2
-   round-trip, the legacy schema-1 reader, and the noise-aware
+   round-trip and the refusal of any other schema, and the noise-aware
    regression comparator (must flag a synthetic 20% regression and
    pass a self-compare). *)
 
@@ -121,30 +121,13 @@ let test_v2_roundtrip () =
       d.Schema.d_modes d'.Schema.d_modes;
     check_int "gate cert rows" 1 (List.length d'.Schema.d_gate.Schema.g_cert)
 
-(* A trimmed copy of the schema the repo's earlier PRs committed. *)
-let v1_text =
-  {|{"bench":"gateheavy","schema":1,"quick":false,"dispatches":5000,
-"simulator":[
- {"mode":"no-isolation","sim_cycles":10945000,"host_seconds":6.77,"cycles_per_sec":1615910.0},
- {"mode":"mpu","sim_cycles":15750000,"host_seconds":7.23,"cycles_per_sec":2176700.0}],
-"gate_costs":{"context_switch_cycles":{"no-isolation":36.34,"mpu":67.84},
-"gate_cert":[{"mode":"mpu","dynamic_cycles":3278.0,"certified_cycles":3150.0,
-"per_gate_cycles":8.0,"services":["api_log_append","api_read_accel"]}]}}|}
-
-let test_v1_reader () =
-  match Schema.of_json (Json.parse v1_text) with
-  | Error e -> Alcotest.failf "v1 read failed: %s" e
-  | Ok d ->
-    check_int "schema detected" 1 d.Schema.d_schema;
-    check_int "one implicit trial" 1 d.Schema.d_trials;
-    let no_iso = List.hd d.Schema.d_modes in
-    check_float "cycles/dispatch derived from sim_cycles" 2189.0
-      no_iso.Schema.m_cycles_per_dispatch;
-    check_float "single-trial rate" 1615910.0
-      no_iso.Schema.m_rate.Schema.r_summary.Stats.median;
-    check_bool "no histograms in v1" true (no_iso.Schema.m_latency = None);
-    check_float "ctx switch carried over" 67.84
-      (List.assoc "mpu" d.Schema.d_gate.Schema.g_ctx_switch)
+(* Schema 1 has no reader: a document claiming it is refused by name,
+   not misread as schema 2. *)
+let test_v1_rejected () =
+  let v1 = Json.parse {|{"bench":"gateheavy","schema":1,"simulator":[]}|} in
+  match Schema.of_json v1 with
+  | Error e -> Alcotest.(check string) "error" "unknown schema 1" e
+  | Ok _ -> Alcotest.fail "schema-1 document accepted"
 
 (* ------------------------------------------------------------------ *)
 (* Comparator *)
@@ -262,7 +245,7 @@ let () =
       ( "schema",
         [
           Alcotest.test_case "v2 round-trip" `Quick test_v2_roundtrip;
-          Alcotest.test_case "v1 reader" `Quick test_v1_reader;
+          Alcotest.test_case "v1 rejected" `Quick test_v1_rejected;
         ] );
       ( "compare",
         [

@@ -248,74 +248,58 @@ let mode_agreement =
          List.for_all (fun mode -> run_mode mode src = reference) Iso.all))
 
 (* ------------------------------------------------------------------ *)
-(* Differential lockstep: the predecoded block engine against the
-   retained reference per-instruction stepper.
+(* Differential lockstep: [Machine.run] against [Refstep], the
+   fetch/decode specification in test/support.
 
-   The same linked image is loaded into two machines.  The second
-   carries a no-op event watcher, which forces [Machine.run] onto the
-   reference slow path; the first stays hooks-off and dispatches from
-   the predecoded block cache.  Driving both with [run ~fuel:1] pins
-   the comparison to every instruction boundary: stop reason,
-   register file, cycle counter, retired-instruction count, access
-   statistics, console and all 64 KiB of memory must be identical
-   throughout. *)
+   The same linked image is loaded into two machines.  The first is
+   driven by [run ~fuel:1], which dispatches from the predecoded block
+   cache; the second by [Refstep.run ~fuel:1], which fetches and
+   decodes every instruction afresh.  Stop reason, register file, cycle
+   counter, retired-instruction count, access statistics, console and
+   all 64 KiB of memory must be identical at every instruction
+   boundary. *)
 
 module Mem = Amulet_mcu.Memory
 module Regs = Amulet_mcu.Registers
 module Cpu = Amulet_mcu.Cpu
 module Trace = Amulet_mcu.Trace
+module Refstep = Test_support.Refstep
 
-let lockstep_pair image =
-  let mk () =
-    let m = M.create () in
-    Amulet_link.Image.load image m;
-    M.reset m;
-    m
-  in
-  let fast = mk () in
-  let slow = mk () in
-  M.add_watch slow (fun _ -> ());
-  (fast, slow)
+let boot image =
+  let m = M.create () in
+  Amulet_link.Image.load image m;
+  M.reset m;
+  m
 
 let show_stop r = Format.asprintf "%a" M.pp_stop_reason r
 
-let compare_machines ~insn fast slow =
-  let fail fmt = Printf.ksprintf failwith fmt in
+let compare_machines ~at a b =
+  let same what f =
+    if f a <> f b then
+      Printf.ksprintf failwith "%s: %s %#x vs %#x" at what (f a) (f b)
+  in
   for i = 0 to 15 do
-    let a = Regs.get (M.regs fast) i and b = Regs.get (M.regs slow) i in
-    if a <> b then fail "insn %d: r%d fast=%#06x slow=%#06x" insn i a b
+    same (Printf.sprintf "r%d" i) (fun m -> Regs.get (M.regs m) i)
   done;
-  if M.cycles fast <> M.cycles slow then
-    fail "insn %d: cycles fast=%d slow=%d" insn (M.cycles fast)
-      (M.cycles slow);
-  if fast.M.cpu.Cpu.insns <> slow.M.cpu.Cpu.insns then
-    fail "insn %d: retired fast=%d slow=%d" insn fast.M.cpu.Cpu.insns
-      slow.M.cpu.Cpu.insns;
-  let sa = fast.M.stats and sb = slow.M.stats in
-  if sa.Trace.fetch_words <> sb.Trace.fetch_words then
-    fail "insn %d: fetch_words fast=%d slow=%d" insn sa.Trace.fetch_words
-      sb.Trace.fetch_words;
-  if sa.Trace.data_reads <> sb.Trace.data_reads then
-    fail "insn %d: data_reads fast=%d slow=%d" insn sa.Trace.data_reads
-      sb.Trace.data_reads;
-  if sa.Trace.data_writes <> sb.Trace.data_writes then
-    fail "insn %d: data_writes fast=%d slow=%d" insn sa.Trace.data_writes
-      sb.Trace.data_writes;
-  if M.console_contents fast <> M.console_contents slow then
-    fail "insn %d: console diverged" insn;
-  if not (Mem.equal fast.M.mem slow.M.mem) then
-    fail "insn %d: memory diverged" insn
+  same "cycles" M.cycles;
+  same "retired" (fun m -> m.M.cpu.Cpu.insns);
+  same "fetch_words" (fun m -> m.M.stats.Trace.fetch_words);
+  same "data_reads" (fun m -> m.M.stats.Trace.data_reads);
+  same "data_writes" (fun m -> m.M.stats.Trace.data_writes);
+  if M.console_contents a <> M.console_contents b then
+    failwith (at ^ ": console diverged");
+  if not (Mem.equal a.M.mem b.M.mem) then failwith (at ^ ": memory diverged")
 
 let lockstep_run ?(max_insns = 200_000) image =
-  let fast, slow = lockstep_pair image in
-  compare_machines ~insn:(-1) fast slow;
+  let a = boot image and b = boot image in
+  compare_machines ~at:"boot" a b;
   let rec go insn =
-    let ra = M.run ~fuel:1 fast in
-    let rb = M.run ~fuel:1 slow in
+    let ra = M.run ~fuel:1 a in
+    let rb = Refstep.run ~fuel:1 b in
     if ra <> rb then
-      Printf.ksprintf failwith "insn %d: stop fast=%s slow=%s" insn
+      Printf.ksprintf failwith "insn %d: stop run=%s ref=%s" insn
         (show_stop ra) (show_stop rb);
-    compare_machines ~insn fast slow;
+    compare_machines ~at:(Printf.sprintf "insn %d" insn) a b;
     match ra with
     | M.Out_of_fuel ->
       if insn >= max_insns then
@@ -337,17 +321,147 @@ let lockstep_property mode =
          | M.Halted -> true
          | r -> failwith ("lockstep stopped with " ^ show_stop r)))
 
-(* Attack-corpus lockstep: every corpus attack that builds, under
-   every isolation mode, dispatched on two kernels over the same
-   firmware — one hooks-off (predecoded engine), one with a no-op
-   watcher armed (reference stepper).  Virtual time, every dispatch
-   record (cycles, access counts, outcome — fault identity included),
-   console, register file and full memory must match after the run;
-   per-instruction equality inside each dispatch is what the QCheck
-   lockstep above establishes. *)
+(* Directed lockstep for the paths random WearC never takes: fetches
+   from MMIO and unmapped space, an illegal word, and step hooks that
+   patch the running block or move PC in the middle of it.  Here
+   [Machine.run] goes to its stop in one call, so hooks fire mid-block;
+   [Refstep] takes one instruction at a time.  A recording hook and
+   watcher log every boundary (pc, cycles, fetch words) and every
+   event on both machines; the logs must be equal. *)
+
+module Opcode = Amulet_mcu.Opcode
+module Encode = Amulet_mcu.Encode
+module Word = Amulet_mcu.Word
+module Mpu = Amulet_mcu.Mpu
+
+type entry = Boundary of int * int * int | Event of Trace.event
+
+let code_base = 0x4400
+
+let words_of = List.concat_map Encode.encode
+let mov_imm n r = Opcode.Fmt1 (Opcode.MOV, Word.W16, Opcode.S_immediate n, r)
+let halt = mov_imm 1 (Opcode.D_absolute M.halt_port)
+
+(* [prog] (raw words at [code_base]) on both engines, each with [arm]
+   applied first; returns the interpreter's machine and log. *)
+let directed ?(arm = ignore) prog ~expect =
+  let mk () =
+    let m = M.create () in
+    M.load_words m ~addr:code_base prog;
+    M.set_reset_vector m code_base;
+    M.reset m;
+    arm m;
+    let log = ref [] in
+    M.add_step_hook m (fun m ->
+        log :=
+          Boundary
+            (Regs.get_pc (M.regs m), M.cycles m, m.M.stats.Trace.fetch_words)
+          :: !log);
+    M.add_watch m (fun e -> log := Event e :: !log);
+    (m, log)
+  in
+  let (a, la), (b, lb) = (mk (), mk ()) in
+  let ra = M.run ~fuel:1000 a and rb = Refstep.run ~fuel:1000 b in
+  Alcotest.(check string) "stop reason" (show_stop rb) (show_stop ra);
+  Alcotest.(check string) "expected stop" expect (show_stop ra);
+  compare_machines ~at:"stop" a b;
+  if !la <> !lb then Alcotest.fail "boundary and event logs diverged";
+  (a, List.rev !la)
+
+let boundaries log =
+  List.length (List.filter (function Boundary _ -> true | Event _ -> false) log)
+
+let reg m r = Regs.get (M.regs m) r
+
+let test_mmio_fetch () =
+  (* MPUCTL0 reads 0x96xx, which decodes as CMP R6, PC; MPUCTL1 reads 0,
+     which is no instruction. *)
+  let _, log =
+    directed
+      (words_of [ mov_imm Mpu.ctl0_addr (Opcode.D_reg Regs.pc) ])
+      ~expect:"fault (illegal instruction 0000 at pc=05A2)"
+  in
+  Alcotest.(check bool) "executed from MMIO" true
+    (List.exists
+       (function Event (Trace.Exec { pc; _ }) -> pc = Mpu.ctl0_addr | _ -> false)
+       log)
+
+let test_unmapped_fetch () =
+  ignore
+    (directed
+       (words_of [ mov_imm 0x3000 (Opcode.D_reg Regs.pc) ])
+       ~expect:"fault (unmapped read of 3000 at pc=3000)")
+
+let test_illegal_word () =
+  (* RRC R3: a read-modify-write of the constant generator *)
+  ignore
+    (directed
+       (words_of [ mov_imm 1 (Opcode.D_reg 5) ] @ [ 0x1003 ] @ words_of [ halt ])
+       ~expect:"fault (illegal instruction 1003 at pc=4402)")
+
+(* Four two-word MOVs and a halt, one block: MOV #imm at code_base +
+   4k carries its immediate at code_base + 4k + 2. *)
+let four_movs =
+  words_of
+    [
+      mov_imm 0x1111 (Opcode.D_reg 5);
+      mov_imm 0x2222 (Opcode.D_reg 6);
+      mov_imm 0x3333 (Opcode.D_reg 7);
+      mov_imm 0x4444 (Opcode.D_reg 8);
+      halt;
+    ]
+
+(* A hook that runs [f] with its 1-based boundary count. *)
+let counting f m =
+  let n = ref 0 in
+  M.add_step_hook m (fun m ->
+      incr n;
+      f !n m)
+
+let flip m addr =
+  M.mem_checked_write m Word.W8 addr (M.mem_checked_read m Word.W8 addr lxor 1)
+
+let test_hook_patches_block () =
+  (* Before the second MOV, flip the third's immediate (later in the
+     running block); before the fourth, flip its own immediate. *)
+  let arm =
+    counting (fun n m ->
+        if n = 2 then flip m (code_base + 10)
+        else if n = 4 then flip m (code_base + 14))
+  in
+  let m, log = directed ~arm four_movs ~expect:"halted" in
+  Alcotest.(check int) "patched ahead" 0x3332 (reg m 7);
+  Alcotest.(check int) "patched imminent" 0x4445 (reg m 8);
+  Alcotest.(check int) "one hook call per instruction" m.M.cpu.Cpu.insns
+    (boundaries log)
+
+let test_hook_moves_pc () =
+  (* Before the second MOV, skip it. *)
+  let arm =
+    counting (fun n m -> if n = 2 then Regs.set_pc (M.regs m) (code_base + 8))
+  in
+  let m, log = directed ~arm four_movs ~expect:"halted" in
+  Alcotest.(check int) "skipped" 0 (reg m 6);
+  Alcotest.(check int) "resumed" 0x3333 (reg m 7);
+  Alcotest.(check int) "one hook call per instruction" m.M.cpu.Cpu.insns
+    (boundaries log)
+
+(* Attack-corpus observer effect: every corpus attack that builds,
+   under every isolation mode, dispatched on two kernels over the same
+   firmware: one with nothing attached, one with a no-op watcher and a
+   no-op step hook, so every boundary runs the hook and every event
+   record is built.  Virtual time, every dispatch record (cycles,
+   access counts, outcome, fault identity included), console, register
+   file and full memory must match after the run.  A kernel drives
+   [Machine.run] itself, so [Refstep] cannot stand in for one; the
+   lockstep above covers the semantics. *)
 
 module Attacks = Amulet_sec.Attacks
 module Kernel = Amulet_os.Kernel
+
+let observe k =
+  M.add_watch k.Kernel.machine (fun _ -> ());
+  M.add_step_hook k.Kernel.machine ignore
 
 let corpus_lockstep_mode mode () =
   List.iter
@@ -356,38 +470,13 @@ let corpus_lockstep_mode mode () =
       | Attacks.Rejected _ -> ()
       | Attacks.Built { fw; _ } ->
         let name = attack.Attacks.atk_name in
-        let fast = Kernel.create ~policy:Kernel.Disable fw in
-        let slow = Kernel.create ~policy:Kernel.Disable fw in
-        M.add_watch slow.Kernel.machine (fun _ -> ());
-        let ra = Kernel.run_for_ms fast 60 in
-        let rb = Kernel.run_for_ms slow 60 in
-        Alcotest.(check int)
-          (name ^ ": dispatch count")
-          (List.length rb) (List.length ra);
-        List.iter2
-          (fun (a : Kernel.dispatch_record) (b : Kernel.dispatch_record) ->
-            if a <> b then
-              Alcotest.failf "%s: dispatch record diverged (%d vs %d cycles)"
-                name a.Kernel.dr_cycles b.Kernel.dr_cycles)
-          ra rb;
-        Alcotest.(check int)
-          (name ^ ": cycles")
-          (M.cycles slow.Kernel.machine)
-          (M.cycles fast.Kernel.machine);
-        for i = 0 to 15 do
-          Alcotest.(check int)
-            (Printf.sprintf "%s: r%d" name i)
-            (Regs.get (M.regs slow.Kernel.machine) i)
-            (Regs.get (M.regs fast.Kernel.machine) i)
-        done;
-        Alcotest.(check string)
-          (name ^ ": console")
-          (M.console_contents slow.Kernel.machine)
-          (M.console_contents fast.Kernel.machine);
-        Alcotest.(check bool)
-          (name ^ ": memory")
-          true
-          (Mem.equal fast.Kernel.machine.M.mem slow.Kernel.machine.M.mem))
+        let bare = Kernel.create ~policy:Kernel.Disable fw in
+        let seen = Kernel.create ~policy:Kernel.Disable fw in
+        observe seen;
+        let ra = Kernel.run_for_ms bare 60 in
+        if Kernel.run_for_ms seen 60 <> ra then
+          Alcotest.failf "%s: dispatch records diverged" name;
+        compare_machines ~at:name bare.Kernel.machine seen.Kernel.machine)
     Attacks.corpus
 
 (* Config-keyed block validation.  An MPU-mode dispatch switches the
@@ -396,12 +485,11 @@ let corpus_lockstep_mode mode () =
    must keep its key across that round trip, so the next dispatch
    needs no per-word Exec checks.  Once the configuration can no
    longer become the app's, the stale key must not be trusted: the
-   handler then faults at the same pc and cycle as under the reference
-   stepper. *)
+   handler then faults at the same pc and cycle as on a machine whose
+   every boundary is observed. *)
 
 module Aft = Amulet_aft.Aft
 module Event = Amulet_os.Event
-module Mpu = Amulet_mcu.Mpu
 module Predecode = Amulet_mcu.Predecode
 
 let keyed_app =
@@ -421,9 +509,9 @@ void handle_button(int arg) {
 
 let test_keyed_validation () =
   let fw = Aft.build ~mode:Iso.Mpu_assisted [ keyed_app ] in
-  let fast = Kernel.create ~policy:Kernel.Disable fw in
-  let slow = Kernel.create ~policy:Kernel.Disable fw in
-  M.add_watch slow.Kernel.machine (fun _ -> ());
+  let bare = Kernel.create ~policy:Kernel.Disable fw in
+  let seen = Kernel.create ~policy:Kernel.Disable fw in
+  observe seen;
   let press k =
     Kernel.post k ~delay_ms:0 ~app:0 (Event.Button 1) ~arg:1;
     match Kernel.dispatch_next k with
@@ -431,20 +519,20 @@ let test_keyed_validation () =
     | None -> Alcotest.fail "button event not dispatched"
   in
   let both () =
-    let a = press fast and b = press slow in
+    let a = press bare and b = press seen in
     if a <> b then
       Alcotest.failf "dispatch records diverged (%d vs %d cycles)"
         a.Kernel.dr_cycles b.Kernel.dr_cycles;
     a
   in
-  ignore (Kernel.run_for_ms fast 1);
-  ignore (Kernel.run_for_ms slow 1);
+  ignore (Kernel.run_for_ms bare 1);
+  ignore (Kernel.run_for_ms seen 1);
   ignore (both ());
   let haddr =
-    Option.get (Aft.handler_addr fast.Kernel.apps.(0).Kernel.build "handle_button")
+    Option.get (Aft.handler_addr bare.Kernel.apps.(0).Kernel.build "handle_button")
   in
-  let mpu = fast.Kernel.machine.M.mpu in
-  let block () = Hashtbl.find fast.Kernel.machine.M.blocks haddr in
+  let mpu = bare.Kernel.machine.M.mpu in
+  let block () = Hashtbl.find bare.Kernel.machine.M.blocks haddr in
   let b = block () in
   let key = b.Predecode.b_mpu_key in
   Alcotest.(check bool) "handler block validated" true (key >= 0);
@@ -459,7 +547,7 @@ let test_keyed_validation () =
      ignored, and the handler's first fetch must fault. *)
   List.iter
     (fun k -> Mpu.raw_set k.Kernel.machine.M.mpu Mpu.Raw_ctl0 0x03)
-    [ fast; slow ];
+    [ bare; seen ];
   let r = both () in
   (match r.Kernel.dr_outcome with
   | Kernel.App_fault msg ->
@@ -468,9 +556,9 @@ let test_keyed_validation () =
          haddr)
       msg
   | _ -> Alcotest.fail "revoked execute permission did not fault");
-  Alcotest.(check int) "same cycle as the reference stepper"
-    (M.cycles slow.Kernel.machine)
-    (M.cycles fast.Kernel.machine)
+  Alcotest.(check int) "same cycle as the observed run"
+    (M.cycles seen.Kernel.machine)
+    (M.cycles bare.Kernel.machine)
 
 let () =
   let to_alcotest t = QCheck_alcotest.to_alcotest ~rand:(fresh_rand ()) t in
@@ -508,5 +596,12 @@ let () =
         @ [
             Alcotest.test_case "keyed validation (mpu)" `Quick
               test_keyed_validation;
+            Alcotest.test_case "mmio fetch" `Quick test_mmio_fetch;
+            Alcotest.test_case "unmapped fetch" `Quick test_unmapped_fetch;
+            Alcotest.test_case "illegal word" `Quick test_illegal_word;
+            Alcotest.test_case "hook patches the running block" `Quick
+              test_hook_patches_block;
+            Alcotest.test_case "hook moves pc mid-block" `Quick
+              test_hook_moves_pc;
           ] );
     ]

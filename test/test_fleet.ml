@@ -3,7 +3,7 @@
    partition invariants, QCheck properties that shard merging over
    Obs.Hist / Obs.Agg is partition- and order-independent, and the
    end-to-end determinism contract — same scenario + seed twice, and
-   jobs=1 vs jobs=2, produce bit-identical aggregate JSON. *)
+   jobs=1 vs jobs=2 and 4, produce bit-identical aggregate JSON. *)
 
 module Iso = Amulet_cc.Isolation
 module Hist = Amulet_obs.Hist
@@ -375,10 +375,14 @@ let test_fleet_determinism () =
   Alcotest.(check bool) "run is ok" true (Fleet.ok a)
 
 let test_fleet_jobs_invariant () =
-  let a = Fleet.run ~jobs:1 small_scenario in
-  let b = Fleet.run ~jobs:2 small_scenario in
-  Alcotest.(check string) "jobs=1 and jobs=2 aggregate identically"
-    (summary_string a) (summary_string b)
+  let a = summary_string (Fleet.run ~jobs:1 small_scenario) in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "jobs=1 and jobs=%d aggregate identically" jobs)
+        a
+        (summary_string (Fleet.run ~jobs small_scenario)))
+    [ 2; 4 ]
 
 let test_fleet_seed_sensitivity () =
   let a = Fleet.run ~jobs:1 small_scenario in

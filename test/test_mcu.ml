@@ -15,7 +15,7 @@ type alu_out = { value : int; carry : bool; overflow : bool }
 (* [op.width R6, R5] with R5 = [dst], R6 = [src] and C = [carry]. *)
 let alu ?(carry = false) op width dst src =
   let cpu =
-    Cpu.create { Cpu.read = (fun _ _ _ -> 0); write = (fun _ _ _ -> ()) }
+    Cpu.create { Cpu.read = (fun _ _ -> 0); write = (fun _ _ _ -> ()) }
   in
   let regs = cpu.Cpu.regs in
   Registers.set regs 5 dst;
@@ -674,6 +674,34 @@ let decode_totality_property =
       | _, len -> len >= 2 && len <= 6
       | exception Decode.Illegal _ -> true)
 
+(* Words weighted toward Format II, where the forms [Encode] refuses
+   (byte-mode SWPB/SXT/CALL, read-modify-write of an immediate) live. *)
+let gen_word_triple =
+  let open QCheck2.Gen in
+  triple
+    (oneof [ int_range 0 0xFFFF; int_range 0x1000 0x13FF ])
+    (int_range 0 0xFFFF) (int_range 0 0xFFFF)
+
+let decode_reencodes_property =
+  QCheck2.Test.make ~count:5000 ~name:"decoded words re-encode"
+    gen_word_triple (fun (w0, w1, w2) ->
+      match Decode.decode_words [ w0; w1; w2 ] with
+      | exception Decode.Illegal _ -> true
+      | i, _ -> (
+        match Encode.encode i with
+        | _ -> true
+        | exception Invalid_argument _ -> false))
+
+(* Whatever the words, the machine answers with a stop reason. *)
+let run_total_property =
+  QCheck2.Test.make ~count:2000 ~name:"run total on random words"
+    gen_word_triple (fun (w0, w1, w2) ->
+      let m = Machine.create () in
+      Machine.load_words m ~addr:code_base [ w0; w1; w2 ];
+      Machine.set_reset_vector m code_base;
+      Machine.reset m;
+      match Machine.run ~fuel:8 m with _ -> true)
+
 let cycles_bounds_property =
   QCheck2.Test.make ~count:2000 ~name:"cycle costs within hardware bounds"
     gen_instr (fun i ->
@@ -846,7 +874,7 @@ let test_step_hooks_compose_in_order () =
   let order = ref [] in
   Machine.add_step_hook m (fun _ -> order := "first" :: !order);
   Machine.add_step_hook m (fun _ -> order := "second" :: !order);
-  ignore (Machine.step m);
+  ignore (Machine.run ~fuel:1 m);
   Alcotest.(check (list string))
     "hooks run in installation order" [ "first"; "second" ] (List.rev !order)
 
@@ -1126,6 +1154,8 @@ let () =
         [
           roundtrip_property;
           decode_totality_property;
+          decode_reencodes_property;
+          run_total_property;
           cycles_bounds_property;
           encode_length_property;
           disasm_nonempty_property;

@@ -203,31 +203,6 @@ let test_agg_percentiles_survive_merge () =
         [ 0.5; 0.9; 0.99 ])
     (Agg.spans whole)
 
-(* profile counters emitted at dispatch boundaries reach the sink and
-   their final values match the profiler's own totals *)
-let test_agg_profile_counters () =
-  let fw =
-    Aft.build ~mode:Iso.Mpu_assisted
-      [ { Aft.name = "counter"; source = counter_app } ]
-  in
-  let obs = Obs.create () in
-  let agg = Agg.create () in
-  Obs.add_sink obs (Agg.sink agg);
-  Obs.enable_profile obs fw;
-  let k = Os.Kernel.create ~scenario:Os.Sensors.Walking ~obs fw in
-  let _ = Os.Kernel.run_for_ms k 1_000 in
-  Obs.close obs;
-  let p = match Obs.profile obs with Some p -> p | None -> assert false in
-  List.iter
-    (fun (c, total) ->
-      match Agg.counter agg (Profile.counter_name c) with
-      | Some st ->
-        check_int (Profile.category_slug c ^ " final counter") total
-          st.Agg.c_last
-      | None ->
-        Alcotest.failf "no %s counter in trace" (Profile.category_slug c))
-    (Profile.totals p)
-
 (* ------------------------------------------------------------------ *)
 (* Forensics *)
 
@@ -322,8 +297,6 @@ let () =
             test_agg_partition_merge;
           Alcotest.test_case "percentiles survive merge" `Quick
             test_agg_percentiles_survive_merge;
-          Alcotest.test_case "profile counters in trace" `Quick
-            test_agg_profile_counters;
         ] );
       ( "forensics",
         [
