@@ -2,16 +2,17 @@
    paper's evaluation, printing measured values next to the paper's,
    then runs Bechamel microbenchmarks of the underlying simulator.
 
-   Usage: main.exe [quick] [snapshot]
+   Usage: main.exe [quick]
      quick     — cut iteration counts for CI
-     snapshot  — only emit the BENCH_gateheavy.json perf snapshot *)
+
+   The gateheavy perf snapshot (BENCH_gateheavy.json) has one writer,
+   `amulet bench run -o`. *)
 
 module Iso = Amulet_cc.Isolation
 module Ex = Amulet_iso.Experiments
 module Paper = Amulet_iso.Paper
 
 let quick = Array.exists (fun a -> a = "quick") Sys.argv
-let snapshot_only = Array.exists (fun a -> a = "snapshot") Sys.argv
 
 let line = String.make 72 '-'
 
@@ -159,27 +160,6 @@ let run_ablations () =
      OS in-region, so the kernel skips its per-call range validation)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Perf-trajectory snapshot: BENCH_gateheavy.json.
-
-   One machine-readable record per PR so the simulator-speed and
-   gate-cost trajectories are diffable run-over-run (the ROADMAP's
-   "≥10x cycles/sec" predecode target needs a baseline to beat).
-   Simulator throughput is host-dependent; the gate-cost cycle counts
-   are deterministic simulated values and must only improve. *)
-
-let snapshot_path = "BENCH_gateheavy.json"
-
-let run_gateheavy_snapshot () =
-  section ("Perf snapshot: gateheavy microbench -> " ^ snapshot_path);
-  let module Runner = Amulet_bench_core.Runner in
-  let module Schema = Amulet_bench_core.Schema in
-  let doc, _runs = Runner.run ~quick () in
-  Format.printf "%a@?" Runner.pp_doc doc;
-  Schema.write_file snapshot_path doc;
-  Printf.printf "snapshot written to %s (schema %d)\n" snapshot_path
-    doc.Schema.d_schema
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks of the simulator substrate *)
 
 let loop_machine () =
@@ -273,12 +253,9 @@ let () =
     "Reproduction harness: Hardin et al., \"Application Memory Isolation on \
      Ultra-Low-Power MCUs\" (USENIX ATC 2018)\n";
   if quick then Printf.printf "(quick mode: reduced iteration counts)\n";
-  if not snapshot_only then begin
-    run_table1 ();
-    run_figure3 ();
-    run_figure2 ();
-    run_ablations ()
-  end;
-  run_gateheavy_snapshot ();
-  if not snapshot_only then bechamel_benches ();
+  run_table1 ();
+  run_figure3 ();
+  run_figure2 ();
+  run_ablations ();
+  bechamel_benches ();
   Printf.printf "\ndone.\n"

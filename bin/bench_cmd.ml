@@ -1,10 +1,10 @@
-(* amulet_bench — statistical gateheavy benchmark runner.
+(* amulet bench — statistical gateheavy benchmark runner.
 
    Runs the per-mode benchmark with warmup + N trials, prints the
    median/MAD table with dispatch-latency percentiles and energy per
    dispatch, optionally writes a schema-v2 BENCH_*.json snapshot, and
-   optionally compares against a schema-2 baseline snapshot
-   with noise-aware thresholds, exiting non-zero on regression. *)
+   optionally compares against a schema-2 baseline snapshot with
+   noise-aware thresholds; a regression fails the check. *)
 
 module Iso = Amulet_cc.Isolation
 module Schema = Amulet_bench_core.Schema
@@ -12,36 +12,40 @@ module Stats = Amulet_bench_core.Stats
 module Runner = Amulet_bench_core.Runner
 open Cmdliner
 
-let read_baseline path =
+let read_snapshot path =
   match Schema.read_file path with
   | Ok doc -> doc
   | Error msg ->
-      Format.eprintf "amulet_bench: cannot read %s: %s@." path msg;
-      if not (Sys.file_exists path) then
-        Format.eprintf
-          "hint: record a baseline first with: amulet_bench run --quick -o %s@."
-          path;
-      exit 2
+    Cli.bad_inputf "cannot read %s: %s%s" path msg
+      (if Sys.file_exists path then ""
+       else
+         "\nhint: record a baseline first with: amulet bench run --quick -o "
+         ^ path)
 
+let write_snapshot out doc =
+  match out with
+  | Some path ->
+    Schema.write_file path doc;
+    Format.printf "wrote %s (schema %d)@." path doc.Schema.d_schema
+  | None -> ()
+
+(* true when a gated metric regressed *)
 let compare_and_report ~path ~current ~baseline ~threshold ~rate_threshold =
   let verdicts =
     Schema.compare_docs ~current ~baseline ~det_threshold_pct:threshold
       ~rate_threshold_pct:rate_threshold
   in
   let skipped = Schema.missing_in_baseline ~current ~baseline in
-  if verdicts = [] then begin
-    Format.eprintf
-      "amulet_bench: %s (schema %d) has no metric in common with the current \
-       run — nothing was compared.@."
-      path baseline.Schema.d_schema;
-    List.iter (Format.eprintf "  not in baseline: %s@.") skipped;
-    exit 2
-  end;
+  if verdicts = [] then
+    Cli.bad_inputf
+      "%s (schema %d) has no metric in common with the current run — \
+       nothing was compared.%s"
+      path baseline.Schema.d_schema
+      (String.concat "" (List.map (( ^ ) "\n  not in baseline: ") skipped));
   Format.printf "%a" Schema.pp_verdicts verdicts;
-  if skipped <> [] then begin
+  if skipped <> [] then
     Format.printf "not gated (absent from baseline): %s@."
-      (String.concat ", " skipped)
-  end;
+      (String.concat ", " skipped);
   if Schema.regressed verdicts then begin
     Format.printf "REGRESSION: at least one gated metric exceeded %.1f%%@."
       threshold;
@@ -56,46 +60,22 @@ let compare_and_report ~path ~current ~baseline ~threshold ~rate_threshold =
     false
   end
 
-let parse_modes = function
-  | [] -> Ok Iso.all
-  | names ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | n :: rest -> (
-            match Iso.of_string n with
-            | Some m -> go (m :: acc) rest
-            | None -> Error n)
-      in
-      go [] names
-
 let run_cmd quick trials dispatches warmup modes out compare threshold
-    rate_threshold =
-  match parse_modes modes with
-  | Error bad ->
-      Format.eprintf "amulet_bench: unknown mode %S (known: %s)@." bad
-        (String.concat ", " (List.map Iso.name Iso.all));
-      exit 2
-  | Ok modes ->
-      let doc, _runs =
-        Runner.run ~modes ?trials ?dispatches ?warmup ~quick ()
-      in
-      Format.printf "%a" Runner.pp_doc doc;
-      (match out with
-      | Some path ->
-          Schema.write_file path doc;
-          Format.printf "wrote %s (schema %d)@." path doc.Schema.d_schema
-      | None -> ());
-      let regressed =
-        match compare with
-        | None -> false
-        | Some path ->
-            let baseline = read_baseline path in
-            Format.printf "@.compare vs %s (schema %d):@." path
-              baseline.Schema.d_schema;
-            compare_and_report ~path ~current:doc ~baseline ~threshold
-              ~rate_threshold
-      in
-      if regressed then exit 1
+    rate_threshold () =
+  (* an unreadable baseline fails before the run, not after it *)
+  let baseline = Option.map (fun path -> (path, read_snapshot path)) compare in
+  let doc, _runs = Runner.run ~modes ?trials ?dispatches ?warmup ~quick () in
+  Format.printf "%a" Runner.pp_doc doc;
+  write_snapshot out doc;
+  match baseline with
+  | None -> 0
+  | Some (path, baseline) ->
+    Format.printf "@.compare vs %s (schema %d):@." path
+      baseline.Schema.d_schema;
+    Cli.status
+      (not
+         (compare_and_report ~path ~current:doc ~baseline ~threshold
+            ~rate_threshold))
 
 (* speedup: gate the hooks-off (unobserved interpreter) throughput
    against a committed baseline snapshot.  The floor is a ratio, not a
@@ -113,48 +93,30 @@ let find_row doc name =
 let row_median r = r.Schema.m_rate.Schema.r_summary.Stats.median
 
 let speedup_cmd baseline_path min_ratio quick trials dispatches warmup modes
-    out =
-  let modes =
-    match modes with
-    | [] -> [ Iso.No_isolation ]
-    | names -> (
-        match parse_modes names with
-        | Ok ms -> ms
-        | Error bad ->
-            Format.eprintf "amulet_bench: unknown mode %S (known: %s)@." bad
-              (String.concat ", " (List.map Iso.name Iso.all));
-            exit 2)
-  in
-  let baseline = read_baseline baseline_path in
+    out () =
+  let baseline = read_snapshot baseline_path in
   let doc, _runs =
     Runner.run_speedup ~modes ?trials ?dispatches ?warmup ~quick ()
   in
   Format.printf "%a" Runner.pp_doc doc;
-  (match out with
-  | Some path ->
-      Schema.write_file path doc;
-      Format.printf "wrote %s (schema %d)@." path doc.Schema.d_schema
-  | None -> ());
+  write_snapshot out doc;
   let ok_mode mode =
     let name = Iso.name mode in
     let fast_name = name ^ Runner.hooks_off_suffix in
     let current =
       match find_row doc fast_name with
       | Some r -> row_median r
-      | None ->
-          Format.eprintf "amulet_bench: run produced no %S row@." fast_name;
-          exit 2
+      | None -> failwith ("speedup run produced no " ^ fast_name ^ " row")
     in
     let base_row =
       match find_row baseline fast_name with
       | Some r -> r
       | None -> (
-          match find_row baseline name with
-          | Some r -> r
-          | None ->
-              Format.eprintf "amulet_bench: baseline %s has no %S or %S row@."
-                baseline_path fast_name name;
-              exit 2)
+        match find_row baseline name with
+        | Some r -> r
+        | None ->
+          Cli.bad_inputf "baseline %s has no %S or %S row" baseline_path
+            fast_name name)
     in
     let base = row_median base_row in
     let ratio = if base > 0.0 then current /. base else infinity in
@@ -164,21 +126,20 @@ let speedup_cmd baseline_path min_ratio quick trials dispatches warmup modes
     ratio >= min_ratio
   in
   let verdicts = List.map ok_mode modes in
-  if List.exists not verdicts then begin
+  if List.exists not verdicts then
     Format.printf
       "SPEEDUP FLOOR VIOLATED: hooks-off throughput under %.1fx the baseline@."
-      min_ratio;
-    exit 1
-  end
-  else Format.printf "speedup floor holds (>= %.1fx baseline)@." min_ratio
+      min_ratio
+  else Format.printf "speedup floor holds (>= %.1fx baseline)@." min_ratio;
+  Cli.status (List.for_all Fun.id verdicts)
 
-let diff_cmd new_path base_path threshold rate_threshold =
-  let current = read_baseline new_path in
-  let baseline = read_baseline base_path in
-  if
-    compare_and_report ~path:base_path ~current ~baseline ~threshold
-      ~rate_threshold
-  then exit 1
+let diff_cmd new_path base_path threshold rate_threshold () =
+  let current = read_snapshot new_path in
+  let baseline = read_snapshot base_path in
+  Cli.status
+    (not
+       (compare_and_report ~path:base_path ~current ~baseline ~threshold
+          ~rate_threshold))
 
 (* options *)
 
@@ -204,12 +165,6 @@ let warmup =
     value
     & opt (some int) None
     & info [ "warmup" ] ~docv:"N" ~doc:"Warmup dispatches before measuring.")
-
-let modes =
-  Arg.(
-    value & opt_all string []
-    & info [ "m"; "mode" ] ~docv:"MODE"
-        ~doc:"Isolation mode to benchmark (repeatable; default all).")
 
 let out =
   Arg.(
@@ -245,16 +200,14 @@ let rate_threshold =
            additionally exceed 3 robust sigmas of trial noise to count. \
            Without this flag throughput rows are informational.")
 
-let run_term =
-  Term.(
-    const run_cmd $ quick $ trials $ dispatches $ warmup $ modes $ out
-    $ compare_opt $ threshold $ rate_threshold)
+let run =
+  Cli.cmd "run" ~doc:"Run the statistical gateheavy benchmark."
+    Term.(
+      const run_cmd $ quick $ trials $ dispatches $ warmup
+      $ Cli.modes ~default:Iso.all $ out $ compare_opt $ threshold
+      $ rate_threshold)
 
-let run_info =
-  Cmd.info "run"
-    ~doc:"Run the statistical gateheavy benchmark (default command)."
-
-let diff_term =
+let diff =
   let new_path =
     Arg.(
       required
@@ -267,14 +220,12 @@ let diff_term =
       & pos 1 (some string) None
       & info [] ~docv:"BASELINE" ~doc:"Baseline snapshot JSON (schema 2).")
   in
-  Term.(const diff_cmd $ new_path $ base_path $ threshold $ rate_threshold)
-
-let diff_info =
-  Cmd.info "diff"
+  Cli.cmd "diff"
     ~doc:"Compare two existing snapshots without running the benchmark."
+    Term.(const diff_cmd $ new_path $ base_path $ threshold $ rate_threshold)
 
-let speedup_term =
-  let baseline_pos =
+let speedup =
+  let baseline =
     Arg.(
       required
       & opt (some string) None
@@ -290,29 +241,19 @@ let speedup_term =
           ~doc:"Fail (exit 1) if hooks-off throughput < $(docv) times the \
                 baseline's.")
   in
-  Term.(
-    const speedup_cmd $ baseline_pos $ min_ratio $ quick $ trials $ dispatches
-    $ warmup $ modes $ out)
-
-let speedup_info =
-  Cmd.info "speedup"
+  Cli.cmd "speedup"
     ~doc:
       "Run the hooks-off (unobserved interpreter) benchmark and enforce the \
        speedup floor against a committed baseline."
+    Term.(
+      const speedup_cmd $ baseline $ min_ratio $ quick $ trials $ dispatches
+      $ warmup
+      $ Cli.modes ~default:[ Iso.No_isolation ]
+      $ out)
 
-let () =
-  let default = run_term in
-  let info =
-    Cmd.info "amulet_bench" ~version:"%%VERSION%%"
-      ~doc:
-        "Statistical benchmark runner with schema-v2 snapshots and \
-         noise-aware regression gating."
-  in
-  exit
-    (Cmd.eval
-       (Cmd.group ~default info
-          [
-            Cmd.v run_info run_term;
-            Cmd.v diff_info diff_term;
-            Cmd.v speedup_info speedup_term;
-          ]))
+let cmd =
+  Cli.group "bench"
+    ~doc:
+      "statistical benchmark runner with schema-v2 snapshots and \
+       noise-aware regression gating"
+    [ run; diff; speedup ]

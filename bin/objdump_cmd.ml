@@ -1,34 +1,9 @@
-(* amulet_objdump: build a firmware from WearC sources and print the
+(* amulet objdump: build a firmware from WearC sources and print the
    disassembly of its sections — handy for inspecting exactly which
    checks each isolation mode inserts. *)
 
 module Iso = Amulet_cc.Isolation
 module Aft = Amulet_aft.Aft
-module Apps = Amulet_apps.Suite
-
-let mode_conv =
-  let parse s =
-    match Iso.of_string s with
-    | Some m -> Ok m
-    | None -> Error (`Msg "expected one of: none, amuletc, software, mpu")
-  in
-  Cmdliner.Arg.conv (parse, fun ppf m -> Format.fprintf ppf "%s" (Iso.name m))
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let spec_of mode arg =
-  match List.find_opt (fun (a : Apps.app) -> a.Apps.name = arg) Apps.all with
-  | Some app -> Apps.spec_for mode app
-  | None ->
-    {
-      Aft.name = Filename.remove_extension (Filename.basename arg);
-      source = read_file arg;
-    }
 
 (* --cfg: print each app's reconstructed control-flow graph (basic
    blocks with cycle counts and successor edges) instead of the linear
@@ -113,7 +88,7 @@ let json_of_func bounds (f : Cfi.func) =
      ]
     @ loops)
 
-let dump_cfg fw mode json =
+let dump_cfg fw mode format =
   let image = fw.Aft.fw_image in
   let bounds = Amulet_analysis.Wcet.loop_bounds image in
   let rc = ref 0 in
@@ -124,7 +99,8 @@ let dump_cfg fw mode json =
         (prefix, Cfi.reconstruct ~image ~mode ~prefix))
       fw.Aft.fw_apps
   in
-  if json then
+  (match format with
+  | `Json ->
     print_string
       (J.to_string
          (J.Obj
@@ -145,7 +121,7 @@ let dump_cfg fw mode json =
                                     (Cfi.functions cfg)) );
                            ]
                        | Error vs ->
-                         rc := 1;
+                         rc := Cli.check_failed;
                          J.Obj
                            [
                              ("name", J.Str prefix);
@@ -161,7 +137,7 @@ let dump_cfg fw mode json =
                      apps) );
             ])
       ^ "\n")
-  else
+  | `Human ->
     List.iter
       (fun (prefix, res) ->
         Format.printf "@.; ==== %s control-flow graph ====@." prefix;
@@ -174,84 +150,71 @@ let dump_cfg fw mode json =
             (fun v ->
               Format.printf "; CFI violation: %a@." Cfi.pp_violation v)
             vs;
-          rc := 1)
-      apps;
+          rc := Cli.check_failed)
+      apps);
   !rc
 
-let dump_cmd mode os_too cfg json apps =
-  try
-    let specs = List.map (spec_of mode) apps in
-    let fw = Aft.build ~mode specs in
-    if cfg then dump_cfg fw mode json
-    else begin
-    let machine = Amulet_mcu.Machine.create () in
-    Amulet_link.Image.load fw.Aft.fw_image machine;
-    let fetch a = Amulet_mcu.Machine.mem_checked_read machine Amulet_mcu.Word.W16 a in
-    let symbols = fw.Aft.fw_image.Amulet_link.Image.symbols in
-    (* per-function check statistics, shown next to the function label *)
-    let fn_stats = Hashtbl.create 32 in
-    List.iter
-      (fun ab ->
-        List.iter
-          (fun fi ->
-            let mangled =
-              Iso.mangle ~prefix:ab.Aft.ab_name
-                fi.Amulet_cc.Codegen.fi_name
-            in
-            match List.assoc_opt mangled symbols with
-            | Some addr -> Hashtbl.replace fn_stats addr fi
-            | None -> ())
-          ab.Aft.ab_compiled.Amulet_cc.Driver.infos)
-      fw.Aft.fw_apps;
-    let dump title lo hi =
-      Format.printf "@.; ---- %s (%04X..%04X) ----@." title lo hi;
+let dump_code fw os_too =
+  let machine = Amulet_mcu.Machine.create () in
+  Amulet_link.Image.load fw.Aft.fw_image machine;
+  let fetch a =
+    Amulet_mcu.Machine.mem_checked_read machine Amulet_mcu.Word.W16 a
+  in
+  let symbols = fw.Aft.fw_image.Amulet_link.Image.symbols in
+  (* per-function check statistics, shown next to the function label *)
+  let fn_stats = Hashtbl.create 32 in
+  List.iter
+    (fun ab ->
       List.iter
-        (fun (line : Amulet_mcu.Disasm.line) ->
-          (match Hashtbl.find_opt fn_stats line.Amulet_mcu.Disasm.addr with
-          | Some fi ->
-            Hashtbl.remove fn_stats line.Amulet_mcu.Disasm.addr;
-            let s = fi.Amulet_cc.Codegen.fi_sites in
-            Format.printf "; %s: %d checked, %d elided, %d static sites@."
-              fi.Amulet_cc.Codegen.fi_name s.Amulet_cc.Codegen.checked
-              s.Amulet_cc.Codegen.elided fi.Amulet_cc.Codegen.fi_static_sites
-          | None -> ());
-          Format.printf "%a@." Amulet_mcu.Disasm.pp_line line)
-        (Amulet_mcu.Disasm.range ~symbols ~fetch ~lo ~hi ())
-    in
-    if os_too then
-      dump "os_code" fw.Aft.fw_layout.Amulet_aft.Layout.os_code_base
-        (fw.Aft.fw_layout.Amulet_aft.Layout.os_code_base
-        + fw.Aft.fw_layout.Amulet_aft.Layout.os_code_size);
+        (fun fi ->
+          let mangled =
+            Iso.mangle ~prefix:ab.Aft.ab_name fi.Amulet_cc.Codegen.fi_name
+          in
+          match List.assoc_opt mangled symbols with
+          | Some addr -> Hashtbl.replace fn_stats addr fi
+          | None -> ())
+        ab.Aft.ab_compiled.Amulet_cc.Driver.infos)
+    fw.Aft.fw_apps;
+  let dump title lo hi =
+    Format.printf "@.; ---- %s (%04X..%04X) ----@." title lo hi;
     List.iter
-      (fun (a : Amulet_aft.Layout.app_layout) ->
-        dump (a.Amulet_aft.Layout.name ^ " code") a.Amulet_aft.Layout.code_base
-          (a.Amulet_aft.Layout.code_base + a.Amulet_aft.Layout.code_size))
-        fw.Aft.fw_layout.Amulet_aft.Layout.apps;
-      0
-    end
-  with
-  | Amulet_cc.Srcloc.Error (loc, msg) ->
-    Format.eprintf "error at %a: %s@." Amulet_cc.Srcloc.pp loc msg;
-    1
-  | Aft.Build_error msg ->
-    Format.eprintf "build error: %s@." msg;
-    1
-  | Sys_error msg ->
-    Format.eprintf "%s@." msg;
-    1
+      (fun (line : Amulet_mcu.Disasm.line) ->
+        (match Hashtbl.find_opt fn_stats line.Amulet_mcu.Disasm.addr with
+        | Some fi ->
+          Hashtbl.remove fn_stats line.Amulet_mcu.Disasm.addr;
+          let s = fi.Amulet_cc.Codegen.fi_sites in
+          Format.printf "; %s: %d checked, %d elided, %d static sites@."
+            fi.Amulet_cc.Codegen.fi_name s.Amulet_cc.Codegen.checked
+            s.Amulet_cc.Codegen.elided fi.Amulet_cc.Codegen.fi_static_sites
+        | None -> ());
+        Format.printf "%a@." Amulet_mcu.Disasm.pp_line line)
+      (Amulet_mcu.Disasm.range ~symbols ~fetch ~lo ~hi ())
+  in
+  let layout = fw.Aft.fw_layout in
+  if os_too then
+    dump "os_code" layout.Amulet_aft.Layout.os_code_base
+      (layout.Amulet_aft.Layout.os_code_base
+      + layout.Amulet_aft.Layout.os_code_size);
+  List.iter
+    (fun (a : Amulet_aft.Layout.app_layout) ->
+      dump (a.Amulet_aft.Layout.name ^ " code") a.Amulet_aft.Layout.code_base
+        (a.Amulet_aft.Layout.code_base + a.Amulet_aft.Layout.code_size))
+    layout.Amulet_aft.Layout.apps;
+  0
+
+let run mode os_too cfg format apps () =
+  if format = `Json && not cfg then
+    Cli.bad_inputf "--format json needs --cfg: disassembly has no JSON form";
+  let fw = Cli.build ~mode apps in
+  if cfg then dump_cfg fw mode format else dump_code fw os_too
 
 open Cmdliner
 
-let mode_arg =
+let os =
   Arg.(
-    value
-    & opt mode_conv Iso.Mpu_assisted
-    & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"Isolation mode.")
+    value & flag & info [ "os" ] ~doc:"Also disassemble the OS code section.")
 
-let os_arg =
-  Arg.(value & flag & info [ "os" ] ~doc:"Also disassemble the OS code section.")
-
-let cfg_arg =
+let cfg =
   Arg.(
     value & flag
     & info [ "cfg" ]
@@ -259,24 +222,14 @@ let cfg_arg =
           "Print each app's reconstructed control-flow graph (basic blocks \
            with cycle counts and successors) instead of the disassembly.")
 
-let json_arg =
-  Arg.(
-    value & flag
-    & info [ "json" ]
-        ~doc:
-          "With $(b,--cfg): emit the graph as JSON (blocks with cycle \
-           counts, loop headers, back edges and stamped iteration bounds) \
-           instead of text.")
-
-let apps_arg =
-  Arg.(
-    non_empty & pos_all string []
-    & info [] ~docv:"APP" ~doc:"Suite app name or WearC source path.")
+let format =
+  Cli.format
+    ~doc:
+      "Output format: $(b,human) or, with $(b,--cfg) only, $(b,json): the \
+       graph with cycle counts, loop headers, back edges and stamped \
+       iteration bounds."
+    ()
 
 let cmd =
-  let doc = "disassemble a built firmware image" in
-  Cmd.v
-    (Cmd.info "amulet_objdump" ~doc)
-    Term.(const dump_cmd $ mode_arg $ os_arg $ cfg_arg $ json_arg $ apps_arg)
-
-let () = exit (Cmd.eval' cmd)
+  Cli.cmd "objdump" ~doc:"disassemble a built firmware image"
+    Term.(const run $ Cli.mode $ os $ cfg $ format $ Cli.apps)

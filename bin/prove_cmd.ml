@@ -1,10 +1,10 @@
-(* amulet_prove: discharge the write-containment proof obligations.
+(* amulet prove: discharge the write-containment proof obligations.
 
    Runs the k-induction engine over the abstract transition system for
    every obligation in the matrix (optionally restricted by mode),
    replays each refutation's counterexample trace on the concrete
    machine, and crosschecks the attack corpus expectations against the
-   abstract model.  Exits non-zero when any obligation lands off its
+   abstract model.  The check fails when any obligation lands off its
    documented expectation, a counterexample fails to replay, or a
    corpus cell mismatches. *)
 
@@ -16,14 +16,6 @@ module Lemmas = Amulet_proof.Lemmas
 module Replay = Amulet_proof.Replay
 module Proofcheck = Amulet_sec.Proofcheck
 module J = Amulet_obs.Json
-
-let mode_conv =
-  let parse s =
-    match Iso.of_string s with
-    | Some m -> Ok m
-    | None -> Error (`Msg "expected one of: none, amuletc, software, mpu")
-  in
-  Cmdliner.Arg.conv (parse, fun ppf m -> Format.fprintf ppf "%s" (Iso.name m))
 
 (* ------------------------------------------------------------------ *)
 (* Per-obligation record: verdict plus (for refutations) the replay.   *)
@@ -172,126 +164,122 @@ let json_of_crosscheck (r : Proofcheck.row) =
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
-let run_cmd modes k_max no_replay no_crosscheck lemmas traces json_out list =
-  if list then begin
-    List.iter
-      (fun (ob : Ob.obligation) ->
-        Format.printf "%-26s %-14s %-10s %-9s %s@." ob.Ob.ob_name
-          (Iso.name ob.Ob.ob_mode)
-          (A.attacker_name ob.Ob.ob_attacker)
-          (match ob.Ob.ob_expect with
-          | Ob.Theorem -> "theorem"
-          | Ob.Refutable -> "refutable")
-          ob.Ob.ob_descr)
-      Ob.all;
-    0
-  end
-  else begin
-    let modes = if modes = [] then Iso.all else modes in
-    let obligations =
-      List.filter (fun ob -> List.mem ob.Ob.ob_mode modes) Ob.all
+let print_list () =
+  List.iter
+    (fun (ob : Ob.obligation) ->
+      Format.printf "%-26s %-14s %-10s %-9s %s@." ob.Ob.ob_name
+        (Iso.name ob.Ob.ob_mode)
+        (A.attacker_name ob.Ob.ob_attacker)
+        (match ob.Ob.ob_expect with
+        | Ob.Theorem -> "theorem"
+        | Ob.Refutable -> "refutable")
+        ob.Ob.ob_descr)
+    Ob.all;
+  0
+
+let prove modes k_max no_replay no_crosscheck lemmas traces format =
+  (* the human report goes to stdout as it is produced; with
+     --format json stdout carries the JSON document alone *)
+  let say fmt =
+    match format with
+    | `Human -> Format.printf fmt
+    | `Json -> Format.ifprintf Format.std_formatter fmt
+  in
+  let obligations =
+    List.filter (fun ob -> List.mem ob.Ob.ob_mode modes) Ob.all
+  in
+  let checked =
+    List.map (check_obligation ~k_max ~replay:(not no_replay)) obligations
+  in
+  say "write-containment obligations (k_max=%d):@." k_max;
+  List.iter (fun c -> say "%a@." pp_verdict_line c) checked;
+  if traces then List.iter (fun c -> say "%a" pp_trace c) checked;
+  let lemma_outcome =
+    if not lemmas then None
+    else begin
+      let o = Lemmas.validate () in
+      say "opcode abstraction lemmas: %d cases, %d failures@."
+        o.Lemmas.lv_cases
+        (List.length o.Lemmas.lv_failures);
+      List.iter
+        (fun (f : Lemmas.failure) ->
+          say "  ! %s: %s@." f.Lemmas.f_case f.Lemmas.f_reason)
+        o.Lemmas.lv_failures;
+      Some o
+    end
+  in
+  let crosscheck =
+    if no_crosscheck then None
+    else begin
+      let rows = Proofcheck.run ~modes () in
+      let bad = List.filter (fun r -> not (Proofcheck.row_ok r)) rows in
+      say "attack-corpus crosscheck: %d cells, %d mismatches@."
+        (List.length rows) (List.length bad);
+      List.iter (fun r -> say "  ! %a@." Proofcheck.pp_row r) bad;
+      Some rows
+    end
+  in
+  let ok =
+    List.for_all ck_ok checked
+    && (match lemma_outcome with
+       | Some o -> o.Lemmas.lv_failures = []
+       | None -> true)
+    && match crosscheck with Some rows -> Proofcheck.ok rows | None -> true
+  in
+  (match format with
+  | `Human ->
+    Format.printf "%s@." (if ok then "all obligations discharged" else "FAILED")
+  | `Json ->
+    let doc =
+      J.Obj
+        [ ("k_max", J.Int k_max);
+          ("modes", J.Arr (List.map (fun m -> J.Str (Iso.name m)) modes));
+          ("obligations", J.Arr (List.map json_of_checked checked));
+          ("lemmas",
+           match lemma_outcome with
+           | None -> J.Null
+           | Some o ->
+             J.Obj
+               [ ("cases", J.Int o.Lemmas.lv_cases);
+                 ("failures", J.Int (List.length o.Lemmas.lv_failures));
+               ]);
+          ("crosscheck",
+           match crosscheck with
+           | None -> J.Null
+           | Some rows -> J.Arr (List.map json_of_crosscheck rows));
+          ("ok", J.Bool ok);
+        ]
     in
-    let checked =
-      List.map (check_obligation ~k_max ~replay:(not no_replay)) obligations
-    in
-    Format.printf "write-containment obligations (k_max=%d):@." k_max;
-    List.iter (fun c -> Format.printf "%a@." pp_verdict_line c) checked;
-    if traces then
-      List.iter (fun c -> Format.printf "%a" pp_trace c) checked;
-    let lemma_outcome =
-      if not lemmas then None
-      else begin
-        let o = Lemmas.validate () in
-        Format.printf "opcode abstraction lemmas: %d cases, %d failures@."
-          o.Lemmas.lv_cases
-          (List.length o.Lemmas.lv_failures);
-        List.iter
-          (fun (f : Lemmas.failure) ->
-            Format.printf "  ! %s: %s@." f.Lemmas.f_case f.Lemmas.f_reason)
-          o.Lemmas.lv_failures;
-        Some o
-      end
-    in
-    let crosscheck =
-      if no_crosscheck then None
-      else begin
-        let rows = Proofcheck.run ~modes () in
-        let bad = List.filter (fun r -> not (Proofcheck.row_ok r)) rows in
-        Format.printf
-          "attack-corpus crosscheck: %d cells, %d mismatches@."
-          (List.length rows) (List.length bad);
-        List.iter
-          (fun r -> Format.printf "  ! %a@." Proofcheck.pp_row r)
-          bad;
-        Some rows
-      end
-    in
-    let ok =
-      List.for_all ck_ok checked
-      && (match lemma_outcome with
-         | Some o -> o.Lemmas.lv_failures = []
-         | None -> true)
-      && match crosscheck with Some rows -> Proofcheck.ok rows | None -> true
-    in
-    (match json_out with
-    | None -> ()
-    | Some path ->
-      let doc =
-        J.Obj
-          [ ("k_max", J.Int k_max);
-            ("modes", J.Arr (List.map (fun m -> J.Str (Iso.name m)) modes));
-            ("obligations", J.Arr (List.map json_of_checked checked));
-            ("lemmas",
-             match lemma_outcome with
-             | None -> J.Null
-             | Some o ->
-               J.Obj
-                 [ ("cases", J.Int o.Lemmas.lv_cases);
-                   ("failures", J.Int (List.length o.Lemmas.lv_failures));
-                 ]);
-            ("crosscheck",
-             match crosscheck with
-             | None -> J.Null
-             | Some rows -> J.Arr (List.map json_of_crosscheck rows));
-            ("ok", J.Bool ok);
-          ]
-      in
-      let oc = open_out path in
-      output_string oc (J.to_string doc);
-      output_char oc '\n';
-      close_out oc;
-      Format.printf "proof report written to %s@." path);
-    Format.printf "%s@." (if ok then "all obligations discharged" else "FAILED");
-    if ok then 0 else 1
-  end
+    print_string (J.to_string doc ^ "\n"));
+  Cli.status ok
+
+let run modes k_max no_replay no_crosscheck lemmas traces format list () =
+  match (list, format) with
+  | true, `Json -> Cli.bad_inputf "--list has no JSON form"
+  | true, `Human -> print_list ()
+  | false, _ -> prove modes k_max no_replay no_crosscheck lemmas traces format
 
 open Cmdliner
 
-let modes_arg =
-  Arg.(
-    value & opt_all mode_conv []
-    & info [ "m"; "mode" ] ~docv:"MODE"
-        ~doc:"Restrict to one isolation mode (repeatable; default all four).")
-
-let k_max_arg =
+let k_max =
   Arg.(
     value & opt int 8
     & info [ "k-max" ] ~docv:"K"
         ~doc:"Deepest induction to attempt before reporting unknown.")
 
-let no_replay_arg =
+let no_replay =
   Arg.(
     value & flag
     & info [ "no-replay" ]
         ~doc:"Skip replaying refutation traces on the concrete machine.")
 
-let no_crosscheck_arg =
+let no_crosscheck =
   Arg.(
     value & flag
     & info [ "no-crosscheck" ]
         ~doc:"Skip the attack-corpus expectation crosscheck.")
 
-let lemmas_arg =
+let lemmas =
   Arg.(
     value & flag
     & info [ "lemmas" ]
@@ -299,29 +287,24 @@ let lemmas_arg =
           "Also run the per-opcode abstraction lemmas (differential \
            execution over the full opcode corpus).")
 
-let traces_arg =
+let traces =
   Arg.(
     value & flag
     & info [ "traces" ]
         ~doc:"Print each refuted obligation's counterexample trace.")
 
-let json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:"Write the full machine-readable report to $(docv).")
-
-let list_arg =
+let list =
   Arg.(
     value & flag & info [ "list" ] ~doc:"List the obligation matrix and exit.")
 
 let cmd =
-  let doc = "discharge the write-containment proof obligations" in
-  Cmd.v
-    (Cmd.info "amulet_prove" ~doc)
+  Cli.cmd "prove" ~doc:"discharge the write-containment proof obligations"
     Term.(
-      const run_cmd $ modes_arg $ k_max_arg $ no_replay_arg $ no_crosscheck_arg
-      $ lemmas_arg $ traces_arg $ json_arg $ list_arg)
-
-let () = exit (Cmd.eval' cmd)
+      const run $ Cli.modes ~default:Iso.all $ k_max $ no_replay
+      $ no_crosscheck $ lemmas $ traces
+      $ Cli.format
+          ~doc:
+            "Output format: $(b,human), or $(b,json) for the full \
+             machine-readable report alone on stdout."
+          ()
+      $ list)

@@ -1,4 +1,4 @@
-(* amulet_wcet: static WCET and worst-case-energy certifier.
+(* amulet wcet: static WCET and worst-case-energy certifier.
 
    Builds a firmware from WearC sources (or suite app names), runs the
    binary WCET analysis (lib/analysis/wcet.ml) over every app section
@@ -6,43 +6,16 @@
    battery impact at an assumed dispatch rate, checked against the
    paper's 0.5 % overhead budget.  Handlers the analysis cannot bound
    are reported with their call-chain witness instead of a number.
-
-   Exit status: 0 when every handler is bounded and every app is
-   within budget, 1 otherwise (unless --allow-unbounded), 2 on build
-   errors. *)
+   A handler without a bound (unless --allow-unbounded) or an app over
+   its budget fails the check. *)
 
 module Iso = Amulet_cc.Isolation
 module Aft = Amulet_aft.Aft
-module Apps = Amulet_apps.Suite
 module Lint = Amulet_analysis.Lint
 module Cfi = Amulet_analysis.Cfi
 module Wcet = Amulet_analysis.Wcet
 module Energy = Amulet_arp.Energy
 module J = Amulet_obs.Json
-
-let mode_conv =
-  let parse s =
-    match Iso.of_string s with
-    | Some m -> Ok m
-    | None -> Error (`Msg "expected one of: none, amuletc, software, mpu")
-  in
-  Cmdliner.Arg.conv (parse, fun ppf m -> Format.fprintf ppf "%s" (Iso.name m))
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let spec_of mode arg =
-  match List.find_opt (fun (a : Apps.app) -> a.Apps.name = arg) Apps.all with
-  | Some app -> Apps.spec_for mode app
-  | None ->
-    {
-      Aft.name = Filename.remove_extension (Filename.basename arg);
-      source = read_file arg;
-    }
 
 let seconds_per_week = 7.0 *. 24.0 *. 3600.0
 
@@ -181,71 +154,37 @@ let print_human ~mode ~rate ~budget apps =
 
 (* ------------------------------------------------------------------ *)
 
-let wcet_cmd mode no_elide shadow rate budget format allow_unbounded apps =
-  try
-    let specs = List.map (spec_of mode) apps in
-    let fw = Aft.build ~mode ~shadow ~elide:(not no_elide) specs in
-    let image = fw.Aft.fw_image in
-    let rows =
-      List.map (analyze_app ~image ~mode ~rate) (Lint.apps_of image)
-    in
-    let ok =
-      List.for_all
-        (fun a ->
-          a.wcet <> None
-          && (allow_unbounded || a.all_bounded)
-          && a.total_impact <= budget)
-        rows
-    in
-    (match format with
-    | `Human -> print_human ~mode ~rate ~budget rows
-    | `Json ->
-      print_string
-        (J.to_string
-           (J.Obj
-              [
-                ("mode", J.Str (Iso.name mode));
-                ("rate_hz", J.Float rate);
-                ("budget_percent", J.Float budget);
-                ("apps", J.Arr (List.map (json_of_app budget) rows));
-                ("ok", J.Bool ok);
-              ])
-        ^ "\n"));
-    if ok then 0 else 1
-  with
-  | Amulet_cc.Srcloc.Error (loc, msg) ->
-    Format.eprintf "error at %a: %s@." Amulet_cc.Srcloc.pp loc msg;
-    2
-  | Aft.Build_error msg ->
-    Format.eprintf "build error: %s@." msg;
-    2
-  | Sys_error msg ->
-    Format.eprintf "%s@." msg;
-    2
+let run mode no_elide shadow rate budget format allow_unbounded apps () =
+  let fw = Cli.build ~mode ~shadow ~elide:(not no_elide) apps in
+  let image = fw.Aft.fw_image in
+  let rows = List.map (analyze_app ~image ~mode ~rate) (Lint.apps_of image) in
+  let ok =
+    List.for_all
+      (fun a ->
+        a.wcet <> None
+        && (allow_unbounded || a.all_bounded)
+        && a.total_impact <= budget)
+      rows
+  in
+  (match format with
+  | `Human -> print_human ~mode ~rate ~budget rows
+  | `Json ->
+    print_string
+      (J.to_string
+         (J.Obj
+            [
+              ("mode", J.Str (Iso.name mode));
+              ("rate_hz", J.Float rate);
+              ("budget_percent", J.Float budget);
+              ("apps", J.Arr (List.map (json_of_app budget) rows));
+              ("ok", J.Bool ok);
+            ])
+      ^ "\n"));
+  Cli.status ok
 
 open Cmdliner
 
-let mode_arg =
-  Arg.(
-    value
-    & opt mode_conv Iso.Mpu_assisted
-    & info [ "m"; "mode" ] ~docv:"MODE"
-        ~doc:
-          "Isolation mode: $(b,none), $(b,amuletc) (feature-limited), \
-           $(b,software), or $(b,mpu).")
-
-let no_elide_arg =
-  Arg.(
-    value & flag
-    & info [ "no-elide" ]
-        ~doc:"Compile with every guard emitted (skip the range analysis).")
-
-let shadow_arg =
-  Arg.(
-    value & flag
-    & info [ "shadow" ] ~doc:"Arm the InfoMem shadow return-address stack.")
-
-let rate_arg =
+let rate =
   Arg.(
     value & opt float 1.0
     & info [ "rate" ] ~docv:"HZ"
@@ -253,7 +192,7 @@ let rate_arg =
           "Assumed worst-case dispatch rate per handler in events per \
            second, for the battery-impact projection.")
 
-let budget_arg =
+let budget =
   Arg.(
     value & opt float 0.5
     & info [ "budget" ] ~docv:"PCT"
@@ -261,13 +200,7 @@ let budget_arg =
           "Weekly battery budget in percent an app's handlers may consume \
            (the paper bounds isolation overhead by 0.5%).")
 
-let format_arg =
-  Arg.(
-    value
-    & opt (enum [ ("human", `Human); ("json", `Json) ]) `Human
-    & info [ "format" ] ~docv:"FMT" ~doc:"Output format: $(b,human) or $(b,json).")
-
-let allow_unbounded_arg =
+let allow_unbounded =
   Arg.(
     value & flag
     & info [ "allow-unbounded" ]
@@ -275,17 +208,9 @@ let allow_unbounded_arg =
           "Exit 0 even when some handler has no static bound (it is still \
            reported).")
 
-let apps_arg =
-  Arg.(
-    non_empty & pos_all string []
-    & info [] ~docv:"APP" ~doc:"Suite app name or WearC source path.")
-
 let cmd =
-  let doc = "statically bound handler WCET and worst-case battery impact" in
-  Cmd.v
-    (Cmd.info "amulet_wcet" ~doc)
+  Cli.cmd "wcet"
+    ~doc:"statically bound handler WCET and worst-case battery impact"
     Term.(
-      const wcet_cmd $ mode_arg $ no_elide_arg $ shadow_arg $ rate_arg
-      $ budget_arg $ format_arg $ allow_unbounded_arg $ apps_arg)
-
-let () = exit (Cmd.eval' cmd)
+      const run $ Cli.mode $ Cli.no_elide $ Cli.shadow $ rate $ budget
+      $ Cli.format () $ allow_unbounded $ Cli.apps)

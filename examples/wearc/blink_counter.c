@@ -1,8 +1,8 @@
 /* A minimal WearC app for the command-line tools:
  *
- *   dune exec bin/amuletc.exe -- --mode mpu examples/wearc/blink_counter.c
- *   dune exec bin/amulet_sim.exe -- -m mpu -t 10 examples/wearc/blink_counter.c
- *   dune exec bin/amulet_objdump.exe -- examples/wearc/blink_counter.c
+ *   dune exec bin/amulet.exe -- cc --mode mpu examples/wearc/blink_counter.c
+ *   dune exec bin/amulet.exe -- sim -m mpu -t 10 examples/wearc/blink_counter.c
+ *   dune exec bin/amulet.exe -- objdump examples/wearc/blink_counter.c
  */
 
 int blinks = 0;

@@ -16,7 +16,7 @@
       rejected with the offending instruction as witness.
 
     The resulting CFG carries per-block cycle counts (for
-    [amulet_objdump --cfg]) and is the substrate for the binary
+    [amulet objdump --cfg]) and is the substrate for the binary
     stack-bound ({!Stackcert}) and gate-provenance ({!Gate_taint})
     passes. *)
 

@@ -4,7 +4,7 @@
    reconstruction, the binary stack bound and gate-argument provenance
    — over each app code section of a linked firmware image and folds
    the outcomes into one diagnostic report (rendered human-readable or
-   as JSON by [bin/amulet_lint]).
+   as JSON by [amulet lint]).
 
    [certified_gates] distills the report into the list of services
    whose dynamic gate-pointer validation the kernel may elide for an

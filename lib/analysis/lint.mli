@@ -2,7 +2,7 @@
     reconstruction, the binary stack bound ({!Stackcert}) and
     gate-argument provenance ({!Gate_taint}) over every app section of
     a linked firmware and folds the outcomes into one diagnostic
-    report.  [bin/amulet_lint] renders it; the AFT consumes
+    report.  [amulet lint] renders it; the AFT consumes
     {!certified_gates} to stamp certification notes into the image. *)
 
 type severity = Note | Warn | Error

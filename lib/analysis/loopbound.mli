@@ -1,6 +1,6 @@
 (** Natural-loop detection on integer-labelled control-flow graphs.
 
-    The WCET pass ({!Wcet}) and [amulet_objdump --cfg] both need the
+    The WCET pass ({!Wcet}) and [amulet objdump --cfg] both need the
     same structural facts about a reconstructed CFG: which edges are
     back edges, which blocks are loop headers, what each loop's body
     is, and whether the graph is reducible at all.  This module

@@ -1,5 +1,5 @@
 (** The statistical gateheavy benchmark: the measurement core behind
-    [bin/amulet_bench] and [bench/main.exe]'s snapshot mode.
+    [amulet bench].
 
     Per isolation mode it drives the gateheavy app's button handler
     back-to-back under the full kernel with an {!Amulet_obs.Agg} sink

@@ -256,6 +256,15 @@ let parse text =
   in
   go default 1 lines
 
+let override ?devices ?duration_ms ?seed t =
+  let ( let* ) = Result.bind in
+  let set key v t =
+    match v with None -> Ok t | Some n -> apply t key [ string_of_int n ]
+  in
+  let* t = set "devices" devices t in
+  let* t = set "duration" duration_ms t in
+  set "seed" seed t
+
 let of_file path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> parse text

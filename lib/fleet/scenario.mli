@@ -68,6 +68,13 @@ val parse : string -> (t, string) result
 
 val of_file : string -> (t, string) result
 
+val override :
+  ?devices:int -> ?duration_ms:int -> ?seed:int -> t -> (t, string) result
+(** Replace the fleet size, duration or base seed as if the scenario
+    text had ended with that directive, so an override passes the
+    same checks ([devices] and [duration] >= 1) and fails with the
+    same message as the file would. *)
+
 val device_seed : seed:int -> index:int -> int
 (** Per-device seed derivation: splitmix64 finalizer over
     [seed + (index+1) * golden], truncated to a non-negative OCaml

@@ -1,6 +1,6 @@
 (** Minimal JSON tree, printer and parser.
 
-    Only what the trace sinks and the [amulet_prof] reader need — no
+    Only what the trace sinks and the [amulet prof] reader need — no
     external dependency.  Integers stay integers on a round-trip
     (cycle counts must not pass through floats). *)
 

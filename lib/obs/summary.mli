@@ -1,4 +1,4 @@
-(** Trace-file reader and aggregator for [amulet_prof].
+(** Trace-file reader and aggregator for [amulet prof].
 
     Accepts both trace formats the sinks write: Chrome
     [{"traceEvents":[...]}] (or a bare JSON array) and JSONL (one

@@ -149,4 +149,4 @@ val liveness_probe : ?max_dispatches:int -> t -> app:int -> bool
 val unrecovered_faults : t -> (string * string) list
 (** Apps left disabled by a fault under the [Disable] policy (or after
     exhausting [Restart]): [(app name, last fault message)].  Drives
-    {b amulet_sim}'s failure exit code. *)
+    {b amulet sim}'s failure exit code. *)

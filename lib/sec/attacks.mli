@@ -35,7 +35,7 @@ type layer =
 
 val layer_name : layer -> string
 
-(** Expected static-certifier verdict ([amulet_lint]) for the built
+(** Expected static-certifier verdict ([amulet lint]) for the built
     attack image, per mode. *)
 type lint_expect = Must_reject | Must_accept | Either
 

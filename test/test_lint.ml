@@ -268,7 +268,7 @@ let test_lint_suite_clean () =
     (List.length r.An.Lint.l_apps)
 
 (* An image with no app sections must produce an explicit error, not a
-   vacuous pass — same contract the amulet_verify CLI enforces. *)
+   vacuous pass. *)
 let test_lint_zero_apps () =
   let mode = Iso.Mpu_assisted in
   let fw = Aft.build ~mode [] in
@@ -301,44 +301,6 @@ let test_lint_notes_stamped () =
   let fw' = Aft.build ~mode ~certify:false [ spec ] in
   Alcotest.(check bool) "no note without certification" true
     (I.note fw'.Aft.fw_image "cert.gates.gateheavy" = None)
-
-(* ------------------------------------------------------------------ *)
-(* amulet_objdump --cfg prints the reconstructed graph for an example *)
-
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
-
-(* resolve relative to the runtest cwd (the test directory) or the
-   project root, whichever exists, so [dune exec] also works *)
-let locate candidates =
-  try List.find Sys.file_exists candidates with Not_found -> List.hd candidates
-
-let test_objdump_cfg () =
-  let exe =
-    locate [ "../bin/amulet_objdump.exe"; "_build/default/bin/amulet_objdump.exe" ]
-  in
-  let example =
-    locate
-      [ "../examples/wearc/blink_counter.c"; "examples/wearc/blink_counter.c" ]
-  in
-  let tmp = Filename.temp_file "cfg" ".out" in
-  let cmd =
-    Filename.quote_command exe [ "--cfg"; "-m"; "mpu"; example ]
-    ^ " > " ^ Filename.quote tmp ^ " 2>&1"
-  in
-  let rc = Sys.command cmd in
-  let ic = open_in_bin tmp in
-  let out = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove tmp;
-  Alcotest.(check int) "exit 0" 0 rc;
-  Alcotest.(check bool) "names the handler" true
-    (contains out "blink_counter$handle_timer");
-  Alcotest.(check bool) "shows cycle counts" true (contains out "cycles")
 
 let suite =
   [
@@ -377,8 +339,6 @@ let suite =
         Alcotest.test_case "zero apps is an error" `Quick test_lint_zero_apps;
         Alcotest.test_case "certification notes stamped" `Quick
           test_lint_notes_stamped;
-        Alcotest.test_case "objdump --cfg on an example" `Quick
-          test_objdump_cfg;
       ] );
   ]
 

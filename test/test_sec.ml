@@ -308,7 +308,7 @@ let test_injector_mpu_raw_replay () =
     (d1 <> d3)
 
 (* ------------------------------------------------------------------ *)
-(* Kernel integrity probes used by the campaign and amulet_sim. *)
+(* Kernel integrity probes used by the campaign and amulet sim. *)
 
 let benign_fw mode =
   let module Apps = Amulet_apps.Suite in

@@ -135,25 +135,6 @@ let test_unknown_prefix () =
   | _ -> Alcotest.fail "expected Invalid_argument for an unknown prefix"
 
 (* ------------------------------------------------------------------ *)
-(* CLI: a firmware with zero app sections must fail, not pass
-   vacuously — regression for the empty-positional-args case. *)
-
-(* resolve relative to the runtest cwd (the test directory) or the
-   project root, whichever exists, so [dune exec] also works *)
-let verify_exe =
-  let candidates =
-    [ "../bin/amulet_verify.exe"; "_build/default/bin/amulet_verify.exe" ]
-  in
-  try List.find Sys.file_exists candidates with Not_found -> List.hd candidates
-
-let run_cli args =
-  Sys.command (Filename.quote_command verify_exe args ^ " >/dev/null 2>&1")
-
-let test_cli_zero_apps () =
-  Alcotest.(check bool) "no apps: non-zero exit" true (run_cli [] <> 0);
-  Alcotest.(check int) "one app: zero exit" 0 (run_cli [ "pedometer" ])
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "verify"
@@ -187,6 +168,4 @@ let () =
           Alcotest.test_case "stats sanity" `Quick test_stats;
           Alcotest.test_case "unknown prefix" `Quick test_unknown_prefix;
         ] );
-      ( "cli",
-        [ Alcotest.test_case "zero apps rejected" `Quick test_cli_zero_apps ] );
     ]
