@@ -39,8 +39,6 @@ let guard run =
     Format.kfprintf (fun _ -> bad_input) Format.err_formatter fmt
   in
   try run () with
-  | Amulet_cc.Srcloc.Error (loc, msg) ->
-    fail "error at %a: %s@." Amulet_cc.Srcloc.pp loc msg
   | Aft.Build_error msg -> fail "build error: %s@." msg
   | Amulet_obs.Json.Parse_error msg -> fail "malformed input: %s@." msg
   | Sys_error msg | Bad_input msg -> fail "%s@." msg
@@ -90,8 +88,16 @@ let spec ~mode arg =
   | Some app -> Apps.spec_for mode app
   | None -> { Aft.name = app_name_of_path arg; source = read_file arg }
 
+(* A source error names the argument its app came from. *)
 let build ?shadow ?elide ~mode args =
-  Aft.build ~mode ?shadow ?elide (List.map (spec ~mode) args)
+  let specs = List.map (spec ~mode) args in
+  try Aft.build ~mode ?shadow ?elide specs
+  with Aft.Source_error { app; loc; msg } ->
+    let arg =
+      List.assoc app
+        (List.map2 (fun (s : Aft.app_spec) arg -> (s.Aft.name, arg)) specs args)
+    in
+    bad_inputf "%s: error at %a: %s" arg Amulet_cc.Srcloc.pp loc msg
 
 (* ------------------------------------------------------------------ *)
 (* Common options *)

@@ -92,7 +92,7 @@ let outcome_of mode attack =
     match
       Aft.build ~mode [ { Aft.name = "attacker"; source = attack.source } ]
     with
-    | exception Amulet_cc.Srcloc.Error _ -> `Rejected_at_compile_time
+    | exception Aft.Source_error _ -> `Rejected_at_compile_time
     | fw -> (
       let k = Os.Kernel.create fw in
       let _ = Os.Kernel.run_for_ms k 2 in

@@ -1,4 +1,5 @@
 module A = Amulet_link.Asm
+module Assembler = Amulet_link.Assembler
 module Iso = Amulet_cc.Isolation
 module Driver = Amulet_cc.Driver
 
@@ -20,6 +21,12 @@ type firmware = {
 }
 
 exception Build_error of string
+
+exception Source_error of {
+  app : string;
+  loc : Amulet_cc.Srcloc.t;
+  msg : string;
+}
 
 let errf fmt = Format.kasprintf (fun s -> raise (Build_error s)) fmt
 
@@ -51,14 +58,23 @@ let build ~mode ?(shadow = false) ?(elide = true) ?(certify = true) specs =
   let compiled =
     List.map
       (fun s ->
-        ( s,
+        match
           Driver.compile ~prefix:s.name ~mode ~shadow ?analyze ?loop_bounds
-            s.source ))
+            s.source
+        with
+        | cu -> (s, cu)
+        | exception Amulet_cc.Srcloc.Error (loc, msg) ->
+          raise (Source_error { app = s.name; loc; msg }))
       specs
   in
-  (* phase 3: sections and stub generation (sizing pass) *)
-  let app_code_items cu spec =
-    cu.Driver.code @ Stubs.exit_stub ~name:spec.name
+  (* phase 3: sections and stub generation (sizing pass).  Each
+     section is laid out once; the layouts that size it are the ones
+     the linker places. *)
+  let app_code =
+    List.map
+      (fun (spec, cu) ->
+        Assembler.layout (cu.Driver.code @ Stubs.exit_stub ~name:spec.name))
+      compiled
   in
   let os_code_items ~os_cfg ~tramps =
     Amulet_cc.Runtime.items @ Stubs.startup
@@ -74,25 +90,29 @@ let build ~mode ?(shadow = false) ?(elide = true) ?(certify = true) specs =
       compiled
   in
   let os_code_size =
-    Amulet_link.Assembler.size
-      (os_code_items ~os_cfg:Stubs.placeholder_cfg ~tramps:sizing_tramps)
+    Assembler.size
+      (Assembler.layout
+         (os_code_items ~os_cfg:Stubs.placeholder_cfg ~tramps:sizing_tramps))
   in
-  let os_data_size = Amulet_link.Assembler.size Stubs.os_globals in
+  let os_data = Assembler.layout Stubs.os_globals in
   (* phase 4: layout *)
   let app_inputs =
-    List.map
-      (fun (spec, cu) ->
-        let code_size = Amulet_link.Assembler.size (app_code_items cu spec) in
-        let gsize = (Amulet_link.Assembler.size cu.Driver.data + 1) land lnot 1 in
+    List.map2
+      (fun (spec, cu) code ->
+        let gsize =
+          (Assembler.size (Assembler.layout cu.Driver.data) + 1) land lnot 1
+        in
         let stack =
           if Iso.separate_stacks mode then cu.Driver.stack_bytes + stack_margin
           else 0
         in
-        (spec.name, code_size, gsize, stack))
-      compiled
+        (spec.name, Assembler.size code, gsize, stack))
+      compiled app_code
   in
   let layout =
-    try Layout.compute ~os_code_size ~os_data_size ~apps:app_inputs
+    try
+      Layout.compute ~os_code_size ~os_data_size:(Assembler.size os_data)
+        ~apps:app_inputs
     with Layout.Does_not_fit m -> errf "%s" m
   in
   let os_cfg = Stubs.os_mpu_cfg ~shadow ~layout () in
@@ -105,32 +125,28 @@ let build ~mode ?(shadow = false) ?(elide = true) ?(certify = true) specs =
       compiled layout.Layout.apps
     |> List.concat
   in
-  let os_code = os_code_items ~os_cfg ~tramps:final_tramps in
-  let final_size = Amulet_link.Assembler.size os_code in
+  let os_code = Assembler.layout (os_code_items ~os_cfg ~tramps:final_tramps) in
+  let final_size = Assembler.size os_code in
   if final_size <> os_code_size then
     errf "internal: stub sizing drifted (%d vs %d)" final_size os_code_size;
+  let section name base layout = { Amulet_link.Linker.name; base; layout } in
   let sections =
-    [
-      { Amulet_link.Linker.name = "os_code"; base = layout.Layout.os_code_base;
-        items = os_code };
-      { Amulet_link.Linker.name = "os_data"; base = layout.Layout.os_data_base;
-        items = Stubs.os_globals };
-    ]
-    @ List.concat
-        (List.map2
-           (fun (spec, cu) lay ->
-             [
-               { Amulet_link.Linker.name = Iso.code_section ~prefix:spec.name;
-                 base = lay.Layout.code_base;
-                 items = app_code_items cu spec };
-               { Amulet_link.Linker.name = Iso.data_section ~prefix:spec.name;
-                 base = lay.Layout.data_base;
-                 items =
-                   A.Space lay.Layout.stack_bytes
-                   :: A.label (Iso.stack_top_sym ~prefix:spec.name)
-                   :: cu.Driver.data };
-             ])
-           compiled layout.Layout.apps)
+    section "os_code" layout.Layout.os_code_base os_code
+    :: section "os_data" layout.Layout.os_data_base os_data
+    :: List.concat
+         (List.map2
+            (fun ((spec, cu), code) (al : Layout.app_layout) ->
+              [
+                section (Iso.code_section ~prefix:spec.name) al.Layout.code_base
+                  code;
+                section (Iso.data_section ~prefix:spec.name) al.Layout.data_base
+                  (Assembler.layout
+                     (A.Space al.Layout.stack_bytes
+                     :: A.label (Iso.stack_top_sym ~prefix:spec.name)
+                     :: cu.Driver.data));
+              ])
+            (List.combine compiled app_code)
+            layout.Layout.apps)
   in
   let image =
     try Amulet_link.Linker.link ~entry:"__os_start" sections

@@ -31,6 +31,14 @@ type firmware = {
 
 exception Build_error of string
 
+exception Source_error of {
+  app : string;
+  loc : Amulet_cc.Srcloc.t;
+  msg : string;
+}
+(** A source-level error ({!Amulet_cc.Srcloc.Error}) in the app named
+    [app]. *)
+
 val stack_margin : int
 (** Extra stack bytes reserved per app on top of the compiler's
     source-level worst-case estimate (gate register saves, trampoline
@@ -53,7 +61,7 @@ val build :
     elide the dynamic gate-pointer validation for the certified
     services; pass [false] to measure the uncertified gate cost.
     @raise Build_error on name clashes or layout overflow;
-    @raise Amulet_cc.Srcloc.Error on source-level errors. *)
+    @raise Source_error on source-level errors. *)
 
 val find_app : firmware -> string -> app_build
 (** @raise Not_found *)

@@ -6,13 +6,15 @@
    the outcomes into one diagnostic report (rendered human-readable or
    as JSON by [amulet lint]).
 
-   [certified_gates] distills the report into the list of services
-   whose dynamic gate-pointer validation the kernel may elide for an
-   app: that elision is sound only when the code the analyses looked
-   at is the code that runs, so it additionally requires the CFI proof
-   and a mode that keeps app code immutable (everything except
-   No_isolation, where an unchecked wild store could rewrite the
-   certified instructions). *)
+   [r_certified] lists the services whose dynamic gate-pointer
+   validation the kernel may elide for an app: that elision is sound
+   only when the code the analyses looked at is the code that runs, so
+   it additionally requires the CFI proof and a mode that keeps app
+   code immutable (everything except No_isolation, where an unchecked
+   wild store could rewrite the certified instructions).
+   [certified_gates] computes that one field for the AFT from only the
+   analyses it rests on: CFI, then the stack bound, then gate
+   provenance. *)
 
 module I = Amulet_link.Image
 module Iso = Amulet_cc.Isolation
@@ -65,6 +67,15 @@ let apps_of (image : I.t) =
 
 let severity_name = function Note -> "note" | Warn -> "warning" | Error -> "error"
 
+(* The chain gate certification rests on: the stack bound over the
+   certified CFG, then gate-argument provenance under that bound. *)
+let stack_and_gates ~image cfg =
+  let st = Stackcert.analyze ~cfg ~image in
+  (st.Stackcert.sc_verdict, Gate_taint.analyze ~cfg ~stack:st ~image)
+
+(* Eliding gate validation is sound only where app code is immutable. *)
+let elision_sound mode = mode <> Iso.No_isolation
+
 let lint_app ~image ~mode prefix =
   let sfi = Verifier.verify_app ~image ~mode ~prefix in
   let cfi = Cfi.reconstruct ~image ~mode ~prefix in
@@ -72,8 +83,8 @@ let lint_app ~image ~mode prefix =
     match cfi with
     | Error _ -> (None, None)
     | Ok cfg ->
-      let st = Stackcert.analyze ~cfg ~image in
-      (Some st.Stackcert.sc_verdict, Some (Gate_taint.analyze ~cfg ~stack:st ~image))
+      let v, gt = stack_and_gates ~image cfg in
+      (Some v, Some gt)
   in
   let wcet =
     match cfi with
@@ -81,8 +92,8 @@ let lint_app ~image ~mode prefix =
     | Ok cfg -> Some (Wcet.analyze ~image ~cfg)
   in
   let certified =
-    match (gates, cfi) with
-    | Some gt, Ok _ when mode <> Iso.No_isolation -> gt.Gate_taint.gt_certified
+    match gates with
+    | Some gt when elision_sound mode -> gt.Gate_taint.gt_certified
     | _ -> []
   in
   let diags = ref [] in
@@ -213,10 +224,14 @@ let run ~(image : I.t) ~mode ~apps =
 
 (* Services whose gate-pointer validation the kernel may skip for
    [prefix] — empty whenever any piece of the static evidence is
-   missing. *)
+   missing.  Equal to [lint_app]'s [r_certified], without the SFI
+   verdict, the WCET bound or any diagnostic. *)
 let certified_gates ~image ~mode ~prefix =
-  match lint_app ~image ~mode prefix with
-  | { r_certified; _ }, _ -> r_certified
+  if not (elision_sound mode) then []
+  else
+    match Cfi.reconstruct ~image ~mode ~prefix with
+    | Error _ -> []
+    | Ok cfg -> (snd (stack_and_gates ~image cfg)).Gate_taint.gt_certified
 
 let pp_diag ppf d =
   Format.fprintf ppf "%s%s: [%s/%s] %s"

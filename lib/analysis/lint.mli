@@ -55,6 +55,9 @@ val certified_gates :
   mode:Amulet_cc.Isolation.mode ->
   prefix:string ->
   string list
+(** [r_certified] of the app's report, from CFI, {!Stackcert} and
+    {!Gate_taint} alone: nothing under [No_isolation], nothing when
+    CFI fails. *)
 
 val severity_name : severity -> string
 val pp_diag : Format.formatter -> diag -> unit

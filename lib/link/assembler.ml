@@ -37,26 +37,17 @@ let insn_size = function
   | Asm.Ijmp _ -> 2
   | Asm.Ireti -> 2
 
-let item_size offset = function
+(* Size of every item but [Align2], whose padding depends on its
+   offset. *)
+let fixed_size = function
   | Asm.Ins i -> insn_size i
-  | Asm.Label _ | Asm.Comment _ -> 0
+  | Asm.Label _ | Asm.Comment _ | Asm.Align2 -> 0
   | Asm.Dword _ -> 2
   | Asm.Dbytes s -> String.length s
   | Asm.Space n -> n
-  | Asm.Align2 -> offset land 1
-
-let fold_offsets f init items =
-  let _, acc =
-    List.fold_left
-      (fun (offset, acc) item ->
-        let acc = f offset acc item in
-        (offset + item_size offset item, acc))
-      (0, init) items
-  in
-  acc
 
 (* ------------------------------------------------------------------ *)
-(* Jump relaxation.
+(* Layout and jump relaxation.
 
    Format-III jumps reach only +/-512 words.  Compiler-generated
    branches target labels in the same section; when one is out of
@@ -68,89 +59,114 @@ let fold_offsets f init items =
    (the generic pattern needs no condition inversion, so it also
    covers JN, which has no complement).  Sizing iterates to a fixpoint
    since lengthening one jump can push another out of range.  The
-   rewrite is deterministic, so [size], [local_labels] and [emit] stay
-   consistent by each relaxing first. *)
+   layout is computed once per section; size, labels and emission all
+   read it. *)
 
 let long_jmp_bytes = 4 (* MOV #addr, PC *)
 let long_jcc_bytes = 8 (* Jcc m; JMP s; m: BR #l *)
 
-let relax items =
-  let arr = Array.of_list items in
-  let n = Array.length arr in
-  let is_long = Array.make n false in
-  let size_of i offset =
-    match arr.(i) with
-    | Asm.Ins (Asm.Ijmp (cond, _)) when is_long.(i) ->
-      if cond = Amulet_mcu.Opcode.JMP then long_jmp_bytes else long_jcc_bytes
-    | item -> item_size offset item
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    (* offsets and label table under the current long set *)
-    let offsets = Array.make (n + 1) 0 in
-    let labels = Hashtbl.create 64 in
-    for i = 0 to n - 1 do
-      (match arr.(i) with
-      | Asm.Label l -> Hashtbl.replace labels l offsets.(i)
-      | _ -> ());
-      offsets.(i + 1) <- offsets.(i) + size_of i offsets.(i)
-    done;
-    for i = 0 to n - 1 do
-      match arr.(i) with
-      | Asm.Ins (Asm.Ijmp (_, l)) when not is_long.(i) -> (
-        match Hashtbl.find_opt labels l with
-        | None ->
-          (* target in another section: must use the long form *)
-          is_long.(i) <- true;
-          changed := true
-        | Some target ->
-          let delta = target - (offsets.(i) + 2) in
-          if delta < -1024 || delta > 1022 then begin
-            is_long.(i) <- true;
-            changed := true
-          end)
-      | _ -> ()
-    done
-  done;
-  if Array.exists (fun b -> b) is_long then
-    List.concat
-      (List.mapi
-         (fun i item ->
-           match item with
-           | Asm.Ins (Asm.Ijmp (cond, l)) when is_long.(i) ->
-             if cond = Amulet_mcu.Opcode.JMP then [ Asm.br (Asm.Sym l) ]
-             else
-               let mid = Printf.sprintf "%s$$rx%dm" l i in
-               let skip = Printf.sprintf "%s$$rx%ds" l i in
-               [
-                 Asm.Ins (Asm.Ijmp (cond, mid));
-                 Asm.Ins (Asm.Ijmp (Amulet_mcu.Opcode.JMP, skip));
-                 Asm.Label mid;
-                 Asm.br (Asm.Sym l);
-                 Asm.Label skip;
-               ]
-           | item -> [ item ])
-         items)
-  else items
+type layout = {
+  items : Asm.item array;  (* relaxed *)
+  offsets : int array;  (* one per item, then the section size *)
+  labels : (string * int) list;  (* definition order *)
+}
 
-let size items =
-  let items = relax items in
-  List.fold_left (fun offset item -> offset + item_size offset item) 0 items
+(* Offsets of [items] given each item's fixed size. *)
+let place items sizes =
+  let offsets = Array.make (Array.length items + 1) 0 in
+  Array.iteri
+    (fun i item ->
+      let o = offsets.(i) in
+      offsets.(i + 1) <-
+        (o + match item with Asm.Align2 -> o land 1 | _ -> sizes.(i)))
+    items;
+  offsets
 
-let local_labels items =
-  let items = relax items in
-  let labels =
-    fold_offsets
-      (fun offset acc item ->
+(* Jumps that must take the long form: a target outside the section or
+   beyond the short range under the current sizes, to a fixpoint.
+   [sizes] is updated to the long forms' sizes. *)
+let relax items sizes =
+  let targets = Hashtbl.create 64 in
+  Array.iteri
+    (fun i -> function Asm.Label l -> Hashtbl.replace targets l i | _ -> ())
+    items;
+  let is_long = Array.make (Array.length items) false in
+  let rec pass () =
+    let offsets = place items sizes in
+    let changed = ref false in
+    Array.iteri
+      (fun i item ->
         match item with
-        | Asm.Label l ->
-          if List.mem_assoc l acc then errf "duplicate label %s" l
-          else (l, offset) :: acc
-        | _ -> acc)
-      [] items
+        | Asm.Ins (Asm.Ijmp (cond, l)) when not is_long.(i) ->
+          let out_of_range =
+            match Hashtbl.find_opt targets l with
+            | None -> true
+            | Some t ->
+              let delta = offsets.(t) - (offsets.(i) + 2) in
+              delta < -1024 || delta > 1022
+          in
+          if out_of_range then begin
+            is_long.(i) <- true;
+            sizes.(i) <-
+              (if cond = O.JMP then long_jmp_bytes else long_jcc_bytes);
+            changed := true
+          end
+        | _ -> ())
+      items;
+    if !changed then pass ()
   in
-  List.rev labels
+  pass ();
+  is_long
+
+(* The long forms written out, with their items' sizes. *)
+let expand items sizes is_long =
+  let out = ref [] in
+  let add size item = out := (item, size) :: !out in
+  Array.iteri
+    (fun i item ->
+      match item with
+      | Asm.Ins (Asm.Ijmp (cond, l)) when is_long.(i) ->
+        if cond = O.JMP then add long_jmp_bytes (Asm.br (Asm.Sym l))
+        else begin
+          let mid = Printf.sprintf "%s$$rx%dm" l i in
+          let skip = Printf.sprintf "%s$$rx%ds" l i in
+          add 2 (Asm.Ins (Asm.Ijmp (cond, mid)));
+          add 2 (Asm.Ins (Asm.Ijmp (O.JMP, skip)));
+          add 0 (Asm.Label mid);
+          add long_jmp_bytes (Asm.br (Asm.Sym l));
+          add 0 (Asm.Label skip)
+        end
+      | item -> add sizes.(i) item)
+    items;
+  let placed = Array.of_list (List.rev !out) in
+  (Array.map fst placed, Array.map snd placed)
+
+let layout items =
+  let items = Array.of_list items in
+  let sizes = Array.map fixed_size items in
+  let is_long = relax items sizes in
+  let items, sizes =
+    if Array.exists Fun.id is_long then expand items sizes is_long
+    else (items, sizes)
+  in
+  let offsets = place items sizes in
+  let seen = Hashtbl.create 64 in
+  let labels = ref [] in
+  Array.iteri
+    (fun i -> function
+      | Asm.Label l ->
+        if Hashtbl.mem seen l then errf "duplicate label %s" l;
+        Hashtbl.add seen l ();
+        labels := (l, offsets.(i)) :: !labels
+      | _ -> ())
+    items;
+  { items; offsets; labels = List.rev !labels }
+
+let size t = t.offsets.(Array.length t.items)
+let labels t = t.labels
+
+(* ------------------------------------------------------------------ *)
+(* Emission *)
 
 let eval resolve = function
   | Asm.Num n -> n
@@ -170,9 +186,8 @@ let lower_dst resolve = function
   | Asm.Didx (r, e) -> O.D_indexed (r, eval resolve e)
   | Asm.Dabs e -> O.D_absolute (eval resolve e land 0xFFFF)
 
-let emit ~base ~resolve items =
-  let items = relax items in
-  let buf = Bytes.make (size items) '\000' in
+let emit ~base ~resolve t =
+  let buf = Bytes.make (size t) '\000' in
   let put_word offset w =
     Bytes.set buf offset (Char.chr (w land 0xFF));
     Bytes.set buf (offset + 1) (Char.chr ((w lsr 8) land 0xFF))
@@ -196,11 +211,13 @@ let emit ~base ~resolve items =
       put_words offset (E.encode (O.Jump (c, words)))
     | Asm.Ireti -> put_words offset (E.encode O.Reti)
   in
-  let emit_item offset = function
-    | Asm.Ins i -> emit_insn offset i
-    | Asm.Label _ | Asm.Comment _ | Asm.Align2 | Asm.Space _ -> ()
-    | Asm.Dword e -> put_word offset (eval resolve e land 0xFFFF)
-    | Asm.Dbytes s -> Bytes.blit_string s 0 buf offset (String.length s)
-  in
-  fold_offsets (fun offset () item -> emit_item offset item) () items;
+  Array.iteri
+    (fun i item ->
+      let offset = t.offsets.(i) in
+      match item with
+      | Asm.Ins ins -> emit_insn offset ins
+      | Asm.Label _ | Asm.Comment _ | Asm.Align2 | Asm.Space _ -> ()
+      | Asm.Dword e -> put_word offset (eval resolve e land 0xFFFF)
+      | Asm.Dbytes s -> Bytes.blit_string s 0 buf offset (String.length s))
+    t.items;
   buf

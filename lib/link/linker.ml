@@ -2,11 +2,13 @@ exception Error of string
 
 let errf fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
-type placed_section = { name : string; base : int; items : Asm.item list }
+type placed_section = { name : string; base : int; layout : Assembler.layout }
+
+let section_end s = s.base + Assembler.size s.layout
 
 let check_no_overlap sections =
   let ranges =
-    List.map (fun s -> (s.name, s.base, s.base + Assembler.size s.items)) sections
+    List.map (fun s -> (s.name, s.base, section_end s)) sections
     |> List.sort (fun (_, a, _) (_, b, _) -> compare a b)
   in
   let rec check = function
@@ -27,10 +29,10 @@ let build_symbols ~extra_symbols sections =
   List.iter
     (fun s ->
       define (s.name ^ "__start") s.base;
-      define (s.name ^ "__end") (s.base + Assembler.size s.items);
+      define (s.name ^ "__end") (section_end s);
       List.iter
         (fun (l, off) -> define l (s.base + off))
-        (Assembler.local_labels s.items))
+        (Assembler.labels s.layout))
     sections;
   table
 
@@ -46,7 +48,7 @@ let link ?(extra_symbols = []) ~entry sections =
     List.filter_map
       (fun s ->
         try
-          let data = Assembler.emit ~base:s.base ~resolve s.items in
+          let data = Assembler.emit ~base:s.base ~resolve s.layout in
           if Bytes.length data = 0 then None else Some (s.base, data)
         with Assembler.Error e -> errf "section %s: %s" s.name e)
       sections

@@ -1,5 +1,5 @@
-(** Linker: places sections, builds the global symbol table, resolves
-    and emits the firmware image.
+(** Linker: places laid-out sections, builds the global symbol table,
+    resolves and emits the firmware image.
 
     Every section automatically defines [<name>__start] and
     [<name>__end] symbols — the AFT uses these as the app boundary
@@ -7,7 +7,7 @@
 
 exception Error of string
 
-type placed_section = { name : string; base : int; items : Asm.item list }
+type placed_section = { name : string; base : int; layout : Assembler.layout }
 
 val link :
   ?extra_symbols:(string * int) list ->

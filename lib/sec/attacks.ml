@@ -451,7 +451,7 @@ let build_source ~attack ~mode gen =
     Aft.build ~mode (specs_for ~position:attack.atk_position ~attacker_spec:spec mode)
   in
   match build placeholder_targets with
-  | exception Amulet_cc.Srcloc.Error (_, msg) -> Rejected msg
+  | exception Aft.Source_error { msg; _ } -> Rejected msg
   | exception Aft.Build_error msg -> Rejected msg
   | fw_a ->
     let targets = resolve_targets fw_a ~attacker in

@@ -240,9 +240,8 @@ let run_cell ~attack ~mode ~seed =
       ~canary:true ~os:true ~alive:true ~note:msg ()
   | Attacks.Built { fw; attacker; victim; targets } ->
     let image = fw.Aft.fw_image in
-    let lint =
-      Some (lint_rejects (Lint.run ~image ~mode ~apps:[ attacker ]))
-    in
+    let report = Lint.run ~image ~mode ~apps:[ attacker ] in
+    let lint = Some (lint_rejects report) in
     let k = Kernel.create ~policy:Kernel.Disable ~seed fw in
     let ai = app_index fw attacker and vi = app_index fw victim in
     let oracle = install_oracle k ~attacker_idx:ai ~image in
@@ -277,7 +276,9 @@ let run_cell ~attack ~mode ~seed =
        where the oracle saw a breach is excluded — a run that escaped
        the certified control-flow graph voids the premise the static
        bound is conditional on (same layering as the paper: timing
-       guarantees ride on the isolation guarantees). *)
+       guarantees ride on the isolation guarantees).  The attacker's
+       bounds come from its lint report; only the victim is analysed
+       here. *)
     let wcet =
       if breach then (0, 0)
       else begin
@@ -285,10 +286,13 @@ let run_cell ~attack ~mode ~seed =
           List.map
             (fun (b : Aft.app_build) ->
               let prefix = b.Aft.ab_name in
-              match Amulet_analysis.Cfi.reconstruct ~image ~mode ~prefix with
-              | Ok cfg ->
-                (prefix, Some (Amulet_analysis.Wcet.analyze ~image ~cfg))
-              | Error _ | (exception Invalid_argument _) -> (prefix, None))
+              if prefix = attacker then
+                (prefix, (List.hd report.Lint.l_apps).Lint.r_wcet)
+              else
+                match Amulet_analysis.Cfi.reconstruct ~image ~mode ~prefix with
+                | Ok cfg ->
+                  (prefix, Some (Amulet_analysis.Wcet.analyze ~image ~cfg))
+                | Error _ | (exception Invalid_argument _) -> (prefix, None))
             fw.Aft.fw_apps
         in
         List.fold_left

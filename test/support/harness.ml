@@ -80,14 +80,11 @@ let build ?(mode = Cc.Isolation.No_isolation) ?(shadow = false) src =
       :: cu.Cc.Driver.data)
     else cu.Cc.Driver.data
   in
-  let code_items = cu.Cc.Driver.code @ exit_stub in
+  let code = Amulet_link.Assembler.layout (cu.Cc.Driver.code @ exit_stub) in
+  let data = Amulet_link.Assembler.layout data_items in
   (* size-driven layout, 1 KiB-aligned like the AFT's *)
-  let data_base =
-    align_1k (code_base + Amulet_link.Assembler.size code_items)
-  in
-  let data_limit =
-    align_1k (data_base + Amulet_link.Assembler.size data_items)
-  in
+  let data_base = align_1k (code_base + Amulet_link.Assembler.size code) in
+  let data_limit = align_1k (data_base + Amulet_link.Assembler.size data) in
   if data_limit >= Amulet_mcu.Memory_map.fram_limit then
     failwith
       (Printf.sprintf "harness: program does not fit in FRAM (needs 0x%04X)"
@@ -95,11 +92,13 @@ let build ?(mode = Cc.Isolation.No_isolation) ?(shadow = false) src =
   let sections =
     [
       { Amulet_link.Linker.name = "os_code"; base = 0x4400;
-        items = Cc.Runtime.items @ startup data_base data_limit };
+        layout =
+          Amulet_link.Assembler.layout
+            (Cc.Runtime.items @ startup data_base data_limit) };
       { Amulet_link.Linker.name = "prog_code"; base = code_base;
-        items = code_items };
+        layout = code };
       { Amulet_link.Linker.name = "prog_data"; base = data_base;
-        items = data_items };
+        layout = data };
     ]
   in
   (cu, Amulet_link.Linker.link ~entry:"_start" sections)

@@ -56,6 +56,11 @@ let wild =
 
 let bad_syntax = fixture "bad.c" "void handle_init(int arg) { int x = ; }\n"
 
+let dup_fn =
+  fixture "dupfn.c"
+    "int f(int x) { return x; }\nint f(int y) { return y; }\n\
+     void handle_init(int a) { f(a); }\n"
+
 let trace =
   let path = Filename.concat dir "trace.json" in
   ignore (run [ "sim"; "-t"; "1"; "--profile"; "--trace"; path; "pedometer" ]);
@@ -91,6 +96,9 @@ let table =
       [ "cc"; blink_dash; example "blink_counter.c" ];
     row "cc" "syntax error" 2 ~expect:[ "error at line 1" ]
       [ "cc"; bad_syntax ];
+    row "cc" "error names its source" 2
+      ~expect:[ "dupfn.c: error at line 2, col 1: redefinition of 'f'" ]
+      [ "cc"; "-m"; "mpu"; example "step_goal.c"; dup_fn ];
     row "cc" "missing source" 2 ~expect:[ "missing.c" ] [ "cc"; "missing.c" ];
     row "cc" "unknown mode" 124 [ "cc"; "-m"; "bogus"; "pedometer" ];
     row "sim" "suite app" 0 ~expect:[ "mode mpu" ]

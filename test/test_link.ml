@@ -12,22 +12,33 @@ module Iso = Amulet_cc.Isolation
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+let section name base items =
+  { Linker.name; base; layout = Assembler.layout items }
+
+(* Each assembler and linker error keeps its exception and message. *)
+let expect_error what exn f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no error" what
+  | exception e ->
+    Alcotest.(check string) what (Printexc.to_string exn) (Printexc.to_string e)
+
 (* ------------------------------------------------------------------ *)
 (* Assembler *)
 
+let size items = Assembler.size (Assembler.layout items)
+
 let test_sizes () =
-  check_int "reg-reg insn" 2 (Assembler.size [ A.mov (A.Sreg 5) (A.Dreg 6) ]);
-  check_int "cg immediate" 2 (Assembler.size [ A.mov (A.imm 1) (A.Dreg 6) ]);
-  check_int "big immediate" 4 (Assembler.size [ A.mov (A.imm 300) (A.Dreg 6) ]);
+  check_int "reg-reg insn" 2 (size [ A.mov (A.Sreg 5) (A.Dreg 6) ]);
+  check_int "cg immediate" 2 (size [ A.mov (A.imm 1) (A.Dreg 6) ]);
+  check_int "big immediate" 4 (size [ A.mov (A.imm 300) (A.Dreg 6) ]);
   (* symbolic immediates always take an extension word *)
-  check_int "symbolic immediate" 4
-    (Assembler.size [ A.mov (A.sym "x") (A.Dreg 6) ]);
+  check_int "symbolic immediate" 4 (size [ A.mov (A.sym "x") (A.Dreg 6) ]);
   check_int "abs-abs" 6
-    (Assembler.size [ A.mov (A.Sabs (A.Num 0x1C00)) (A.Dabs (A.Num 0x1C02)) ]);
-  check_int "jump" 2 (Assembler.size [ A.jmp "l"; A.label "l" ] - 0);
-  check_int "dword" 2 (Assembler.size [ A.Dword (A.Num 5) ]);
+    (size [ A.mov (A.Sabs (A.Num 0x1C00)) (A.Dabs (A.Num 0x1C02)) ]);
+  check_int "jump" 2 (size [ A.jmp "l"; A.label "l" ]);
+  check_int "dword" 2 (size [ A.Dword (A.Num 5) ]);
   check_int "bytes + align" 4
-    (Assembler.size [ A.Dbytes "abc"; A.Align2; A.Dword (A.Num 1) ] - 2)
+    (size [ A.Dbytes "abc"; A.Align2; A.Dword (A.Num 1) ] - 2)
 
 let test_labels () =
   let items =
@@ -36,12 +47,13 @@ let test_labels () =
   Alcotest.(check (list (pair string int)))
     "offsets"
     [ ("a", 0); ("b", 2) ]
-    (Assembler.local_labels items)
+    (Assembler.labels (Assembler.layout items))
 
 let test_duplicate_label () =
-  match Assembler.local_labels [ A.label "x"; A.label "x" ] with
-  | exception Assembler.Error _ -> ()
-  | _ -> Alcotest.fail "expected duplicate-label error"
+  expect_error "duplicate label" (Assembler.Error "duplicate label x")
+    (fun () ->
+      Linker.link ~entry:"e"
+        [ section "s" 0x4400 [ A.label "e"; A.label "x"; A.nop; A.label "x" ] ])
 
 (* A jump beyond the +/-512-word format-III range must be relaxed to a
    long branch — and still execute correctly. *)
@@ -53,7 +65,7 @@ let test_jump_relaxation () =
     @ [ A.label "far"; A.mov (A.imm 0xCAFE) (A.Dreg 10); halt ]
   in
   let image =
-    Linker.link ~entry:"entry" [ { Linker.name = "s"; base = 0x4400; items } ]
+    Linker.link ~entry:"entry" [ section "s" 0x4400 items ]
   in
   let m = Amulet_mcu.Machine.create () in
   Image.load image m;
@@ -71,48 +83,234 @@ let test_symbolic_cg_size_agreement () =
   let items = [ A.mov (A.sym "tiny") (A.Dreg 6); A.label "end" ] in
   let image =
     Linker.link ~extra_symbols:[ ("tiny", 8) ] ~entry:"end"
-      [ { Linker.name = "s"; base = 0x4400; items } ]
+      [ section "s" 0x4400 items ]
   in
   (* "tiny" = 8 is CG-encodable, but the symbolic operand must still
      occupy an extension word so label offsets stay correct *)
   check_int "end offset" (0x4400 + 4) (Image.symbol image "end")
 
 (* ------------------------------------------------------------------ *)
+(* One layout per section: emission, the symbol table and relaxation
+   agree with it *)
+
+let base = 0x4400
+
+(* The instruction at [here] reaches [target]: either a short jump, or
+   one of the two long forms relaxation writes. *)
+type reach = Short | Long | Miss
+
+let jump_reach (image : Image.t) ~here ~cond ~target =
+  let fetch a =
+    match
+      List.find_opt
+        (fun (b, data) -> a >= b && a + 1 < b + Bytes.length data)
+        image.Image.chunks
+    with
+    | Some (b, data) -> Bytes.get_uint16_le data (a - b)
+    | None -> 0xFFFF
+  in
+  let decode addr = fst (Amulet_mcu.Decode.decode ~fetch ~addr) in
+  let is_br addr =
+    match decode addr with
+    | O.Fmt1 (O.MOV, Amulet_mcu.Word.W16, O.S_immediate a, O.D_reg 0) ->
+      a = target
+    | _ -> false
+  in
+  match decode here with
+  | O.Jump (c, off) when c = cond && here + 2 + (2 * off) = target -> Short
+  | O.Jump (c, 1) when c = cond && cond <> O.JMP ->
+    (* Jcc m; JMP s; m: BR #target; s: *)
+    if decode (here + 2) = O.Jump (O.JMP, 2) && is_br (here + 4) then Long
+    else Miss
+  | _ -> if cond = O.JMP && is_br here then Long else Miss
+
+(* Symbolic immediates whose values the constant generator could
+   encode: the layout must still give each an extension word. *)
+let cg_symbols =
+  [ ("cg0", 0); ("cg1", 1); ("cg2", 2); ("cg4", 4); ("cg8", 8);
+    ("cgm1", 0xFFFF); ("ext", 0xF000) ]
+
+type piece =
+  | P_label of int
+  | P_insn of A.item
+  | P_space of int
+  | P_bytes of int  (* odd length, then Align2 *)
+  | P_jump of O.cond * string
+
+let gen_section =
+  let open QCheck2.Gen in
+  let* nlabels = int_range 1 5 in
+  let label i = "L" ^ string_of_int i in
+  let insn =
+    oneof
+      [
+        map
+          (fun (s, r) -> A.mov (A.sym s) (A.Dreg r))
+          (pair (oneofl (List.map fst cg_symbols)) (int_range 4 15));
+        map (fun n -> A.add (A.imm n) (A.Dreg 5)) (int_range 0 0xFFFF);
+        pure A.nop;
+      ]
+  in
+  let target =
+    frequency [ (9, map label (int_range 0 (nlabels - 1))); (1, pure "ext") ]
+  in
+  let cond =
+    oneofl O.[ JNE; JEQ; JNC; JC; JN; JGE; JL; JMP; JMP ]
+  in
+  let piece =
+    frequency
+      [
+        (3, map (fun i -> P_insn i) insn);
+        (2, map (fun n -> P_space (2 * n)) (int_range 0 6));
+        (* big gaps put the jumps around the +/-512-word limit *)
+        (2, map (fun n -> P_space (2 * n)) (int_range 500 515));
+        (1, map (fun n -> P_bytes ((2 * n) + 1)) (int_range 0 3));
+        (4, map2 (fun c l -> P_jump (c, l)) cond target);
+      ]
+  in
+  let* body = list_size (int_range 1 14) piece in
+  let* spots =
+    list_repeat nlabels (int_range 0 (List.length body))
+  in
+  (* every label defined exactly once, at a random spot of the body *)
+  let labels_at k =
+    List.concat
+      (List.mapi (fun i s -> if s = k then [ P_label i ] else []) spots)
+  in
+  pure
+    (List.concat
+       (List.mapi (fun k p -> labels_at k @ [ p ]) body
+       @ [ labels_at (List.length body) ]))
+
+(* Items of a generated section: a leading [entry], and each jump
+   behind its own [J<i>] label so its address can be looked up. *)
+let items_of pieces =
+  A.label "entry" :: A.nop
+  :: List.concat
+       (List.mapi
+          (fun i -> function
+            | P_label l -> [ A.label ("L" ^ string_of_int l) ]
+            | P_insn ins -> [ ins ]
+            | P_space n -> [ A.Space n ]
+            | P_bytes n -> [ A.Dbytes (String.make n 'x'); A.Align2 ]
+            | P_jump (c, l) ->
+              [ A.label ("J" ^ string_of_int i); A.jcc c l ])
+          pieces)
+
+let jumps_of pieces =
+  List.concat
+    (List.mapi
+       (fun i -> function
+         | P_jump (c, l) -> [ ("J" ^ string_of_int i, c, l) ]
+         | _ -> [])
+       pieces)
+
+let print_pieces pieces =
+  String.concat "\n"
+    (List.map (Format.asprintf "%a" A.pp_item) (items_of pieces))
+
+let prop_layout_agrees =
+  QCheck2.Test.make ~count:300 ~name:"layout = emission = symbols = reach"
+    ~print:print_pieces gen_section (fun pieces ->
+      let layout = Assembler.layout (items_of pieces) in
+      let image =
+        Linker.link ~extra_symbols:cg_symbols ~entry:"entry"
+          [ { Linker.name = "s"; base; layout } ]
+      in
+      let emitted =
+        match image.Image.chunks with
+        | [ (b, data) ] when b = base -> Bytes.length data
+        | _ -> -1
+      in
+      emitted = Assembler.size layout
+      && List.for_all
+           (fun (l, off) -> Image.symbol image l - base = off)
+           (Assembler.labels layout)
+      && List.for_all
+           (fun (j, cond, l) ->
+             jump_reach image ~here:(Image.symbol image j) ~cond
+               ~target:(Image.symbol image l)
+             <> Miss)
+           (jumps_of pieces))
+
+(* A jump exactly at the format-III limit stays short; one word
+   further it is relaxed.  Forward: the target is [gap + 2] bytes past
+   the jump; backward: the jump sits [gap] bytes past the target. *)
+let test_relaxation_boundary () =
+  let reach ~forward ~gap cond =
+    let items =
+      if forward then
+        [ A.label "entry"; A.label "j"; A.jcc cond "t"; A.Space gap;
+          A.label "t"; A.nop ]
+      else
+        [ A.label "entry"; A.label "t"; A.Space gap; A.label "j";
+          A.jcc cond "t" ]
+    in
+    let image =
+      Linker.link ~entry:"entry"
+        [ { Linker.name = "s"; base; layout = Assembler.layout items } ]
+    in
+    jump_reach image ~here:(Image.symbol image "j") ~cond
+      ~target:(Image.symbol image "t")
+  in
+  let name = function Short -> "short" | Long -> "long" | Miss -> "miss" in
+  let check what expected got =
+    Alcotest.(check string) what (name expected) (name got)
+  in
+  List.iter
+    (fun cond ->
+      let c = O.cond_name cond in
+      check (c ^ " +511 words") Short (reach ~forward:true ~gap:1022 cond);
+      check (c ^ " +512 words") Long (reach ~forward:true ~gap:1024 cond);
+      check (c ^ " -512 words") Short (reach ~forward:false ~gap:1022 cond);
+      check (c ^ " -513 words") Long (reach ~forward:false ~gap:1024 cond))
+    [ O.JMP; O.JEQ; O.JN ]
+
+(* ------------------------------------------------------------------ *)
 (* Linker *)
 
 let test_undefined_symbol () =
-  let items = [ A.label "e"; A.call "missing" ] in
-  match
-    Linker.link ~entry:"e" [ { Linker.name = "s"; base = 0x4400; items } ]
-  with
-  | exception Linker.Error msg ->
-    let contains s sub =
-      let n = String.length sub in
-      let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-      go 0
-    in
-    check_bool "mentions symbol" true (contains msg "missing")
-  | _ -> Alcotest.fail "expected undefined-symbol error"
+  expect_error "undefined symbol" (Linker.Error "undefined symbol missing")
+    (fun () ->
+      Linker.link ~entry:"e"
+        [ section "s" 0x4400 [ A.label "e"; A.call "missing" ] ]);
+  expect_error "undefined entry" (Linker.Error "undefined symbol nowhere")
+    (fun () -> Linker.link ~entry:"nowhere" [ section "s" 0x4400 [ A.nop ] ])
 
 let test_duplicate_symbol_across_sections () =
-  let s1 = { Linker.name = "a"; base = 0x4400; items = [ A.label "x" ] } in
-  let s2 = { Linker.name = "b"; base = 0x5000; items = [ A.label "x" ] } in
-  match Linker.link ~entry:"x" [ s1; s2 ] with
-  | exception Linker.Error _ -> ()
-  | _ -> Alcotest.fail "expected duplicate-symbol error"
+  let s1 = section "a" 0x4400 [ A.label "x" ] in
+  let s2 = section "b" 0x5000 [ A.label "x" ] in
+  expect_error "across sections" (Linker.Error "duplicate symbol x") (fun () ->
+      Linker.link ~entry:"x" [ s1; s2 ]);
+  expect_error "extra symbol" (Linker.Error "duplicate symbol x") (fun () ->
+      Linker.link ~extra_symbols:[ ("x", 1) ] ~entry:"x" [ s1 ])
 
 let test_overlap_detection () =
   let body = List.init 20 (fun _ -> A.nop) in
-  let s1 = { Linker.name = "a"; base = 0x4400; items = A.label "e" :: body } in
-  let s2 = { Linker.name = "b"; base = 0x4410; items = body } in
-  match Linker.link ~entry:"e" [ s1; s2 ] with
-  | exception Linker.Error _ -> ()
-  | _ -> Alcotest.fail "expected overlap error"
+  let s1 = section "a" 0x4400 (A.label "e" :: body) in
+  let s2 = section "b" 0x4410 body in
+  expect_error "overlap" (Linker.Error "sections a and b overlap") (fun () ->
+      Linker.link ~entry:"e" [ s1; s2 ])
+
+(* Emission errors; the linker prefixes the section.  A jump the
+   layout kept short is out of range only if its label resolves
+   elsewhere than the layout placed it. *)
+let test_emission_errors () =
+  expect_error "odd displacement"
+    (Linker.Error "section s: odd jump displacement to t") (fun () ->
+      Linker.link ~entry:"e"
+        [ section "s" 0x4400
+            [ A.label "e"; A.Dbytes "x"; A.jmp "t"; A.Align2; A.label "t" ] ]);
+  expect_error "out of range"
+    (Assembler.Error "jump to t out of range (599 words)") (fun () ->
+      Assembler.emit ~base:0x4400
+        ~resolve:(fun _ -> 0x4400 + 1200)
+        (Assembler.layout [ A.jmp "t"; A.label "t" ]))
 
 let test_start_end_symbols () =
   let items = [ A.label "e"; A.Dword (A.Num 1); A.Dword (A.Num 2) ] in
   let image =
-    Linker.link ~entry:"e" [ { Linker.name = "sec"; base = 0x4400; items } ]
+    Linker.link ~entry:"e" [ section "sec" 0x4400 items ]
   in
   check_int "start" 0x4400 (Image.symbol image "sec__start");
   check_int "end" 0x4404 (Image.symbol image "sec__end")
@@ -120,7 +318,7 @@ let test_start_end_symbols () =
 let test_image_load () =
   let items = [ A.label "e"; A.Dword (A.Num 0xBEEF) ] in
   let image =
-    Linker.link ~entry:"e" [ { Linker.name = "sec"; base = 0x4400; items } ]
+    Linker.link ~entry:"e" [ section "sec" 0x4400 items ]
   in
   let m = Amulet_mcu.Machine.create () in
   Image.load image m;
@@ -242,12 +440,15 @@ let () =
           quick "duplicate label" test_duplicate_label;
           quick "jump relaxation" test_jump_relaxation;
           quick "symbolic CG sizing" test_symbolic_cg_size_agreement;
+          quick "relaxation boundary" test_relaxation_boundary;
+          QCheck_alcotest.to_alcotest prop_layout_agrees;
         ] );
       ( "linker",
         [
           quick "undefined symbol" test_undefined_symbol;
           quick "duplicate symbol" test_duplicate_symbol_across_sections;
           quick "overlap" test_overlap_detection;
+          quick "emission errors" test_emission_errors;
           quick "start/end symbols" test_start_end_symbols;
           quick "image load" test_image_load;
         ] );

@@ -302,6 +302,53 @@ let test_lint_notes_stamped () =
   Alcotest.(check bool) "no note without certification" true
     (I.note fw'.Aft.fw_image "cert.gates.gateheavy" = None)
 
+(* [certified_gates] runs only the analyses [r_certified] rests on, so
+   it must agree with the full report on the same image: the AFT stamps
+   it into the cert.gates notes, and the kernel's gate-validation
+   charge reads those notes. *)
+let test_certified_gates_parity () =
+  let certifying = ref 0 in
+  let parity ~mode ~apps image =
+    let report = An.Lint.run ~image ~mode ~apps in
+    List.iter2
+      (fun prefix (r : An.Lint.app_report) ->
+        let lean = An.Lint.certified_gates ~image ~mode ~prefix in
+        if lean <> [] then incr certifying;
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s/%s" (Iso.name mode) prefix)
+          r.An.Lint.r_certified lean)
+      apps report.An.Lint.l_apps
+  in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun specs ->
+          let fw = Aft.build ~mode specs in
+          parity ~mode
+            ~apps:(List.map (fun (s : Aft.app_spec) -> s.Aft.name) specs)
+            fw.Aft.fw_image)
+        [
+          List.map (Suite.spec_for mode) Suite.all;
+          [ Suite.spec_for mode Suite.security_victim;
+            Suite.spec_for mode Suite.security_carrier ];
+        ])
+    modes;
+  Alcotest.(check bool) "some app certifies a gate" true (!certifying > 0);
+  (* an image CFI rejects certifies nothing, in both forms *)
+  let mode = Iso.Mpu_assisted in
+  let _cu, image =
+    H.build ~mode "int f(int n) { return n * 3; }\nint main() { return f(5); }"
+  in
+  let mov_r5_pc =
+    List.hd
+      (Amulet_mcu.Encode.encode
+         (Amulet_mcu.Opcode.Fmt1
+            (Amulet_mcu.Opcode.MOV, Amulet_mcu.Word.W16,
+             Amulet_mcu.Opcode.S_reg 5, Amulet_mcu.Opcode.D_reg 0)))
+  in
+  parity ~mode ~apps:[ "prog" ]
+    (patch_word image (I.symbol image "prog$f") mov_r5_pc)
+
 let suite =
   [
     ( "cfi",
@@ -339,6 +386,8 @@ let suite =
         Alcotest.test_case "zero apps is an error" `Quick test_lint_zero_apps;
         Alcotest.test_case "certification notes stamped" `Quick
           test_lint_notes_stamped;
+        Alcotest.test_case "certified_gates = report" `Quick
+          test_certified_gates_parity;
       ] );
   ]
 

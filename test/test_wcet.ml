@@ -128,7 +128,7 @@ let soundness_apps =
 
 let check_soundness mode name =
   match build_one mode name with
-  | exception Amulet_cc.Srcloc.Error (_, _) ->
+  | exception Aft.Source_error _ ->
     (* the app genuinely does not exist in this mode (feature check) *)
     0
   | fw ->
