@@ -166,8 +166,7 @@ let build ~mode ?(shadow = false) ?(elide = true) ?(certify = true) specs =
                  ~prefix:spec.name
              with
              | [] -> None
-             | svcs ->
-               Some ("cert.gates." ^ spec.name, String.concat "," svcs))
+             | svcs -> Some (Amulet_cc.Apis.certified_note ~app:spec.name svcs))
            specs
         @ image.Amulet_link.Image.notes)
   in

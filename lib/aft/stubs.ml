@@ -87,7 +87,7 @@ let write_mpu_from_slots ~tag =
   ]
 
 let osreturn ~mode ~os_cfg =
-  [ A.label "__osreturn" ]
+  [ A.label Amulet_cc.Apis.osreturn_label ]
   @ (if Iso.uses_mpu mode then write_mpu_imm ~tag:"osret" os_cfg else [])
   @ (if Iso.separate_stacks mode then
        [ A.mov (A.Sabs (A.Sym slot_os_sp)) (A.Dreg A.r_sp) ]
@@ -116,9 +116,11 @@ let gate ~mode ~os_cfg ~svc name =
 
 let gates ~mode ~os_cfg =
   List.concat
-    (List.mapi
-       (fun svc (name, _) -> gate ~mode ~os_cfg ~svc name)
-       Amulet_cc.Apis.signatures)
+    (Array.to_list
+       (Array.mapi
+          (fun svc (s : Amulet_cc.Apis.service) ->
+            gate ~mode ~os_cfg ~svc s.Amulet_cc.Apis.name)
+          Amulet_cc.Apis.services))
 
 let tramp_label name = "__tramp_" ^ name
 let exit_label name = "__exit_" ^ name
@@ -160,4 +162,4 @@ let trampoline ~mode ?(shadow = false) ~name ~cfg ~stack_top () =
     ]
 
 let exit_stub ~name =
-  [ A.label (exit_label name); A.br (A.Sym "__osreturn") ]
+  [ A.label (exit_label name); A.br (A.Sym Amulet_cc.Apis.osreturn_label) ]

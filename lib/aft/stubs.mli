@@ -49,7 +49,7 @@ val osreturn : mode:Amulet_cc.Isolation.mode -> os_cfg:mpu_cfg -> A.item list
 
 val gates : mode:Amulet_cc.Isolation.mode -> os_cfg:mpu_cfg -> A.item list
 (** One gate per OS API entry point (service number = position in
-    {!Amulet_cc.Apis.signatures}). *)
+    {!Amulet_cc.Apis.services}). *)
 
 val trampoline :
   mode:Amulet_cc.Isolation.mode ->

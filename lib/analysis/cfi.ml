@@ -60,7 +60,7 @@ type func = {
 type callee =
   | C_local of string
   | C_helper of string
-  | C_gate of string  (** service name, ["__gate_"] stripped *)
+  | C_gate of string  (** service name, gate label stripped *)
   | C_indirect
 
 type t = {
@@ -203,14 +203,7 @@ let reconstruct ~(image : I.t) ~mode ~prefix =
     in
     viols := { cv_addr = a; cv_text = text; cv_reason = reason } :: !viols
   in
-  let extern = Hashtbl.create 16 in
-  List.iter
-    (fun (name, a) ->
-      if
-        List.mem name Verifier.helper_names
-        || (String.length name >= 7 && String.sub name 0 7 = "__gate_")
-      then Hashtbl.replace extern a name)
-    image.I.symbols;
+  let extern = Amulet_cc.Apis.externals image.I.symbols in
   let span_list = spans image ~prefix ~code_lo ~code_hi in
   if span_list = [] then
     invalid_arg
@@ -555,10 +548,10 @@ let call_target t op =
     | Some n -> Some (C_local n)
     | None -> (
       match Hashtbl.find_opt t.cf_extern k with
-      | Some n ->
-        if String.length n >= 7 && String.sub n 0 7 = "__gate_" then
-          Some (C_gate (String.sub n 7 (String.length n - 7)))
-        else Some (C_helper n)
+      | Some n -> (
+        match Amulet_cc.Apis.service_of_gate_label n with
+        | Some svc -> Some (C_gate svc)
+        | None -> Some (C_helper n))
       | None -> None))
   | O.Fmt2 (O.CALL, _, O.S_reg _) -> Some C_indirect
   | _ -> None

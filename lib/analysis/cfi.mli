@@ -51,7 +51,8 @@ type func = {
 type callee =
   | C_local of string
   | C_helper of string
-  | C_gate of string  (** service name, ["__gate_"] stripped *)
+  | C_gate of string
+      (** service name ({!Amulet_cc.Apis.service_of_gate_label}) *)
   | C_indirect
 
 type t = {
@@ -76,6 +77,19 @@ val reconstruct :
   (t, violation list) result
 (** @raise Invalid_argument when the image lacks the section-bound
     symbols or any function symbol for [prefix]. *)
+
+val is_ret : Amulet_mcu.Opcode.t -> bool
+(** The canonical [RET] ([MOV @SP+, PC]). *)
+
+val br_target : Amulet_mcu.Opcode.t -> int option
+(** The target of a canonical [BR #imm] ([MOV #imm, PC]). *)
+
+val is_computed_pc_write : Amulet_mcu.Opcode.t -> bool
+(** Writes the PC in a way that is neither the canonical [RET] nor the
+    canonical [BR #imm]. *)
+
+val jump_target : int -> int -> int
+(** [jump_target addr offset]: target of the relative jump at [addr]. *)
 
 val call_target : t -> Amulet_mcu.Opcode.t -> callee option
 (** Classify a [CALL] instruction's target ([None] for non-calls). *)

@@ -26,14 +26,15 @@
    uncertified (the dynamic check remains).
 
    The extent validated by the kernel is over-approximated from the
-   service and the abstract length argument, mirroring the kernel's
-   own clamps (e.g. [api_read_accel] validates at most 128 bytes). *)
+   abstract length argument by the service's declared pointer shape
+   ({!Amulet_cc.Apis.extent}), the same declaration the kernel clamps
+   with (e.g. [api_read_accel] validates at most 128 bytes). *)
 
 module I = Amulet_link.Image
 module O = Amulet_mcu.Opcode
 module W = Amulet_mcu.Word
 module Iso = Amulet_cc.Isolation
-module Ct = Amulet_cc.Ctype
+module Apis = Amulet_cc.Apis
 
 type value = Top | Iv of int * int | Fp of int * int
 
@@ -178,32 +179,6 @@ let fixpoint (f : Cfi.func) : (int, value array) Hashtbl.t =
 (* ------------------------------------------------------------------ *)
 (* Certification *)
 
-(* Upper bound on the byte extent the kernel validates for [svc],
-   given the abstract length argument in R13.  Mirrors the clamps in
-   [Api.dispatch]; 128 is the universal worst case. *)
-let extent svc regs =
-  let n13 =
-    match regs.(13) with Iv (_, h) when h <= 0x7FFF -> Some h | _ -> None
-  in
-  match svc with
-  | "api_read_accel" | "api_read_ppg" -> (
-    match n13 with Some h -> 2 * max 1 (min 64 h) | None -> 128)
-  | "api_read_accel_xyz" -> 6
-  | "api_display_write" -> 1
-  | "api_log_append" | "api_send_ble" -> (
-    match n13 with Some h -> max 0 (min 128 h) | None -> 128)
-  | _ -> 128
-
-(* Indices of the pointer parameters of a service (position i is
-   passed in register 12+i). *)
-let ptr_params svc =
-  match List.assoc_opt svc Amulet_cc.Apis.signatures with
-  | Some (Ct.Func (_, args)) ->
-    List.mapi (fun i a -> (i, a)) args
-    |> List.filter (fun (_, a) -> match a with Ct.Ptr _ -> true | _ -> false)
-    |> List.map fst
-  | _ -> []
-
 type bounds = {
   data_lo : int;
   data_hi : int;
@@ -211,20 +186,23 @@ type bounds = {
   sep : bool;  (** separate-stack mode *)
 }
 
-let certify_arg bounds stack fname svc regs idx =
-  let ext = extent svc regs in
-  match regs.(12 + idx) with
-  | Top -> (false, Printf.sprintf "arg %d: provenance unknown" idx)
+(* The service's pointer is R12, its first argument; its extent depends
+   on R13 only through an upper bound that is non-negative as a signed
+   word. *)
+let certify_arg bounds stack fname pointer regs =
+  let ext =
+    Apis.extent pointer
+      (match regs.(13) with Iv (_, h) when h <= 0x7FFF -> Some h | _ -> None)
+  in
+  match regs.(12) with
+  | Top -> (false, "arg 0: provenance unknown")
   | Iv (l, h) ->
     if l >= bounds.data_lo && h + ext <= bounds.data_hi then
-      ( true,
-        Printf.sprintf "arg %d: [%04X,%04X]+%d within the D region" idx l h ext
-      )
+      (true, Printf.sprintf "arg 0: [%04X,%04X]+%d within the D region" l h ext)
     else
-      (false, Printf.sprintf "arg %d: [%04X,%04X]+%d escapes the D region" idx l h ext)
+      (false, Printf.sprintf "arg 0: [%04X,%04X]+%d escapes the D region" l h ext)
   | Fp (dl, dh) -> (
-    if not bounds.sep then
-      (false, Printf.sprintf "arg %d: frame-relative with a shared stack" idx)
+    if not bounds.sep then (false, "arg 0: frame-relative with a shared stack")
     else
       match (bounds.stack_top, Stackcert.entry_max_of stack fname) with
       | Some top, Some em ->
@@ -235,16 +213,15 @@ let certify_arg bounds stack fname svc regs idx =
         if fp_min + dl >= bounds.data_lo && fp_max + dh + ext <= bounds.data_hi
         then
           ( true,
-            Printf.sprintf "arg %d: FP%+d..FP%+d+%d within the D region" idx dl
-              dh ext )
+            Printf.sprintf "arg 0: FP%+d..FP%+d+%d within the D region" dl dh
+              ext )
         else
           ( false,
-            Printf.sprintf "arg %d: FP%+d..FP%+d+%d may escape the D region"
-              idx dl dh ext )
+            Printf.sprintf "arg 0: FP%+d..FP%+d+%d may escape the D region" dl
+              dh ext )
       | _, None ->
-        (false,
-         Printf.sprintf "arg %d: no certified entry depth for %s" idx fname)
-      | None, _ -> (false, Printf.sprintf "arg %d: no stack_top symbol" idx))
+        (false, Printf.sprintf "arg 0: no certified entry depth for %s" fname)
+      | None, _ -> (false, "arg 0: no stack_top symbol"))
 
 let analyze ~(cfg : Cfi.t) ~(stack : Stackcert.t) ~(image : I.t) =
   let prefix = cfg.Cfi.cf_prefix in
@@ -277,20 +254,12 @@ let analyze ~(cfg : Cfi.t) ~(stack : Stackcert.t) ~(image : I.t) =
               (fun (i : Cfi.insn) ->
                 (match Cfi.call_target cfg i.Cfi.i_op with
                 | Some (Cfi.C_gate svc) -> (
-                  match ptr_params svc with
-                  | [] -> () (* nothing for the kernel to validate *)
-                  | idxs ->
-                    let results =
-                      List.map
-                        (certify_arg bounds stack f.Cfi.f_name svc regs)
-                        idxs
-                    in
-                    let certified = List.for_all fst results in
-                    let reason =
-                      String.concat "; "
-                        (List.map snd
-                           (if certified then results
-                            else List.filter (fun (ok, _) -> not ok) results))
+                  match Apis.find svc with
+                  | None | Some { Apis.pointer = Apis.No_pointer; _ } ->
+                    () (* nothing for the kernel to validate *)
+                  | Some s ->
+                    let certified, reason =
+                      certify_arg bounds stack f.Cfi.f_name s.Apis.pointer regs
                     in
                     sites :=
                       {

@@ -45,17 +45,10 @@ type t = {
 let trampoline_bytes = 4
 
 (* Stack bytes an external callee occupies below the caller's SP,
-   including its own return address (and, for gates, the 8 saved
-   registers pushed before the stack switch). *)
+   including its own return address: the declared footprint of a gate
+   or runtime helper, a conservative 8 for any other. *)
 let extern_cost name =
-  if String.length name >= 7 && String.sub name 0 7 = "__gate_" then 18
-  else
-    match name with
-    | "__umodhi" -> 4
-    | "__divhi" | "__modhi" -> 6
-    | "__mulhi" | "__udivhi" | "__udivmod" | "__shlhi" | "__shrhi"
-    | "__sarhi" | "__bounds_check" -> 2
-    | _ -> 8 (* unknown external: conservative *)
+  Option.value ~default:8 (Amulet_cc.Apis.footprint name)
 
 exception Unanalyzable_sp of int * string
 
@@ -227,7 +220,8 @@ let analyze ~(cfg : Cfi.t) ~(image : I.t) =
               consider sp (2 + d) chain
             | Some (Cfi.C_helper h) -> consider sp (extern_cost h) [ h ]
             | Some (Cfi.C_gate s) ->
-              consider sp (extern_cost ("__gate_" ^ s)) [ "__gate_" ^ s ]
+              let gate = Amulet_cc.Apis.gate_label s in
+              consider sp (extern_cost gate) [ gate ]
             | Some Cfi.C_indirect ->
               List.iter
                 (fun g ->

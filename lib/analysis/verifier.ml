@@ -3,9 +3,12 @@
    the policy and DESIGN.md for the soundness/TCB discussion.
 
    The verifier shares no code with the compiler's check insertion: it
-   reuses only the instruction decoder, the linker's symbol table and
-   the section-naming convention, so a bug in codegen or in the range
-   analysis cannot silently produce an accepted-but-unsafe image. *)
+   reuses only the instruction decoder, the linker's symbol table, the
+   section-naming convention and the service table's list of callable
+   externals ({!Amulet_cc.Apis.externals}), which declares the platform
+   interface and contains no check-insertion code.  So a bug in codegen
+   or in the range analysis cannot silently produce an
+   accepted-but-unsafe image. *)
 
 module I = Amulet_link.Image
 module O = Amulet_mcu.Opcode
@@ -191,12 +194,6 @@ let abs_load_ok ctx a =
   || List.mem a [ T.counter_addr; Iso.shadow_sp_addr ]
 
 let bounds_of = function Iv (l, h) -> (l, h) | _ -> (0, 0xFFFF)
-
-let helper_names =
-  [
-    "__mulhi"; "__udivhi"; "__udivmod"; "__umodhi"; "__divhi"; "__modhi";
-    "__shlhi"; "__shrhi"; "__sarhi"; "__bounds_check"; "__osreturn";
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Single-trace interpreter.
@@ -592,16 +589,7 @@ let verify_app ~(image : I.t) ~mode ~prefix =
   let code_hi = sym (Iso.code_hi_sym ~prefix) in
   let data_lo = sym (Iso.data_lo_sym ~prefix) in
   let data_hi = sym (Iso.data_hi_sym ~prefix) in
-  let extern_ok = Hashtbl.create 16 in
-  List.iter
-    (fun (name, a) ->
-      let is_helper =
-        List.mem name helper_names
-        || String.length name >= 7
-           && String.sub name 0 7 = "__gate_"
-      in
-      if is_helper then Hashtbl.replace extern_ok a name)
-    image.I.symbols;
+  let extern_ok = Amulet_cc.Apis.externals image.I.symbols in
   let ctx =
     {
       mode;

@@ -58,10 +58,5 @@ val verify_app :
 val pp_violation : Format.formatter -> violation -> unit
 val pp_stats : Format.formatter -> stats -> unit
 
-val helper_names : string list
-(** Runtime helpers apps may call or branch to ([__mulhi],
-    [__bounds_check], [__osreturn], ...).  Shared with the CFI pass so
-    both analyses agree on the sanctioned externals. *)
-
 val make_fetch : Amulet_link.Image.t -> int -> int
 (** Word fetch over the image's chunks (0 outside any chunk). *)

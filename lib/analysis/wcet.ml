@@ -35,23 +35,6 @@ type t = {
    exception unwinds through the per-function analyses *)
 exception Unb of string * string list
 
-let is_ret = function
-  | O.Fmt1 (O.MOV, _, O.S_indirect_inc 1, O.D_reg 0) -> true
-  | _ -> false
-
-let br_target = function
-  | O.Fmt1 (O.MOV, _, O.S_immediate k, O.D_reg 0) -> Some k
-  | _ -> None
-
-let is_computed_pc_write op =
-  match op with
-  | O.Fmt1 (o, _, _, O.D_reg 0) ->
-    O.writes_back o && Option.is_none (br_target op) && not (is_ret op)
-  | O.Fmt2 ((O.RRC | O.SWPB | O.RRA | O.SXT), _, O.S_reg 0) -> true
-  | _ -> false
-
-let jump_target a off = a + 2 + (2 * off)
-
 (* iteration bounds stamped on the image: [wcet.loop.<label>] notes,
    keyed here by the header label's resolved address *)
 let loop_bounds image =
@@ -192,17 +175,7 @@ let analyze ~image ~(cfg : Cfi.t) =
   let prefix = cfg.Cfi.cf_prefix in
   let bounds = loop_bounds image in
   let fetch = Verifier.make_fetch image in
-  let certified =
-    match I.note image ("cert.gates." ^ prefix) with
-    | Some s -> String.split_on_char ',' s
-    | None -> []
-  in
-  let helper_entries =
-    List.filter_map
-      (fun n ->
-        if I.has_symbol image n then Some (I.symbol image n, n) else None)
-      Verifier.helper_names
-  in
+  let certified = Amulet_cc.Apis.certified_services image ~app:prefix in
   (* ---- OS-side spans: stubs, gates, runtime helpers ----
      Instruction-level exploration from an entry address; terminals
      are RET, RETI, computed PC writes (the trampoline's dispatch into
@@ -252,16 +225,16 @@ let analyze ~image ~(cfg : Cfi.t) =
             (base, [])
           else
             match op with
-            | O.Jump (O.JMP, off) -> (base, [ jump_target a off ])
-            | O.Jump (_, off) -> (base, [ jump_target a off; a + size ])
+            | O.Jump (O.JMP, off) -> (base, [ Cfi.jump_target a off ])
+            | O.Jump (_, off) -> (base, [ Cfi.jump_target a off; a + size ])
             | O.Reti -> (base, [])
-            | _ when is_ret op -> (base, [])
-            | _ when Option.is_some (br_target op) ->
-              (base, [ Option.get (br_target op) ])
-            | _ when is_computed_pc_write op -> (base, [])
+            | _ when Cfi.is_ret op -> (base, [])
+            | _ when Option.is_some (Cfi.br_target op) ->
+              (base, [ Option.get (Cfi.br_target op) ])
+            | _ when Cfi.is_computed_pc_write op -> (base, [])
             | O.Fmt2 (O.CALL, _, O.S_immediate k) ->
               let callee =
-                match List.assoc_opt k helper_entries with
+                match Hashtbl.find_opt cfg.Cfi.cf_extern k with
                 | Some n -> span_wcet ~what:n k
                 | None -> span_wcet ~what:(Printf.sprintf "0x%04X" k) k
               in
@@ -296,7 +269,7 @@ let analyze ~image ~(cfg : Cfi.t) =
   let stub_extra (b : Cfi.block) =
     match List.rev b.Cfi.b_insns with
     | last :: _ when b.Cfi.b_succs = [] -> (
-      match br_target last.Cfi.i_op with
+      match Cfi.br_target last.Cfi.i_op with
       | Some k when Hashtbl.mem cfg.Cfi.cf_stub_of k ->
         span_wcet ~what:(Hashtbl.find cfg.Cfi.cf_stub_of k) k
       | _ -> 0)

@@ -1,116 +1,154 @@
 open Ctype
 
+type pointer =
+  | No_pointer
+  | Fixed of { bytes : int; cycles : int }
+  | Counted of { lo : int; hi : int; bytes_per : int; cycles_per : int }
+  | C_string of { max_chars : int; cycles_per : int }
+
+type service = {
+  name : string;
+  signature : Ctype.t;
+  base_charge : int;
+  pointer : pointer;
+}
+
+let svc name signature base_charge pointer =
+  { name; signature; base_charge; pointer }
+
 let fn ret args = Func (ret, args)
 
-let signatures =
-  [
+(* Base charges are modeled service costs in cycles (datasheet-plausible
+   orders of magnitude: sensor FIFO reads, FRAM writes, SPI display
+   traffic).  The context switch itself is executed gate code, not
+   charged here, so api_null measures the pure switch. *)
+let services =
+  [|
     (* benchmarking no-op: measures pure context-switch cost *)
-    ("api_null", fn Void []);
+    svc "api_null" (fn Void []) 0 No_pointer;
     (* time and power *)
-    ("api_get_time", fn Uint []);
-    ("api_get_battery", fn Int []);
-    (* sensors *)
-    ("api_read_accel", fn Int [ Ptr Int; Int ]);
-    ("api_read_accel_xyz", fn Int [ Ptr Int ]);
-    ("api_read_heart_rate", fn Int []);
-    ("api_read_ppg", fn Int [ Ptr Int; Int ]);
-    ("api_read_temperature", fn Int []);
-    ("api_read_light", fn Int []);
+    svc "api_get_time" (fn Uint []) 6 No_pointer;
+    svc "api_get_battery" (fn Int []) 10 No_pointer;
+    (* sensors: one word copied per sample *)
+    svc "api_read_accel" (fn Int [ Ptr Int; Int ]) 16
+      (Counted { lo = 1; hi = 64; bytes_per = 2; cycles_per = 2 });
+    svc "api_read_accel_xyz" (fn Int [ Ptr Int ]) 22
+      (Fixed { bytes = 6; cycles = 6 });
+    svc "api_read_heart_rate" (fn Int []) 18 No_pointer;
+    svc "api_read_ppg" (fn Int [ Ptr Int; Int ]) 16
+      (Counted { lo = 1; hi = 64; bytes_per = 2; cycles_per = 2 });
+    svc "api_read_temperature" (fn Int []) 14 No_pointer;
+    svc "api_read_light" (fn Int []) 12 No_pointer;
     (* display and UI *)
-    ("api_display_write", fn Void [ Ptr Char; Int ]);
-    ("api_display_clear", fn Void []);
-    ("api_button_state", fn Int []);
-    ("api_led", fn Void [ Int ]);
-    ("api_buzz", fn Void [ Int ]);
-    (* storage and radio *)
-    ("api_log_append", fn Int [ Ptr Char; Int ]);
-    ("api_send_ble", fn Int [ Ptr Char; Int ]);
+    svc "api_display_write" (fn Void [ Ptr Char; Int ]) 52
+      (C_string { max_chars = 32; cycles_per = 1 });
+    svc "api_display_clear" (fn Void []) 40 No_pointer;
+    svc "api_button_state" (fn Int []) 6 No_pointer;
+    svc "api_led" (fn Void [ Int ]) 4 No_pointer;
+    svc "api_buzz" (fn Void [ Int ]) 8 No_pointer;
+    (* storage and radio: FRAM writes at 3 cycles/byte, radio at 4 *)
+    svc "api_log_append" (fn Int [ Ptr Char; Int ]) 42
+      (Counted { lo = 0; hi = 128; bytes_per = 1; cycles_per = 3 });
+    svc "api_send_ble" (fn Int [ Ptr Char; Int ]) 72
+      (Counted { lo = 0; hi = 128; bytes_per = 1; cycles_per = 4 });
     (* timers and subscriptions *)
-    ("api_set_timer", fn Int [ Int ]);
-    ("api_cancel_timer", fn Void [ Int ]);
-    ("api_subscribe", fn Int [ Int; Int ]);
-    ("api_unsubscribe", fn Void [ Int ]);
+    svc "api_set_timer" (fn Int [ Int ]) 20 No_pointer;
+    svc "api_cancel_timer" (fn Void [ Int ]) 12 No_pointer;
+    svc "api_subscribe" (fn Int [ Int; Int ]) 24 No_pointer;
+    svc "api_unsubscribe" (fn Void [ Int ]) 16 No_pointer;
     (* misc *)
-    ("api_rand", fn Uint []);
-  ]
+    svc "api_rand" (fn Uint []) 8 No_pointer;
+  |]
 
-let names = List.map fst signatures
-let exists name = List.mem_assoc name signatures
-let gate_label name = "__gate_" ^ name
+let signatures =
+  Array.to_list (Array.map (fun s -> (s.name, s.signature)) services)
 
-let arg_count name =
-  match List.assoc name signatures with
-  | Func (_, args) -> List.length args
-  | _ -> assert false
+let find name = Array.find_opt (fun s -> s.name = name) services
 
 (* ------------------------------------------------------------------ *)
-(* Service cost model.
+(* Charges *)
 
-   The kernel charges every dispatched service a fixed base cost plus
-   a data-dependent cost (per word copied, per byte logged, ...).
-   The table lives here — in the leaf library both the OS model and
-   the static analyses can see — so the dynamic charges in
-   [Amulet_os.Api] and the static worst-case bounds in
-   [Amulet_analysis.Wcet] are two views of the same constants and
-   cannot drift apart. *)
-
-(* Modeled service costs in cycles (datasheet-plausible orders of
-   magnitude: sensor FIFO reads, FRAM writes, SPI display traffic).
-   The context-switch cost itself is executed gate code, not charged
-   here, so api_null measures the pure switch. *)
-let base_charge = function
-  | "api_null" -> 0
-  | "api_get_time" -> 6
-  | "api_get_battery" -> 10
-  | "api_read_accel" -> 16
-  | "api_read_accel_xyz" -> 22
-  | "api_read_heart_rate" -> 18
-  | "api_read_ppg" -> 16
-  | "api_read_temperature" -> 14
-  | "api_read_light" -> 12
-  | "api_display_write" -> 52
-  | "api_display_clear" -> 40
-  | "api_button_state" -> 6
-  | "api_led" -> 4
-  | "api_buzz" -> 8
-  | "api_log_append" -> 42
-  | "api_send_ble" -> 72
-  | "api_set_timer" -> 20
-  | "api_cancel_timer" -> 12
-  | "api_subscribe" -> 24
-  | "api_unsubscribe" -> 16
-  | "api_rand" -> 8
-  | _ -> 10
-
-let per_word_charge = 2
-
-(* Cycles the kernel spends validating one app-supplied pointer range
-   (two bound compares plus the range walk).  Charged once per call
-   for the services that take an app pointer; statically certified
-   call sites ({!Amulet_analysis.Gate_taint}) skip both the walk and
-   the charge. *)
 let validate_charge = 8
+let unknown_charge = 10
 
-let range_services =
-  [
-    "api_read_accel"; "api_read_accel_xyz"; "api_read_ppg";
-    "api_display_write"; "api_log_append"; "api_send_ble";
-  ]
+let max_count = function
+  | No_pointer -> 0
+  | Fixed _ -> 1
+  | Counted { hi; _ } -> hi
+  | C_string { max_chars; _ } -> max_chars
 
-(* Worst case of the data-dependent part: the kernel clamps every
-   app-supplied length, so each service's variable charge has a hard
-   maximum regardless of the arguments.  Mirrors the clamp constants
-   in [Amulet_os.Api.dispatch]. *)
-let max_variable_charge = function
-  | "api_read_accel" | "api_read_ppg" -> 64 * per_word_charge (* n <= 64 words *)
-  | "api_read_accel_xyz" -> 3 * per_word_charge
-  | "api_display_write" -> 32 (* 1 cycle/char, <= 32 chars *)
-  | "api_log_append" -> 3 * 128 (* 3 cycles/byte, n <= 128 *)
-  | "api_send_ble" -> 4 * 128 (* 4 cycles/byte, n <= 128 *)
-  | _ -> 0
+let count pointer word =
+  match pointer with
+  | Counted { lo; hi; _ } ->
+    max lo (min hi (Amulet_mcu.Word.to_signed Amulet_mcu.Word.W16 word))
+  | _ -> max_count pointer
+
+let validated_bytes pointer n =
+  match pointer with
+  | No_pointer -> 0
+  | Fixed { bytes; _ } -> bytes
+  | Counted { bytes_per; _ } -> bytes_per * n
+  | C_string _ -> 1
+
+let variable_charge pointer n =
+  match pointer with
+  | No_pointer -> 0
+  | Fixed { cycles; _ } -> cycles
+  | Counted { cycles_per; _ } | C_string { cycles_per; _ } -> cycles_per * n
+
+let extent pointer bound =
+  validated_bytes pointer
+    (match bound with
+    | Some word -> count pointer word
+    | None -> max_count pointer)
 
 let worst_case_charge ~certified name =
-  base_charge name
-  + (if (not certified) && List.mem name range_services then validate_charge
-     else 0)
-  + max_variable_charge name
+  match find name with
+  | None -> unknown_charge
+  | Some s ->
+    s.base_charge
+    + (if certified || s.pointer = No_pointer then 0 else validate_charge)
+    + variable_charge s.pointer (max_count s.pointer)
+
+(* ------------------------------------------------------------------ *)
+(* Callable externals *)
+
+let gate_prefix = "__gate_"
+let gate_label name = gate_prefix ^ name
+
+let service_of_gate_label label =
+  if String.starts_with ~prefix:gate_prefix label then
+    let n = String.length gate_prefix in
+    Some (String.sub label n (String.length label - n))
+  else None
+
+let osreturn_label = "__osreturn"
+
+(* A gate's return address plus the eight callee-saved registers it
+   pushes before switching stacks ([Stubs.gate]). *)
+let gate_footprint = 18
+
+let footprint name =
+  if String.starts_with ~prefix:gate_prefix name then Some gate_footprint
+  else List.assoc_opt name Runtime.helpers
+
+let externals symbols =
+  let tbl = Hashtbl.create 32 in
+  List.iter
+    (fun (name, addr) ->
+      if footprint name <> None || name = osreturn_label then
+        Hashtbl.replace tbl addr name)
+    symbols;
+  tbl
+
+(* ------------------------------------------------------------------ *)
+(* The [cert.gates.<app>] image note *)
+
+let certified_note_key app = "cert.gates." ^ app
+let certified_note ~app names =
+  (certified_note_key app, String.concat "," names)
+
+let certified_services image ~app =
+  match Amulet_link.Image.note image (certified_note_key app) with
+  | Some s -> String.split_on_char ',' s
+  | None -> []

@@ -115,17 +115,11 @@ let note_push c bytes =
 let note_pop c bytes = c.cur_push <- c.cur_push - bytes
 
 (* Total stack bytes a runtime-helper or gate call occupies below the
-   caller's SP: its return address plus any pushes of its own (gates
-   save 8 registers; __divhi/__modhi wrap __udivmod). *)
+   caller's SP, as declared with the callable externals. *)
 let note_runtime c callee =
-  let bytes =
-    match callee with
-    | "__gate" -> 18
-    | "__umodhi" -> 4
-    | "__divhi" | "__modhi" -> 6
-    | _ -> 2 (* __mulhi __udivhi __shlhi __shrhi __sarhi __bounds_check *)
-  in
-  if bytes > c.runtime_max then c.runtime_max <- bytes
+  match Apis.footprint callee with
+  | Some bytes -> if bytes > c.runtime_max then c.runtime_max <- bytes
+  | None -> invalid_arg ("note_runtime: undeclared external " ^ callee)
 
 let fresh c tag =
   c.labels <- c.labels + 1;
@@ -797,8 +791,9 @@ and eval_api_call c name args =
     regs;
   List.iter (free_reg c) regs;
   c.api_calls <- name :: c.api_calls;
-  note_runtime c "__gate";
-  out c (A.call ("__gate_" ^ name));
+  let gate = Apis.gate_label name in
+  note_runtime c gate;
+  out c (A.call gate);
   let rd = alloc c in
   out c (A.mov (A.Sreg 12) (A.Dreg rd));
   rd

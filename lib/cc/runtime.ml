@@ -160,6 +160,16 @@ let items =
   @ (l bc_begin :: bounds_check)
   @ [ l bc_end; l rt_end ]
 
+(* Stack bytes each helper call occupies below the caller's SP: its
+   return address, plus [__udivmod]'s for the helpers that call it and
+   the word [__divhi]/[__modhi] save around that call. *)
+let helpers =
+  [
+    ("__mulhi", 2); ("__udivhi", 2); ("__udivmod", 2); ("__umodhi", 4);
+    ("__divhi", 6); ("__modhi", 6); ("__shlhi", 2); ("__shrhi", 2);
+    ("__sarhi", 2); ("__bounds_check", 2);
+  ]
+
 (* Iteration bounds of the helper loops, keyed by the loop's header
    label (the back-edge target).  A bound B means the loop body runs
    at most B times per entry; the WCET analysis charges (B+1) header

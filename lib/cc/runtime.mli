@@ -16,6 +16,11 @@ val items : Amulet_link.Asm.item list
     [__divhi], [__modhi], [__shlhi], [__shrhi], [__sarhi],
     [__bounds_check]. *)
 
+val helpers : (string * int) list
+(** [(label, stack bytes)] for every helper app code may call: the
+    bytes one call occupies below the caller's SP, return address
+    included. *)
+
 (** Marker symbols bracketing helper ranges for cycle attribution:
     [\[rt_begin, rt_end)] covers all helpers (app work), the nested
     [\[bc_begin, bc_end)] covers [__bounds_check] (guard work). *)

@@ -243,11 +243,7 @@ let ablation_gate_cert ?(runs = 100) () =
       let certified = measure_handler ~mode ~app ~certify:true ~arg:1 ~runs () in
       let fw = Aft.build ~mode [ Apps.spec_for mode app ] in
       let services =
-        match
-          Amulet_link.Image.note fw.Aft.fw_image ("cert.gates." ^ app.Apps.name)
-        with
-        | Some s -> String.split_on_char ',' s
-        | None -> []
+        Amulet_cc.Apis.certified_services fw.Aft.fw_image ~app:app.Apps.name
       in
       {
         gc_mode = mode;

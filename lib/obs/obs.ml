@@ -243,38 +243,3 @@ let attach t machine =
 let close t =
   List.iter (fun s -> s.close ()) t.sinks;
   t.sinks <- []
-
-(* ------------------------------------------------------------------ *)
-(* Aggregated counters *)
-
-module Metrics = struct
-  type cell = {
-    mutable count : int;
-    mutable cycles : int;
-    mutable reads : int;
-    mutable writes : int;
-    mutable api_calls : int;
-  }
-
-  type t = (string list, cell) Hashtbl.t
-
-  let create () : t = Hashtbl.create 16
-
-  let bump t key ~count ~cycles ~reads ~writes ~api_calls =
-    let cell =
-      match Hashtbl.find_opt t key with
-      | Some c -> c
-      | None ->
-        let c = { count = 0; cycles = 0; reads = 0; writes = 0; api_calls = 0 } in
-        Hashtbl.add t key c;
-        c
-    in
-    cell.count <- cell.count + count;
-    cell.cycles <- cell.cycles + cycles;
-    cell.reads <- cell.reads + reads;
-    cell.writes <- cell.writes + writes;
-    cell.api_calls <- cell.api_calls + api_calls
-
-  let find t key = Hashtbl.find_opt t key
-  let fold f (t : t) acc = Hashtbl.fold f t acc
-end

@@ -109,35 +109,3 @@ val attach : t -> Amulet_mcu.Machine.t -> unit
 
 val close : t -> unit
 (** Close all sinks (flushes the Chrome array terminator). *)
-
-(** {1 Aggregated counters}
-
-    Replacement for ad-hoc per-handler hashtables: cells keyed by a
-    string path, e.g. [\["handler"; "handle_step"\]]. *)
-
-module Metrics : sig
-  type cell = {
-    mutable count : int;
-    mutable cycles : int;
-    mutable reads : int;
-    mutable writes : int;
-    mutable api_calls : int;
-  }
-
-  type t
-
-  val create : unit -> t
-
-  val bump :
-    t ->
-    string list ->
-    count:int ->
-    cycles:int ->
-    reads:int ->
-    writes:int ->
-    api_calls:int ->
-    unit
-
-  val find : t -> string list -> cell option
-  val fold : (string list -> cell -> 'a -> 'a) -> t -> 'a -> 'a
-end

@@ -93,7 +93,7 @@ let create (fw : Amulet_aft.Aft.firmware) =
   | Some b, Some e -> paint t b e Guard
   | _ -> ());
   (* the boot stub is kernel bookkeeping, not a gate crossing *)
-  (match (sym "__os_start", sym "__osreturn") with
+  (match (sym "__os_start", sym Amulet_cc.Apis.osreturn_label) with
   | Some b, Some e when e > b -> paint t b e Kernel
   | _ -> ());
   (* each app: code, then its fault stubs (guard machinery) and exit

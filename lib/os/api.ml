@@ -1,6 +1,7 @@
 module M = Amulet_mcu.Machine
 module R = Amulet_mcu.Registers
 module W = Amulet_mcu.Word
+module Apis = Amulet_cc.Apis
 
 type effect =
   | Set_timer of { id : int; period_ms : int }
@@ -17,7 +18,6 @@ type t = {
   mutable rand_state : int;
   mutable next_timer : int;
   mutable calls : int;
-  mutable charged_cycles : int;
 }
 
 let create sensors =
@@ -29,177 +29,177 @@ let create sensors =
     rand_state = 0xACE1;
     next_timer = 1;
     calls = 0;
-    charged_cycles = 0;
   }
-
-let names = Array.of_list Amulet_cc.Apis.names
-let service_count = Array.length names
-let service_name svc = if svc >= 0 && svc < service_count then Some names.(svc) else None
-
-(* Service costs are shared with the static WCET certifier: the table
-   lives in {!Amulet_cc.Apis} so the dynamic charges here and the
-   static per-call upper bounds are views of the same constants. *)
-let base_charge = Amulet_cc.Apis.base_charge
-let per_word_charge = Amulet_cc.Apis.per_word_charge
-
-(* Cycles the kernel spends validating one app-supplied pointer range
-   (two bound compares plus the range walk).  Charged at [with_range];
-   statically certified call sites ({!Amulet_analysis.Gate_taint})
-   skip both the walk and the charge. *)
-let validate_charge = Amulet_cc.Apis.validate_charge
 
 let xorshift16 s =
   let s = s lxor (s lsl 7) land 0xFFFF in
   let s = s lxor (s lsr 9) in
   s lxor (s lsl 8) land 0xFFFF
 
-let dispatch t ?(certified = fun _ -> false) machine ~valid ~now_ms ~svc =
+(* One call as a service's behaviour sees it.  [n] is the element count
+   the shared pointer step settled on; the pointer itself is R12. *)
+type call = {
+  api : t;
+  machine : M.t;
+  now_ms : int;
+  n : int;
+  mutable effects : effect list;
+}
+
+let arg c i = R.get (M.regs c.machine) (12 + i)
+let set_result c v = R.set (M.regs c.machine) 12 (v land 0xFFFF)
+let effect c e = c.effects <- e :: c.effects
+
+let reading f c = set_result c (f c.api.sensors ~time_ms:c.now_ms)
+
+(* [n] samples ending now, [period_ms] apart, as words at R12 *)
+let write_samples ~period_ms f c =
+  let buf = arg c 0 in
+  for i = 0 to c.n - 1 do
+    let tm = c.now_ms - ((c.n - 1 - i) * period_ms) in
+    M.mem_checked_write c.machine W.W16 (buf + (2 * i))
+      (f c.api.sensors ~time_ms:(max 0 tm) land 0xFFFF)
+  done;
+  set_result c c.n
+
+let read_bytes c =
+  String.init c.n (fun i ->
+      Char.chr (M.mem_checked_read c.machine W.W8 (arg c 0 + i)))
+
+let with_sensor f c =
+  match Event.sensor_of_int (arg c 0) with
+  | Some sensor ->
+    effect c (f c sensor);
+    set_result c 0
+  | None -> set_result c 0xFFFF
+
+(* Each service's own behaviour, after the shared pointer step. *)
+let behaviours =
+  [
+    ("api_null", fun c -> set_result c 0);
+    ("api_get_time", fun c -> set_result c (c.now_ms / 1000));
+    ("api_get_battery", reading Sensors.battery_percent);
+    ("api_read_accel", write_samples ~period_ms:20 Sensors.accel_magnitude);
+    ( "api_read_accel_xyz",
+      fun c ->
+        let x, y, z = Sensors.accel_sample c.api.sensors ~time_ms:c.now_ms in
+        List.iteri
+          (fun i v ->
+            M.mem_checked_write c.machine W.W16 (arg c 0 + (2 * i))
+              (v land 0xFFFF))
+          [ x; y; z ];
+        set_result c 3 );
+    ("api_read_heart_rate", reading Sensors.heart_rate);
+    ("api_read_ppg", write_samples ~period_ms:10 Sensors.ppg_sample);
+    ("api_read_temperature", reading Sensors.temperature);
+    ("api_read_light", reading Sensors.light);
+    ( "api_display_write",
+      fun c ->
+        c.api.display.(arg c 1 land 3) <- read_bytes c;
+        set_result c 0 );
+    ( "api_display_clear",
+      fun c ->
+        Array.fill c.api.display 0 4 "";
+        set_result c 0 );
+    ("api_button_state", reading Sensors.button_state);
+    ("api_led", fun c -> set_result c 0);
+    ("api_buzz", fun c -> set_result c 0);
+    ( "api_log_append",
+      fun c ->
+        Buffer.add_string c.api.log (read_bytes c);
+        set_result c c.n );
+    ( "api_send_ble",
+      fun c ->
+        Buffer.add_string c.api.ble (read_bytes c);
+        set_result c c.n );
+    ( "api_set_timer",
+      fun c ->
+        (* the period is an unsigned 16-bit millisecond count (1..65535) *)
+        let id = c.api.next_timer in
+        c.api.next_timer <- id + 1;
+        effect c (Set_timer { id; period_ms = max 1 (arg c 0) });
+        set_result c id );
+    ( "api_cancel_timer",
+      fun c ->
+        effect c (Cancel_timer (arg c 0));
+        set_result c 0 );
+    ( "api_subscribe",
+      with_sensor (fun c sensor ->
+          Subscribe
+            { sensor; rate_hz = max 1 (min 100 (W.to_signed W.W16 (arg c 1))) })
+    );
+    ("api_unsubscribe", with_sensor (fun _ sensor -> Unsubscribe sensor));
+    ( "api_rand",
+      fun c ->
+        c.api.rand_state <- xorshift16 c.api.rand_state;
+        set_result c c.api.rand_state );
+  ]
+
+let handlers =
+  Array.map
+    (fun (s : Apis.service) ->
+      match List.assoc_opt s.Apis.name behaviours with
+      | Some f -> f
+      | None -> invalid_arg ("Api: no behaviour for " ^ s.Apis.name))
+    Apis.services
+
+(* writable span ending at the first range boundary above addr *)
+let span_above valid addr =
+  List.fold_left
+    (fun acc (lo, hi) -> if addr >= lo && addr < hi then hi - addr else acc)
+    0 valid
+
+let string_length machine addr limit =
+  let rec go i =
+    if i < limit && M.mem_checked_read machine W.W8 (addr + i) <> 0 then
+      go (i + 1)
+    else i
+  in
+  go 0
+
+(* The step every pointer service shares: clamp the element count,
+   validate the bytes at R12 against [valid] unless certified, charge.
+   [Error (addr, len)] is a rejected range; [Ok n] the count served. *)
+let pointer_step machine ~certified ~valid (p : Apis.pointer) =
   let regs = M.regs machine in
-  let arg n = R.get regs (12 + n) in
-  let set_result v = R.set regs 12 (v land 0xFFFF) in
-  let effects = ref [] in
-  let effect e = effects := e :: !effects in
-  let charge c =
-    M.add_cycles machine c;
-    t.charged_cycles <- t.charged_cycles + c
-  in
-  let name = match service_name svc with Some n -> n | None -> "api_unknown" in
-  t.calls <- t.calls + 1;
-  charge (base_charge name);
-  (* Validated app-memory access.  [f] runs only when the whole range
-     [addr, addr+len) lies inside the app's writable region.  When the
-     static certifier proved every pointer reaching this service's
-     call sites in-region, the walk (and its charge) is skipped. *)
-  let with_range addr len f =
-    if certified name then f ()
-    else begin
-      charge validate_charge;
-      let inside (lo, hi) = addr >= lo && addr + len <= hi in
-      if len >= 0 && List.exists inside valid then f ()
-      else begin
-        effect (Pointer_fault { service = name; addr; len });
-        set_result 0xFFFF
-      end
-    end
-  in
-  (* writable span ending at the first range boundary above addr *)
-  let span_above addr =
-    List.fold_left
-      (fun acc (lo, hi) -> if addr >= lo && addr < hi then hi - addr else acc)
-      0 valid
-  in
-  let write_words addr values =
-    List.iteri
-      (fun i v -> M.mem_checked_write machine W.W16 (addr + (2 * i)) v)
-      values;
-    charge (per_word_charge * List.length values)
-  in
-  let read_string addr maxlen =
-    let buf = Buffer.create 16 in
-    let rec go i =
-      if i < maxlen then begin
-        let b = M.mem_checked_read machine W.W8 (addr + i) in
-        if b <> 0 then begin
-          Buffer.add_char buf (Char.chr b);
-          go (i + 1)
-        end
-      end
+  let addr = R.get regs 12 in
+  let n = Apis.count p (R.get regs 13) in
+  let len = Apis.validated_bytes p n in
+  if not certified then M.add_cycles machine Apis.validate_charge;
+  let inside (lo, hi) = addr >= lo && addr + len <= hi in
+  if certified || List.exists inside valid then begin
+    let n =
+      match p with
+      | Apis.C_string _ ->
+        string_length machine addr (min n (span_above valid addr))
+      | _ -> n
     in
-    go 0;
-    Buffer.contents buf
-  in
-  (match name with
-  | "api_null" -> set_result 0
-  | "api_get_time" -> set_result (now_ms / 1000)
-  | "api_get_battery" ->
-    set_result (Sensors.battery_percent t.sensors ~time_ms:now_ms)
-  | "api_read_accel" ->
-    let buf = arg 0 and n = max 1 (min 64 (W.to_signed W.W16 (arg 1))) in
-    with_range buf (2 * n) (fun () ->
-        let samples =
-          List.init n (fun i ->
-              let tm = now_ms - ((n - 1 - i) * 20) in
-              Sensors.accel_magnitude t.sensors ~time_ms:(max 0 tm) land 0xFFFF)
-        in
-        write_words buf samples;
-        set_result n)
-  | "api_read_accel_xyz" ->
-    let buf = arg 0 in
-    with_range buf 6 (fun () ->
-        let x, y, z = Sensors.accel_sample t.sensors ~time_ms:now_ms in
-        write_words buf [ x land 0xFFFF; y land 0xFFFF; z land 0xFFFF ];
-        set_result 3)
-  | "api_read_heart_rate" ->
-    set_result (Sensors.heart_rate t.sensors ~time_ms:now_ms)
-  | "api_read_ppg" ->
-    let buf = arg 0 and n = max 1 (min 64 (W.to_signed W.W16 (arg 1))) in
-    with_range buf (2 * n) (fun () ->
-        let samples =
-          List.init n (fun i ->
-              let tm = now_ms - ((n - 1 - i) * 10) in
-              Sensors.ppg_sample t.sensors ~time_ms:(max 0 tm) land 0xFFFF)
-        in
-        write_words buf samples;
-        set_result n)
-  | "api_read_temperature" ->
-    set_result (Sensors.temperature t.sensors ~time_ms:now_ms)
-  | "api_read_light" -> set_result (Sensors.light t.sensors ~time_ms:now_ms)
-  | "api_display_write" ->
-    let s = arg 0 and line = arg 1 land 3 in
-    with_range s 1 (fun () ->
-        let maxlen = min 32 (span_above s) in
-        t.display.(line) <- read_string s maxlen;
-        charge (String.length t.display.(line));
-        set_result 0)
-  | "api_display_clear" ->
-    Array.fill t.display 0 4 "";
-    set_result 0
-  | "api_button_state" ->
-    set_result (Sensors.button_state t.sensors ~time_ms:now_ms)
-  | "api_led" | "api_buzz" -> set_result 0
-  | "api_log_append" ->
-    let buf = arg 0 and n = max 0 (min 128 (W.to_signed W.W16 (arg 1))) in
-    with_range buf n (fun () ->
-        for i = 0 to n - 1 do
-          Buffer.add_char t.log
-            (Char.chr (M.mem_checked_read machine W.W8 (buf + i)))
-        done;
-        charge (3 * n);
-        set_result n)
-  | "api_send_ble" ->
-    let buf = arg 0 and n = max 0 (min 128 (W.to_signed W.W16 (arg 1))) in
-    with_range buf n (fun () ->
-        for i = 0 to n - 1 do
-          Buffer.add_char t.ble
-            (Char.chr (M.mem_checked_read machine W.W8 (buf + i)))
-        done;
-        charge (4 * n);
-        set_result n)
-  | "api_set_timer" ->
-    (* the period is an unsigned 16-bit millisecond count (1..65535) *)
-    let period = max 1 (arg 0) in
-    let id = t.next_timer in
-    t.next_timer <- t.next_timer + 1;
-    effect (Set_timer { id; period_ms = period });
-    set_result id
-  | "api_cancel_timer" ->
-    effect (Cancel_timer (arg 0));
-    set_result 0
-  | "api_subscribe" -> (
-    match Event.sensor_of_int (arg 0) with
-    | Some sensor ->
-      let rate_hz = max 1 (min 100 (W.to_signed W.W16 (arg 1))) in
-      effect (Subscribe { sensor; rate_hz });
-      set_result 0
-    | None -> set_result 0xFFFF)
-  | "api_unsubscribe" -> (
-    match Event.sensor_of_int (arg 0) with
-    | Some sensor ->
-      effect (Unsubscribe sensor);
-      set_result 0
-    | None -> set_result 0xFFFF)
-  | "api_rand" ->
-    t.rand_state <- xorshift16 t.rand_state;
-    set_result t.rand_state
-  | _ -> set_result 0xFFFF);
-  List.rev !effects
+    M.add_cycles machine (Apis.variable_charge p n);
+    Ok n
+  end
+  else Error (addr, len)
+
+let dispatch t machine ~certified ~valid ~now_ms ~svc =
+  t.calls <- t.calls + 1;
+  if svc < 0 || svc >= Array.length Apis.services then begin
+    M.add_cycles machine Apis.unknown_charge;
+    R.set (M.regs machine) 12 0xFFFF;
+    []
+  end
+  else begin
+    let s = Apis.services.(svc) in
+    M.add_cycles machine s.Apis.base_charge;
+    let step =
+      match s.Apis.pointer with
+      | Apis.No_pointer -> Ok 0
+      | p -> pointer_step machine ~certified:certified.(svc) ~valid p
+    in
+    match step with
+    | Ok n ->
+      let c = { api = t; machine; now_ms; n; effects = [] } in
+      handlers.(svc) c;
+      List.rev c.effects
+    | Error (addr, len) ->
+      R.set (M.regs machine) 12 0xFFFF;
+      [ Pointer_fault { service = s.Apis.name; addr; len } ]
+  end

@@ -5,9 +5,9 @@
     R12-R14, validates any application-supplied pointer against the
     calling app's writable range, performs the service against the
     synthetic sensor models, writes the result to R12, and charges the
-    service's modeled cycle cost (documented per service in the
-    implementation; gate/context-switch cycles are {e executed}, not
-    charged).
+    service's modeled cycle cost (declared per service in
+    {!Amulet_cc.Apis.services}; gate/context-switch cycles are
+    {e executed}, not charged).
 
     Side effects that concern the scheduler (timers, subscriptions)
     are returned as {!effect}s for the kernel to apply. *)
@@ -28,30 +28,28 @@ type t = {
   mutable rand_state : int;
   mutable next_timer : int;
   mutable calls : int;
-  mutable charged_cycles : int;
 }
 
 val create : Sensors.t -> t
 
-val service_count : int
-val service_name : int -> string option
-
-val validate_charge : int
-(** Cycles charged for dynamically validating one app-supplied pointer
-    range; elided for statically certified services. *)
-
 val dispatch :
   t ->
-  ?certified:(string -> bool) ->
   Amulet_mcu.Machine.t ->
+  certified:bool array ->
   valid:(int * int) list ->
   now_ms:int ->
   svc:int ->
   effect list
-(** [valid] lists the half-open address ranges the calling app may
-    legitimately hand to the OS (its data segment, plus the shared
-    SRAM stack in the shared-stack modes).  [certified] (default:
-    nothing) says which services the static certifier proved safe to
-    serve without the dynamic range validation
+(** Serve service number [svc] ({!Amulet_cc.Apis.services}).  Every
+    call counts once and pays the service's base charge; a number
+    outside the table pays {!Amulet_cc.Apis.unknown_charge} and gets
+    0xFFFF.  A pointer service then clamps its count, validates the
+    bytes at R12 against [valid] — the half-open address ranges the
+    calling app may legitimately hand to the OS (its data segment,
+    plus the shared SRAM stack in the shared-stack modes) — and
+    charges the transfer.  [certified], indexed by service number,
+    marks the services the static certifier proved safe to serve
+    without that validation and its charge
     ({!Amulet_analysis.Gate_taint} via the image's [cert.gates.*]
-    notes). *)
+    notes).  A rejected range charges no transfer, sets R12 to 0xFFFF
+    and returns {!Pointer_fault}. *)

@@ -2,6 +2,7 @@ module M = Amulet_mcu.Machine
 module R = Amulet_mcu.Registers
 module Map = Amulet_mcu.Memory_map
 module Aft = Amulet_aft.Aft
+module Apis = Amulet_cc.Apis
 module Iso = Amulet_cc.Isolation
 module Obs = Amulet_obs.Obs
 module Forensics = Amulet_obs.Forensics
@@ -30,6 +31,9 @@ type handler_stats = {
   hs_api_calls : int;
 }
 
+let no_stats =
+  { hs_count = 0; hs_cycles = 0; hs_reads = 0; hs_writes = 0; hs_api_calls = 0 }
+
 type app_state = {
   build : Aft.app_build;
   mutable enabled : bool;
@@ -39,11 +43,10 @@ type app_state = {
   mutable last_forensics : string option;
   mutable subscriptions : (Event.sensor * int) list;
   mutable timers : (int * int) list;
-  certified_gates : string list;
-      (* services whose gate-pointer validation the static certifier
-         proved redundant (the image's [cert.gates.<app>] note) *)
-  metrics : Obs.Metrics.t;
-      (* keys: ["handler"; h] and ["state"; state; h] (ARP view) *)
+  certified : bool array;
+  valid : (int * int) list;
+  handler_stats : (string, handler_stats) Hashtbl.t;
+  state_stats : (int * string, handler_stats) Hashtbl.t;
   state_addr : int option;
       (* address of the app's "state" global, when it declares one *)
 }
@@ -105,10 +108,10 @@ let post t ~delay_ms ~app kind ~arg =
    separate-stack modes an app may only hand out addresses inside its
    own data segment; in the shared-stack modes its locals live on the
    SRAM stack, so that region is acceptable too. *)
-let valid_ranges t (app : app_state) =
-  let lay = app.build.Aft.ab_layout in
+let valid_ranges mode (build : Aft.app_build) =
+  let lay = build.Aft.ab_layout in
   let data = (lay.Amulet_aft.Layout.data_base, lay.Amulet_aft.Layout.data_limit) in
-  if Iso.separate_stacks t.fw.Aft.fw_mode then [ data ]
+  if Iso.separate_stacks mode then [ data ]
   else (* shared stack: the app's locals live in SRAM *)
     [ (Map.sram_start, Map.sram_limit); data ]
 
@@ -167,14 +170,14 @@ let create ?(policy = Disable) ?(scenario = Sensors.Daily_mix) ?seed ?obs fw =
              last_forensics = None;
              subscriptions = [];
              timers = [];
-             certified_gates =
-               (match
-                  Amulet_link.Image.note fw.Aft.fw_image
-                    ("cert.gates." ^ build.Aft.ab_name)
-                with
-               | Some s -> String.split_on_char ',' s
-               | None -> []);
-             metrics = Obs.Metrics.create ();
+             certified =
+               (let names =
+                  Apis.certified_services fw.Aft.fw_image ~app:build.Aft.ab_name
+                in
+                Array.map (fun s -> List.mem s.Apis.name names) Apis.services);
+             valid = valid_ranges fw.Aft.fw_mode build;
+             handler_stats = Hashtbl.create 8;
+             state_stats = Hashtbl.create 8;
              state_addr =
                (if Amulet_link.Image.has_symbol fw.Aft.fw_image state_sym then
                   Some (Amulet_link.Image.symbol fw.Aft.fw_image state_sym)
@@ -203,15 +206,15 @@ let create ?(policy = Disable) ?(scenario = Sensors.Daily_mix) ?seed ?obs fw =
         (match t.obs with
         | Some obs ->
           let name =
-            Option.value ~default:(Printf.sprintf "svc%d" svc)
-              (Api.service_name svc)
+            if svc >= 0 && svc < Array.length Apis.services then
+              Apis.services.(svc).Apis.name
+            else Printf.sprintf "svc%d" svc
           in
           Obs.instant obs ~cat:"api" ~tid:t.current_app ~name ~ts:(vnow t) ()
         | None -> ());
         let effects =
-          Api.dispatch t.api m
-            ~certified:(fun name -> List.mem name app.certified_gates)
-            ~valid:(valid_ranges t app) ~now_ms:(now_ms t) ~svc
+          Api.dispatch t.api m ~certified:app.certified ~valid:app.valid
+            ~now_ms:(now_ms t) ~svc
         in
         apply_effects t app effects
       end);
@@ -319,16 +322,22 @@ let dispatch_event t (e : Event.t) =
           dr_outcome = outcome;
         }
       in
-      let bump key =
-        Obs.Metrics.bump app.metrics key ~count:1 ~cycles:record.dr_cycles
-          ~reads:record.dr_reads ~writes:record.dr_writes
-          ~api_calls:record.dr_api_calls
+      let bump tbl key =
+        let s = Option.value ~default:no_stats (Hashtbl.find_opt tbl key) in
+        Hashtbl.replace tbl key
+          {
+            hs_count = s.hs_count + 1;
+            hs_cycles = s.hs_cycles + record.dr_cycles;
+            hs_reads = s.hs_reads + record.dr_reads;
+            hs_writes = s.hs_writes + record.dr_writes;
+            hs_api_calls = s.hs_api_calls + record.dr_api_calls;
+          }
       in
-      bump [ "handler"; handler ];
+      bump app.handler_stats handler;
       (* ARP-view accounting: attribute the dispatch to the state the
          app's machine was in when the event arrived *)
       (match state_before with
-      | Some st -> bump [ "state"; string_of_int st; handler ]
+      | Some st -> bump app.state_stats (st, handler)
       | None -> ());
       (match t.obs with
       | Some obs ->
@@ -424,35 +433,10 @@ let app_by_name t name =
   | Some a -> a
   | None -> raise Not_found
 
-let snapshot (c : Obs.Metrics.cell) =
-  {
-    hs_count = c.count;
-    hs_cycles = c.cycles;
-    hs_reads = c.reads;
-    hs_writes = c.writes;
-    hs_api_calls = c.api_calls;
-  }
-
-let handler_profile app handler =
-  Option.map snapshot (Obs.Metrics.find app.metrics [ "handler"; handler ])
-
-let handler_profiles app =
-  Obs.Metrics.fold
-    (fun key cell acc ->
-      match key with
-      | [ "handler"; h ] -> (h, snapshot cell) :: acc
-      | _ -> acc)
-    app.metrics []
-  |> List.sort compare
-
-let state_profile app =
-  Obs.Metrics.fold
-    (fun key cell acc ->
-      match key with
-      | [ "state"; st; h ] -> ((int_of_string st, h), snapshot cell) :: acc
-      | _ -> acc)
-    app.metrics []
-  |> List.sort compare
+let handler_profile app handler = Hashtbl.find_opt app.handler_stats handler
+let sorted tbl = List.sort compare (List.of_seq (Hashtbl.to_seq tbl))
+let handler_profiles app = sorted app.handler_stats
+let state_profile app = sorted app.state_stats
 let display_line t n = t.api.Api.display.(n land 3)
 let log_contents t = Buffer.contents t.api.Api.log
 

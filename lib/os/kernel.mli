@@ -39,7 +39,7 @@ type dispatch_record = {
 }
 
 (** Accumulated per-(app, handler) profile snapshot — the input ARP
-    needs.  Backed by {!Amulet_obs.Obs.Metrics} cells. *)
+    needs. *)
 type handler_stats = {
   hs_count : int;
   hs_cycles : int;
@@ -59,13 +59,17 @@ type app_state = {
           fault (only when an observability context is attached) *)
   mutable subscriptions : (Event.sensor * int) list;  (** sensor, rate Hz *)
   mutable timers : (int * int) list;  (** id, period ms *)
-  certified_gates : string list;
-      (** services whose gate-pointer validation the static certifier
-          proved redundant for this app (from the image's
-          [cert.gates.<app>] note); {!Api.dispatch} skips the dynamic
-          range walk for them *)
-  metrics : Amulet_obs.Obs.Metrics.t;
-      (** keyed [\["handler"; h\]] and [\["state"; st; h\]] *)
+  certified : bool array;
+      (** by service number: the services whose gate-pointer validation
+          the static certifier proved redundant for this app (the
+          image's [cert.gates.<app>] note); {!Api.dispatch} skips the
+          dynamic range walk for them *)
+  valid : (int * int) list;
+      (** the address ranges this app may hand to the OS *)
+  handler_stats : (string, handler_stats) Hashtbl.t;
+      (** by handler name *)
+  state_stats : (int * string, handler_stats) Hashtbl.t;
+      (** by (value of the [state] global, handler name) *)
   state_addr : int option;
       (** address of the app's [state] global, when it declares one —
           enables the ARP-view per-state accounting *)

@@ -90,21 +90,6 @@ type oracle = {
 
 let breach_cap = 8
 
-(* Entries control may legitimately reach when leaving app code: the
-   API gates, the sanctioned runtime helpers, and the OS return path.
-   Everything else — OS internals, another app's code — is a breach. *)
-let sanctioned_entries image ~in_app_code =
-  List.filter_map
-    (fun (name, addr) ->
-      if in_app_code addr then None
-      else if
-        String.length name > 7 && String.sub name 0 7 = "__gate_"
-        || List.mem name Verifier.helper_names
-        || name = "__osreturn"
-      then Some addr
-      else None)
-    image.Image.symbols
-
 let install_oracle k ~attacker_idx ~image =
   let m = k.Kernel.machine in
   let lay = k.Kernel.apps.(attacker_idx).Kernel.build.Aft.ab_layout in
@@ -117,7 +102,10 @@ let install_oracle k ~attacker_idx ~image =
     (a >= data_lo && a < data_hi)
     || (shared && a >= Map.sram_start && a < Map.sram_limit)
   in
-  let sanctioned = sanctioned_entries image ~in_app_code in
+  (* Entries control may legitimately reach when leaving app code: the
+     API gates, the runtime helpers and the OS return path.  Everything
+     else — OS internals, another app's code — is a breach. *)
+  let sanctioned = Amulet_cc.Apis.externals image.Image.symbols in
   let o = { breaches = []; breach_count = 0; prev_in_app = false } in
   let note fmt =
     Printf.ksprintf
@@ -137,7 +125,7 @@ let install_oracle k ~attacker_idx ~image =
           note "read %04X from pc=%04X" addr pc
         | Trace.Exec { pc; _ } ->
           let now_in = in_app_code pc in
-          if o.prev_in_app && (not now_in) && not (List.mem pc sanctioned)
+          if o.prev_in_app && (not now_in) && not (Hashtbl.mem sanctioned pc)
           then note "exec %04X (unsanctioned exit from app code)" pc;
           o.prev_in_app <- now_in
         | Trace.Io_write { addr; _ } when Mpu.handles addr ->

@@ -4,6 +4,7 @@
 
 module H = Test_support.Harness
 module Iso = Amulet_cc.Isolation
+module Apis = Amulet_cc.Apis
 module I = Amulet_link.Image
 module An = Amulet_analysis
 module Aft = Amulet_aft.Aft
@@ -291,16 +292,13 @@ let test_lint_notes_stamped () =
   let mode = Iso.Mpu_assisted in
   let spec = Suite.spec_for mode Suite.gateheavy in
   let fw = Aft.build ~mode [ spec ] in
-  (match I.note fw.Aft.fw_image "cert.gates.gateheavy" with
-  | Some svcs ->
-    Alcotest.(check (list string))
-      "gateheavy gates certified"
-      [ "api_log_append"; "api_read_accel" ]
-      (String.split_on_char ',' svcs)
-  | None -> Alcotest.fail "certification note missing");
+  Alcotest.(check (list string))
+    "gateheavy gates certified"
+    [ "api_log_append"; "api_read_accel" ]
+    (Apis.certified_services fw.Aft.fw_image ~app:"gateheavy");
   let fw' = Aft.build ~mode ~certify:false [ spec ] in
   Alcotest.(check bool) "no note without certification" true
-    (I.note fw'.Aft.fw_image "cert.gates.gateheavy" = None)
+    (I.note fw'.Aft.fw_image (Apis.certified_note_key "gateheavy") = None)
 
 (* [certified_gates] runs only the analyses [r_certified] rests on, so
    it must agree with the full report on the same image: the AFT stamps

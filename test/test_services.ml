@@ -1,9 +1,12 @@
 (* Coverage of every OS API service: each is invoked from WearC app
    code through its real gate, and its observable effect is checked.
-   Also exercises the disassembler over a whole firmware image. *)
+   The service contract that gate-check elision and the WCET bound rest
+   on is checked on the kernel's dispatcher directly.  Also exercises
+   the disassembler over a whole firmware image. *)
 
 module Aft = Amulet_aft.Aft
 module Os = Amulet_os
+module Apis = Amulet_cc.Apis
 module Iso = Amulet_cc.Isolation
 module M = Amulet_mcu.Machine
 module W = Amulet_mcu.Word
@@ -156,6 +159,135 @@ let test_null_service () =
   check_int "null is a no-op" 7 r
 
 (* ------------------------------------------------------------------ *)
+(* The service contract, on the real dispatcher *)
+
+(* The table's one pointer argument is R12 — what the kernel validates
+   and the certifier proves — so it must be the C signature's first
+   parameter and its only pointer. *)
+let test_pointer_shapes () =
+  Array.iter
+    (fun (s : Apis.service) ->
+      let args =
+        match s.Apis.signature with Amulet_cc.Ctype.Func (_, a) -> a | _ -> []
+      in
+      let pointer_params =
+        List.concat
+          (List.mapi
+             (fun i a -> match a with Amulet_cc.Ctype.Ptr _ -> [ i ] | _ -> [])
+             args)
+      in
+      Alcotest.(check (list int))
+        (s.Apis.name ^ " pointer is R12")
+        (if s.Apis.pointer = Apis.No_pointer then [] else [ 0 ])
+        pointer_params;
+      match s.Apis.pointer with
+      | Apis.Counted { lo; hi; _ } ->
+        check_bool (s.Apis.name ^ " clamp range") true (0 <= lo && lo <= hi)
+      | _ -> ())
+    Apis.services
+
+type case = {
+  svc : int;  (** [Array.length Apis.services] is out of range *)
+  r12 : int;
+  r13 : int;
+  r14 : int;
+  lo : int;
+  hi : int;
+  certified : bool;
+  now_ms : int;
+  fill : int;  (** seed of the memory contents *)
+}
+
+let gen_case =
+  let open QCheck2.Gen in
+  let word = int_range 0 0xFFFF in
+  let pointer_services =
+    List.filter
+      (fun i -> Apis.services.(i).Apis.pointer <> Apis.No_pointer)
+      (List.init (Array.length Apis.services) Fun.id)
+  in
+  let* svc =
+    oneof [ int_range 0 (Array.length Apis.services); oneofl pointer_services ]
+  in
+  let* lo = map (fun w -> 2 * w) (int_range 0x100 0x7700) in
+  let* hi = map (fun w -> lo + (2 * w)) (int_range 0 160) in
+  let* r13 = oneof [ map (fun n -> n land 0xFFFF) (int_range (-4) 140); word ] in
+  (* pointers at either end of the region, where an extent that is off
+     by one element shows *)
+  let ext =
+    if svc < Array.length Apis.services then
+      Apis.extent Apis.services.(svc).Apis.pointer
+        (if r13 <= 0x7FFF then Some r13 else None)
+    else 0
+  in
+  let near a = map (fun d -> (a + d) land 0xFFFF) (int_range (-2) 2) in
+  let* r12 =
+    frequency
+      [ (1, near lo); (2, near (hi - ext)); (1, int_range lo hi); (1, word) ]
+  in
+  let* r14 = word in
+  let* certified = bool in
+  let* now_ms = int_range 0 100_000 in
+  let* fill = int in
+  return { svc; r12; r13; r14; lo; hi; certified; now_ms; fill }
+
+let print_case c =
+  Printf.sprintf
+    "svc %d R12=%04X R13=%04X R14=%04X region [%04X,%04X) certified=%b      now=%d fill=%d"
+    c.svc c.r12 c.r13 c.r14 c.lo c.hi c.certified c.now_ms c.fill
+
+(* (a) the charge stays within [worst_case_charge]; (b) uncertified, no
+   byte outside the valid region changes; (c) certified, neither does
+   any when the pointer meets the certifier's own condition. *)
+let prop_service_contract =
+  QCheck2.Test.make ~count:1000 ~name:"dispatch honours the service table"
+    ~print:print_case gen_case (fun c ->
+      let m = M.create () in
+      let rng = Random.State.make [| c.fill |] in
+      (* bytes around the region, a few of them NULs *)
+      for a = c.lo - 300 to c.hi + 300 do
+        let b = Random.State.int rng 256 in
+        Amulet_mcu.Memory.write_byte m.M.mem a (if b < 32 then 0 else b)
+      done;
+      let before = Amulet_mcu.Memory.copy m.M.mem in
+      let regs = M.regs m in
+      List.iter2 (Amulet_mcu.Registers.set regs) [ 12; 13; 14 ]
+        [ c.r12; c.r13; c.r14 ];
+      let api = Os.Api.create (Os.Sensors.create Os.Sensors.Walking) in
+      let cycles0 = M.cycles m in
+      let _ =
+        Os.Api.dispatch api m
+          ~certified:(Array.make (Array.length Apis.services) c.certified)
+          ~valid:[ (c.lo, c.hi) ] ~now_ms:c.now_ms ~svc:c.svc
+      in
+      let charged = M.cycles m - cycles0 in
+      let outside_intact () =
+        let ok = ref true in
+        for a = 0 to 0xFFFF do
+          if
+            (a < c.lo || a >= c.hi)
+            && Amulet_mcu.Memory.read_byte m.M.mem a
+               <> Amulet_mcu.Memory.read_byte before a
+          then ok := false
+        done;
+        !ok
+      in
+      api.Os.Api.calls = 1
+      &&
+      if c.svc = Array.length Apis.services then
+        charged = Apis.unknown_charge
+        && Amulet_mcu.Registers.get regs 12 = 0xFFFF
+      else
+        let s = Apis.services.(c.svc) in
+        let extent =
+          Apis.extent s.Apis.pointer
+            (if c.r13 <= 0x7FFF then Some c.r13 else None)
+        in
+        charged <= Apis.worst_case_charge ~certified:c.certified s.Apis.name
+        && ((c.certified && (c.r12 < c.lo || c.r12 + extent > c.hi))
+           || outside_intact ()))
+
+(* ------------------------------------------------------------------ *)
 (* Disassembler over a real firmware image *)
 
 let test_disasm_roundtrip () =
@@ -211,6 +343,11 @@ let () =
           quick "led/buzz/button" test_led_buzz_button;
           quick "cancel_timer" test_cancel_timer;
           quick "unsubscribe" test_unsubscribe;
+        ] );
+      ( "contract",
+        [
+          quick "pointer shapes" test_pointer_shapes;
+          QCheck_alcotest.to_alcotest prop_service_contract;
         ] );
       ("disasm", [ quick "firmware listing" test_disasm_roundtrip ]);
     ]
