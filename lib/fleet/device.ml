@@ -45,12 +45,12 @@ let post_traffic k ~napps ~duration_ms ~dseed ti (tr : Scenario.traffic) =
   in
   go 0
 
-let run ~fw ~scenario ~seed ~index =
+let run ~boot ~scenario ~seed ~index =
   let duration_ms = scenario.Scenario.sc_duration_ms in
   let dseed = Scenario.device_seed ~seed ~index in
   let k =
-    Kernel.create ~policy:Kernel.Disable
-      ~scenario:scenario.Scenario.sc_sensors ~seed:dseed fw
+    Kernel.start ~policy:Kernel.Disable
+      ~scenario:scenario.Scenario.sc_sensors ~seed:dseed boot
   in
   let napps = Array.length k.Kernel.apps in
   List.iteri
@@ -93,7 +93,7 @@ let run ~fw ~scenario ~seed ~index =
   let alive = Kernel.liveness_probe k ~app:0 in
   {
     r_index = index;
-    r_mode = fw.Amulet_aft.Aft.fw_mode;
+    r_mode = k.Kernel.fw.Amulet_aft.Aft.fw_mode;
     r_dispatches = !dispatches;
     r_no_handler = !no_handler;
     r_faults = !faults;
@@ -117,6 +117,6 @@ let violations r =
   in
   if r.r_os_intact then v
   else
-    Printf.sprintf "device %d (%s): OS code checksum changed" r.r_index
+    Printf.sprintf "device %d (%s): OS code changed" r.r_index
       (Iso.name r.r_mode)
     :: v

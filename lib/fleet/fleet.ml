@@ -162,15 +162,27 @@ let run ?(jobs = 0) ?progress ?seed scenario =
       (Scenario.mode_devices scenario)
   in
   let t0 = Unix.gettimeofday () in
+  (* Each worker boots a mode's firmware on its first device of that
+     mode and starts every later one from the boot.  Boots never leave
+     their worker (blocks carry mutable validation state) nor outlive
+     this call. *)
   let shards =
     Sched.fold_shards ~jobs ~batch:4 ?progress
-      ~init:shard_empty
-      ~fold:(fun sh index ->
+      ~init:(fun () -> (shard_empty (), Hashtbl.create 4))
+      ~fold:(fun ((sh, boots) as acc) index ->
         let mode = Scenario.device_mode scenario ~index in
-        let fw = List.assoc mode fws in
-        shard_record sh (Device.run ~fw ~scenario ~seed ~index);
-        sh)
+        let boot =
+          match Hashtbl.find_opt boots mode with
+          | Some b -> b
+          | None ->
+            let b = Amulet_os.Kernel.boot (List.assoc mode fws) in
+            Hashtbl.add boots mode b;
+            b
+        in
+        shard_record sh (Device.run ~boot ~scenario ~seed ~index);
+        acc)
       (List.init scenario.Scenario.sc_devices (fun i -> i))
+    |> List.map fst
   in
   let elapsed = Unix.gettimeofday () -. t0 in
   (* lossless-merge invariant: folding the shards in either direction

@@ -64,8 +64,12 @@ val run :
   summary
 (** Build one firmware per mode of the mix (shared read-only across
     domains), run every device through {!Sched.fold_shards}, merge
-    and cross-check the shards.  [seed] defaults to the scenario's.
-    [jobs <= 0] means {!Sched.default_jobs}. *)
+    and cross-check the shards.  Each worker boots a firmware on its
+    first device of that mode ({!Amulet_os.Kernel.boot}) and starts
+    every later one from that boot, so its predecoded blocks carry
+    over; boots stay on their worker and end with the call.  [seed]
+    defaults to the scenario's.  [jobs <= 0] means
+    {!Sched.default_jobs}. *)
 
 val ok : summary -> bool
 (** Zero isolation-oracle violations. *)

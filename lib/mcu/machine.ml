@@ -259,6 +259,75 @@ let reset t =
   Registers.set_pc (regs t) (Memory.read_word t.mem Memory_map.reset_vector);
   Registers.set_sp (regs t) Memory_map.sram_limit
 
+type snapshot = {
+  s_mem : Memory.snapshot;
+  s_regs : Registers.t;
+  s_cycles : int;
+  s_insns : int;
+  s_extra_cycles : int;
+  s_stats : Trace.stats;
+  s_mpu : Mpu.t;
+  s_timer : Timer.t;
+  s_console : string;
+  s_halted : bool;
+  s_sw_fault : int option;
+  s_host_call : t -> int -> unit;
+  s_on_event : (Trace.event -> unit) option;
+  s_on_step : (t -> unit) option;
+}
+
+let copy_stats ~(from : Trace.stats) (s : Trace.stats) =
+  s.Trace.fetch_words <- from.Trace.fetch_words;
+  s.Trace.data_reads <- from.Trace.data_reads;
+  s.Trace.data_writes <- from.Trace.data_writes
+
+let snapshot t =
+  let stats = Trace.create_stats () and mpu = Mpu.create () in
+  let timer = Timer.create () in
+  copy_stats ~from:t.stats stats;
+  Mpu.assign mpu ~from:t.mpu;
+  Timer.assign timer ~from:t.timer;
+  {
+    s_mem = Memory.snapshot t.mem;
+    s_regs = Registers.copy (regs t);
+    s_cycles = t.cpu.Cpu.cycles;
+    s_insns = t.cpu.Cpu.insns;
+    s_extra_cycles = t.extra_cycles;
+    s_stats = stats;
+    s_mpu = mpu;
+    s_timer = timer;
+    s_console = Buffer.contents t.console;
+    s_halted = t.halted;
+    s_sw_fault = t.sw_fault;
+    s_host_call = t.host_call;
+    s_on_event = t.on_event;
+    s_on_step = t.on_step;
+  }
+
+(* The block cache is kept: [Memory.restore] queues each restored page
+   holding watched code as a dirty span, and the next
+   [sync_code_cache] flushes the blocks there.  A block's [b_mpu_key]
+   stays valid, since the permission table is a function of the key
+   alone. *)
+let restore t s =
+  Memory.restore t.mem s.s_mem;
+  Array.blit s.s_regs 0 (regs t) 0 (Array.length s.s_regs);
+  t.cpu.Cpu.cycles <- s.s_cycles;
+  t.cpu.Cpu.insns <- s.s_insns;
+  t.extra_cycles <- s.s_extra_cycles;
+  copy_stats ~from:s.s_stats t.stats;
+  Mpu.assign t.mpu ~from:s.s_mpu;
+  Timer.assign t.timer ~from:s.s_timer;
+  Buffer.clear t.console;
+  Buffer.add_string t.console s.s_console;
+  t.halted <- s.s_halted;
+  t.sw_fault <- s.s_sw_fault;
+  t.host_call <- s.s_host_call;
+  t.on_event <- s.s_on_event;
+  t.on_step <- s.s_on_step;
+  t.emit_hook <- s.s_on_event;
+  t.in_step <- false
+
 (* ------------------------------------------------------------------ *)
 (* The interpreter: one loop over predecoded blocks.                  *)
 (* ------------------------------------------------------------------ *)

@@ -90,9 +90,29 @@ val load_bytes : t -> addr:int -> bytes -> unit
 val set_reset_vector : t -> int -> unit
 val reset : t -> unit
 (** Load PC from the reset vector, SP from the top of SRAM, clear
-    halt/fault state, the access statistics, host-charged cycles and
-    the console buffer.  Does not clear memory or the CPU cycle
-    counter. *)
+    halt/fault state, the access statistics, host-charged cycles,
+    the console buffer and the block cache.  Does not clear memory,
+    its written-page bits or the CPU cycle counter. *)
+
+type snapshot
+(** A machine state that {!restore} can return to. *)
+
+val snapshot : t -> snapshot
+(** Record memory ({!Memory.snapshot}: the pages ever written), the
+    registers, the CPU cycle and instruction counters, host-charged
+    cycles, the access statistics, the MPU registers, the timer, the
+    console, the halt and software-fault flags, the host-call handler,
+    and the watcher and step-hook chains as they stand. *)
+
+val restore : t -> snapshot -> unit
+(** Return to the state [snapshot] recorded: memory by
+    {!Memory.restore} (only the pages written since), everything else
+    by assignment.  A watcher or step hook installed after the
+    snapshot is dropped.  The predecoded-block cache is kept: blocks
+    on the pages the restore copies back are flushed before the next
+    block runs, and every other block stays valid and validated.
+    @raise Invalid_argument unless [snapshot] is the latest taken of
+    this machine. *)
 
 val fetch : t -> int -> int
 (** An instruction word read through the bus at the given address:

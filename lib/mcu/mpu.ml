@@ -137,6 +137,16 @@ let reset t =
 
 let gen t = t.gen
 
+let assign t ~from =
+  t.ctl0 <- from.ctl0;
+  t.ctl1 <- from.ctl1;
+  t.segb1 <- from.segb1;
+  t.segb2 <- from.segb2;
+  t.sam <- from.sam;
+  t.gen <- from.gen;
+  t.key <- from.key;
+  t.perm <- from.perm
+
 let handles addr =
   addr >= ctl0_addr && addr <= sam_addr && addr land 1 = 0
 

@@ -116,6 +116,11 @@ val gen : t -> int
     value changed.  Validity of cached verdicts is keyed by [key], not
     by this counter. *)
 
+val assign : t -> from:t -> unit
+(** Give [t] every register of [from], its {!gen}, and the [key] and
+    [perm] derived from them: a machine snapshot or restore.  Builds
+    no table. *)
+
 (** Raw register cells, for the fault injector: a bit flip in the
     MPU's own configuration state models the paper's concern that a
     primitive MPU offers no protection for its own state.  [raw_set]

@@ -9,6 +9,12 @@ let counter_addr = 0x0350
 let ex0_addr = 0x0360
 
 let create () = { ctl = 0; ex0 = 0; base = 0 }
+
+let assign t ~from =
+  t.ctl <- from.ctl;
+  t.ex0 <- from.ex0;
+  t.base <- from.base
+
 let handles addr = addr = ctl_addr || addr = counter_addr || addr = ex0_addr
 let running t = (t.ctl lsr 4) land 0x3 <> 0
 let divider t = (1 lsl ((t.ctl lsr 6) land 0x3)) * ((t.ex0 land 0x7) + 1)

@@ -16,6 +16,9 @@ val counter_addr : int
 val ex0_addr : int
 
 val create : unit -> t
+val assign : t -> from:t -> unit
+(** Give [t] the registers of [from] (a machine snapshot or restore). *)
+
 val handles : int -> bool
 
 val mmio_write : t -> now:int -> int -> int -> unit

@@ -63,22 +63,25 @@ type t = {
   mutable vbase : int;
   mutable dispatches : int;
   mutable current_app : int;
-  os_code_sum : int;
-      (* checksum of the OS code region taken right after boot; the
-         campaign oracle's kernel-integrity reference *)
+}
+
+(* What [start] needs of one app, derived from the image at boot. *)
+type app_facts = {
+  af_build : Aft.app_build;
+  af_certified : bool array;
+  af_valid : (int * int) list;
+  af_state_addr : int option;
+}
+
+type boot = {
+  b_fw : Aft.firmware;
+  b_obs : Obs.t option;
+  b_machine : M.t;
+  b_snapshot : M.snapshot;
+  b_apps : app_facts array;
 }
 
 let handler_fuel = 20_000_000
-
-(* FNV-1a over the OS code bytes: cheap, order-sensitive, and good
-   enough to catch any stray write into the kernel. *)
-let region_checksum machine ~base ~size =
-  let h = ref 0x811C9DC5 in
-  for a = base to base + size - 1 do
-    let b = M.mem_checked_read machine Amulet_mcu.Word.W8 a in
-    h := (!h lxor b) * 0x01000193 land 0x3FFFFFFF
-  done;
-  !h
 
 let now_ms t = t.now / Event.cycles_per_ms
 
@@ -141,7 +144,22 @@ let apply_effects t app effects =
             (Printf.sprintf "pointer %04X+%d rejected by %s" addr len service))
     effects
 
-let create ?(policy = Disable) ?(scenario = Sensors.Daily_mix) ?seed ?obs fw =
+let app_facts (fw : Aft.firmware) build =
+  let image = fw.Aft.fw_image in
+  let state_sym = Iso.mangle ~prefix:build.Aft.ab_name "state" in
+  let names = Apis.certified_services image ~app:build.Aft.ab_name in
+  {
+    af_build = build;
+    af_certified =
+      Array.map (fun s -> List.mem s.Apis.name names) Apis.services;
+    af_valid = valid_ranges fw.Aft.fw_mode build;
+    af_state_addr =
+      (if Amulet_link.Image.has_symbol image state_sym then
+         Some (Amulet_link.Image.symbol image state_sym)
+       else None);
+  }
+
+let boot ?obs fw =
   let machine = M.create () in
   (* attach before boot so the profiler sees every executed cycle and
      its totals equal [Machine.cycles] exactly *)
@@ -153,50 +171,47 @@ let create ?(policy = Disable) ?(scenario = Sensors.Daily_mix) ?seed ?obs fw =
   | other ->
     failwith
       (Format.asprintf "kernel boot failed: %a" M.pp_stop_reason other));
+  {
+    b_fw = fw;
+    b_obs = obs;
+    b_machine = machine;
+    b_snapshot = M.snapshot machine;
+    b_apps = Array.of_list (List.map (app_facts fw) fw.Aft.fw_apps);
+  }
+
+let start ?(policy = Disable) ?(scenario = Sensors.Daily_mix) ?seed b =
+  let machine = b.b_machine in
+  M.restore machine b.b_snapshot;
   let api = Api.create (Sensors.create ?seed scenario) in
   let apps =
-    Array.of_list
-      (List.map
-         (fun build ->
-           let state_sym =
-             Amulet_cc.Isolation.mangle ~prefix:build.Aft.ab_name "state"
-           in
-           {
-             build;
-             enabled = true;
-             fault_count = 0;
-             restarts = 0;
-             last_fault = None;
-             last_forensics = None;
-             subscriptions = [];
-             timers = [];
-             certified =
-               (let names =
-                  Apis.certified_services fw.Aft.fw_image ~app:build.Aft.ab_name
-                in
-                Array.map (fun s -> List.mem s.Apis.name names) Apis.services);
-             valid = valid_ranges fw.Aft.fw_mode build;
-             handler_stats = Hashtbl.create 8;
-             state_stats = Hashtbl.create 8;
-             state_addr =
-               (if Amulet_link.Image.has_symbol fw.Aft.fw_image state_sym then
-                  Some (Amulet_link.Image.symbol fw.Aft.fw_image state_sym)
-                else None);
-           })
-         fw.Aft.fw_apps)
+    Array.map
+      (fun f ->
+        {
+          build = f.af_build;
+          enabled = true;
+          fault_count = 0;
+          restarts = 0;
+          last_fault = None;
+          last_forensics = None;
+          subscriptions = [];
+          timers = [];
+          certified = f.af_certified;
+          valid = f.af_valid;
+          handler_stats = Hashtbl.create 8;
+          state_stats = Hashtbl.create 8;
+          state_addr = f.af_state_addr;
+        })
+      b.b_apps
   in
   let t =
     {
-      fw; machine; api;
+      fw = b.b_fw; machine; api;
       queue = Event_queue.create ();
-      apps; policy; obs;
+      apps; policy; obs = b.b_obs;
       now = M.cycles machine;
       vbase = 0;
       dispatches = 0;
       current_app = -1;
-      os_code_sum =
-        region_checksum machine ~base:fw.Aft.fw_layout.Amulet_aft.Layout.os_code_base
-          ~size:fw.Aft.fw_layout.Amulet_aft.Layout.os_code_size;
     }
   in
   machine.M.host_call <-
@@ -223,6 +238,9 @@ let create ?(policy = Disable) ?(scenario = Sensors.Daily_mix) ?seed ?obs fw =
     (fun i _ -> post t ~delay_ms:0 ~app:i Event.Init ~arg:0)
     apps;
   t
+
+let create ?policy ?scenario ?seed ?obs fw =
+  start ?policy ?scenario ?seed (boot ?obs fw)
 
 let handle_fault t (app : app_state) msg =
   app.fault_count <- app.fault_count + 1;
@@ -441,10 +459,10 @@ let display_line t n = t.api.Api.display.(n land 3)
 let log_contents t = Buffer.contents t.api.Api.log
 
 let os_intact t =
-  region_checksum t.machine
-    ~base:t.fw.Aft.fw_layout.Amulet_aft.Layout.os_code_base
-    ~size:t.fw.Aft.fw_layout.Amulet_aft.Layout.os_code_size
-  = t.os_code_sum
+  let lay = t.fw.Aft.fw_layout in
+  let lo = lay.Amulet_aft.Layout.os_code_base in
+  Amulet_mcu.Memory.unchanged t.machine.M.mem ~lo
+    ~hi:(lo + lay.Amulet_aft.Layout.os_code_size)
 
 (* Post-fault kernel-liveness probe: deliver one Button event to the
    app and confirm the kernel can still dispatch it cleanly.  Other

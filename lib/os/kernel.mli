@@ -89,10 +89,40 @@ type t = {
           records emitted mid-dispatch land on the virtual timeline *)
   mutable dispatches : int;
   mutable current_app : int;
-  os_code_sum : int;
-      (** checksum of the OS code region taken right after boot; the
-          attack campaign's kernel-integrity reference *)
 }
+
+type boot
+(** A firmware booted once: the machine as the boot stub left it,
+    plus the per-app facts derived from the image (certified services,
+    valid pointer ranges, the [state] global's address).  Every kernel
+    {!start}ed from it runs on its one machine. *)
+
+val boot : ?obs:Amulet_obs.Obs.t -> Amulet_aft.Aft.firmware -> boot
+(** Creates a machine, loads the image, resets the machine, runs the
+    boot stub to its halt and snapshots the result
+    ({!Amulet_mcu.Machine.snapshot}).  With [obs], the context is
+    attached to the machine {e before} boot (so profiler totals equal
+    [Machine.cycles] exactly), and every kernel started from the boot
+    emits dispatch spans, API instants, queue-depth /
+    dispatch-latency counters and fault instants into it. *)
+
+val start :
+  ?policy:fault_policy ->
+  ?scenario:Sensors.scenario ->
+  ?seed:int ->
+  boot ->
+  t
+(** Restores the boot's machine to the booted state
+    ({!Amulet_mcu.Machine.restore}: only the pages written since the
+    last start are copied back, and the predecoded blocks are kept)
+    and queues [handle_init] for every app at t=0.  (Does not
+    dispatch.)  Only the mutable state is new: app records, the API
+    service state, sensor streams and the event queue.  A kernel
+    started this way is indistinguishable from a {!create}d one.
+
+    Starting a boot again ends the previous kernel started from it:
+    the two share the machine, so the old kernel must not be used
+    afterwards. *)
 
 val create :
   ?policy:fault_policy ->
@@ -101,12 +131,7 @@ val create :
   ?obs:Amulet_obs.Obs.t ->
   Amulet_aft.Aft.firmware ->
   t
-(** Loads the image, resets the machine, runs the boot stub, and
-    queues [handle_init] for every app at t=0.  (Does not dispatch.)
-    With [obs], the context is attached to the machine {e before}
-    boot (so profiler totals equal [Machine.cycles] exactly) and the
-    kernel emits dispatch spans, API instants, queue-depth /
-    dispatch-latency counters and fault instants into it. *)
+(** [start (boot fw)]: a kernel on a machine of its own. *)
 
 val now_ms : t -> int
 
@@ -140,9 +165,10 @@ val log_contents : t -> string
 (* Post-incident oracles used by the attack campaign (lib/sec). *)
 
 val os_intact : t -> bool
-(** Recompute the OS code region checksum and compare it with the
-    value captured at boot — [false] means some attack (or injected
-    fault) corrupted kernel code. *)
+(** Every byte of the OS code region still equals the booted image —
+    [false] means some attack (or injected fault) corrupted kernel
+    code.  Exact, and cheap: only the pages written since the kernel
+    started are compared ({!Amulet_mcu.Memory.unchanged}). *)
 
 val liveness_probe : ?max_dispatches:int -> t -> app:int -> bool
 (** Post a [Button] event to [app] and dispatch until it is delivered

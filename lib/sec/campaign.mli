@@ -13,9 +13,10 @@
     - a store reaching the MPU's configuration registers from app
       code.
 
-    After the run it additionally checks the victim's canary, the OS
-    code checksum ({!Amulet_os.Kernel.os_intact}), and that the
-    kernel can still dispatch to the victim
+    After the run it additionally checks the victim's canary, that
+    OS code still equals the booted image
+    ({!Amulet_os.Kernel.os_intact}), and that the kernel can still
+    dispatch to the victim
     ({!Amulet_os.Kernel.liveness_probe}). *)
 
 (** What the cell actually did, classified from the oracle record and

@@ -412,7 +412,7 @@ let test_device_violations () =
          small_scenario.Scenario.sc_apps)
   in
   let r =
-    Device.run ~fw ~scenario:small_scenario
+    Device.run ~boot:(Amulet_os.Kernel.boot fw) ~scenario:small_scenario
       ~seed:small_scenario.Scenario.sc_seed ~index:0
   in
   Alcotest.(check (list string)) "healthy device has no violations" []
@@ -420,6 +420,194 @@ let test_device_violations () =
   let sick = { r with Device.r_os_intact = false; r_alive = false } in
   Alcotest.(check int) "corrupt device reports both probes" 2
     (List.length (Device.violations sick))
+
+(* --- a started kernel equals a fresh boot ------------------------- *)
+
+module Aft = Amulet_aft.Aft
+module Suite = Amulet_apps.Suite
+module Kernel = Amulet_os.Kernel
+module Event = Amulet_os.Event
+module M = Amulet_mcu.Machine
+module Memory = Amulet_mcu.Memory
+module Mpu = Amulet_mcu.Mpu
+module Trace = Amulet_mcu.Trace
+module Attacks = Amulet_sec.Attacks
+
+let steady_fw mode =
+  Aft.build ~mode
+    (List.map
+       (fun n -> Suite.spec_for mode (Suite.find n))
+       [ "pedometer"; "clock" ])
+
+(* Everything a run leaves behind that a restore could get wrong. *)
+type final = {
+  f_records : Kernel.dispatch_record list;
+  f_cycles : int;
+  f_regs : int array;
+  f_mem : Memory.t;
+  f_mpu : int list;
+  f_stats : int list;
+  f_os_intact : bool;
+  f_alive : bool;
+  f_unrecovered : (string * string) list;
+}
+
+(* A few of every event source on top of the apps' own timers and
+   sensors, [ms] of dispatches, then the oracle's probes. *)
+let drive ?(ms = 300) k =
+  let napps = Array.length k.Kernel.apps in
+  List.iteri
+    (fun i (at, kind, arg) ->
+      Kernel.post k ~delay_ms:at ~app:(i mod napps) kind ~arg)
+    [
+      (5, Event.Button 1, 1); (40, Event.Button 2, 77); (90, Event.Tick, 0);
+      (155, Event.Button 1, 1); (220, Event.Init, 0); (265, Event.Button 2, 3);
+    ];
+  let records = Kernel.run_for_ms k ms in
+  let m = k.Kernel.machine in
+  let mpu = m.M.mpu and st = m.M.stats in
+  let f_os_intact = Kernel.os_intact k in
+  {
+    f_records = records;
+    f_cycles = M.cycles m;
+    f_regs = Array.copy (M.regs m);
+    f_mem = Memory.copy m.M.mem;
+    f_mpu =
+      [ mpu.Mpu.ctl0; mpu.Mpu.ctl1; mpu.Mpu.segb1; mpu.Mpu.segb2; mpu.Mpu.sam;
+        Mpu.gen mpu; mpu.Mpu.key ];
+    f_stats =
+      [ st.Trace.fetch_words; st.Trace.data_reads; st.Trace.data_writes ];
+    f_os_intact;
+    f_alive = Kernel.liveness_probe k ~app:0;
+    f_unrecovered = Kernel.unrecovered_faults k;
+  }
+
+let check_same name fresh restored =
+  let is what = Printf.sprintf "%s: %s" name what in
+  Alcotest.(check bool) (is "dispatch records") true
+    (fresh.f_records = restored.f_records);
+  Alcotest.(check int) (is "cycles") fresh.f_cycles restored.f_cycles;
+  Alcotest.(check (array int)) (is "registers") fresh.f_regs restored.f_regs;
+  Alcotest.(check bool) (is "memory") true
+    (Memory.equal fresh.f_mem restored.f_mem);
+  Alcotest.(check (list int)) (is "MPU registers") fresh.f_mpu restored.f_mpu;
+  Alcotest.(check (list int))
+    (is "access stats") fresh.f_stats restored.f_stats;
+  Alcotest.(check bool) (is "os_intact") fresh.f_os_intact restored.f_os_intact;
+  Alcotest.(check bool) (is "liveness") fresh.f_alive restored.f_alive;
+  Alcotest.(check (list (pair string string)))
+    (is "unrecovered faults") fresh.f_unrecovered restored.f_unrecovered
+
+(* Dirty the boot with a different device first (another seed, a
+   shorter run), then compare a started run with a fresh
+   [Kernel.create] one.  [check] sees the started kernel and the code
+   generation it began at. *)
+let restore_matches_fresh ?(check = fun _ ~gen0:_ _ -> ()) name fw =
+  let seed = 21 in
+  let boot = Kernel.boot fw in
+  ignore
+    (drive ~ms:160 (Kernel.start ~policy:Kernel.Disable ~seed:(seed + 1) boot));
+  let k = Kernel.start ~policy:Kernel.Disable ~seed boot in
+  let gen0 = Memory.code_gen k.Kernel.machine.M.mem in
+  let restored = drive k in
+  let fresh = drive (Kernel.create ~policy:Kernel.Disable ~seed fw) in
+  check_same name fresh restored;
+  check k ~gen0 restored
+
+let test_restore_steady_day () =
+  List.iter
+    (fun mode -> restore_matches_fresh (Iso.name mode) (steady_fw mode))
+    Iso.all
+
+let attack_fw (attack : Attacks.t) mode =
+  match Attacks.build_cell ~attack ~mode with
+  | Attacks.Built { fw; targets; _ } -> (fw, targets)
+  | Attacks.Rejected msg ->
+    Alcotest.failf "%s rejected: %s" attack.Attacks.atk_name msg
+
+(* [bin_probe_below] stores into its own code segment, below the code
+   that runs.  The same payload aimed at the victim's [handle_button]
+   turns that handler into a bare [ret], rewriting code the kernel has
+   predecoded.  The carrier stores every 50 ms, and the shorter device
+   that dirties the boot runs the rewritten handler after the last
+   store (the button at 155 ms): a restore that kept its block would
+   run it in the next device's button at 40 ms. *)
+let test_restore_code_writes () =
+  let below = Attacks.find "bin_probe_below" in
+  let open Amulet_mcu in
+  let ret = Opcode.(Fmt1 (MOV, Word.W16, S_indirect_inc 1, D_reg 0)) in
+  let ret_word = List.hd (Encode.encode ret) in
+  let store v a = Opcode.(Fmt1 (MOV, Word.W16, S_immediate v, D_absolute a)) in
+  let into_code =
+    {
+      below with
+      Attacks.atk_name = "bin_probe_below aimed at predecoded code";
+      atk_payload =
+        Some (fun t -> [ store ret_word t.Attacks.t_victim_entry; ret ]);
+      atk_target = (fun t -> Some t.Attacks.t_victim_entry);
+    }
+  in
+  List.iter
+    (fun (attack, value, hits_blocks) ->
+      let fw, targets = attack_fw attack Iso.No_isolation in
+      let target = Option.get (attack.Attacks.atk_target targets) in
+      restore_matches_fresh attack.Attacks.atk_name fw ~check:(fun k ~gen0 _ ->
+          let m = k.Kernel.machine in
+          Alcotest.(check int) "the store landed" value
+            (M.mem_checked_read m Word.W16 target);
+          Alcotest.(check bool) "whether it hit predecoded code" hits_blocks
+            (Memory.code_gen m.M.mem > gen0)))
+    [ (below, Attacks.attack_value, false); (into_code, ret_word, true) ]
+
+let test_restore_faulting () =
+  let fw, _ = attack_fw (Attacks.find "bin_wild_write_os") Iso.Mpu_assisted in
+  restore_matches_fresh "bin_wild_write_os" fw ~check:(fun _ ~gen0:_ f ->
+      Alcotest.(check bool) "the attacker faulted" true
+        (List.exists
+           (fun r ->
+             match r.Kernel.dr_outcome with
+             | Kernel.App_fault _ -> true
+             | Kernel.Ok | Kernel.No_handler -> false)
+           f.f_records))
+
+let test_restore_drops_hooks () =
+  let boot = Kernel.boot (steady_fw Iso.Mpu_assisted) in
+  let k = Kernel.start boot in
+  let steps = ref 0 and events = ref 0 in
+  M.add_step_hook k.Kernel.machine (fun _ -> incr steps);
+  M.add_watch k.Kernel.machine (fun _ -> incr events);
+  ignore (drive k);
+  Alcotest.(check bool) "hooks armed on the first kernel fire" true
+    (!steps > 0 && !events > 0);
+  steps := 0;
+  events := 0;
+  ignore (drive (Kernel.start boot));
+  Alcotest.(check int) "step hook silent on the next kernel" 0 !steps;
+  Alcotest.(check int) "watcher silent on the next kernel" 0 !events
+
+(* The same device twice on one boot: the second run reuses every
+   block the first one predecoded and builds none. *)
+let test_restore_keeps_blocks () =
+  List.iter
+    (fun mode ->
+      let boot = Kernel.boot (steady_fw mode) in
+      let k = Kernel.start ~seed:3 boot in
+      ignore (drive k);
+      let blocks = k.Kernel.machine.M.blocks in
+      let first = Hashtbl.copy blocks in
+      ignore (drive (Kernel.start ~seed:3 boot));
+      let name = Iso.name mode in
+      Alcotest.(check int) (name ^ ": no block added") (Hashtbl.length first)
+        (Hashtbl.length blocks);
+      Alcotest.(check bool) (name ^ ": every block kept") true
+        (Hashtbl.fold
+           (fun pc b ok ->
+             ok
+             && match Hashtbl.find_opt first pc with
+                | Some b0 -> b0 == b
+                | None -> false)
+           blocks true))
+    Iso.all
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -463,5 +651,15 @@ let () =
           Alcotest.test_case "per-mode coverage" `Quick test_fleet_mode_coverage;
           Alcotest.test_case "device oracle verdicts" `Quick
             test_device_violations;
+        ] );
+      ( "restore",
+        [
+          Alcotest.test_case "steady_day firmware, all modes" `Quick
+            test_restore_steady_day;
+          Alcotest.test_case "code writes" `Quick test_restore_code_writes;
+          Alcotest.test_case "faulting app" `Quick test_restore_faulting;
+          Alcotest.test_case "hooks end with their kernel" `Quick
+            test_restore_drops_hooks;
+          Alcotest.test_case "blocks kept" `Quick test_restore_keeps_blocks;
         ] );
     ]

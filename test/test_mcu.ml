@@ -1134,6 +1134,100 @@ let test_reset_drops_code_cache () =
   | o -> Alcotest.failf "expected halt, got %a" Machine.pp_stop_reason o);
   check_int "second boot decodes the post-reset patch" 0x2222 (reg m 7)
 
+(* ------------------------------------------------------------------ *)
+(* Snapshot and restore *)
+
+(* A loop over two blocks that stores into SRAM, into FRAM data and
+   into its own code page, then halts. *)
+let snap_prog =
+  let open Opcode in
+  [
+    Fmt1 (MOV, Word.W16, S_immediate 0, D_reg 5);
+    Fmt1 (MOV, Word.W16, S_immediate 9, D_reg 6);
+    (* loop, base+6 *) Fmt1 (ADD, Word.W16, S_reg 6, D_reg 5);
+    Fmt1 (MOV, Word.W16, S_reg 5, D_absolute 0x1C10);
+    Fmt1 (MOV, Word.W8, S_reg 6, D_absolute (code_base + 0x80));
+    Fmt1 (SUB, Word.W16, S_immediate 1, D_reg 6);
+    Jump (JNE, -7);
+    Fmt1 (MOV, Word.W16, S_reg 5, D_absolute 0x5000);
+    halt_insn;
+  ]
+
+type mem_op =
+  | Byte of int * int
+  | Word_op of int * int
+  | Blit of int * string
+  | Fill of int * int * int
+
+let apply_mem_op mem = function
+  | Byte (a, v) -> Memory.write_byte mem a v
+  | Word_op (a, v) -> Memory.write_word mem a v
+  | Blit (a, s) -> Memory.blit mem ~addr:a (Bytes.of_string s)
+  | Fill (a, len, v) -> Memory.fill mem ~addr:a ~len ~value:v
+
+let print_mem_op = function
+  | Byte (a, v) -> Printf.sprintf "byte %04X <- %02X" a v
+  | Word_op (a, v) -> Printf.sprintf "word %04X <- %04X" a v
+  | Blit (a, s) -> Printf.sprintf "blit %04X (%d bytes)" a (String.length s)
+  | Fill (a, len, v) -> Printf.sprintf "fill %04X (%d bytes) <- %02X" a len v
+
+let gen_mem_op =
+  let open QCheck2.Gen in
+  (* a quarter of the addresses land in the program's code page *)
+  let addr =
+    frequency
+      [ (3, int_range 0 0xFFFF); (1, int_range code_base (code_base + 0xFF)) ]
+  in
+  let span = int_range 1 600 in
+  let fits a len = min a (0x10000 - len) in
+  frequency
+    [
+      (3, map2 (fun a v -> Byte (a, v)) addr (int_range 0 0xFF));
+      (3, map2 (fun a v -> Word_op (a, v)) addr (int_range 0 0xFFFF));
+      ( 1,
+        map2
+          (fun a s -> Blit (fits a (String.length s), s))
+          addr (string_size ~gen:char span) );
+      ( 1,
+        map3
+          (fun a len v -> Fill (fits a len, len, v))
+          addr span (int_range 0 0xFF) );
+    ]
+
+(* Re-run the program from [snap]: its stop, cycles, registers and
+   access counters. *)
+let rerun m snap =
+  Machine.restore m snap;
+  m.Machine.halted <- false;
+  Registers.set_pc (Machine.regs m) code_base;
+  let stop = Machine.run ~fuel:10_000 m in
+  let st = m.Machine.stats in
+  ( stop,
+    Machine.cycles m,
+    Array.to_list (Machine.regs m),
+    [ st.Trace.fetch_words; st.Trace.data_reads; st.Trace.data_writes ] )
+
+(* Writes anywhere, then a run that predecodes whatever the writes
+   left in the code page, then a restore: memory must equal the
+   snapshot, and a re-run must match the one before the writes — a
+   block kept from the corrupted code would not. *)
+let snapshot_restore_property =
+  QCheck2.Test.make ~count:200 ~name:"restore undoes any writes"
+    ~print:(fun ops -> String.concat "; " (List.map print_mem_op ops))
+    QCheck2.Gen.(list_size (int_range 1 12) gen_mem_op)
+    (fun ops ->
+      let m = build_machine snap_prog in
+      ignore (expect_halt (m, Machine.run m));
+      let snap = Machine.snapshot m in
+      let saved = Memory.copy m.Machine.mem in
+      let expected = rerun m snap in
+      List.iter (apply_mem_op m.Machine.mem) ops;
+      m.Machine.halted <- false;
+      Registers.set_pc (Machine.regs m) code_base;
+      ignore (Machine.run ~fuel:300 m);
+      Machine.restore m snap;
+      Memory.equal m.Machine.mem saved && rerun m snap = expected)
+
 let () =
   Alcotest.run "mcu"
     [
@@ -1234,4 +1328,5 @@ let () =
           Alcotest.test_case "reset drops cache" `Quick
             test_reset_drops_code_cache;
         ] );
+      qsuite "snapshot" [ snapshot_restore_property ];
     ]

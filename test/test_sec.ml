@@ -325,7 +325,8 @@ let test_kernel_probes_clean () =
   Alcotest.(check (list (pair string string))) "no unrecovered faults" []
     (Kernel.unrecovered_faults k)
 
-let test_kernel_probes_faulty () =
+(* Stores into the first OS code word (0x4400). *)
+let faulty_fw mode =
   let faulty =
     {|
 void handle_init(int arg) { api_set_timer(100); }
@@ -335,19 +336,38 @@ void handle_timer(int arg) {
 }
 |}
   in
-  let fw =
-    Aft.build ~mode:Iso.Mpu_assisted
-      [
-        { Aft.name = "victim"; source = Amulet_apps.Sec_sources.victim };
-        { Aft.name = "faulty"; source = faulty };
-      ]
-  in
+  Aft.build ~mode
+    [
+      { Aft.name = "victim"; source = Amulet_apps.Sec_sources.victim };
+      { Aft.name = "faulty"; source = faulty };
+    ]
+
+let test_kernel_probes_faulty () =
+  let fw = faulty_fw Iso.Mpu_assisted in
   let k = Kernel.create ~policy:Kernel.Disable ~seed fw in
   let _ = Kernel.run_for_ms k 2_000 in
   Alcotest.(check bool) "OS survives" true (Kernel.os_intact k);
   match Kernel.unrecovered_faults k with
   | [ (name, _) ] -> Alcotest.(check string) "faulty app disabled" "faulty" name
   | l -> Alcotest.failf "expected one unrecovered fault, got %d" (List.length l)
+
+(* Without isolation the store lands in OS code, and [os_intact] must
+   see it whether the kernel booted fresh or was started from a boot
+   another kernel dirtied; the next start puts the code back. *)
+let test_kernel_probes_os_write () =
+  let fw = faulty_fw Iso.No_isolation in
+  let run k =
+    ignore (Kernel.run_for_ms k 2_000);
+    Kernel.os_intact k
+  in
+  Alcotest.(check bool) "fresh kernel: OS code changed" false
+    (run (Kernel.create ~policy:Kernel.Disable ~seed fw));
+  let boot = Kernel.boot fw in
+  ignore (run (Kernel.start ~policy:Kernel.Disable ~seed:(seed + 1) boot));
+  Alcotest.(check bool) "restored kernel: OS code changed" false
+    (run (Kernel.start ~policy:Kernel.Disable ~seed boot));
+  Alcotest.(check bool) "next start: OS code restored" true
+    (Kernel.os_intact (Kernel.start ~policy:Kernel.Disable ~seed boot))
 
 (* ------------------------------------------------------------------ *)
 (* Campaign telemetry: the per-mode dispatch-cycle histograms are
@@ -425,5 +445,7 @@ let () =
           Alcotest.test_case "clean run" `Quick test_kernel_probes_clean;
           Alcotest.test_case "faulty app surfaces" `Quick
             test_kernel_probes_faulty;
+          Alcotest.test_case "OS code write detected" `Quick
+            test_kernel_probes_os_write;
         ] );
     ]
