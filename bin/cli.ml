@@ -119,7 +119,8 @@ let mode =
           "Isolation mode: $(b,none), $(b,amuletc) (feature-limited), \
            $(b,software), or $(b,mpu).")
 
-(* The repeatable form; no -m at all means [default]. *)
+(* The repeatable form; no -m at all means [default].  A mode given
+   twice counts once, in the order of its first occurrence. *)
 let modes ~default =
   let doc =
     Printf.sprintf "Isolation mode (repeatable; default %s)."
@@ -129,7 +130,11 @@ let modes ~default =
   let given =
     Arg.(value & opt_all mode_conv [] & info [ "m"; "mode" ] ~docv:"MODE" ~doc)
   in
-  Term.(const (function [] -> default | ms -> ms) $ given)
+  let distinct ms =
+    List.fold_left (fun acc m -> if List.mem m acc then acc else m :: acc) [] ms
+    |> List.rev
+  in
+  Term.(const (function [] -> default | ms -> distinct ms) $ given)
 
 let apps =
   Arg.(

@@ -1,10 +1,13 @@
 (* Whole-image static certifier.
 
    Runs every analysis this library offers — the SFI verifier, CFI
-   reconstruction, the binary stack bound and gate-argument provenance
-   — over each app code section of a linked firmware image and folds
-   the outcomes into one diagnostic report (rendered human-readable or
-   as JSON by [amulet lint]).
+   reconstruction, the binary stack bound, gate-argument provenance
+   and the WCET bound — over each app code section of a linked
+   firmware image, adds the mode's proof obligations ([lib/proof]),
+   and folds the outcomes into one diagnostic report (rendered
+   human-readable or as JSON by [amulet lint]).  The obligations
+   depend on the mode alone: [run_with] takes them precomputed, so a
+   caller linting many images of one mode proves them once.
 
    [r_certified] lists the services whose dynamic gate-pointer
    validation the kernel may elide for an app: that elision is sound
@@ -26,7 +29,8 @@ type severity = Note | Warn | Error
 type diag = {
   d_app : string;  (** "" for image-level diagnostics *)
   d_pass : string;
-      (** "image" | "sfi" | "cfi" | "stackcert" | "gates" | "proof" *)
+      (** "image" | "sfi" | "cfi" | "stackcert" | "gates" | "wcet"
+          | "proof" *)
   d_severity : severity;
   d_addr : int option;
   d_message : string;
@@ -205,13 +209,13 @@ let proof_diags mode =
         d_message = r.Ob.res_ob.Ob.ob_name ^ " " ^ status })
     (Ob.run_mode mode)
 
-let run ~(image : I.t) ~mode ~apps =
+let run_with ~proofs ~(image : I.t) ~mode ~apps =
   let per_app = List.map (lint_app ~image ~mode) apps in
   let diags =
     if apps = [] then
       [ { d_app = ""; d_pass = "image"; d_severity = Error; d_addr = None;
           d_message = "image has no app code sections: nothing was certified" } ]
-    else List.concat_map snd per_app @ proof_diags mode
+    else List.concat_map snd per_app @ proofs
   in
   let count s = List.length (List.filter (fun d -> d.d_severity = s) diags) in
   {
@@ -221,6 +225,9 @@ let run ~(image : I.t) ~mode ~apps =
     l_errors = count Error;
     l_warnings = count Warn;
   }
+
+let run ~image ~mode ~apps =
+  run_with ~proofs:(proof_diags mode) ~image ~mode ~apps
 
 (* Services whose gate-pointer validation the kernel may skip for
    [prefix] — empty whenever any piece of the static evidence is

@@ -1,9 +1,11 @@
 (** Whole-image static certifier: runs the SFI verifier, CFI
-    reconstruction, the binary stack bound ({!Stackcert}) and
-    gate-argument provenance ({!Gate_taint}) over every app section of
-    a linked firmware and folds the outcomes into one diagnostic
-    report.  [amulet lint] renders it; the AFT consumes
-    {!certified_gates} to stamp certification notes into the image. *)
+    reconstruction, the binary stack bound ({!Stackcert}),
+    gate-argument provenance ({!Gate_taint}) and the WCET bound
+    ({!Wcet}) over every app section of a linked firmware, adds the
+    mode's proof obligations ({!proof_diags}), and folds the outcomes
+    into one diagnostic report.  [amulet lint] renders it; the AFT
+    consumes {!certified_gates} to stamp certification notes into the
+    image. *)
 
 type severity = Note | Warn | Error
 
@@ -42,13 +44,30 @@ val apps_of : Amulet_link.Image.t -> string list
 (** App prefixes in the image, in address order, from the linker's
     [<prefix>_code__start] symbols (the OS section excluded). *)
 
+val proof_diags : Amulet_cc.Isolation.mode -> diag list
+(** The mode's write-containment obligations ({!Amulet_proof.Obligations}),
+    one image-level ["proof"] diagnostic each: a note when the
+    obligation meets its documented expectation, an error otherwise.
+    They depend on the mode alone, not on any image. *)
+
+val run_with :
+  proofs:diag list ->
+  image:Amulet_link.Image.t ->
+  mode:Amulet_cc.Isolation.mode ->
+  apps:string list ->
+  report
+(** The report with [proofs] (the mode's {!proof_diags}, computed once
+    by a caller that lints many images) appended after the per-app
+    diagnostics.  An empty [apps] list yields a single image-level
+    error diagnostic instead (a firmware with nothing to certify must
+    not pass vacuously). *)
+
 val run :
   image:Amulet_link.Image.t ->
   mode:Amulet_cc.Isolation.mode ->
   apps:string list ->
   report
-(** An empty [apps] list yields a single image-level error diagnostic
-    (a firmware with nothing to certify must not pass vacuously). *)
+(** [run_with ~proofs:(proof_diags mode)]. *)
 
 val certified_gates :
   image:Amulet_link.Image.t ->

@@ -444,18 +444,22 @@ let specs_for ~position ~attacker_spec mode =
   | First -> [ attacker_spec; victim_spec mode ]
   | Last -> [ victim_spec mode; attacker_spec ]
 
+(* The placeholder build only fixes the layout and resolves the
+   targets, so it skips certification: that appends [cert.gates.*]
+   notes after linking and moves nothing. *)
 let build_source ~attack ~mode gen =
   let attacker = "attacker" in
-  let build targets =
+  let build ~certify targets =
     let spec = { Aft.name = attacker; source = gen targets } in
-    Aft.build ~mode (specs_for ~position:attack.atk_position ~attacker_spec:spec mode)
+    Aft.build ~mode ~certify
+      (specs_for ~position:attack.atk_position ~attacker_spec:spec mode)
   in
-  match build placeholder_targets with
+  match build ~certify:false placeholder_targets with
   | exception Aft.Source_error { msg; _ } -> Rejected msg
   | exception Aft.Build_error msg -> Rejected msg
   | fw_a ->
     let targets = resolve_targets fw_a ~attacker in
-    let fw = build targets in
+    let fw = build ~certify:true targets in
     let la = app_layout fw_a attacker and lb = app_layout fw attacker in
     if
       la.Layout.code_base <> lb.Layout.code_base
@@ -467,6 +471,8 @@ let build_source ~attack ~mode gen =
            attack.atk_name);
     Built { fw; attacker; victim = "victim"; targets }
 
+(* Copies only the chunk it patches; the others stay shared with
+   [image], which is never written. *)
 let patch_words image ~addr words =
   let patched = ref false in
   let chunks =
@@ -490,12 +496,8 @@ let patch_words image ~addr words =
   if not !patched then failwith "patch_words: address outside image chunks";
   { image with Image.chunks }
 
-let build_binary ~attack ~mode payload =
+let build_binary ~attack (fw, targets) payload =
   let attacker = "carrier" in
-  let fw =
-    Aft.build ~mode [ carrier_spec mode; victim_spec mode ]
-  in
-  let targets = resolve_targets fw ~attacker in
   let haddr =
     match Aft.handler_addr (Aft.find_app fw attacker) "handle_timer" with
     | Some a -> a
@@ -521,8 +523,36 @@ let build_binary ~attack ~mode payload =
       targets;
     }
 
-let build_cell ~attack ~mode =
-  match (attack.atk_source, attack.atk_payload) with
-  | Some gen, _ -> build_source ~attack ~mode gen
-  | None, Some payload -> build_binary ~attack ~mode payload
-  | None, None -> assert false
+(* [b_carrier]: the benign carrier+victim build every binary attack of
+   the mode patches, with the targets resolved on it. *)
+type base = {
+  b_mode : Iso.mode;
+  b_carrier : (Aft.firmware * targets) option;
+}
+
+let base mode attacks =
+  let carrier () =
+    let fw = Aft.build ~mode [ carrier_spec mode; victim_spec mode ] in
+    (fw, resolve_targets fw ~attacker:"carrier")
+  in
+  {
+    b_mode = mode;
+    b_carrier =
+      (if List.exists (fun a -> a.atk_level = Binary) attacks then
+         Some (carrier ())
+       else None);
+  }
+
+let base_firmware b = Option.map fst b.b_carrier
+
+let build_on b ~attack =
+  match (attack.atk_source, attack.atk_payload, b.b_carrier) with
+  | Some gen, _, _ -> build_source ~attack ~mode:b.b_mode gen
+  | None, Some payload, Some carrier -> build_binary ~attack carrier payload
+  | None, Some _, None ->
+    invalid_arg
+      (Printf.sprintf "Attacks.build_on: %s is binary, the base has no carrier"
+         attack.atk_name)
+  | None, None, _ -> assert false
+
+let build_cell ~attack ~mode = build_on (base mode [ attack ]) ~attack

@@ -93,8 +93,30 @@ type built =
       targets : targets;
     }
 
-val build_cell : attack:t -> mode:Amulet_cc.Isolation.mode -> built
-(** Build the two-app firmware for one (attack, mode) cell: compile
-    (two-phase for source attacks) or compile-and-patch (binary
+type base
+(** What the cells of one mode build the same: the benign
+    [carrier; victim] firmware every binary attack patches.  Immutable
+    once built — a cell patches a copy of the one chunk its payload
+    lands in — so cells on parallel domains may share it. *)
+
+val base : Amulet_cc.Isolation.mode -> t list -> base
+(** The base for cells of [mode] drawn from the given attacks: it
+    builds the carrier firmware only when one of them is binary. *)
+
+val base_firmware : base -> Amulet_aft.Aft.firmware option
+(** The unpatched carrier firmware, when the base has one.  A payload
+    rewrites only the carrier's [handle_timer], so whatever an analysis
+    derives from the victim section, the OS code or the image notes is
+    the same on every patched copy. *)
+
+val build_on : base -> attack:t -> built
+(** Build the two-app firmware for one cell of the base's mode: compile
+    (two-phase for source attacks; the placeholder phase uncertified)
+    or patch the payload over a copy of the base's carrier (binary
     attacks).  @raise Failure if a binary payload does not fit in the
-    carrier's handler or the two source phases disagree on layout. *)
+    carrier's handler or the two source phases disagree on layout;
+    @raise Invalid_argument for a binary attack on a base built without
+    one. *)
+
+val build_cell : attack:t -> mode:Amulet_cc.Isolation.mode -> built
+(** [build_on (base mode [ attack ]) ~attack]: one cell on its own. *)

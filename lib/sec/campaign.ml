@@ -182,7 +182,37 @@ let matches expected observed =
 
 let lint_rejects report = report.Lint.l_errors > 0
 
-let run_cell ~attack ~mode ~seed =
+let app_wcet ~image ~mode prefix =
+  match Amulet_analysis.Cfi.reconstruct ~image ~mode ~prefix with
+  | Ok cfg -> Some (Amulet_analysis.Wcet.analyze ~image ~cfg)
+  | Error _ | (exception Invalid_argument _) -> None
+
+(* What the cells of one mode share, built once just before them and
+   dropped after them: the mode's proof diagnostics (they depend on the
+   mode alone), the firmware base the binary attacks patch, and the
+   victim's WCET on that base.  A payload rewrites only the carrier's
+   handler, so the victim's bound is the same on every patched copy.
+   Nothing in it is written after [context] returns. *)
+type context = {
+  cx_mode : Iso.mode;
+  cx_proofs : Lint.diag list;
+  cx_base : Attacks.base;
+  cx_victim_wcet : Amulet_analysis.Wcet.t option;
+}
+
+let context ~mode attacks =
+  let base = Attacks.base mode attacks in
+  {
+    cx_mode = mode;
+    cx_proofs = Lint.proof_diags mode;
+    cx_base = base;
+    cx_victim_wcet =
+      Option.bind (Attacks.base_firmware base) (fun fw ->
+          app_wcet ~image:fw.Aft.fw_image ~mode "victim");
+  }
+
+let run_cell_in ctx ~attack ~seed =
+  let mode = ctx.cx_mode in
   let expected = attack.Attacks.atk_expect mode in
   let finish ?(lint = None) ?(note = "") ?(wcet = (0, 0))
       ?(dispatch = Hist.create ()) ~observed ~breaches ~breach_count
@@ -222,13 +252,15 @@ let run_cell ~attack ~mode ~seed =
       cl_dispatch = dispatch;
     }
   in
-  match Attacks.build_cell ~attack ~mode with
+  match Attacks.build_on ctx.cx_base ~attack with
   | Attacks.Rejected msg ->
     finish ~observed:O_build_rejected ~breaches:[] ~breach_count:0
       ~canary:true ~os:true ~alive:true ~note:msg ()
   | Attacks.Built { fw; attacker; victim; targets } ->
     let image = fw.Aft.fw_image in
-    let report = Lint.run ~image ~mode ~apps:[ attacker ] in
+    let report =
+      Lint.run_with ~proofs:ctx.cx_proofs ~image ~mode ~apps:[ attacker ]
+    in
     let lint = Some (lint_rejects report) in
     let k = Kernel.create ~policy:Kernel.Disable ~seed fw in
     let ai = app_index fw attacker and vi = app_index fw victim in
@@ -265,8 +297,9 @@ let run_cell ~attack ~mode ~seed =
        the certified control-flow graph voids the premise the static
        bound is conditional on (same layering as the paper: timing
        guarantees ride on the isolation guarantees).  The attacker's
-       bounds come from its lint report; only the victim is analysed
-       here. *)
+       bounds come from its lint report and a binary cell's victim's
+       from the mode's context; only a source cell's victim is
+       analysed here. *)
     let wcet =
       if breach then (0, 0)
       else begin
@@ -276,11 +309,9 @@ let run_cell ~attack ~mode ~seed =
               let prefix = b.Aft.ab_name in
               if prefix = attacker then
                 (prefix, (List.hd report.Lint.l_apps).Lint.r_wcet)
-              else
-                match Amulet_analysis.Cfi.reconstruct ~image ~mode ~prefix with
-                | Ok cfg ->
-                  (prefix, Some (Amulet_analysis.Wcet.analyze ~image ~cfg))
-                | Error _ | (exception Invalid_argument _) -> (prefix, None))
+              else if attack.Attacks.atk_level = Attacks.Binary then
+                (prefix, ctx.cx_victim_wcet)
+              else (prefix, app_wcet ~image ~mode prefix))
             fw.Aft.fw_apps
         in
         List.fold_left
@@ -340,6 +371,9 @@ let run_cell ~attack ~mode ~seed =
     finish ~lint ~wcet ~dispatch ~observed ~breaches:oracle.breaches
       ~breach_count:oracle.breach_count ~canary ~os ~alive ~note ()
 
+let run_cell ~attack ~mode ~seed =
+  run_cell_in (context ~mode [ attack ]) ~attack ~seed
+
 (* ------------------------------------------------------------------ *)
 (* Fault-injection rows                                                *)
 
@@ -349,14 +383,20 @@ let injection_flips = 8
    inside the executed prefix while still straddling many dispatches. *)
 let injection_window = (100, 4_000)
 
-let injection_once ~mode ~target ~seed =
-  let fw =
-    Aft.build ~mode
-      [
-        Amulet_apps.Suite.spec_for mode Amulet_apps.Suite.security_victim;
-        Amulet_apps.Suite.spec_for mode Amulet_apps.Suite.security_carrier;
-      ]
-  in
+(* The benign victim+carrier pair every injection row of a mode
+   boots. *)
+let injection_pair mode =
+  Aft.build ~mode
+    [
+      Amulet_apps.Suite.spec_for mode Amulet_apps.Suite.security_victim;
+      Amulet_apps.Suite.spec_for mode Amulet_apps.Suite.security_carrier;
+    ]
+
+(* One row boots the pair once and runs it twice from that boot:
+   [Kernel.start] restores the booted machine exactly and drops the
+   first run's injector hook, so the second run must reproduce the
+   first. *)
+let inject fw ~target ~seed =
   let canary_addr =
     Image.symbol fw.Aft.fw_image (Iso.mangle ~prefix:"victim" "canary")
   in
@@ -368,27 +408,25 @@ let injection_once ~mode ~target ~seed =
       let lay = (Aft.find_app fw "victim").Aft.ab_layout in
       Inject.Fram { lo = lay.Layout.data_base; hi = lay.Layout.data_limit }
   in
-  let k = Kernel.create ~policy:Kernel.Disable ~seed fw in
   let plan =
     Inject.plan ~seed ~flips:injection_flips ~window:injection_window
       inj_target
   in
-  let inj = Inject.arm plan k.Kernel.machine in
-  ignore (Kernel.run_for_ms k 500);
-  let faults = Kernel.unrecovered_faults k in
-  ( Inject.log inj,
-    Inject.flips_done inj,
-    faults,
-    canary_intact k.Kernel.machine ~addr:canary_addr,
-    Kernel.os_intact k )
-
-let run_injection ~mode ~target ~seed =
-  let log1, flips, faults1, canary1, os1 =
-    injection_once ~mode ~target ~seed
+  let boot = Kernel.boot fw in
+  let run () =
+    let k = Kernel.start ~policy:Kernel.Disable ~seed boot in
+    let inj = Inject.arm plan k.Kernel.machine in
+    ignore (Kernel.run_for_ms k 500);
+    ( Inject.log inj,
+      Inject.flips_done inj,
+      Kernel.unrecovered_faults k,
+      canary_intact k.Kernel.machine ~addr:canary_addr,
+      Kernel.os_intact k )
   in
-  let log2, _, faults2, canary2, os2 = injection_once ~mode ~target ~seed in
+  let log1, flips, faults1, canary1, os1 = run () in
+  let log2, _, faults2, canary2, os2 = run () in
   {
-    in_mode = mode;
+    in_mode = fw.Aft.fw_mode;
     in_target =
       (match target with `Regs -> "regs" | `Fram -> "fram" | `Mpu -> "mpu");
     in_flips = flips;
@@ -399,6 +437,9 @@ let run_injection ~mode ~target ~seed =
     in_deterministic =
       log1 = log2 && faults1 = faults2 && canary1 = canary2 && os1 = os2;
   }
+
+let run_injection ~mode ~target ~seed =
+  inject (injection_pair mode) ~target ~seed
 
 (* ------------------------------------------------------------------ *)
 (* Parallel driver                                                     *)
@@ -424,29 +465,35 @@ let run ?(quick = false) ?(jobs = 0) ?(only = []) ?(modes = Iso.all) ~seed ()
     |> List.filter (fun (a : Attacks.t) ->
            only = [] || List.mem a.Attacks.atk_name only)
   in
-  let cells =
-    List.concat_map
-      (fun a -> List.map (fun m -> (a, m)) modes)
-      attacks
+  (* Mode-major: each mode's context is built just before its cells
+     and dropped after them, so one is alive at a time.  Cells share
+     only the context, which nothing writes, and none of the toolchain
+     libraries keeps module-level mutable state, so the fleet scheduler
+     can hand them to any domain; Sched.map returns results in item
+     order, so the summary is byte-identical whatever [jobs] was. *)
+  let by_mode =
+    List.map
+      (fun mode ->
+        let ctx = context ~mode attacks in
+        Sched.map ~jobs (fun attack -> run_cell_in ctx ~attack ~seed) attacks)
+      modes
   in
-  (* cells are independent (each builds its own firmware and machine)
-     and none of the toolchain libraries keeps module-level mutable
-     state, so the fleet scheduler can hand them to any domain;
-     Sched.map returns results in item order, so the summary is
-     byte-identical whatever [jobs] was *)
-  let s_cells =
-    Sched.map ~jobs
-      (fun (attack, mode) -> run_cell ~attack ~mode ~seed)
-      cells
+  (* back to attack-major order: each attack under every mode in turn *)
+  let rec transpose = function
+    | [] | [] :: _ -> []
+    | rows -> List.map List.hd rows :: transpose (List.map List.tl rows)
   in
+  let s_cells = List.concat (transpose by_mode) in
   let s_injections =
     if quick then []
     else
-      Sched.map ~jobs
-        (fun (mode, target) -> run_injection ~mode ~target ~seed)
-        (List.concat_map
-           (fun m -> [ (m, `Regs); (m, `Fram); (m, `Mpu) ])
-           modes)
+      List.concat_map
+        (fun mode ->
+          let fw = injection_pair mode in
+          Sched.map ~jobs
+            (fun target -> inject fw ~target ~seed)
+            [ `Regs; `Fram; `Mpu ])
+        modes
   in
   (* merge the per-cell histograms into one distribution per mode:
      [Hist.merge] is associative and commutative, so the result is

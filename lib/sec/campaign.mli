@@ -2,6 +2,18 @@
     all four isolation modes, each cell run under a per-run isolation
     oracle, in parallel OCaml domains.
 
+    {!run} goes mode by mode.  Before a mode's cells it builds, once,
+    what they share: the mode's proof diagnostics
+    ({!Amulet_analysis.Lint.proof_diags}, folded into every cell's lint
+    verdict), the benign carrier firmware every binary cell patches a
+    copy of ({!Attacks.base}), and the victim's WCET on that firmware
+    (a payload rewrites only the carrier's handler).  It drops them
+    after the mode's cells, so one mode's context is alive at a time
+    and no cache outlives the call.  The injection rows likewise share
+    one victim+carrier build per mode.  {!run_cell} and
+    {!run_injection} are the same code for one cell or row, building
+    the context for it alone; their results equal {!run}'s.
+
     The oracle watches the machine's event stream while the attacker
     is the current app and records breaches the moment they happen:
 
@@ -99,15 +111,18 @@ type summary = {
 
 val run_cell :
   attack:Attacks.t -> mode:Amulet_cc.Isolation.mode -> seed:int -> cell
+(** One cell on its own: the cell {!run} reports for [attack] under
+    [mode]. *)
 
 val run_injection :
   mode:Amulet_cc.Isolation.mode ->
   target:[ `Regs | `Fram | `Mpu ] ->
   seed:int ->
   injection
-(** Run the benign victim+carrier pair with seeded bit flips aimed at
-    the register file, the victim's FRAM data segment, or the MPU
-    configuration — twice, asserting the outcome reproduces. *)
+(** Build and boot the benign victim+carrier pair and run it with
+    seeded bit flips aimed at the register file, the victim's FRAM data
+    segment, or the MPU configuration — twice from the one boot
+    ({!Amulet_os.Kernel.start}), asserting the outcome reproduces. *)
 
 val quick_names : string list
 (** The CI smoke subset: one attack per defence class. *)
@@ -120,12 +135,15 @@ val run :
   seed:int ->
   unit ->
   summary
-(** Run the (filtered) matrix on the fleet scheduler's worker domains
-    ({!Amulet_fleet_core.Sched.map} — results in item order, so the summary
-    is byte-identical whatever the job count).  [jobs <= 0] means
-    {!Amulet_fleet_core.Sched.default_jobs}, the one jobs policy shared by
-    every parallel driver; [only] filters attacks by name; [quick]
-    restricts to {!quick_names} and skips the injection rows. *)
+(** Run the (filtered) matrix mode by mode, then the injection rows
+    mode by mode, each mode's part on the fleet scheduler's worker
+    domains ({!Amulet_fleet_core.Sched.map} — results in item order, so
+    the summary is byte-identical whatever the job count).  Cells come back
+    attack by attack, each under every mode in [modes] order.
+    [jobs <= 0] means {!Amulet_fleet_core.Sched.default_jobs}, the one
+    jobs policy shared by every parallel driver; [only] filters attacks
+    by name; [quick] restricts to {!quick_names} and skips the injection
+    rows. *)
 
 val ok : summary -> bool
 

@@ -149,6 +149,9 @@ let table =
       row "attack" "zero cells" 2 ~expect:[ "zero cells" ]
         [ "attack"; "--quick"; "--only"; "src_wild_read_os" ];
       row "attack" "negative jobs" 124 [ "attack"; "--jobs=-1" ];
+      row "attack" "repeated mode counts once" 0
+        ~expect:[ "\n  mpu                    24 "; "\n8 cells: 0 mismatches" ]
+        [ "attack"; "--quick"; "-m"; "mpu"; "-m"; "mpu" ];
       row "fleet" "small fleet" 0 ~expect:[ "isolation oracle: clean (4" ]
         [ "fleet"; steady; "--devices"; "4"; "--duration-ms"; "100" ];
       row "fleet" "negative devices" 2 ~expect:[ "devices: must be >= 1" ]

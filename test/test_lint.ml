@@ -298,7 +298,23 @@ let test_lint_notes_stamped () =
     (Apis.certified_services fw.Aft.fw_image ~app:"gateheavy");
   let fw' = Aft.build ~mode ~certify:false [ spec ] in
   Alcotest.(check bool) "no note without certification" true
-    (I.note fw'.Aft.fw_image (Apis.certified_note_key "gateheavy") = None)
+    (I.note fw'.Aft.fw_image (Apis.certified_note_key "gateheavy") = None);
+  (* certification only appends notes after linking: the campaign's
+     placeholder builds skip it, and resolve the same layout and
+     addresses *)
+  let i = fw.Aft.fw_image and i' = fw'.Aft.fw_image in
+  Alcotest.(check bool) "same chunks" true (i.I.chunks = i'.I.chunks);
+  Alcotest.(check (list (pair string int))) "same symbols" i.I.symbols
+    i'.I.symbols;
+  Alcotest.(check int) "same entry" i.I.entry i'.I.entry;
+  Alcotest.(check bool) "same layout" true
+    (fw.Aft.fw_layout = fw'.Aft.fw_layout);
+  let cert_gates (k, _) =
+    String.starts_with ~prefix:(Apis.certified_note_key "") k
+  in
+  Alcotest.(check (list (pair string string))) "notes differ in cert.gates.*"
+    (List.filter (fun n -> not (cert_gates n)) i.I.notes)
+    i'.I.notes
 
 (* [certified_gates] runs only the analyses [r_certified] rests on, so
    it must agree with the full report on the same image: the AFT stamps

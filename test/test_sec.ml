@@ -370,6 +370,111 @@ let test_kernel_probes_os_write () =
     (Kernel.os_intact (Kernel.start ~policy:Kernel.Disable ~seed boot))
 
 (* ------------------------------------------------------------------ *)
+(* The shared path: [Campaign.run] builds what a mode's cells share
+   once (the proof diagnostics, the carrier the binary attacks patch,
+   the victim's WCET on it) and must give exactly what the one-cell
+   entry points give, each building everything itself. *)
+
+let same_cell (a : Campaign.cell) (b : Campaign.cell) =
+  let module Hist = Amulet_obs.Hist in
+  let strip c = { c with Campaign.cl_dispatch = Hist.create () } in
+  strip a = strip b
+  && Hist.equal a.Campaign.cl_dispatch b.Campaign.cl_dispatch
+
+let test_shared_path_equals_single_cells () =
+  let s = Campaign.run ~jobs:1 ~seed () in
+  let cells =
+    List.concat_map
+      (fun a -> List.map (fun m -> (a, m)) Iso.all)
+      Attacks.corpus
+  in
+  Alcotest.(check int) "one cell per attack x mode" (List.length cells)
+    (List.length s.Campaign.s_cells);
+  List.iter2
+    (fun (attack, mode) c ->
+      if not (same_cell c (Campaign.run_cell ~attack ~mode ~seed)) then
+        Alcotest.failf "%s under %s: run differs from run_cell"
+          attack.Attacks.atk_name (Iso.name mode))
+    cells s.Campaign.s_cells;
+  let rows =
+    List.concat_map
+      (fun m -> List.map (fun t -> (m, t)) [ `Regs; `Fram; `Mpu ])
+      Iso.all
+  in
+  Alcotest.(check int) "three injection rows per mode" (List.length rows)
+    (List.length s.Campaign.s_injections);
+  List.iter2
+    (fun (mode, target) i ->
+      if i <> Campaign.run_injection ~mode ~target ~seed then
+        Alcotest.failf "%s/%s: run differs from run_injection" (Iso.name mode)
+          i.Campaign.in_target)
+    rows s.Campaign.s_injections
+
+(* Why a binary cell may reuse the base's victim WCET: a payload
+   rewrites only the carrier's [handle_timer] in a copy, so the base
+   stays as built and the victim's bound is the same on every patched
+   image. *)
+let test_binary_cells_share_victim_wcet () =
+  let module Cfi = Amulet_analysis.Cfi in
+  let module Wcet = Amulet_analysis.Wcet in
+  let module Image = Amulet_link.Image in
+  let binary =
+    List.filter
+      (fun a -> a.Attacks.atk_level = Attacks.Binary)
+      Attacks.corpus
+  in
+  let bytes_of (image : Image.t) =
+    List.concat_map
+      (fun (base, b) ->
+        List.init (Bytes.length b) (fun i -> (base + i, Bytes.get b i)))
+      image.Image.chunks
+  in
+  List.iter
+    (fun mode ->
+      let base = Attacks.base mode binary in
+      let base_fw =
+        match Attacks.base_firmware base with
+        | Some fw -> fw
+        | None -> Alcotest.fail "binary attacks but no carrier"
+      in
+      let before = bytes_of base_fw.Aft.fw_image in
+      let victim_wcet (fw : Aft.firmware) =
+        let image = fw.Aft.fw_image in
+        match Cfi.reconstruct ~image ~mode ~prefix:"victim" with
+        | Ok cfg -> Wcet.analyze ~image ~cfg
+        | Error _ -> Alcotest.failf "victim fails CFI under %s" (Iso.name mode)
+      in
+      let shared = victim_wcet base_fw in
+      let lo, hi =
+        Option.get
+          (Image.span base_fw.Aft.fw_image
+             (Iso.mangle ~prefix:"carrier" "handle_timer"))
+      in
+      List.iter
+        (fun attack ->
+          let name =
+            Printf.sprintf "%s under %s" attack.Attacks.atk_name
+              (Iso.name mode)
+          in
+          match Attacks.build_on base ~attack with
+          | Attacks.Rejected msg -> Alcotest.failf "%s rejected: %s" name msg
+          | Attacks.Built { fw; _ } ->
+            List.iter2
+              (fun (a, x) (_, y) ->
+                if x <> y && (a < lo || a >= hi) then
+                  Alcotest.failf "%s: patch wrote %04X, outside the handler"
+                    name a)
+              before (bytes_of fw.Aft.fw_image);
+            if victim_wcet fw <> shared then
+              Alcotest.failf "%s: victim WCET differs from the base's" name)
+        binary;
+      Alcotest.(check bool)
+        (Iso.name mode ^ " base unchanged by the patches")
+        true
+        (bytes_of base_fw.Aft.fw_image = before))
+    Iso.all
+
+(* ------------------------------------------------------------------ *)
 (* Campaign telemetry: the per-mode dispatch-cycle histograms are
    merged from per-cell shards computed on parallel domains; the merge
    is associative/commutative, so the result must not depend on the
@@ -422,6 +527,13 @@ let () =
         [
           Alcotest.test_case "merged hists independent of jobs" `Slow
             test_campaign_hist_jobs_invariant;
+        ] );
+      ( "shared-path",
+        [
+          Alcotest.test_case "run = run_cell and run_injection" `Slow
+            test_shared_path_equals_single_cells;
+          Alcotest.test_case "binary cells share the victim WCET" `Quick
+            test_binary_cells_share_victim_wcet;
         ] );
       ( "proof-crosscheck",
         [
