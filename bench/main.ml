@@ -1,18 +1,26 @@
-(* Benchmark harness: regenerates every table and figure of the
-   paper's evaluation, printing measured values next to the paper's,
-   then runs Bechamel microbenchmarks of the underlying simulator.
+(* The paper's evaluation as a deterministic report: every table and
+   figure next to the paper's value, the ablations beyond the paper,
+   and gateheavy's cycles and energy per dispatch.  Every number is a
+   simulated cycle count or derived from one, so the output depends
+   on the code alone: `dune runtest` diffs the quick run's stdout
+   against main.expected.  Host time is perfbench's to measure.
 
    Usage: main.exe [quick]
-     quick     — cut iteration counts for CI
-
-   The gateheavy perf snapshot (BENCH_gateheavy.json) has one writer,
-   `amulet bench run -o`. *)
+     quick     — cut iteration counts (the pinned run) *)
 
 module Iso = Amulet_cc.Isolation
 module Ex = Amulet_iso.Experiments
 module Paper = Amulet_iso.Paper
+module Apps = Amulet_apps.Suite
+module Energy = Amulet_arp.Energy
 
-let quick = Array.exists (fun a -> a = "quick") Sys.argv
+let quick =
+  match Sys.argv with
+  | [| _ |] -> false
+  | [| _; "quick" |] -> true
+  | _ ->
+    prerr_endline "usage: main.exe [quick]";
+    exit 2
 
 let line = String.make 72 '-'
 
@@ -160,93 +168,22 @@ let run_ablations () =
      OS in-region, so the kernel skips its per-call range validation)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of the simulator substrate *)
+(* gateheavy: the OS-gate stress app, one button dispatch per run *)
 
-let loop_machine () =
-  let open Amulet_mcu in
-  let m = Machine.create () in
-  let words =
-    List.concat_map Encode.encode
-      [
-        Opcode.Fmt1
-          (Opcode.MOV, Word.W16, Opcode.S_immediate 500, Opcode.D_reg 5);
-        Opcode.Fmt1 (Opcode.SUB, Word.W16, Opcode.S_immediate 1, Opcode.D_reg 5);
-        Opcode.Jump (Opcode.JNE, -2);
-        Opcode.Fmt1
-          (Opcode.MOV, Word.W16, Opcode.S_immediate 1,
-           Opcode.D_absolute Machine.halt_port);
-      ]
-  in
-  Machine.load_words m ~addr:0x4400 words;
-  Machine.set_reset_vector m 0x4400;
-  m
-
-let bechamel_benches () =
-  let open Bechamel in
-  let bench_step =
-    Test.make ~name:"simulator: 1000-instruction loop"
-      (Staged.stage (fun () ->
-           let m = loop_machine () in
-           Amulet_mcu.Machine.reset m;
-           ignore (Amulet_mcu.Machine.run m)))
-  in
-  let bench_encode =
-    let i =
-      Amulet_mcu.Opcode.Fmt1
-        ( Amulet_mcu.Opcode.ADD,
-          Amulet_mcu.Word.W16,
-          Amulet_mcu.Opcode.S_indexed (5, 12),
-          Amulet_mcu.Opcode.D_reg 6 )
-    in
-    Test.make ~name:"isa: encode+decode round-trip"
-      (Staged.stage (fun () ->
-           let ws = Amulet_mcu.Encode.encode i in
-           ignore (Amulet_mcu.Decode.decode_words ws)))
-  in
-  let bench_compile =
-    Test.make ~name:"compiler: pedometer end-to-end"
-      (Staged.stage (fun () ->
-           ignore
-             (Amulet_cc.Driver.compile ~prefix:"pedometer"
-                ~mode:Iso.Mpu_assisted Amulet_apps.App_sources.pedometer)))
-  in
-  let bench_firmware =
-    Test.make ~name:"aft: single-app firmware build"
-      (Staged.stage (fun () ->
-           ignore
-             (Amulet_aft.Aft.build ~mode:Iso.Mpu_assisted
-                [
-                  {
-                    Amulet_aft.Aft.name = "pedometer";
-                    source = Amulet_apps.App_sources.pedometer;
-                  };
-                ])))
-  in
-  let tests = [ bench_step; bench_encode; bench_compile; bench_firmware ] in
-  let cfg =
-    Benchmark.cfg ~limit:200
-      ~quota:(Time.second (if quick then 0.2 else 1.0))
-      ()
-  in
-  section "Simulator microbenchmarks (Bechamel, monotonic clock)";
+let run_gateheavy () =
+  section "gateheavy: cycles and energy per dispatch";
+  let runs = if quick then 20 else 200 in
+  Printf.printf "%-18s %16s %14s\n" "Method" "cycles/dispatch" "nJ/dispatch";
   List.iter
-    (fun test ->
-      let results =
-        Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] test
+    (fun mode ->
+      let cycles =
+        Ex.measure_handler ~mode ~app:Apps.gateheavy ~arg:1 ~runs ()
       in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:true
-             ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name est ->
-          match Analyze.OLS.estimates est with
-          | Some [ t ] -> Printf.printf "%-42s %14.0f ns/run\n" name t
-          | _ -> Printf.printf "%-42s (no estimate)\n" name)
-        ols)
-    tests
+      Printf.printf "%-18s %16.1f %14.1f\n" (mode_label mode) cycles
+        (cycles *. Energy.joules_per_cycle *. 1e9))
+    Iso.all;
+  Printf.printf "(energy is cycles x %.1f nJ, the active energy per cycle)\n"
+    (Energy.joules_per_cycle *. 1e9)
 
 let () =
   Printf.printf
@@ -257,5 +194,5 @@ let () =
   run_figure3 ();
   run_figure2 ();
   run_ablations ();
-  bechamel_benches ();
+  run_gateheavy ();
   Printf.printf "\ndone.\n"

@@ -17,6 +17,5 @@ let () =
             Prove_cmd.cmd;
             Attack_cmd.cmd;
             Fleet_cmd.cmd;
-            Bench_cmd.cmd;
             Prof_cmd.cmd;
           ]))

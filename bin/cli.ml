@@ -20,8 +20,8 @@ let exits =
   :: Cmd.Exit.info check_failed
        ~doc:
          "when a check the command performs fails: a lint or WCET error, an \
-          isolation-oracle violation, an unrecovered app fault, an \
-          undischarged proof obligation or a benchmark regression."
+          isolation-oracle violation, an unrecovered app fault or an \
+          undischarged proof obligation."
   :: Cmd.Exit.info bad_input
        ~doc:"when an input is unreadable, unparsable or unbuildable."
   :: List.filter
@@ -162,15 +162,19 @@ let format ?(doc = "Output format: $(b,human) or $(b,json).") () =
     & opt (enum [ ("human", `Human); ("json", `Json) ]) `Human
     & info [ "format" ] ~docv:"FMT" ~doc)
 
-let jobs =
+(* A worker-domain count: 0 means [Fleet.Sched.default_jobs]. *)
+let jobs_conv =
   let parse s =
     match int_of_string_opt s with
     | Some n when n >= 0 -> Ok n
     | _ -> Error (`Msg "expected a non-negative integer")
   in
+  Arg.conv (parse, Format.pp_print_int)
+
+let jobs =
   Arg.(
     value
-    & opt (conv (parse, Format.pp_print_int)) 0
+    & opt jobs_conv 0
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains; 0 means Fleet.Sched.default_jobs, the shared \

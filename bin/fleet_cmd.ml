@@ -120,7 +120,7 @@ let progress =
 let scaling =
   Arg.(
     value
-    & opt (list int) []
+    & opt (list Cli.jobs_conv) []
     & info [ "scaling" ] ~docv:"J1,J2,.."
         ~doc:
           "Run the same scenario at each domain count, print the \

@@ -143,8 +143,6 @@ let merge a b =
 let records t = t.nrecords
 let time_range t = if t.nrecords = 0 then None else Some (t.t_min, t.t_max)
 
-let span_hist t ~cat ~name = Hashtbl.find_opt t.span_tbl (cat, name)
-
 let spans t =
   Hashtbl.fold (fun k h acc -> (k, h) :: acc) t.span_tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)

@@ -31,7 +31,6 @@ val time_range : t -> (int * int) option
 
 (** {1 Spans} — duration histogram per [(cat, name)] *)
 
-val span_hist : t -> cat:string -> name:string -> Hist.t option
 val spans : t -> ((string * string) * Hist.t) list
 (** Sorted by [(cat, name)]. *)
 

@@ -121,51 +121,6 @@ let equal a b =
 (* ------------------------------------------------------------------ *)
 (* JSON *)
 
-let to_json t =
-  let pairs = ref [] in
-  Array.iteri
-    (fun i n -> if n > 0 then pairs := Json.Arr [ Json.Int i; Json.Int n ] :: !pairs)
-    t.buckets;
-  Json.Obj
-    [
-      ("count", Json.Int t.count);
-      ("sum", Json.Int t.sum);
-      ("min", Json.Int (min_value t));
-      ("max", Json.Int (max_value t));
-      ("buckets", Json.Arr (List.rev !pairs));
-    ]
-
-let of_json j =
-  let int key = Option.bind (Json.member key j) Json.to_int in
-  match (int "count", int "sum", int "min", int "max", Json.member "buckets" j)
-  with
-  | Some count, Some sum, Some min_v, Some max_v, Some (Json.Arr pairs) ->
-    let t = create () in
-    let ok =
-      List.for_all
-        (function
-          | Json.Arr [ i; n ] -> (
-            match (Json.to_int i, Json.to_int n) with
-            | Some i, Some n when i >= 0 && n >= 0 ->
-              ensure t i;
-              t.buckets.(i) <- t.buckets.(i) + n;
-              true
-            | _ -> false)
-          | _ -> false)
-        pairs
-    in
-    if not ok then None
-    else begin
-      t.count <- count;
-      t.sum <- sum;
-      if count > 0 then begin
-        t.min_v <- min_v;
-        t.max_v <- max_v
-      end;
-      Some t
-    end
-  | _ -> None
-
 let summary_json t =
   Json.Obj
     [

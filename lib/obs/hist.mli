@@ -63,15 +63,8 @@ val merge : t -> t -> t
 val equal : t -> t -> bool
 (** Structural equality of the bucket contents and exact stats. *)
 
-val to_json : t -> Json.t
-(** Sparse encoding: exact stats plus [(bucket, count)] pairs. *)
-
-val of_json : Json.t -> t option
-(** Inverse of {!to_json}; [None] on shape mismatch. *)
-
 val summary_json : t -> Json.t
-(** Compact [{count; sum; min; max; mean; p50; p90; p99}] object for
-    reports that don't need the buckets back. *)
+(** Compact [{count; sum; min; max; mean; p50; p90; p99}] object. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line [count/mean/p50/p99/max] summary. *)

@@ -14,8 +14,6 @@ let root =
 let exe = Filename.concat root "bin/amulet.exe"
 let example f = Filename.concat root ("examples/wearc/" ^ f)
 let steady = Filename.concat root "examples/scenarios/steady_day.fleet"
-let snapshot = Filename.concat root "BENCH_gateheavy.json"
-let prepredecode = Filename.concat root "BENCH_gateheavy.prepredecode.json"
 
 let run args =
   let out = Filename.temp_file "amulet" ".out" in
@@ -78,8 +76,6 @@ let clean_lint (f, mode) =
     0
     ~expect:[ "\"errors\":0"; "\"warnings\":0" ]
     [ "lint"; "--format"; "json"; "-m"; mode; example f ]
-
-let quick_bench = [ "--trials"; "1"; "--dispatches"; "20"; "--warmup"; "0" ]
 
 let help sub =
   row "help" (String.concat " " sub) 0
@@ -162,21 +158,8 @@ let table =
         [ "fleet"; steady; "--duration-ms=-5" ];
       row "fleet" "missing scenario" 2 [ "fleet"; "missing.fleet" ];
       row "fleet" "negative jobs" 124 [ "fleet"; steady; "--jobs=-1" ];
-      row "bench" "diff against itself" 0 ~expect:[ "no regression" ]
-        [ "bench"; "diff"; snapshot; snapshot ];
-      row "bench" "diff a missing file" 2 ~expect:[ "hint:" ]
-        [ "bench"; "diff"; "missing.json"; snapshot ];
-      row "bench" "run" 0 ([ "bench"; "run"; "-m"; "none" ] @ quick_bench);
-      row "bench" "run vs missing baseline" 2
-        [ "bench"; "run"; "--compare"; "missing.json" ];
-      row "bench" "speedup" 0 ~expect:[ "speedup floor holds" ]
-        ([ "bench"; "speedup"; "--baseline"; prepredecode ]
-        @ [ "--min-ratio"; "0" ] @ quick_bench);
-      row "bench" "speedup under its floor" 1 ~expect:[ "FLOOR VIOLATED" ]
-        ([ "bench"; "speedup"; "--baseline"; prepredecode ]
-        @ [ "--min-ratio"; "1e6" ] @ quick_bench);
-      row "bench" "speedup missing baseline" 2
-        [ "bench"; "speedup"; "--baseline"; "missing.json" ];
+      row "fleet" "negative scaling jobs" 124
+        [ "fleet"; steady; "--scaling"; "1,-2" ];
       row "prof" "report" 0 ~expect:[ "handle_accel" ]
         [ "prof"; "report"; trace ];
       row "prof" "energy" 0 ~expect:[ "energy attribution" ]
@@ -192,8 +175,7 @@ let table =
   @ List.map help
       [
         [ "cc" ]; [ "sim" ]; [ "objdump" ]; [ "lint" ]; [ "wcet" ]; [ "prove" ];
-        [ "attack" ]; [ "fleet" ]; [ "bench"; "run" ]; [ "bench"; "diff" ];
-        [ "bench"; "speedup" ]; [ "prof"; "report" ]; [ "prof"; "energy" ];
+        [ "attack" ]; [ "fleet" ]; [ "prof"; "report" ]; [ "prof"; "energy" ];
         [ "prof"; "arp" ];
       ]
 

@@ -1,6 +1,6 @@
 (* Histogram properties: quantiles against an exact-sort oracle,
-   lossless associative/commutative merge, JSON round-trip, and exact
-   bookkeeping of count/sum/min/max. *)
+   lossless associative/commutative merge, and exact bookkeeping of
+   count/sum/min/max. *)
 
 module Hist = Amulet_obs.Hist
 
@@ -65,14 +65,6 @@ let prop_merge_lossless =
   QCheck.Test.make ~count:200 ~name:"merge = histogram of concatenation"
     (QCheck.pair arb_values arb_values) (fun (xs, ys) ->
       Hist.equal (of_list (xs @ ys)) (Hist.merge (of_list xs) (of_list ys)))
-
-let prop_json_roundtrip =
-  QCheck.Test.make ~count:200 ~name:"of_json inverts to_json" arb_values
-    (fun xs ->
-      let h = of_list xs in
-      match Hist.of_json (Hist.to_json h) with
-      | Some h' -> Hist.equal h h'
-      | None -> QCheck.Test.fail_report "round-trip failed")
 
 let prop_exact_stats =
   QCheck.Test.make ~count:200 ~name:"count/sum/min/max are exact" arb_values
@@ -155,7 +147,6 @@ let () =
           q prop_merge_commutative;
           q prop_merge_associative;
           q prop_merge_lossless;
-          q prop_json_roundtrip;
           q prop_exact_stats;
         ] );
       ( "units",

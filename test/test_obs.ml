@@ -187,11 +187,11 @@ let test_agg_percentiles_survive_merge () =
   let whole = Summary.aggregate records in
   let a = Agg.create () and b = Agg.create () in
   List.iteri (fun i r -> Agg.add (if i mod 2 = 0 then a else b) r) records;
-  let merged = Agg.merge a b in
+  let merged = Agg.spans (Agg.merge a b) in
   List.iter
     (fun ((cat, name), h) ->
       let h' =
-        match Agg.span_hist merged ~cat ~name with
+        match List.assoc_opt (cat, name) merged with
         | Some h' -> h'
         | None -> Alcotest.failf "span %s/%s lost in merge" cat name
       in
