@@ -1,11 +1,16 @@
-(** Instruction executors over the register file.
+(** The register file, the counters, and the specification of every
+    instruction form.
 
     The CPU owns the register file and the cycle and retired-instruction
-    counters; it reads and writes data through a {!bus}, which is where
-    MPU checks, MMIO dispatch and tracing are implemented (see
-    {!Machine}).  Fetch and decode are not here: {!Machine.run} executes
-    predecoded micro-ops ({!Predecode}) through these executors.  Bus
-    functions may raise; the exception aborts the current instruction. *)
+    counters.  Its executors state what each instruction does, reading
+    and writing data through a {!bus}, which is where MPU checks, MMIO
+    dispatch and tracing are implemented (see {!Machine}).  They are the
+    specification, not the simulator's fast path: {!Machine.run} runs
+    its own executors, one per predecoded micro-op specialised on the
+    uop's form, and the tests' reference stepper runs these, so the
+    lockstep compares two implementations.  Fetch and decode are not
+    here.  Bus functions may raise; the exception aborts the current
+    instruction. *)
 
 type bus = {
   read : Word.width -> int -> int;  (** a data read *)

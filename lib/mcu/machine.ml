@@ -62,9 +62,12 @@ type t = {
   mutable emit_hook : (Trace.event -> unit) option;
   mutable in_step : bool;
   mutable extra_cycles : int;
-  blocks : (int, Predecode.block) Hashtbl.t;
+  blocks : (int, block) Hashtbl.t;
+  lookup : block array;
   mutable code_drained : int;
 }
+
+and block = { pre : Predecode.block; execs : (t -> unit) array }
 
 let host_call_port = 0x01F0
 let console_port = 0x01F4
@@ -209,6 +212,19 @@ let bus_write t width addr v =
     | Some f ->
       f (Trace.Mem_write { addr; width; value = Word.norm width v; pc = pc_of t })
 
+(* The lookup in front of [blocks]: a direct-mapped slot per pc, tag
+   checked against the block's entry pc.  64 slots keep it a minor-heap
+   allocation; a fleet boots a fresh machine per device. *)
+let lookup_slots = 64
+let lookup_slot pc = (pc lsr 1) land (lookup_slots - 1)
+
+let no_block =
+  {
+    pre =
+      { Predecode.b_uops = [||]; b_lo = -1; b_hi = -1; b_mpu_key = -1 };
+    execs = [||];
+  }
+
 let create () =
   let self = ref None in
   let me () = match !self with Some t -> t | None -> assert false in
@@ -235,6 +251,7 @@ let create () =
       in_step = false;
       extra_cycles = 0;
       blocks = Hashtbl.create 256;
+      lookup = Array.make lookup_slots no_block;
       code_drained = 0;
     }
   in
@@ -247,15 +264,19 @@ let load_bytes t ~addr b = Memory.blit t.mem ~addr b
 let set_reset_vector t entry =
   Memory.write_word t.mem Memory_map.reset_vector entry
 
+let drop_blocks t =
+  Hashtbl.reset t.blocks;
+  Array.fill t.lookup 0 lookup_slots no_block;
+  Memory.clear_code_watches t.mem;
+  t.code_drained <- Memory.code_gen t.mem
+
 let reset t =
   t.halted <- false;
   t.sw_fault <- None;
   Trace.reset_stats t.stats;
   t.extra_cycles <- 0;
   Buffer.clear t.console;
-  Hashtbl.reset t.blocks;
-  Memory.clear_code_watches t.mem;
-  t.code_drained <- Memory.code_gen t.mem;
+  drop_blocks t;
   Registers.set_pc (regs t) (Memory.read_word t.mem Memory_map.reset_vector);
   Registers.set_sp (regs t) Memory_map.sram_limit
 
@@ -329,56 +350,344 @@ let restore t s =
   t.in_step <- false
 
 (* ------------------------------------------------------------------ *)
+(* Specialised executors.                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Each predecoded uop gets its own closure, built once with its block:
+   the operation picked, the width's mask and sign bit held as
+   constants, and every operand address that does not depend on a
+   register (absolute, x(PC), the jump target) folded in.  They restate
+   [Cpu], which stays the specification, and keep its order of effects
+   so a fault mid-instruction leaves the same state: the source is
+   resolved and read first (@Rn+ increments before the read), the
+   destination is resolved after it, the value is written before the
+   flags, and CALL reads its target before pushing the return address.
+   The caller has already advanced PC and charges the cost afterwards.
+
+   Operand locations are ints held by the closure: a register [d >= 0],
+   or memory ([d = -1]) at [base] (a register, or -1 for none) plus
+   [off], where an autoincrement [inc <> 0] uses [base] itself and then
+   moves it.  An ALU result is packed as in [Cpu]: the value in bits
+   0-15, C/Z/N/V at their SR positions from bit 16. *)
+
+let flag_bits =
+  Registers.bit_c lor Registers.bit_z lor Registers.bit_n lor Registers.bit_v
+
+(* SP stays word-aligned even for byte pops. *)
+let autoinc w r =
+  if r = Registers.sp then 2 else match w with Word.W8 -> 1 | Word.W16 -> 2
+
+let[@inline] packed sg v cv =
+  let f = if v = 0 then cv lor Registers.bit_z else cv in
+  v lor ((if v land sg <> 0 then f lor Registers.bit_n else f) lsl 16)
+
+let[@inline] set_flags (rg : Registers.t) r =
+  rg.(Registers.sr) <- rg.(Registers.sr) land lnot flag_bits lor (r lsr 16)
+
+let[@inline] carry (rg : Registers.t) = rg.(Registers.sr) land Registers.bit_c
+
+(* [a + b + cin]: SUB and CMP pass [~s] and 1, SUBC [~s] and C. *)
+let[@inline] add m sg a b cin =
+  let raw = a + b + cin in
+  let v = raw land m in
+  packed sg v
+    ((if raw > m then Registers.bit_c else 0)
+    lor
+    if (a lxor v) land (b lxor v) land sg <> 0 then Registers.bit_v else 0)
+
+(* AND, BIT, XOR: C is "result non-zero". *)
+let[@inline] logic sg v ovf =
+  packed sg v ((if v <> 0 then Registers.bit_c else 0) lor ovf)
+
+let dadd w m sg a b cin =
+  let digits = match w with Word.W8 -> 2 | Word.W16 -> 4 in
+  let rec go i acc c =
+    if i = digits then
+      packed sg (acc land m) (if c = 1 then Registers.bit_c else 0)
+    else
+      let sh = 4 * i in
+      let s = ((a lsr sh) land 0xF) + ((b lsr sh) land 0xF) + c in
+      if s > 9 then go (i + 1) (acc lor ((s - 10) lsl sh)) 1
+      else go (i + 1) (acc lor (s lsl sh)) 0
+  in
+  go 0 0 cin
+
+let[@inline] addr_of (rg : Registers.t) base off inc =
+  if base < 0 then off
+  else
+    let a = rg.(base) in
+    if inc = 0 then (a + off) land 0xFFFF
+    else begin
+      rg.(base) <- (a + inc) land 0xFFFF;
+      a
+    end
+
+(* A location's address, then its value and its write-back. *)
+let[@inline] loc_addr rg d base off inc =
+  if d >= 0 then 0 else addr_of rg base off inc
+
+let[@inline] loc_read t w m (rg : Registers.t) d a =
+  if d >= 0 then rg.(d) land m else bus_read t w a
+
+let[@inline] loc_write t w (rg : Registers.t) d a v =
+  if d >= 0 then rg.(d) <- v else bus_write t w a v
+
+(* A location as its four ints: a register is [(r, _, _, _)]. *)
+let src_loc w ~ext = function
+  | Opcode.S_reg r -> (r, 0, 0, 0)
+  | Opcode.S_indexed (r, x) when r = Registers.pc ->
+    (-1, -1, (ext + x) land 0xFFFF, 0)
+  | Opcode.S_indexed (r, x) -> (-1, r, x, 0)
+  | Opcode.S_absolute a -> (-1, -1, a land 0xFFFF, 0)
+  | Opcode.S_indirect r -> (-1, r, 0, 0)
+  | Opcode.S_indirect_inc r -> (-1, r, 0, autoinc w r)
+  | Opcode.S_immediate _ -> invalid_arg "Machine: immediate location"
+
+let dst_loc ~ext = function
+  | Opcode.D_reg r -> (r, 0, 0)
+  | Opcode.D_indexed (r, x) when r = Registers.pc ->
+    (-1, -1, (ext + x) land 0xFFFF)
+  | Opcode.D_indexed (r, x) -> (-1, r, x)
+  | Opcode.D_absolute a -> (-1, -1, a land 0xFFFF)
+
+(* The source operand's value, width-masked. *)
+let src_reader w ~ext src : t -> int =
+  let m = Word.mask w in
+  match src with
+  | Opcode.S_reg r -> fun t -> (regs t).(r) land m
+  | Opcode.S_immediate n ->
+    let v = n land m in
+    fun _ -> v
+  | _ ->
+    let _, base, off, inc = src_loc w ~ext src in
+    fun t -> bus_read t w (addr_of (regs t) base off inc)
+
+(* A flag-setting result written back, then its flags. *)
+let[@inline] store t w rg d a r =
+  loc_write t w rg d a (r land 0xFFFF);
+  set_flags rg r
+
+let fmt1 op w src ~src_ext dst ~dst_ext : t -> unit =
+  let m = Word.mask w and sg = Word.sign_bit w in
+  let src = src_reader w ~ext:src_ext src in
+  let d, base, off = dst_loc ~ext:dst_ext dst in
+  match op with
+  | Opcode.MOV ->
+    fun t ->
+      let s = src t in
+      let rg = regs t in
+      loc_write t w rg d (loc_addr rg d base off 0) s
+  | Opcode.BIC ->
+    fun t ->
+      let s = src t in
+      let rg = regs t in
+      let a = loc_addr rg d base off 0 in
+      loc_write t w rg d a (loc_read t w m rg d a land lnot s)
+  | Opcode.BIS ->
+    fun t ->
+      let s = src t in
+      let rg = regs t in
+      let a = loc_addr rg d base off 0 in
+      loc_write t w rg d a (loc_read t w m rg d a lor s)
+  | Opcode.ADD ->
+    fun t ->
+      let s = src t in
+      let rg = regs t in
+      let a = loc_addr rg d base off 0 in
+      store t w rg d a (add m sg (loc_read t w m rg d a) s 0)
+  | Opcode.ADDC ->
+    fun t ->
+      let s = src t in
+      let rg = regs t in
+      let a = loc_addr rg d base off 0 in
+      let dv = loc_read t w m rg d a in
+      store t w rg d a (add m sg dv s (carry rg))
+  | Opcode.SUB ->
+    fun t ->
+      let s = lnot (src t) land m in
+      let rg = regs t in
+      let a = loc_addr rg d base off 0 in
+      store t w rg d a (add m sg (loc_read t w m rg d a) s 1)
+  | Opcode.SUBC ->
+    fun t ->
+      let s = lnot (src t) land m in
+      let rg = regs t in
+      let a = loc_addr rg d base off 0 in
+      let dv = loc_read t w m rg d a in
+      store t w rg d a (add m sg dv s (carry rg))
+  | Opcode.CMP ->
+    fun t ->
+      let s = lnot (src t) land m in
+      let rg = regs t in
+      let dv = loc_read t w m rg d (loc_addr rg d base off 0) in
+      set_flags rg (add m sg dv s 1)
+  | Opcode.DADD ->
+    fun t ->
+      let s = src t in
+      let rg = regs t in
+      let a = loc_addr rg d base off 0 in
+      let dv = loc_read t w m rg d a in
+      store t w rg d a (dadd w m sg dv s (carry rg))
+  | Opcode.BIT ->
+    fun t ->
+      let s = src t in
+      let rg = regs t in
+      let dv = loc_read t w m rg d (loc_addr rg d base off 0) in
+      set_flags rg (logic sg (s land dv) 0)
+  | Opcode.XOR ->
+    fun t ->
+      let s = src t in
+      let rg = regs t in
+      let a = loc_addr rg d base off 0 in
+      let dv = loc_read t w m rg d a in
+      let ovf = if s land dv land sg <> 0 then Registers.bit_v else 0 in
+      store t w rg d a (logic sg (s lxor dv) ovf)
+  | Opcode.AND ->
+    fun t ->
+      let s = src t in
+      let rg = regs t in
+      let a = loc_addr rg d base off 0 in
+      store t w rg d a (logic sg (s land loc_read t w m rg d a) 0)
+
+(* SP always moves down a full word, even for PUSH.B; the store itself
+   is [w]-sized. *)
+let[@inline] push t w v =
+  let rg = regs t in
+  let sp = (rg.(Registers.sp) - 2) land 0xFFFF in
+  rg.(Registers.sp) <- sp;
+  bus_write t w sp v
+
+let fmt2 op w src ~ext : t -> unit =
+  match op with
+  | Opcode.PUSH ->
+    let src = src_reader w ~ext src in
+    fun t -> push t w (src t)
+  | Opcode.CALL ->
+    let src = src_reader Word.W16 ~ext src in
+    fun t ->
+      let target = src t in
+      push t Word.W16 (regs t).(Registers.pc);
+      (regs t).(Registers.pc) <- target
+  | Opcode.RRC | Opcode.RRA | Opcode.SWPB | Opcode.SXT -> (
+    let m = Word.mask w and sg = Word.sign_bit w in
+    let d, base, off, inc = src_loc w ~ext src in
+    match op with
+    | Opcode.RRC ->
+      fun t ->
+        let rg = regs t in
+        let a = loc_addr rg d base off inc in
+        let v = loc_read t w m rg d a in
+        let top = if carry rg <> 0 then sg else 0 in
+        store t w rg d a
+          (packed sg ((v lsr 1) lor top) (v land Registers.bit_c))
+    | Opcode.RRA ->
+      fun t ->
+        let rg = regs t in
+        let a = loc_addr rg d base off inc in
+        let v = loc_read t w m rg d a in
+        store t w rg d a
+          (packed sg ((v lsr 1) lor (v land sg)) (v land Registers.bit_c))
+    | Opcode.SWPB ->
+      fun t ->
+        let rg = regs t in
+        let a = loc_addr rg d base off inc in
+        let v = loc_read t w m rg d a in
+        loc_write t w rg d a (((v land 0xFF) lsl 8) lor (v lsr 8))
+    | _ (* SXT *) ->
+      fun t ->
+        let rg = regs t in
+        let a = loc_addr rg d base off inc in
+        let v = loc_read t w m rg d a in
+        let v = if v land 0x80 <> 0 then v lor 0xFF00 else v land 0xFF in
+        store t w rg d a (packed sg v (if v <> 0 then Registers.bit_c else 0)))
+
+let[@inline] sr_bit t bit = (regs t).(Registers.sr) land bit <> 0
+let[@inline] jump_to t target = (regs t).(Registers.pc) <- target
+
+let jump c target : t -> unit =
+  match c with
+  | Opcode.JNE ->
+    fun t -> if not (sr_bit t Registers.bit_z) then jump_to t target
+  | Opcode.JEQ -> fun t -> if sr_bit t Registers.bit_z then jump_to t target
+  | Opcode.JNC ->
+    fun t -> if not (sr_bit t Registers.bit_c) then jump_to t target
+  | Opcode.JC -> fun t -> if sr_bit t Registers.bit_c then jump_to t target
+  | Opcode.JN -> fun t -> if sr_bit t Registers.bit_n then jump_to t target
+  | Opcode.JGE ->
+    fun t ->
+      if sr_bit t Registers.bit_n = sr_bit t Registers.bit_v then
+        jump_to t target
+  | Opcode.JL ->
+    fun t ->
+      if sr_bit t Registers.bit_n <> sr_bit t Registers.bit_v then
+        jump_to t target
+  | Opcode.JMP -> fun t -> jump_to t target
+
+let reti t =
+  let rg = regs t in
+  let sp = rg.(Registers.sp) in
+  let sr = bus_read t Word.W16 sp in
+  let pc = bus_read t Word.W16 (sp + 2) in
+  rg.(Registers.sp) <- (sp + 4) land 0xFFFF;
+  rg.(Registers.sr) <- sr;
+  rg.(Registers.pc) <- pc
+
+let compile (u : Predecode.uop) : t -> unit =
+  match u.Predecode.u_instr with
+  | Opcode.Fmt1 (op, w, src, dst) ->
+    fmt1 op w src ~src_ext:u.Predecode.u_src_ext dst
+      ~dst_ext:u.Predecode.u_dst_ext
+  | Opcode.Fmt2 (op, w, src) -> fmt2 op w src ~ext:u.Predecode.u_src_ext
+  | Opcode.Jump (c, _) -> jump c u.Predecode.u_target
+  | Opcode.Reti -> reti
+
+(* ------------------------------------------------------------------ *)
 (* The interpreter: one loop over predecoded blocks.                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Drop cached blocks overlapping spans written since the last drain.
-   One integer compare when nothing changed. *)
+(* Drop cached blocks overlapping spans written since the last drain,
+   from the table and from the lookup.  One integer compare when
+   nothing changed. *)
 let sync_code_cache t =
   if Memory.code_gen t.mem <> t.code_drained then begin
     let spans = Memory.take_dirty_code t.mem in
     t.code_drained <- Memory.code_gen t.mem;
     let stale =
       Hashtbl.fold
-        (fun pc (b : Predecode.block) acc ->
-          if
-            List.exists
-              (fun (a, l) -> a < b.Predecode.b_hi && a + l > b.Predecode.b_lo)
-              spans
-          then pc :: acc
+        (fun pc b acc ->
+          let { Predecode.b_lo; b_hi; _ } = b.pre in
+          if List.exists (fun (a, l) -> a < b_hi && a + l > b_lo) spans then
+            pc :: acc
           else acc)
         t.blocks []
     in
-    List.iter (Hashtbl.remove t.blocks) stale
+    List.iter
+      (fun pc ->
+        Hashtbl.remove t.blocks pc;
+        let s = lookup_slot pc in
+        if t.lookup.(s).pre.Predecode.b_lo = pc then t.lookup.(s) <- no_block)
+      stale
   end
 
 let block_at t pc =
-  match Hashtbl.find t.blocks pc with
-  | b -> b
-  | exception Not_found ->
-    let b = Predecode.build ~read_word:(Memory.read_word t.mem) ~pc in
-    Memory.watch_code_span t.mem ~lo:b.Predecode.b_lo ~hi:b.Predecode.b_hi;
-    Hashtbl.replace t.blocks pc b;
+  let s = lookup_slot pc in
+  let b = Array.unsafe_get t.lookup s in
+  if b.pre.Predecode.b_lo = pc then b
+  else begin
+    let b =
+      match Hashtbl.find t.blocks pc with
+      | b -> b
+      | exception Not_found ->
+        let pre = Predecode.build ~read_word:(Memory.read_word t.mem) ~pc in
+        Memory.watch_code_span t.mem ~lo:pre.Predecode.b_lo
+          ~hi:pre.Predecode.b_hi;
+        let b = { pre; execs = Array.map compile pre.Predecode.b_uops } in
+        Hashtbl.replace t.blocks pc b;
+        b
+    in
+    Array.unsafe_set t.lookup s b;
     b
-
-(* PC advances past the instruction first, then the executors run,
-   then cost is charged — so a fault mid-execution leaves registers,
-   statistics and cycle counts as they stood at the faulting access. *)
-let exec_uop t (u : Predecode.uop) =
-  let cpu = t.cpu in
-  let regs = cpu.Cpu.regs in
-  regs.(Registers.pc) <- (u.Predecode.u_pc + u.Predecode.u_len) land 0xFFFF;
-  (match u.Predecode.u_instr with
-  | Opcode.Fmt1 (op, width, src, dst) ->
-    Cpu.exec_fmt1 cpu op width src dst ~src_ext_addr:u.Predecode.u_src_ext
-      ~dst_ext_addr:u.Predecode.u_dst_ext
-  | Opcode.Fmt2 (op, width, src) ->
-    Cpu.exec_fmt2 cpu op width src ~src_ext_addr:u.Predecode.u_src_ext
-  | Opcode.Jump (c, _) ->
-    if Cpu.cond_true regs c then regs.(Registers.pc) <- u.Predecode.u_target
-  | Opcode.Reti -> Cpu.exec_reti cpu);
-  cpu.Cpu.cycles <- cpu.Cpu.cycles + u.Predecode.u_cost;
-  cpu.Cpu.insns <- cpu.Cpu.insns + 1
+  end
 
 (* Is every instruction word of [b] executable under the MPU's current
    configuration?  A pure table scan: the words tile [b_lo, b_hi) two
@@ -438,13 +747,16 @@ let step_hook t f ~pc ~gen0 hooked =
    is written or fuel runs out.  At each instruction boundary the step
    hook runs first, then the watcher chain is snapshotted: the
    instruction's events, and its fault if it raises one, go to that
-   snapshot.  An empty block decodes one instruction through the
-   checked [fetch]. *)
-let rec exec_from t (b : Predecode.block) ~gen0 budget hooked i =
-  let uops = b.Predecode.b_uops in
+   snapshot.  PC advances past the instruction, its executor runs, and
+   its cost is charged only once it has retired.  An empty block
+   decodes one instruction through the checked [fetch]. *)
+let rec exec_from t b ~gen0 budget hooked i =
+  let pre = b.pre in
+  let uops = pre.Predecode.b_uops in
   let n = Array.length uops in
   let pc =
-    if n = 0 then b.Predecode.b_lo else (Array.unsafe_get uops i).Predecode.u_pc
+    if n = 0 then pre.Predecode.b_lo
+    else (Array.unsafe_get uops i).Predecode.u_pc
   in
   if
     match t.on_step with
@@ -457,21 +769,26 @@ let rec exec_from t (b : Predecode.block) ~gen0 budget hooked i =
       if n = 0 then Predecode.decode ~fetch:(fetch t) ~pc
       else begin
         let u = Array.unsafe_get uops i in
-        fetch_predecoded t b u;
+        fetch_predecoded t pre u;
         u
       end
     in
-    exec_uop t u;
+    let cpu = t.cpu in
+    cpu.Cpu.regs.(Registers.pc) <-
+      (u.Predecode.u_pc + u.Predecode.u_len) land 0xFFFF;
+    (if n = 0 then compile u else Array.unsafe_get b.execs i) t;
+    cpu.Cpu.cycles <- cpu.Cpu.cycles + u.Predecode.u_cost;
+    cpu.Cpu.insns <- cpu.Cpu.insns + 1;
     (match t.emit_hook with
     | None -> ()
     | Some f -> f (Trace.Exec { pc; instr = u.Predecode.u_instr }));
     decr budget;
     if
       i + 1 < n
-      && not
-           (t.halted || t.sw_fault <> None
-           || Memory.code_gen t.mem <> gen0
-           || !budget = 0)
+      && (not t.halted)
+      && (match t.sw_fault with None -> true | Some _ -> false)
+      && Memory.code_gen t.mem = gen0
+      && !budget <> 0
     then exec_from t b ~gen0 budget hooked (i + 1)
   end
 

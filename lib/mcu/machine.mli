@@ -61,12 +61,24 @@ type t = {
   mutable in_step : bool;  (** internal: an instruction is in flight *)
   mutable extra_cycles : int;
       (** cycles charged by host services, included in {!cycles} *)
-  blocks : (int, Predecode.block) Hashtbl.t;
+  blocks : (int, block) Hashtbl.t;
       (** internal: predecoded basic-block cache, keyed by entry pc;
-          {!run} maintains it — do not touch *)
+          {!run} maintains it, {!drop_blocks} empties it — do not
+          touch *)
+  lookup : block array;
+      (** internal: a direct-mapped, tag-checked slot per entry pc in
+          front of [blocks]; every block in it is in [blocks] *)
   mutable code_drained : int;
       (** internal: the {!Memory.code_gen} up to which [blocks] has
           been invalidated against code writes *)
+}
+
+and block = {
+  pre : Predecode.block;  (** the decoded uops, their span and MPU key *)
+  execs : (t -> unit) array;
+      (** [execs.(i)] executes [pre.b_uops.(i)]: built once with the
+          block, specialised on the uop's operation, width and
+          addressing modes *)
 }
 
 val host_call_port : int
@@ -91,8 +103,13 @@ val set_reset_vector : t -> int -> unit
 val reset : t -> unit
 (** Load PC from the reset vector, SP from the top of SRAM, clear
     halt/fault state, the access statistics, host-charged cycles,
-    the console buffer and the block cache.  Does not clear memory,
-    its written-page bits or the CPU cycle counter. *)
+    the console buffer and the block cache ({!drop_blocks}).  Does not
+    clear memory, its written-page bits or the CPU cycle counter. *)
+
+val drop_blocks : t -> unit
+(** Empty the predecoded-block cache: the table, the lookup in front
+    of it and the code-write watches.  The next {!run} decodes every
+    block afresh; no simulated state changes. *)
 
 type snapshot
 (** A machine state that {!restore} can return to. *)
@@ -127,11 +144,14 @@ val run : ?fuel:int -> t -> stop_reason
 
     The one interpreter.  Instructions execute from a cache of
     predecoded basic blocks ({!Predecode}): decoded once, chained to
-    the next control transfer, with per-word MPU execute checks elided
-    while the MPU configuration key the block was validated under is
-    live.  An entry pc that cannot be predecoded (MMIO fetch, unmapped
-    pc, illegal word, wrap mid-instruction) decodes one instruction
-    through {!fetch}, which raises the faults a fetch raises.
+    the next control transfer, each uop run by its own executor
+    ({!block}) with {!Cpu}'s semantics and order of effects, and with
+    per-word MPU execute checks elided while the MPU configuration key
+    the block was validated under is live.  Blocks are found through a
+    tag-checked slot per entry pc before the table.  An entry pc that
+    cannot be predecoded (MMIO fetch, unmapped pc, illegal word, wrap
+    mid-instruction) decodes one instruction through {!fetch}, which
+    raises the faults a fetch raises.
 
     Every instruction boundary follows one contract, observed or not:
     the step hook ({!add_step_hook}) runs first, with no instruction in
@@ -146,7 +166,8 @@ val run : ?fuel:int -> t -> stop_reason
 
     The cache is invalidated by writes into predecoded code spans
     (tracked by {!Memory.code_gen}; self-modifying code re-decodes
-    before its next instruction executes) and cleared by {!reset}. *)
+    before its next instruction executes) and cleared by {!reset} and
+    {!drop_blocks}. *)
 
 val add_watch : t -> (Trace.event -> unit) -> unit
 (** Install an event watcher, composing with (running after) any hook

@@ -2,9 +2,10 @@
 
    A micro-op is one instruction decoded once: operand forms resolved
    by [Decode], extension-word addresses and cycle cost precomputed,
-   so executing it is a direct dispatch into [Cpu]'s executors with no
-   fetch, no decode and no allocation.  A block chains micro-ops from
-   an entry pc up to the next control transfer (or a cap).
+   so [Machine] can build an executor specialised on it once and run
+   it with no fetch, no decode and no allocation.  A block chains
+   micro-ops from an entry pc up to the next control transfer (or a
+   cap).
 
    The builder is pure over a raw word reader: it performs no MPU
    checks and touches no statistics — permission validation and

@@ -4,7 +4,9 @@
     Each instruction is decoded once into a {!uop} with operand forms,
     extension-word addresses, fetch-word count and cycle cost
     precomputed; {!build} chains uops from an entry pc up to the next
-    control transfer into a {!block}.
+    control transfer into a {!block}.  The machine wraps each block
+    with one executor per uop, specialised on its form
+    ({!Machine.block}); nothing here executes.
 
     The builder reads raw memory words only — no MPU checks, no
     statistics, no bus traffic — so building a block is free of

@@ -3,7 +3,8 @@
     Values are plain OCaml [int]s constrained to the range of the
     operation width; every operation re-normalizes its result.  The
     arithmetic itself, with its status flags, lives in {!Cpu}'s
-    executors. *)
+    executors (the specification) and in {!Machine}'s specialised
+    ones. *)
 
 type width = W8 | W16
 

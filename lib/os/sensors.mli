@@ -4,7 +4,10 @@
     thermometer, a light sensor and a battery gauge.  These generators
     produce deterministic, physiologically-plausible series as pure
     functions of (seed, scenario, time) so experiment runs are exactly
-    reproducible. *)
+    reproducible.  A [t] remembers the accelerometer magnitude and PPG
+    samples it has already synthesised (a small table per series,
+    direct-mapped by time), since a handler reading a buffer of them
+    re-reads the same times; each kernel owns its [t]. *)
 
 type scenario =
   | Resting  (** sitting still: low-amplitude accelerometer noise *)
@@ -22,10 +25,11 @@ val accel_sample : t -> time_ms:int -> int * int * int
 (** (x, y, z) in milli-g; gravity on z. *)
 
 val accel_magnitude : t -> time_ms:int -> int
-(** |(x,y,z)| approximation in milli-g. *)
+(** |(x,y,z)| approximation in milli-g.  Memoised by time. *)
 
 val ppg_sample : t -> time_ms:int -> int
-(** Raw photoplethysmogram sample (arbitrary units around 2048). *)
+(** Raw photoplethysmogram sample (arbitrary units around 2048).
+    Memoised by time. *)
 
 val heart_rate : t -> time_ms:int -> int
 (** Beats per minute implied by the scenario. *)

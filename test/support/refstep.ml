@@ -2,7 +2,8 @@
    against.  One instruction is fetched word by word through the
    machine's checked [fetch] as [Decode] asks for it, PC moves past it,
    the [Cpu] executors run, and its cost is charged only once it has
-   retired.  Nothing is predecoded or cached.
+   retired.  Nothing is predecoded or cached, and no executor is shared
+   with the machine, which runs its own, specialised per uop.
 
    The boundary contract is the interpreter's: the step hook runs with
    no instruction in flight, then the watcher chain is snapshotted, and

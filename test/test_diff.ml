@@ -167,18 +167,18 @@ let master_seed =
 let fresh_rand () = Random.State.make [| master_seed |]
 
 (* Wrap a property so a failing case prints the reproducing seed and
-   the generated source to stderr — alcotest swallows qcheck's own
-   counterexample output unless run verbose. *)
-let reporting name prop p =
+   the generated case ([show]) to stderr — alcotest swallows qcheck's
+   own counterexample output unless run verbose. *)
+let report ~show name prop p =
   let dump ~reason =
     Printf.eprintf
       "\n\
        [test_diff] %s: %s\n\
        [test_diff] reproduce with: QCHECK_SEED=%d dune exec \
        test/test_diff.exe\n\
-       [test_diff] generated program:\n\
+       [test_diff] generated case:\n\
        %s%!"
-      name reason master_seed (to_source p)
+      name reason master_seed (show p)
   in
   match prop p with
   | true -> true
@@ -188,6 +188,8 @@ let reporting name prop p =
   | exception e ->
     dump ~reason:("raised " ^ Printexc.to_string e);
     raise e
+
+let reporting name = report ~show:to_source name
 
 let run_mode mode src =
   let r = H.run ~mode src in
@@ -253,8 +255,9 @@ let mode_agreement =
 
    The same linked image is loaded into two machines.  The first is
    driven by [run ~fuel:1], which dispatches from the predecoded block
-   cache; the second by [Refstep.run ~fuel:1], which fetches and
-   decodes every instruction afresh.  Stop reason, register file, cycle
+   cache and runs each uop's specialised executor; the second by
+   [Refstep.run ~fuel:1], which fetches and decodes every instruction
+   afresh and runs [Cpu]'s executors.  Stop reason, register file, cycle
    counter, retired-instruction count, access statistics, console and
    all 64 KiB of memory must be identical at every instruction
    boundary. *)
@@ -446,6 +449,152 @@ let test_hook_moves_pc () =
   Alcotest.(check int) "one hook call per instruction" m.M.cpu.Cpu.insns
     (boundaries log)
 
+(* Every instruction form in lockstep.  WearC emits only some forms, so
+   single random instructions cover the rest: all twelve Format I ops
+   in both widths over the six source and three destination modes, the
+   Format II ops, the eight jumps and RETI.  Registers, SR and the
+   bytes around each operand address are random; operands aim at SRAM,
+   at FRAM the MPU lets the instruction read but not write or not
+   touch at all, at InfoMem, at MMIO (the MPU's password-checked
+   registers and the debug ports included) and at unmapped space, so
+   data faults are compared too.  The machine under test runs the
+   instruction on a warm block: once to build it, then again after a
+   restore, which keeps the block.  The reference steps it once. *)
+
+type icase = {
+  i_instr : Opcode.t;
+  i_regs : int array;  (* R1..R15; PC is the code base *)
+  i_mpu : bool;
+  i_fill : int;  (* seeds the bytes around every target *)
+}
+
+let show_icase c =
+  Printf.sprintf "%s\nregs R1..R15 = [%s]\nmpu %b, fill seed %d\n"
+    (Opcode.to_string c.i_instr)
+    (String.concat "; "
+       (Array.to_list (Array.map (Printf.sprintf "%04X") c.i_regs)))
+    c.i_mpu c.i_fill
+
+(* Segment 1 (code and read-only data) below 0x5000, segment 2 (read
+   and write) to 0x6000, segment 3 (no access) above; InfoMem is read
+   only. *)
+let mpu_b1 = 0x5000
+let mpu_b2 = 0x6000
+
+let ram_targets =
+  [ 0x1C40; 0x23F0; 0x1880; 0x4480; 0x5100; 0x6100; 0xFF90; 0x1100 ]
+
+let targets =
+  ram_targets
+  @ [
+      Mpu.ctl0_addr; Mpu.segb1_addr; Mpu.sam_addr;
+      Amulet_mcu.Timer.counter_addr; M.console_port; M.halt_port;
+      M.sw_fault_port; M.host_call_port; 0x0200; 0x3000; 0x1A80;
+    ]
+
+let gen_icase =
+  let open QCheck2.Gen in
+  let target =
+    map2 (fun a d -> (a + d) land 0xFFFF) (oneofl targets) (int_range (-4) 4)
+  in
+  let addr = frequency [ (4, target); (1, int_range 0 0xFFFF) ] in
+  let word = int_range 0 0xFFFF in
+  let offset = frequency [ (3, int_range (-8) 8); (1, word) ] in
+  let imm = oneof [ oneofl [ 0; 1; 2; 4; 8; 0xFFFF ]; word ] in
+  let reg = oneofl [ 1; 4; 5; 6; 7; 8; 9; 10; 11; 12; 13; 14; 15 ] in
+  let pc_or_reg = oneof [ return Regs.pc; reg ] in
+  let src w =
+    oneof
+      [
+        map (fun r -> Opcode.S_reg r) (oneofl [ 0; 1; 2; 4; 5; 6; 12; 15 ]);
+        map2 (fun r x -> Opcode.S_indexed (r, x)) pc_or_reg offset;
+        map (fun a -> Opcode.S_absolute a) addr;
+        map (fun r -> Opcode.S_indirect r) pc_or_reg;
+        map (fun r -> Opcode.S_indirect_inc r) reg;
+        map (fun n -> Opcode.S_immediate (n land Word.mask w)) imm;
+      ]
+  in
+  let dst =
+    oneof
+      [
+        map (fun r -> Opcode.D_reg r) (int_range 0 15);
+        map2 (fun r x -> Opcode.D_indexed (r, x)) pc_or_reg offset;
+        map (fun a -> Opcode.D_absolute a) addr;
+      ]
+  in
+  let width = oneofl [ Word.W8; Word.W16 ] in
+  let fmt1 =
+    let* op =
+      oneofl
+        Opcode.[ MOV; ADD; ADDC; SUBC; SUB; CMP; DADD; BIT; BIC; BIS; XOR; AND ]
+    in
+    let* w = width in
+    let* s = src w in
+    let+ d = dst in
+    Opcode.Fmt1 (op, w, s, d)
+  in
+  let fmt2 =
+    let* op = oneofl Opcode.[ RRC; SWPB; RRA; SXT; PUSH; CALL ] in
+    let* w =
+      match op with
+      | Opcode.RRC | Opcode.RRA | Opcode.PUSH -> width
+      | _ -> return Word.W16
+    in
+    let+ s = src w in
+    match (op, s) with
+    | (Opcode.RRC | Opcode.RRA | Opcode.SWPB | Opcode.SXT), Opcode.S_immediate _
+      ->
+      Opcode.Fmt2 (op, w, Opcode.S_indirect_inc 1)
+    | _ -> Opcode.Fmt2 (op, w, s)
+  in
+  let jump =
+    let* c = oneofl Opcode.[ JNE; JEQ; JNC; JC; JN; JGE; JL; JMP ] in
+    let+ off = int_range (-512) 511 in
+    Opcode.Jump (c, off)
+  in
+  let* i_instr =
+    frequency [ (14, fmt1); (4, fmt2); (2, jump); (1, return Opcode.Reti) ]
+  in
+  let* sr = word in
+  let* rs = array_size (return 15) (frequency [ (3, addr); (1, word) ]) in
+  let i_regs = Array.mapi (fun i v -> if i + 1 = Regs.sr then sr else v) rs in
+  let+ i_mpu = bool and+ i_fill = int in
+  { i_instr; i_regs; i_mpu; i_fill }
+
+let icase_machine c =
+  let m = M.create () in
+  M.load_words m ~addr:code_base (words_of [ c.i_instr; halt ]);
+  M.set_reset_vector m code_base;
+  M.reset m;
+  let rand = Random.State.make [| c.i_fill |] in
+  List.iter
+    (fun a ->
+      for b = a - 8 to a + 7 do
+        M.mem_checked_write m Word.W8 b (Random.State.int rand 256)
+      done)
+    (code_base + 0x20 :: ram_targets);
+  Array.iteri (fun i v -> Regs.set (M.regs m) (i + 1) v) c.i_regs;
+  if c.i_mpu then
+    Mpu.configure m.M.mpu ~b1:mpu_b1 ~b2:mpu_b2
+      ~sam:(Mpu.sam_bits ~seg1:"rx" ~seg2:"rw" ~seg3:"" ~info:"r" ())
+      ~enable:true;
+  m
+
+let instruction_lockstep =
+  let name = "every instruction form in lockstep" in
+  QCheck2.Test.make ~count:3000 ~name ~print:show_icase gen_icase
+    (report ~show:show_icase name (fun c ->
+         let a = icase_machine c and b = icase_machine c in
+         let warm = M.snapshot a in
+         ignore (M.run ~fuel:1 a);
+         M.restore a warm;
+         let ra = M.run ~fuel:1 a and rb = Refstep.run ~fuel:1 b in
+         if ra <> rb then
+           Printf.ksprintf failwith "stop run=%s ref=%s" (show_stop ra)
+             (show_stop rb);
+         compare_machines ~at:"after one instruction" a b;
+         Mpu.violation_flags a.M.mpu = Mpu.violation_flags b.M.mpu))
+
 (* Attack-corpus observer effect: every corpus attack that builds,
    under every isolation mode, dispatched on two kernels over the same
    firmware: one with nothing attached, one with a no-op watcher and a
@@ -532,7 +681,7 @@ let test_keyed_validation () =
     Option.get (Aft.handler_addr bare.Kernel.apps.(0).Kernel.build "handle_button")
   in
   let mpu = bare.Kernel.machine.M.mpu in
-  let block () = Hashtbl.find bare.Kernel.machine.M.blocks haddr in
+  let block () = (Hashtbl.find bare.Kernel.machine.M.blocks haddr).M.pre in
   let b = block () in
   let key = b.Predecode.b_mpu_key in
   Alcotest.(check bool) "handler block validated" true (key >= 0);
@@ -603,5 +752,6 @@ let () =
               test_hook_patches_block;
             Alcotest.test_case "hook moves pc mid-block" `Quick
               test_hook_moves_pc;
+            to_alcotest instruction_lockstep;
           ] );
     ]

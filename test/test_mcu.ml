@@ -1112,7 +1112,8 @@ let test_smc_patch_cached_block_then_reenter () =
   check_int "looped twice" 2 (reg m 6);
   check_int "second pass decoded the patched immediate" 0x2222 (reg m 7)
 
-(* [Machine.reset] must drop the block cache outright.  After reset
+(* [Machine.reset] must drop the block cache outright, the lookup in
+   front of the table included ([Machine.drop_blocks]).  After reset
    the code-write watches are gone too, so a subsequent patch bumps no
    generation counter: only the reset-time flush can make the second
    boot see the new bytes. *)
@@ -1125,6 +1126,7 @@ let test_reset_drops_code_cache () =
   in
   Alcotest.(check bool) "blocks cached after a hooks-off run" true
     (Hashtbl.length m.Machine.blocks > 0);
+  let before = Hashtbl.find m.Machine.blocks base in
   Machine.reset m;
   check_int "reset empties the block cache" 0
     (Hashtbl.length m.Machine.blocks);
@@ -1132,7 +1134,9 @@ let test_reset_drops_code_cache () =
   (match Machine.run m with
   | Machine.Halted -> ()
   | o -> Alcotest.failf "expected halt, got %a" Machine.pp_stop_reason o);
-  check_int "second boot decodes the post-reset patch" 0x2222 (reg m 7)
+  check_int "second boot decodes the post-reset patch" 0x2222 (reg m 7);
+  Alcotest.(check bool) "the next run rebuilds its blocks" true
+    (Hashtbl.find m.Machine.blocks base != before)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot and restore *)

@@ -112,7 +112,7 @@ let observer_effect app mode () =
     (Inject.steps inj);
   let watched k = M.add_watch k.Kernel.machine ignore in
   check_same "no-op watcher" bare (snd (run ~arm:watched fw));
-  let drop k = Hashtbl.reset k.Kernel.machine.M.blocks in
+  let drop k = M.drop_blocks k.Kernel.machine in
   check_same "cache dropped every 100 ms" bare (snd (run ~between:drop fw))
 
 let () =

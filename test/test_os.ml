@@ -285,6 +285,44 @@ let test_fall_scenario_spike () =
   check_bool "calm before" true (before < 1500);
   check_bool "impact spike" true (impact > 2500)
 
+(* The accelerometer magnitude and PPG series are memoised by time in
+   their [Sensors.t].  One [t] answers a run of times twice over, so
+   the second pass hits; times [k * 4096] apart share their low bits,
+   so they collide in any direct-mapped table of up to 4096 slots.
+   Every answer must equal a fresh [t]'s synthesis. *)
+let sensors_memo_property =
+  let open QCheck2.Gen in
+  let scenario =
+    oneof
+      [
+        oneofl Os.Sensors.[ Resting; Walking; Running; Daily_mix ];
+        map (fun ms -> Os.Sensors.Fall_at ms) (int_range 0 2_000);
+      ]
+  in
+  let time =
+    frequency
+      [
+        (2, int_range 0 2_000);
+        (2, map2 (fun b k -> b + (k * 4096)) (int_range 0 63) (int_range 0 99));
+        (1, int_range 0 86_400_000);
+      ]
+  in
+  QCheck2.Test.make ~count:300 ~name:"memoised samples = fresh synthesis"
+    ~print:(fun (seed, _, times) ->
+      Printf.sprintf "seed %d, times [%s]" seed
+        (String.concat "; " (List.map string_of_int times)))
+    (triple int scenario (list_size (int_range 1 40) time))
+    (fun (seed, scenario, times) ->
+      let s = Os.Sensors.create ~seed scenario in
+      let fresh () = Os.Sensors.create ~seed scenario in
+      List.for_all
+        (fun time_ms ->
+          Os.Sensors.accel_magnitude s ~time_ms
+          = Os.Sensors.accel_magnitude (fresh ()) ~time_ms
+          && Os.Sensors.ppg_sample s ~time_ms
+             = Os.Sensors.ppg_sample (fresh ()) ~time_ms)
+        (times @ times))
+
 let () =
   Alcotest.run "os"
     [
@@ -319,5 +357,6 @@ let () =
           Alcotest.test_case "sensors deterministic" `Quick
             test_sensors_deterministic;
           Alcotest.test_case "fall spike" `Quick test_fall_scenario_spike;
+          QCheck_alcotest.to_alcotest sensors_memo_property;
         ] );
     ]
