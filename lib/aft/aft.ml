@@ -67,35 +67,27 @@ let build ~mode ?(shadow = false) ?(elide = true) ?(certify = true) specs =
           raise (Source_error { app = s.name; loc; msg }))
       specs
   in
-  (* phase 3: sections and stub generation (sizing pass).  Each
-     section is laid out once; the layouts that size it are the ones
-     the linker places. *)
+  (* phase 3: sections and stub generation.  Each section is laid out
+     once; the layouts that size it are the ones the linker places. *)
   let app_code =
     List.map
       (fun (spec, cu) ->
         Assembler.layout (cu.Driver.code @ Stubs.exit_stub ~name:spec.name))
       compiled
   in
-  let os_code_items ~os_cfg ~tramps =
-    Amulet_cc.Runtime.items @ Stubs.startup
-    @ Stubs.osreturn ~mode ~os_cfg
-    @ Stubs.gates ~mode ~os_cfg
-    @ tramps
-  in
-  let sizing_tramps =
-    List.concat_map
-      (fun (spec, _) ->
-        Stubs.trampoline ~mode ~shadow ~name:spec.name
-          ~cfg:Stubs.placeholder_cfg ~stack_top:0x7EAC ())
-      compiled
-  in
-  let os_code_size =
-    Assembler.size
-      (Assembler.layout
-         (os_code_items ~os_cfg:Stubs.placeholder_cfg ~tramps:sizing_tramps))
+  let os_cfg = Stubs.os_mpu_cfg ~shadow in
+  let os_code =
+    Assembler.layout
+      (Amulet_cc.Runtime.items @ Stubs.startup
+      @ Stubs.osreturn ~mode ~os_cfg
+      @ Stubs.gates ~mode ~os_cfg
+      @ List.concat_map
+          (fun (spec, _) -> Stubs.trampoline ~mode ~shadow ~name:spec.name)
+          compiled)
   in
   let os_data = Assembler.layout Stubs.os_globals in
-  (* phase 4: layout *)
+  (* phase 4: layout; the linker patches the bounds, borders and stack
+     tops the code refers to *)
   let app_inputs =
     List.map2
       (fun (spec, cu) code ->
@@ -111,24 +103,10 @@ let build ~mode ?(shadow = false) ?(elide = true) ?(certify = true) specs =
   in
   let layout =
     try
-      Layout.compute ~os_code_size ~os_data_size:(Assembler.size os_data)
-        ~apps:app_inputs
+      Layout.compute ~os_code_size:(Assembler.size os_code)
+        ~os_data_size:(Assembler.size os_data) ~apps:app_inputs
     with Layout.Does_not_fit m -> errf "%s" m
   in
-  let os_cfg = Stubs.os_mpu_cfg ~shadow ~layout () in
-  let final_tramps =
-    List.map2
-      (fun (spec, _) lay ->
-        Stubs.trampoline ~mode ~shadow ~name:spec.name
-          ~cfg:(Stubs.app_mpu_cfg ~shadow lay)
-          ~stack_top:lay.Layout.stack_top ())
-      compiled layout.Layout.apps
-    |> List.concat
-  in
-  let os_code = Assembler.layout (os_code_items ~os_cfg ~tramps:final_tramps) in
-  let final_size = Assembler.size os_code in
-  if final_size <> os_code_size then
-    errf "internal: stub sizing drifted (%d vs %d)" final_size os_code_size;
   let section name base layout = { Amulet_link.Linker.name; base; layout } in
   let sections =
     section "os_code" layout.Layout.os_code_base os_code

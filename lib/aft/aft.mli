@@ -7,9 +7,11 @@
     stack-depth analysis) and phase 2 (check insertion with
     placeholder bounds) run inside {!Amulet_cc.Driver.compile}; phase
     3 (section attributes, stack-manipulation stubs) is the section
-    assignment plus {!Stubs} generation here; phase 4 (final layout
-    and bound patching) is {!Layout.compute} plus link-time resolution
-    of the section start/end symbols the checks refer to. *)
+    assignment plus {!Stubs} generation here, each section laid out
+    once; phase 4 (final layout and bound patching) is
+    {!Layout.compute} plus link-time resolution of the symbols the code
+    refers to: the section start/end symbols of the checks' bounds and
+    of the stubs' MPU borders, and each app's stack top. *)
 
 type app_spec = { name : string; source : string }
 

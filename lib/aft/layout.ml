@@ -1,4 +1,5 @@
 module Map = Amulet_mcu.Memory_map
+module Mpu = Amulet_mcu.Mpu
 
 type app_layout = {
   index : int;
@@ -7,7 +8,6 @@ type app_layout = {
   code_size : int;
   data_base : int;
   data_limit : int;
-  stack_top : int;
   globals_size : int;
   stack_bytes : int;
 }
@@ -23,24 +23,22 @@ type t = {
 
 exception Does_not_fit of string
 
-let granule = 0x400
-let align_up a g = (a + g - 1) land lnot (g - 1)
+let align_up a = (a + Mpu.granule - 1) land lnot (Mpu.granule - 1)
 
 let compute ~os_code_size ~os_data_size ~apps =
   let os_code_base = Map.fram_start in
-  let os_data_base = align_up (os_code_base + os_code_size) granule in
-  let apps_base = align_up (os_data_base + os_data_size) granule in
+  let os_data_base = align_up (os_code_base + os_code_size) in
+  let apps_base = align_up (os_data_base + os_data_size) in
   let place (cursor, index, acc) (name, code_size, globals_size, stack_bytes) =
     let code_base = cursor in
-    let data_base = align_up (code_base + code_size) granule in
+    let data_base = align_up (code_base + code_size) in
     (* data segment: [stack][globals], rounded to a whole granule *)
-    let data_limit = align_up (data_base + stack_bytes + globals_size) granule in
+    let data_limit = align_up (data_base + stack_bytes + globals_size) in
     (* give any rounding slack to the stack *)
     let globals_base = data_limit - globals_size in
     let app =
       {
         index; name; code_base; code_size; data_base; data_limit;
-        stack_top = globals_base land lnot 1;
         globals_size; stack_bytes = globals_base - data_base;
       }
     in

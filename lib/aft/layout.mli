@@ -26,9 +26,10 @@ type app_layout = {
   code_size : int;  (** includes the injected exit stub *)
   data_base : int;  (** = MPU boundary B1 while this app runs *)
   data_limit : int;  (** = MPU boundary B2 while this app runs *)
-  stack_top : int;  (** initial SP: globals sit above this address *)
   globals_size : int;
   stack_bytes : int;
+      (** from [data_base] up to the globals; the AFT labels the top
+          {!Amulet_cc.Isolation.stack_top_sym}, the app's initial SP *)
 }
 
 type t = {
@@ -41,8 +42,6 @@ type t = {
 }
 
 exception Does_not_fit of string
-
-val granule : int
 
 val compute :
   os_code_size:int ->

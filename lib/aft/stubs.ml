@@ -4,32 +4,23 @@ module Map = Amulet_mcu.Memory_map
 module Mpu = Amulet_mcu.Mpu
 module Iso = Amulet_cc.Isolation
 
-type mpu_cfg = { b1 : int; b2 : int; sam : int }
+type mpu_cfg = { b1 : A.expr; b2 : A.expr; sam : int }
 
-let os_mpu_cfg ?(shadow = false) ~layout () =
+(* Seg2 is [prefix]'s data section; the linker patches its borders at
+   the final layout, as it patches the guards' bounds.  The InfoMem
+   segment opens up when it hosts the shadow stack. *)
+let mpu_cfg ~shadow ~prefix ~seg3 =
   {
-    b1 = layout.Layout.os_data_base lsr 4;
-    b2 = layout.Layout.apps_base lsr 4;
+    b1 = A.Border (Iso.data_lo_sym ~prefix);
+    b2 = A.Border (Iso.data_hi_sym ~prefix);
     sam =
-      Mpu.sam_bits ~seg1:"x" ~seg2:"rw" ~seg3:"rw"
+      Mpu.sam_bits ~seg1:"x" ~seg2:"rw" ~seg3
         ~info:(if shadow then "rw" else "")
         ();
   }
 
-let app_mpu_cfg ?(shadow = false) (a : Layout.app_layout) =
-  {
-    b1 = a.Layout.data_base lsr 4;
-    b2 = a.Layout.data_limit lsr 4;
-    (* the InfoMem segment opens up when it hosts the shadow stack *)
-    sam =
-      Mpu.sam_bits ~seg1:"x" ~seg2:"rw" ~seg3:""
-        ~info:(if shadow then "rw" else "")
-        ();
-  }
-
-(* Values that are never constant-generator encodable, so the sizing
-   pass and the final pass produce identical instruction sizes. *)
-let placeholder_cfg = { b1 = 0x7EA; b2 = 0x7EB; sam = 0x777 }
+let os_mpu_cfg ~shadow = mpu_cfg ~shadow ~prefix:"" ~seg3:"rw"
+let app_mpu_cfg ~shadow name = mpu_cfg ~shadow ~prefix:name ~seg3:""
 
 let mpu_unlock = 0xA501 (* password | MPUENA *)
 
@@ -68,8 +59,8 @@ let write_mpu_imm ~tag cfg =
   [
     A.label (mpu_marker tag "b");
     A.mov (A.imm mpu_disable) (A.Dabs (A.Num Mpu.ctl0_addr));
-    A.mov (A.imm cfg.b1) (A.Dabs (A.Num Mpu.segb1_addr));
-    A.mov (A.imm cfg.b2) (A.Dabs (A.Num Mpu.segb2_addr));
+    A.mov (A.Simm cfg.b1) (A.Dabs (A.Num Mpu.segb1_addr));
+    A.mov (A.Simm cfg.b2) (A.Dabs (A.Num Mpu.segb2_addr));
     A.mov (A.imm cfg.sam) (A.Dabs (A.Num Mpu.sam_addr));
     A.mov (A.imm mpu_unlock) (A.Dabs (A.Num Mpu.ctl0_addr));
     A.label (mpu_marker tag "e");
@@ -125,7 +116,8 @@ let gates ~mode ~os_cfg =
 let tramp_label name = "__tramp_" ^ name
 let exit_label name = "__exit_" ^ name
 
-let trampoline ~mode ?(shadow = false) ~name ~cfg ~stack_top () =
+let trampoline ~mode ~shadow ~name =
+  let cfg = app_mpu_cfg ~shadow name in
   [
     A.label (tramp_label name);
     (* fresh OS stack for this dispatch *)
@@ -144,14 +136,14 @@ let trampoline ~mode ?(shadow = false) ~name ~cfg ~stack_top () =
      else [])
   @ (if Iso.uses_mpu mode then
        [
-         A.mov (A.imm cfg.b1) (A.Dabs (A.Sym slot_b1));
-         A.mov (A.imm cfg.b2) (A.Dabs (A.Sym slot_b2));
+         A.mov (A.Simm cfg.b1) (A.Dabs (A.Sym slot_b1));
+         A.mov (A.Simm cfg.b2) (A.Dabs (A.Sym slot_b2));
          A.mov (A.imm cfg.sam) (A.Dabs (A.Sym slot_sam));
        ]
        @ write_mpu_imm ~tag:("t_" ^ name) cfg
      else [])
   @ (if Iso.separate_stacks mode then
-       [ A.mov (A.imm stack_top) (A.Dreg A.r_sp) ]
+       [ A.mov (A.sym (Iso.stack_top_sym ~prefix:name)) (A.Dreg A.r_sp) ]
      else [])
   @ [
       (* the event argument (R12) becomes the handler's stack argument *)

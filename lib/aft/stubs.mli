@@ -22,22 +22,22 @@
 
 module A := Amulet_link.Asm
 
-(** MPU register values for one configuration (boundary registers hold
-    address/16). *)
-type mpu_cfg = { b1 : int; b2 : int; sam : int }
+(** MPU register values for one configuration.  The boundary
+    registers are link-time values: {!Amulet_link.Asm.Border}s of a
+    data section's start and end symbols. *)
+type mpu_cfg = { b1 : A.expr; b2 : A.expr; sam : int }
 
-val os_mpu_cfg : ?shadow:bool -> layout:Layout.t -> unit -> mpu_cfg
+val os_mpu_cfg : shadow:bool -> mpu_cfg
 (** OS-running configuration: seg1 = OS code (x), seg2 = OS data (rw),
-    seg3 = apps (rw); with [shadow], InfoMem read-write. *)
+    seg3 = apps (rw); the borders are those of [os_data__start/__end].
+    With [shadow], InfoMem read-write. *)
 
-val app_mpu_cfg : ?shadow:bool -> Layout.app_layout -> mpu_cfg
-(** App-running configuration: seg1 = below app data (x-only),
-    seg2 = app data/stack (rw), seg3 = above (no access); with
-    [shadow], InfoMem (seg0) becomes read-write so the generated
-    shadow-stack pushes can land there. *)
-
-val placeholder_cfg : mpu_cfg
-(** Non-constant-generator dummy values for the sizing pass. *)
+val app_mpu_cfg : shadow:bool -> string -> mpu_cfg
+(** App-running configuration for the named app: seg1 = below app data
+    (x-only), seg2 = app data/stack (rw), seg3 = above (no access); the
+    borders are those of [<app>_data__start/__end].  With [shadow],
+    InfoMem (seg0) becomes read-write so the generated shadow-stack
+    pushes can land there. *)
 
 val os_globals : A.item list
 (** OS data slots: [__os_sp_save], [__cur_app_sp], [__cur_mpu_b1/b2/sam]. *)
@@ -52,13 +52,10 @@ val gates : mode:Amulet_cc.Isolation.mode -> os_cfg:mpu_cfg -> A.item list
     {!Amulet_cc.Apis.services}). *)
 
 val trampoline :
-  mode:Amulet_cc.Isolation.mode ->
-  ?shadow:bool ->
-  name:string ->
-  cfg:mpu_cfg ->
-  stack_top:int ->
-  unit ->
-  A.item list
+  mode:Amulet_cc.Isolation.mode -> shadow:bool -> name:string -> A.item list
+(** [__tramp_<name>]: writes {!app_mpu_cfg} (MPU mode) and loads SP
+    from the app's {!Amulet_cc.Isolation.stack_top_sym} (separate-stack
+    modes). *)
 
 val exit_stub : name:string -> A.item list
 (** Appended to the app's own code section. *)

@@ -407,8 +407,7 @@ let rec walk f (e : Tast.texpr) : aval =
     let ordered =
       (* API calls load R12-R14 left to right; plain calls push
          right to left *)
-      if String.length name >= 4 && String.sub name 0 4 = "api_" then args
-      else List.rev args
+      if Amulet_cc.Apis.find name <> None then args else List.rev args
     in
     List.iter (fun a -> ignore (walk f a)) ordered;
     default_of e.Tast.ty

@@ -764,8 +764,7 @@ and push_args c args =
   2 * List.length args
 
 and eval_call c name args =
-  if String.length name >= 4 && String.sub name 0 4 = "api_" then
-    eval_api_call c name args
+  if Apis.find name <> None then eval_api_call c name args
   else if Hashtbl.mem c.p.functions name then begin
     let bytes = push_args c args in
     c.calls <- name :: c.calls;

@@ -37,7 +37,9 @@ val separate_stacks : mode -> bool
    [<section>__start] / [<section>__end] symbols of the app's code and
    data sections: AFT phase 2 emits checks against these symbols
    ("placeholder values"), and link-time resolution is phase 4's
-   "patch with the correct app boundaries". *)
+   "patch with the correct app boundaries".  The MPU borders of the
+   AFT's stubs resolve from the same data-section symbols, and their
+   stack tops from {!stack_top_sym}, patched the same way. *)
 
 val mangle : prefix:string -> string -> string
 val code_section : prefix:string -> string
@@ -50,8 +52,9 @@ val data_hi_sym : prefix:string -> string
 val stack_top_sym : prefix:string -> string
 (** Zero-size label at the top of the app's stack area (the base of
     its globals, rounded down to even).  Emitted by the AFT layout and
-    the test harness so binary-level analyses can recover the stack
-    region [\[data_lo, stack_top)] from the link map alone. *)
+    the test harness; the app's trampoline loads SP from it, and
+    binary-level analyses recover the stack region
+    [\[data_lo, stack_top)] from the link map alone. *)
 
 (** Software-fault reason codes written to the fault port. *)
 

@@ -1,7 +1,7 @@
 module O = Amulet_mcu.Opcode
 module W = Amulet_mcu.Word
 
-type expr = Num of int | Sym of string | Off of string * int
+type expr = Num of int | Sym of string | Off of string * int | Border of string
 
 type src =
   | Sreg of int
@@ -68,6 +68,7 @@ let pp_expr ppf = function
   | Num n -> Format.fprintf ppf "%d" n
   | Sym s -> Format.fprintf ppf "%s" s
   | Off (s, n) -> Format.fprintf ppf "%s%+d" s n
+  | Border s -> Format.fprintf ppf "border(%s)" s
 
 let pp_src ppf = function
   | Sreg r -> Format.fprintf ppf "R%d" r

@@ -11,6 +11,9 @@ type expr =
   | Num of int
   | Sym of string  (** value of a linker symbol *)
   | Off of string * int  (** symbol + constant offset *)
+  | Border of string
+      (** MPU boundary-register value of the symbol's address, rounded
+          up to the next granule edge ({!Amulet_mcu.Mpu.border}) *)
 
 type src =
   | Sreg of int

@@ -8,7 +8,7 @@ let errf fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
 let expr_is_symbolic = function
   | Asm.Num _ -> false
-  | Asm.Sym _ | Asm.Off _ -> true
+  | Asm.Sym _ | Asm.Off _ | Asm.Border _ -> true
 
 (* Size computation: a placeholder value is used for symbolic
    expressions; `no_cg_imm` guarantees the size does not depend on the
@@ -172,6 +172,7 @@ let eval resolve = function
   | Asm.Num n -> n
   | Asm.Sym s -> resolve s
   | Asm.Off (s, n) -> resolve s + n
+  | Asm.Border s -> Amulet_mcu.Mpu.border (resolve s)
 
 let lower_src resolve = function
   | Asm.Sreg r -> (O.S_reg r, false)

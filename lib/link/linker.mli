@@ -3,7 +3,8 @@
 
     Every section automatically defines [<name>__start] and
     [<name>__end] symbols — the AFT uses these as the app boundary
-    constants that phase 4 patches into the compiler-inserted checks. *)
+    constants that phase 4 patches into the compiler-inserted checks,
+    and as {!Asm.Border}s into the stubs' MPU configurations. *)
 
 exception Error of string
 

@@ -25,6 +25,7 @@ let bit_ena = 0x0001
 let bit_lock = 0x0002
 let password = 0xA5
 let granule = 0x400
+let border addr = ((addr + granule - 1) land lnot (granule - 1)) lsr 4
 
 let default_sam =
   (* Power-up: everything readable/writable/executable. *)

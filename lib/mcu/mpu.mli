@@ -91,6 +91,16 @@ val boundary1 : t -> int
 val boundary2 : t -> int
 (** Effective (1 KiB-aligned) segment boundaries. *)
 
+val granule : int
+(** [0x400]: segment boundaries snap down to a multiple of this. *)
+
+val border : int -> int
+(** [border addr] is the boundary-register value (address / 16) of the
+    first {!granule} edge at or above [addr].  It rounds up, so a
+    region that ends inside a granule keeps that whole granule: an app
+    data section with odd-sized globals ends one byte below the edge
+    its layout reserved. *)
+
 val access_bit : access -> int
 (** The permission-table bit that grants an access. *)
 

@@ -368,6 +368,18 @@ let recursion_mode_cases =
       else None)
     Cc.Isolation.all
 
+(* A user function whose name starts with api_ but names no OS service
+   is a plain call, not a gate. *)
+let api_named_function_cases =
+  let src =
+    "int api_helper(int a, int b) { return a - b; }\n\
+     int main() { return api_helper(50, 8); }"
+  in
+  List.map
+    (fun mode ->
+      t ("api_helper under " ^ Cc.Isolation.name mode) ~mode 42 src)
+    Cc.Isolation.all
+
 (* ------------------------------------------------------------------ *)
 (* Isolation faults *)
 
@@ -608,7 +620,9 @@ let () =
         ] );
       ("exec", exec_cases);
       ("semantics", semantics_cases);
-      ("modes", cross_mode_cases @ pointer_mode_cases @ recursion_mode_cases);
+      ( "modes",
+        cross_mode_cases @ pointer_mode_cases @ recursion_mode_cases
+        @ api_named_function_cases );
       ("faults", fault_cases);
       ("phase1", feature_check_cases @ stack_depth_cases);
     ]

@@ -52,6 +52,13 @@ let wild =
   fixture "wild.c"
     "void handle_init(int arg) {\n  int *p = (int *)0x1C00;\n  *p = 1;\n}\n"
 
+(* a user function whose name starts with api_ but names no OS service:
+   a plain call, not a gate *)
+let api_helper =
+  fixture "api_helper.c"
+    "int api_helper(int x) { return x + 1; }\n\
+     void handle_init(int arg) { api_helper(arg); }\n"
+
 let bad_syntax = fixture "bad.c" "void handle_init(int arg) { int x = ; }\n"
 
 let dup_fn =
@@ -103,6 +110,8 @@ let table =
       [ "sim"; "-t"; "1"; blink_dash ];
     row "sim" "unrecovered fault" 1 ~expect:[ "unrecovered fault: app wild" ]
       [ "sim"; "-t"; "1"; wild ];
+    row "sim" "user function named api_*" 0 ~expect:[ "app api_helper" ]
+      [ "sim"; "-t"; "1"; api_helper ];
     row "sim" "missing source" 2 [ "sim"; "missing.c" ];
     row "objdump" "--cfg on an example" 0
       ~expect:[ "blink_counter$handle_timer"; "cycles" ]

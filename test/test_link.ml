@@ -7,6 +7,7 @@ module Image = Amulet_link.Image
 module Layout = Amulet_aft.Layout
 module Aft = Amulet_aft.Aft
 module O = Amulet_mcu.Opcode
+module Mpu = Amulet_mcu.Mpu
 module Iso = Amulet_cc.Isolation
 
 let check_int = Alcotest.(check int)
@@ -99,17 +100,18 @@ let base = 0x4400
    one of the two long forms relaxation writes. *)
 type reach = Short | Long | Miss
 
+(* The image's word at [a]; 0xFFFF outside every chunk. *)
+let word_at (image : Image.t) a =
+  match
+    List.find_opt
+      (fun (b, data) -> a >= b && a + 1 < b + Bytes.length data)
+      image.Image.chunks
+  with
+  | Some (b, data) -> Bytes.get_uint16_le data (a - b)
+  | None -> 0xFFFF
+
 let jump_reach (image : Image.t) ~here ~cond ~target =
-  let fetch a =
-    match
-      List.find_opt
-        (fun (b, data) -> a >= b && a + 1 < b + Bytes.length data)
-        image.Image.chunks
-    with
-    | Some (b, data) -> Bytes.get_uint16_le data (a - b)
-    | None -> 0xFFFF
-  in
-  let decode addr = fst (Amulet_mcu.Decode.decode ~fetch ~addr) in
+  let decode addr = fst (Amulet_mcu.Decode.decode ~fetch:(word_at image) ~addr) in
   let is_br addr =
     match decode addr with
     | O.Fmt1 (O.MOV, Amulet_mcu.Word.W16, O.S_immediate a, O.D_reg 0) ->
@@ -347,10 +349,11 @@ let test_layout_alignment () =
         (a.Layout.data_limit land 0x3FF);
       check_bool (a.Layout.name ^ " code below data") true
         (a.Layout.code_base + a.Layout.code_size <= a.Layout.data_base);
+      let stack_top = a.Layout.data_base + a.Layout.stack_bytes in
       check_bool (a.Layout.name ^ " stack below globals") true
-        (a.Layout.stack_top <= a.Layout.data_limit - a.Layout.globals_size);
+        (stack_top <= a.Layout.data_limit - a.Layout.globals_size);
       check_bool (a.Layout.name ^ " stack above base") true
-        (a.Layout.stack_top > a.Layout.data_base))
+        (stack_top > a.Layout.data_base))
     lay.Layout.apps;
   (* apps are contiguous: code of app n+1 starts at data_limit of n *)
   let rec contiguous = function
@@ -368,6 +371,86 @@ let test_layout_overflow () =
   with
   | exception Layout.Does_not_fit _ -> ()
   | _ -> Alcotest.fail "expected does-not-fit"
+
+(* ------------------------------------------------------------------ *)
+(* MPU borders: link-time values, patched at the final layout *)
+
+let test_border_cg_sizing () =
+  let s = section "s" 0x4400 [ A.mov (A.Simm (A.Border "zero")) (A.Dreg 6); A.label "end" ] in
+  let image = Linker.link ~extra_symbols:[ ("zero", 0) ] ~entry:"end" [ s ] in
+  (* the border of 0 is 0, which the constant generator could encode;
+     the operand still takes its extension word *)
+  check_int "end offset" (0x4400 + 4) (Image.symbol image "end");
+  match image.Image.chunks with
+  | [ (_, data) ] ->
+    check_int "emitted = layout size" (Assembler.size s.Linker.layout)
+      (Bytes.length data);
+    check_int "extension word" 0 (Bytes.get_uint16_le data 2)
+  | _ -> Alcotest.fail "expected one chunk"
+
+let test_border_rounds_up () =
+  List.iter
+    (fun (addr, v) -> check_int (Printf.sprintf "border 0x%04X" addr) v (Mpu.border addr))
+    [ (0x5BFF, 0x5C0); (0x5C00, 0x5C0); (0x5C01, 0x600) ]
+
+(* The SEGB1, SEGB2 and SAM immediates of the reconfiguration sequence
+   between the [tag]'s markers. *)
+let mpu_writes (img : Image.t) tag =
+  let stop = Image.symbol img (Amulet_aft.Stubs.mpu_marker tag "e") in
+  let rec go addr acc =
+    if addr >= stop then acc
+    else
+      let insn, size = Amulet_mcu.Decode.decode ~fetch:(word_at img) ~addr in
+      let acc =
+        match insn with
+        | O.Fmt1 (O.MOV, _, O.S_immediate v, O.D_absolute r) -> (r, v) :: acc
+        | _ -> acc
+      in
+      go (addr + size) acc
+  in
+  let w = go (Image.symbol img (Amulet_aft.Stubs.mpu_marker tag "b")) [] in
+  List.map
+    (fun r -> List.assoc r w)
+    [ Mpu.segb1_addr; Mpu.segb2_addr; Mpu.sam_addr ]
+
+(* Every suite app alone under mpu: its trampoline writes its data
+   segment's borders, and [__osreturn] and every gate the OS data
+   segment's.  Apps with odd-sized globals end their data section one
+   byte below [data_limit]. *)
+let test_stub_borders () =
+  List.iter
+    (fun (app : Amulet_apps.Suite.app) ->
+      List.iter
+        (fun shadow ->
+          let mode = Iso.Mpu_assisted in
+          let fw = Aft.build ~mode ~shadow [ Amulet_apps.Suite.spec_for mode app ] in
+          let img = fw.Aft.fw_image and lay = fw.Aft.fw_layout in
+          let a = List.hd lay.Layout.apps in
+          let info = if shadow then "rw" else "" in
+          let check tag expect =
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s%s %s" app.name (if shadow then " shadow" else "") tag)
+              expect (mpu_writes img tag)
+          in
+          check ("t_" ^ app.name)
+            [
+              a.Layout.data_base lsr 4;
+              a.Layout.data_limit lsr 4;
+              Mpu.sam_bits ~seg1:"x" ~seg2:"rw" ~seg3:"" ~info ();
+            ];
+          let os =
+            [
+              lay.Layout.os_data_base lsr 4;
+              lay.Layout.apps_base lsr 4;
+              Mpu.sam_bits ~seg1:"x" ~seg2:"rw" ~seg3:"rw" ~info ();
+            ]
+          in
+          check "osret" os;
+          Array.iter
+            (fun (svc : Amulet_cc.Apis.service) -> check ("g_" ^ svc.name) os)
+            Amulet_cc.Apis.services)
+        [ false; true ])
+    Amulet_apps.Suite.all
 
 (* ------------------------------------------------------------------ *)
 (* AFT end-to-end invariants *)
@@ -456,6 +539,12 @@ let () =
         [
           quick "alignment invariants" test_layout_alignment;
           quick "overflow" test_layout_overflow;
+        ] );
+      ( "mpu borders",
+        [
+          quick "border immediate takes an extension word" test_border_cg_sizing;
+          quick "border rounds up" test_border_rounds_up;
+          quick "stubs write the layout's borders" test_stub_borders;
         ] );
       ( "aft",
         [
