@@ -41,90 +41,117 @@ let valid_name name =
    trampoline's exit-stub push, the gate return address, plus margin. *)
 let stack_margin = 64
 
-let build ~mode ?(shadow = false) ?(elide = true) ?(certify = true) specs =
+type compiled = {
+  c_name : string;
+  c_mode : Iso.mode;
+  c_shadow : bool;
+  c_cu : Driver.compiled;
+  c_code : Assembler.layout;  (** code + exit stub *)
+  c_globals : int;  (** globals size, rounded up to a word *)
+}
+
+type os = {
+  os_mode : Iso.mode;
+  os_shadow : bool;
+  os_names : string list;
+  os_code : Assembler.layout;
+  os_data : Assembler.layout;
+}
+
+(* phases 1-2: feature check, analysis, checked code generation against
+   placeholder bound symbols; phase 3 for the app: its code section
+   with the exit stub, laid out once *)
+let compile ~mode ?(shadow = false) ?(elide = true) spec =
   let analyze = if elide then Some Amulet_analysis.Range.analyze else None in
   let loop_bounds =
     if elide then Some Amulet_analysis.Range.loop_bounds else None
   in
-  (* phase 0: validate *)
-  let names = List.map (fun s -> s.name) specs in
+  let cu =
+    try
+      Driver.compile ~prefix:spec.name ~mode ~shadow ?analyze ?loop_bounds
+        spec.source
+    with Amulet_cc.Srcloc.Error (loc, msg) ->
+      raise (Source_error { app = spec.name; loc; msg })
+  in
+  {
+    c_name = spec.name;
+    c_mode = mode;
+    c_shadow = shadow;
+    c_cu = cu;
+    c_code =
+      Assembler.layout (cu.Driver.code @ Stubs.exit_stub ~name:spec.name);
+    c_globals =
+      (Assembler.size (Assembler.layout cu.Driver.data) + 1) land lnot 1;
+  }
+
+(* phase 3 for the OS: its code refers to the apps only through link-time
+   symbols, so it depends on the mode, [shadow] and the app names *)
+let os ~mode ?(shadow = false) names =
   if List.length (List.sort_uniq compare names) <> List.length names then
     errf "duplicate app names";
   List.iter
     (fun n -> if not (valid_name n) then errf "invalid app name '%s'" n)
     names;
-  (* phases 1-2: compile each app (feature check, analysis, checked
-     code generation against placeholder bound symbols) *)
-  let compiled =
-    List.map
-      (fun s ->
-        match
-          Driver.compile ~prefix:s.name ~mode ~shadow ?analyze ?loop_bounds
-            s.source
-        with
-        | cu -> (s, cu)
-        | exception Amulet_cc.Srcloc.Error (loc, msg) ->
-          raise (Source_error { app = s.name; loc; msg }))
-      specs
-  in
-  (* phase 3: sections and stub generation.  Each section is laid out
-     once; the layouts that size it are the ones the linker places. *)
-  let app_code =
-    List.map
-      (fun (spec, cu) ->
-        Assembler.layout (cu.Driver.code @ Stubs.exit_stub ~name:spec.name))
-      compiled
-  in
   let os_cfg = Stubs.os_mpu_cfg ~shadow in
-  let os_code =
-    Assembler.layout
-      (Amulet_cc.Runtime.items @ Stubs.startup
-      @ Stubs.osreturn ~mode ~os_cfg
-      @ Stubs.gates ~mode ~os_cfg
-      @ List.concat_map
-          (fun (spec, _) -> Stubs.trampoline ~mode ~shadow ~name:spec.name)
-          compiled)
-  in
-  let os_data = Assembler.layout Stubs.os_globals in
-  (* phase 4: layout; the linker patches the bounds, borders and stack
-     tops the code refers to *)
-  let app_inputs =
-    List.map2
-      (fun (spec, cu) code ->
-        let gsize =
-          (Assembler.size (Assembler.layout cu.Driver.data) + 1) land lnot 1
-        in
-        let stack =
-          if Iso.separate_stacks mode then cu.Driver.stack_bytes + stack_margin
-          else 0
-        in
-        (spec.name, Assembler.size code, gsize, stack))
-      compiled app_code
-  in
+  {
+    os_mode = mode;
+    os_shadow = shadow;
+    os_names = names;
+    os_code =
+      Assembler.layout
+        (Amulet_cc.Runtime.items @ Stubs.startup
+        @ Stubs.osreturn ~mode ~os_cfg
+        @ Stubs.gates ~mode ~os_cfg
+        @ List.concat_map
+            (fun name -> Stubs.trampoline ~mode ~shadow ~name)
+            names);
+    os_data = Assembler.layout Stubs.os_globals;
+  }
+
+(* phase 4: layout; the linker patches the bounds, borders and stack
+   tops the code refers to *)
+let link ?(certify = true) os apps =
+  if
+    List.map (fun c -> c.c_name) apps <> os.os_names
+    || List.exists
+         (fun c -> c.c_mode <> os.os_mode || c.c_shadow <> os.os_shadow)
+         apps
+  then
+    invalid_arg "Aft.link: apps and OS differ in names, order, mode or shadow";
+  let mode = os.os_mode in
   let layout =
     try
-      Layout.compute ~os_code_size:(Assembler.size os_code)
-        ~os_data_size:(Assembler.size os_data) ~apps:app_inputs
+      Layout.compute ~os_code_size:(Assembler.size os.os_code)
+        ~os_data_size:(Assembler.size os.os_data)
+        ~apps:
+          (List.map
+             (fun c ->
+               let stack =
+                 if Iso.separate_stacks mode then
+                   c.c_cu.Driver.stack_bytes + stack_margin
+                 else 0
+               in
+               (c.c_name, Assembler.size c.c_code, c.c_globals, stack))
+             apps)
     with Layout.Does_not_fit m -> errf "%s" m
   in
   let section name base layout = { Amulet_link.Linker.name; base; layout } in
   let sections =
-    section "os_code" layout.Layout.os_code_base os_code
-    :: section "os_data" layout.Layout.os_data_base os_data
+    section "os_code" layout.Layout.os_code_base os.os_code
+    :: section "os_data" layout.Layout.os_data_base os.os_data
     :: List.concat
          (List.map2
-            (fun ((spec, cu), code) (al : Layout.app_layout) ->
+            (fun c (al : Layout.app_layout) ->
               [
-                section (Iso.code_section ~prefix:spec.name) al.Layout.code_base
-                  code;
-                section (Iso.data_section ~prefix:spec.name) al.Layout.data_base
+                section (Iso.code_section ~prefix:c.c_name) al.Layout.code_base
+                  c.c_code;
+                section (Iso.data_section ~prefix:c.c_name) al.Layout.data_base
                   (Assembler.layout
                      (A.Space al.Layout.stack_bytes
-                     :: A.label (Iso.stack_top_sym ~prefix:spec.name)
-                     :: cu.Driver.data));
+                     :: A.label (Iso.stack_top_sym ~prefix:c.c_name)
+                     :: c.c_cu.Driver.data));
               ])
-            (List.combine compiled app_code)
-            layout.Layout.apps)
+            apps layout.Layout.apps)
   in
   let image =
     try Amulet_link.Linker.link ~entry:"__os_start" sections
@@ -138,14 +165,14 @@ let build ~mode ?(shadow = false) ?(elide = true) ?(certify = true) specs =
     else
       Amulet_link.Image.with_notes image
         (List.filter_map
-           (fun spec ->
+           (fun c ->
              match
                Amulet_analysis.Lint.certified_gates ~image ~mode
-                 ~prefix:spec.name
+                 ~prefix:c.c_name
              with
              | [] -> None
-             | svcs -> Some (Amulet_cc.Apis.certified_note ~app:spec.name svcs))
-           specs
+             | svcs -> Some (Amulet_cc.Apis.certified_note ~app:c.c_name svcs))
+           apps
         @ image.Amulet_link.Image.notes)
   in
   (* stamp loop iteration bounds (app loops from the range analysis,
@@ -157,34 +184,39 @@ let build ~mode ?(shadow = false) ?(elide = true) ?(certify = true) specs =
     Amulet_link.Image.with_notes image
       (image.Amulet_link.Image.notes
       @ List.concat_map
-          (fun (_, cu) ->
+          (fun c ->
             List.map
               (fun (label, b) -> ("wcet.loop." ^ label, string_of_int b))
-              cu.Driver.loops)
-          compiled
+              c.c_cu.Driver.loops)
+          apps
       @ List.map
           (fun (label, b) -> ("wcet.loop." ^ label, string_of_int b))
           Amulet_cc.Runtime.loop_bounds)
   in
   let apps =
     List.map2
-      (fun (spec, cu) lay ->
+      (fun c lay ->
         let handlers =
           List.map
             (fun h ->
-              (h, Amulet_link.Image.symbol image (Iso.mangle ~prefix:spec.name h)))
-            cu.Driver.handlers
+              (h, Amulet_link.Image.symbol image (Iso.mangle ~prefix:c.c_name h)))
+            c.c_cu.Driver.handlers
         in
         {
-          ab_name = spec.name;
-          ab_compiled = cu;
+          ab_name = c.c_name;
+          ab_compiled = c.c_cu;
           ab_layout = lay;
           ab_handlers = handlers;
-          ab_tramp = Amulet_link.Image.symbol image (Stubs.tramp_label spec.name);
+          ab_tramp = Amulet_link.Image.symbol image (Stubs.tramp_label c.c_name);
         })
-      compiled layout.Layout.apps
+      apps layout.Layout.apps
   in
   { fw_mode = mode; fw_image = image; fw_layout = layout; fw_apps = apps }
+
+(* names are validated before any app is compiled *)
+let build ~mode ?shadow ?elide ?certify specs =
+  let os = os ~mode ?shadow (List.map (fun s -> s.name) specs) in
+  link ?certify os (List.map (compile ~mode ?shadow ?elide) specs)
 
 let find_app fw name = List.find (fun a -> a.ab_name = name) fw.fw_apps
 let handler_addr ab h = List.assoc_opt h ab.ab_handlers

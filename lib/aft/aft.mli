@@ -2,16 +2,28 @@
     one isolation mode and link them with the OS support code into a
     bootable firmware image.
 
-    The four phases of the paper map onto this pipeline as follows:
-    phase 1 (feature checks, access/API enumeration, call-graph
-    stack-depth analysis) and phase 2 (check insertion with
-    placeholder bounds) run inside {!Amulet_cc.Driver.compile}; phase
-    3 (section attributes, stack-manipulation stubs) is the section
-    assignment plus {!Stubs} generation here, each section laid out
-    once; phase 4 (final layout and bound patching) is
-    {!Layout.compute} plus link-time resolution of the symbols the code
-    refers to: the section start/end symbols of the checks' bounds and
-    of the stubs' MPU borders, and each app's stack top. *)
+    The four phases of the paper map onto three steps, and {!build} is
+    their composition:
+    - {!compile} runs phase 1 (feature checks, access/API enumeration,
+      call-graph stack-depth analysis) and phase 2 (check insertion
+      with placeholder bounds) inside {!Amulet_cc.Driver.compile} for
+      one app, then does that app's part of phase 3: its code section,
+      with the exit stub {!Stubs} injects, laid out once.
+    - {!os} does the OS's part of phase 3: the OS code (runtime
+      helpers, startup, [__osreturn], the gates and one trampoline per
+      app) and the OS data, each laid out once.
+    - {!link} is phase 4: {!Layout.compute} places the sections, and
+      the linker resolves the symbols the code refers to: the section
+      start/end symbols of the checks' bounds and of the stubs' MPU
+      borders, and each app's stack top.
+
+    The compiled code refers to the final layout only through those
+    symbols, so an app's compiled value does not depend on what it is
+    linked with, and an OS value depends only on the mode, [shadow] and
+    the ordered app names: one of each can be linked into many
+    firmwares.  Compiled apps and OS values are never written once
+    made, and {!link} only reads them (the assembler emits from a
+    layout without changing it), so domains may share them. *)
 
 type app_spec = { name : string; source : string }
 
@@ -46,6 +58,36 @@ val stack_margin : int
     source-level worst-case estimate (gate register saves, trampoline
     pushes). *)
 
+type compiled
+(** One app compiled for one mode and [shadow] setting, its code
+    section laid out. *)
+
+type os
+(** The OS code and data for one mode, [shadow] setting and ordered
+    list of app names, laid out. *)
+
+val compile :
+  mode:Amulet_cc.Isolation.mode ->
+  ?shadow:bool ->
+  ?elide:bool ->
+  app_spec ->
+  compiled
+(** [shadow] (default false) makes the generated code push return
+    addresses onto the shadow stack; [elide] as for {!build}.
+    @raise Source_error on source-level errors. *)
+
+val os : mode:Amulet_cc.Isolation.mode -> ?shadow:bool -> string list -> os
+(** The OS part of a firmware whose apps are [names], in link order.
+    @raise Build_error on duplicate or invalid app names. *)
+
+val link : ?certify:bool -> os -> compiled list -> firmware
+(** Lay out, link and (with [certify], default true) certify a
+    firmware from parts.
+    @raise Invalid_argument if the apps' names or order differ from
+    the ones [os] was made for, or an app was compiled for another
+    mode or [shadow] setting;
+    @raise Build_error on layout overflow or a link error. *)
+
 val build :
   mode:Amulet_cc.Isolation.mode ->
   ?shadow:bool ->
@@ -53,7 +95,9 @@ val build :
   ?certify:bool ->
   app_spec list ->
   firmware
-(** [shadow] additionally arms the shadow return-address stack in
+(** [link ?certify (os ~mode ?shadow names) (List.map (compile ...) specs)]:
+    the names are checked before any app is compiled.
+    [shadow] additionally arms the shadow return-address stack in
     InfoMem (the paper's future-work hardening; works with any mode).
     [elide] (default true) runs the range analysis so codegen can drop
     guards at proven-safe dereference sites; pass [false] to measure

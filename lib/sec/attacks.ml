@@ -439,27 +439,46 @@ type built =
 let victim_spec mode = Suite.spec_for mode Suite.security_victim
 let carrier_spec mode = Suite.spec_for mode Suite.security_carrier
 
-let specs_for ~position ~attacker_spec mode =
-  match position with
-  | First -> [ attacker_spec; victim_spec mode ]
-  | Last -> [ victim_spec mode; attacker_spec ]
+(* What the cells of one mode share.  The compiled victim and carrier
+   and the OS of each source-cell order are made the first time a cell
+   needs them, under [b_lock] (cells of one base may run on parallel
+   domains), so a base makes only what its cells use: a source cell the
+   compiler rejects makes nothing.  [b_carrier] is the benign
+   carrier+victim build every binary attack of the mode patches, with
+   the targets resolved on it. *)
+type base = {
+  b_mode : Iso.mode;
+  b_lock : Mutex.t;
+  b_victim : Aft.compiled Lazy.t;
+  b_carrier_app : Aft.compiled Lazy.t;
+  b_os_first : Aft.os Lazy.t;  (** [attacker; victim] *)
+  b_os_last : Aft.os Lazy.t;  (** [victim; attacker] *)
+  b_carrier : (Aft.firmware * targets) option;
+}
 
-(* The placeholder build only fixes the layout and resolves the
+let force b part = Mutex.protect b.b_lock (fun () -> Lazy.force part)
+
+(* The placeholder phase only fixes the layout and resolves the
    targets, so it skips certification: that appends [cert.gates.*]
-   notes after linking and moves nothing. *)
-let build_source ~attack ~mode gen =
+   notes after linking and moves nothing.  Each phase compiles the
+   attacker alone and links it with the base's victim and OS. *)
+let build_source b ~attack gen =
   let attacker = "attacker" in
-  let build ~certify targets =
-    let spec = { Aft.name = attacker; source = gen targets } in
-    Aft.build ~mode ~certify
-      (specs_for ~position:attack.atk_position ~attacker_spec:spec mode)
+  let link ~certify targets =
+    let app =
+      Aft.compile ~mode:b.b_mode { Aft.name = attacker; source = gen targets }
+    in
+    let victim = force b b.b_victim in
+    match attack.atk_position with
+    | First -> Aft.link ~certify (force b b.b_os_first) [ app; victim ]
+    | Last -> Aft.link ~certify (force b b.b_os_last) [ victim; app ]
   in
-  match build ~certify:false placeholder_targets with
+  match link ~certify:false placeholder_targets with
   | exception Aft.Source_error { msg; _ } -> Rejected msg
   | exception Aft.Build_error msg -> Rejected msg
   | fw_a ->
     let targets = resolve_targets fw_a ~attacker in
-    let fw = build ~certify:true targets in
+    let fw = link ~certify:true targets in
     let la = app_layout fw_a attacker and lb = app_layout fw attacker in
     if
       la.Layout.code_base <> lb.Layout.code_base
@@ -523,31 +542,36 @@ let build_binary ~attack (fw, targets) payload =
       targets;
     }
 
-(* [b_carrier]: the benign carrier+victim build every binary attack of
-   the mode patches, with the targets resolved on it. *)
-type base = {
-  b_mode : Iso.mode;
-  b_carrier : (Aft.firmware * targets) option;
-}
-
 let base mode attacks =
-  let carrier () =
-    let fw = Aft.build ~mode [ carrier_spec mode; victim_spec mode ] in
+  let victim = lazy (Aft.compile ~mode (victim_spec mode)) in
+  let carrier = lazy (Aft.compile ~mode (carrier_spec mode)) in
+  let carrier_fw () =
+    let fw =
+      Aft.link
+        (Aft.os ~mode [ "carrier"; "victim" ])
+        [ Lazy.force carrier; Lazy.force victim ]
+    in
     (fw, resolve_targets fw ~attacker:"carrier")
   in
   {
     b_mode = mode;
+    b_lock = Mutex.create ();
+    b_victim = victim;
+    b_carrier_app = carrier;
+    b_os_first = lazy (Aft.os ~mode [ "attacker"; "victim" ]);
+    b_os_last = lazy (Aft.os ~mode [ "victim"; "attacker" ]);
     b_carrier =
       (if List.exists (fun a -> a.atk_level = Binary) attacks then
-         Some (carrier ())
+         Some (carrier_fw ())
        else None);
   }
 
 let base_firmware b = Option.map fst b.b_carrier
+let base_apps b = (force b b.b_victim, force b b.b_carrier_app)
 
 let build_on b ~attack =
   match (attack.atk_source, attack.atk_payload, b.b_carrier) with
-  | Some gen, _, _ -> build_source ~attack ~mode:b.b_mode gen
+  | Some gen, _, _ -> build_source b ~attack gen
   | None, Some payload, Some carrier -> build_binary ~attack carrier payload
   | None, Some _, None ->
     invalid_arg

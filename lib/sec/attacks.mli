@@ -94,14 +94,19 @@ type built =
     }
 
 type base
-(** What the cells of one mode build the same: the benign
-    [carrier; victim] firmware every binary attack patches.  Immutable
-    once built — a cell patches a copy of the one chunk its payload
-    lands in — so cells on parallel domains may share it. *)
+(** What the cells of one mode share: the compiled victim, the OS of
+    each order its source cells link (attacker first or last), and the
+    benign [carrier; victim] firmware every binary attack patches.
+    Each compiled app and OS is made once, under the base's lock, the
+    first time a cell needs it, so the base makes only what its cells
+    use; none is written after it is made.  A cell patches a copy of
+    the one chunk its payload lands in.  So cells on parallel domains
+    may share a base. *)
 
 val base : Amulet_cc.Isolation.mode -> t list -> base
 (** The base for cells of [mode] drawn from the given attacks: it
-    builds the carrier firmware only when one of them is binary. *)
+    compiles the carrier and links the carrier firmware, once, when
+    one of them is binary. *)
 
 val base_firmware : base -> Amulet_aft.Aft.firmware option
 (** The unpatched carrier firmware, when the base has one.  A payload
@@ -109,12 +114,18 @@ val base_firmware : base -> Amulet_aft.Aft.firmware option
     derives from the victim section, the OS code or the image notes is
     the same on every patched copy. *)
 
+val base_apps : base -> Amulet_aft.Aft.compiled * Amulet_aft.Aft.compiled
+(** The mode's compiled victim and carrier (each compiled at most once
+    per base), for other firmwares that link them. *)
+
 val build_on : base -> attack:t -> built
-(** Build the two-app firmware for one cell of the base's mode: compile
-    (two-phase for source attacks; the placeholder phase uncertified)
-    or patch the payload over a copy of the base's carrier (binary
-    attacks).  @raise Failure if a binary payload does not fit in the
-    carrier's handler or the two source phases disagree on layout;
+(** Build the two-app firmware for one cell of the base's mode.  A
+    source attack builds in two phases (the placeholder phase
+    uncertified); each compiles the attacker alone and links it with
+    the base's victim and OS.  A binary attack patches its payload over
+    a copy of the base's carrier firmware.
+    @raise Failure if a binary payload does not fit in the carrier's
+    handler or the two source phases disagree on layout;
     @raise Invalid_argument for a binary attack on a base built without
     one. *)
 

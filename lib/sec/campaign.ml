@@ -187,12 +187,16 @@ let app_wcet ~image ~mode prefix =
   | Ok cfg -> Some (Amulet_analysis.Wcet.analyze ~image ~cfg)
   | Error _ | (exception Invalid_argument _) -> None
 
-(* What the cells of one mode share, built once just before them and
+(* What the cells of one mode share, built just before them and
    dropped after them: the mode's proof diagnostics (they depend on the
-   mode alone), the firmware base the binary attacks patch, and the
-   victim's WCET on that base.  A payload rewrites only the carrier's
-   handler, so the victim's bound is the same on every patched copy.
-   Nothing in it is written after [context] returns. *)
+   mode alone), the attack base, and the victim's WCET on the base's
+   carrier firmware.  The base makes each of its parts once: the
+   compiled victim and carrier, one OS layout per app order, and the
+   carrier firmware the binary attacks patch.  A source cell compiles
+   only its attacker and links it with the shared parts, and the
+   mode's injection pair links the base's victim and carrier.  A
+   payload rewrites only the carrier's handler, so the victim's bound
+   is the same on every patched copy. *)
 type context = {
   cx_mode : Iso.mode;
   cx_proofs : Lint.diag list;
@@ -384,13 +388,10 @@ let injection_flips = 8
 let injection_window = (100, 4_000)
 
 (* The benign victim+carrier pair every injection row of a mode
-   boots. *)
-let injection_pair mode =
-  Aft.build ~mode
-    [
-      Amulet_apps.Suite.spec_for mode Amulet_apps.Suite.security_victim;
-      Amulet_apps.Suite.spec_for mode Amulet_apps.Suite.security_carrier;
-    ]
+   boots, linked from the base's compiled apps. *)
+let injection_pair ~mode base =
+  let victim, carrier = Attacks.base_apps base in
+  Aft.link (Aft.os ~mode [ "victim"; "carrier" ]) [ victim; carrier ]
 
 (* One row boots the pair once and runs it twice from that boot:
    [Kernel.start] restores the booted machine exactly and drops the
@@ -439,7 +440,7 @@ let inject fw ~target ~seed =
   }
 
 let run_injection ~mode ~target ~seed =
-  inject (injection_pair mode) ~target ~seed
+  inject (injection_pair ~mode (Attacks.base mode [])) ~target ~seed
 
 (* ------------------------------------------------------------------ *)
 (* Parallel driver                                                     *)
@@ -466,16 +467,28 @@ let run ?(quick = false) ?(jobs = 0) ?(only = []) ?(modes = Iso.all) ~seed ()
            only = [] || List.mem a.Attacks.atk_name only)
   in
   (* Mode-major: each mode's context is built just before its cells
-     and dropped after them, so one is alive at a time.  Cells share
-     only the context, which nothing writes, and none of the toolchain
-     libraries keeps module-level mutable state, so the fleet scheduler
-     can hand them to any domain; Sched.map returns results in item
-     order, so the summary is byte-identical whatever [jobs] was. *)
+     and injection rows and dropped after them, so one is alive at a
+     time.  Cells share only the context, whose parts are each made
+     once and never written after, and none of the toolchain libraries
+     keeps module-level mutable state, so the fleet scheduler can hand
+     them to any domain; Sched.map returns results in item order, so
+     the summary is byte-identical whatever [jobs] was. *)
   let by_mode =
     List.map
       (fun mode ->
         let ctx = context ~mode attacks in
-        Sched.map ~jobs (fun attack -> run_cell_in ctx ~attack ~seed) attacks)
+        let cells =
+          Sched.map ~jobs (fun attack -> run_cell_in ctx ~attack ~seed) attacks
+        in
+        let injections =
+          if quick then []
+          else
+            let fw = injection_pair ~mode ctx.cx_base in
+            Sched.map ~jobs
+              (fun target -> inject fw ~target ~seed)
+              [ `Regs; `Fram; `Mpu ]
+        in
+        (cells, injections))
       modes
   in
   (* back to attack-major order: each attack under every mode in turn *)
@@ -483,18 +496,8 @@ let run ?(quick = false) ?(jobs = 0) ?(only = []) ?(modes = Iso.all) ~seed ()
     | [] | [] :: _ -> []
     | rows -> List.map List.hd rows :: transpose (List.map List.tl rows)
   in
-  let s_cells = List.concat (transpose by_mode) in
-  let s_injections =
-    if quick then []
-    else
-      List.concat_map
-        (fun mode ->
-          let fw = injection_pair mode in
-          Sched.map ~jobs
-            (fun target -> inject fw ~target ~seed)
-            [ `Regs; `Fram; `Mpu ])
-        modes
-  in
+  let s_cells = List.concat (transpose (List.map fst by_mode)) in
+  let s_injections = List.concat_map snd by_mode in
   (* merge the per-cell histograms into one distribution per mode:
      [Hist.merge] is associative and commutative, so the result is
      independent of how the cells were spread over the domains *)

@@ -2,15 +2,18 @@
     all four isolation modes, each cell run under a per-run isolation
     oracle, in parallel OCaml domains.
 
-    {!run} goes mode by mode.  Before a mode's cells it builds, once,
-    what they share: the mode's proof diagnostics
+    {!run} goes mode by mode.  Before a mode's cells it sets up what
+    they share, each part made once: the mode's proof diagnostics
     ({!Amulet_analysis.Lint.proof_diags}, folded into every cell's lint
-    verdict), the benign carrier firmware every binary cell patches a
-    copy of ({!Attacks.base}), and the victim's WCET on that firmware
-    (a payload rewrites only the carrier's handler).  It drops them
-    after the mode's cells, so one mode's context is alive at a time
-    and no cache outlives the call.  The injection rows likewise share
-    one victim+carrier build per mode.  {!run_cell} and
+    verdict), the attack base ({!Attacks.base}: the compiled victim and
+    carrier, one OS layout per app order, and the benign carrier
+    firmware every binary cell patches a copy of), and the victim's
+    WCET on that firmware (a payload rewrites only the carrier's
+    handler).  A source cell compiles only its attacker and links it
+    with the shared parts.  The mode's injection rows share one
+    victim+carrier pair linked from the base's compiled apps.  It drops
+    all of it after the mode's cells and rows, so one mode's context is
+    alive at a time and no cache outlives the call.  {!run_cell} and
     {!run_injection} are the same code for one cell or row, building
     the context for it alone; their results equal {!run}'s.
 
@@ -114,6 +117,11 @@ val run_cell :
 (** One cell on its own: the cell {!run} reports for [attack] under
     [mode]. *)
 
+val injection_pair :
+  mode:Amulet_cc.Isolation.mode -> Attacks.base -> Amulet_aft.Aft.firmware
+(** The benign [victim; carrier] firmware a mode's injection rows boot,
+    linked from the base's compiled apps ({!Attacks.base_apps}). *)
+
 val run_injection :
   mode:Amulet_cc.Isolation.mode ->
   target:[ `Regs | `Fram | `Mpu ] ->
@@ -135,8 +143,8 @@ val run :
   seed:int ->
   unit ->
   summary
-(** Run the (filtered) matrix mode by mode, then the injection rows
-    mode by mode, each mode's part on the fleet scheduler's worker
+(** Run the (filtered) matrix mode by mode, each mode's cells and
+    then its injection rows on the fleet scheduler's worker
     domains ({!Amulet_fleet_core.Sched.map} — results in item order, so
     the summary is byte-identical whatever the job count).  Cells come back
     attack by attack, each under every mode in [modes] order.

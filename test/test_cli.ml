@@ -6,14 +6,17 @@
    performs failed, 2 an unreadable, unparsable or unbuildable input,
    124 command-line misuse. *)
 
-(* resolve relative to the runtest cwd (the test directory) or the
-   project root, whichever holds the build, so [dune exec] also works *)
-let root =
-  if Sys.file_exists "../bin/amulet.exe" then ".." else "_build/default"
+(* Under [dune runtest] the cwd is the test directory of the build
+   tree, which also holds the sources the rule depends on.  From the
+   project root ([dune exec test/test_cli.exe]) the executable is in
+   the build tree and the sources are in the source tree. *)
+let build, src =
+  if Sys.file_exists "../bin/amulet.exe" then ("..", "..")
+  else ("_build/default", ".")
 
-let exe = Filename.concat root "bin/amulet.exe"
-let example f = Filename.concat root ("examples/wearc/" ^ f)
-let steady = Filename.concat root "examples/scenarios/steady_day.fleet"
+let exe = Filename.concat build "bin/amulet.exe"
+let example f = Filename.concat src ("examples/wearc/" ^ f)
+let steady = Filename.concat src "examples/scenarios/steady_day.fleet"
 
 let run args =
   let out = Filename.temp_file "amulet" ".out" in

@@ -488,6 +488,81 @@ let test_aft_bad_name () =
   | exception Aft.Build_error _ -> ()
   | _ -> Alcotest.fail "expected invalid-name error"
 
+(* [build] is [link (os ...) (List.map compile ...)].  A compiled app or
+   an OS value links into any number of firmwares unchanged, so linking
+   every group from one compile per app and mode gives what a fresh
+   build of each group gives. *)
+let test_aft_link_shared_parts () =
+  let module Suite = Amulet_apps.Suite in
+  let groups =
+    [ Suite.platform_apps; Suite.security_apps; List.rev Suite.security_apps ]
+  in
+  List.iter
+    (fun (mode, shadow) ->
+      let compiled =
+        List.map
+          (fun (a : Suite.app) ->
+            (a.Suite.name, Aft.compile ~mode ~shadow (Suite.spec_for mode a)))
+          (List.concat groups)
+      in
+      List.iter
+        (fun group ->
+          let names = List.map (fun (a : Suite.app) -> a.Suite.name) group in
+          let linked =
+            Aft.link (Aft.os ~mode ~shadow names)
+              (List.map (fun n -> List.assoc n compiled) names)
+          in
+          let built =
+            Aft.build ~mode ~shadow (List.map (Suite.spec_for mode) group)
+          in
+          check_bool
+            (Printf.sprintf "%s%s: %s" (Iso.name mode)
+               (if shadow then " shadow" else "")
+               (String.concat "," names))
+            true
+            (Test_support.Fw_parts.(of_firmware linked = of_firmware built)))
+        groups)
+    [
+      (Iso.Software_only, false);
+      (Iso.Mpu_assisted, false);
+      (Iso.Mpu_assisted, true);
+    ]
+
+let test_aft_link_rejects_mismatch () =
+  let spec name = { Aft.name; source = tiny_app } in
+  let mode = Iso.Mpu_assisted in
+  let a = Aft.compile ~mode (spec "a") and b = Aft.compile ~mode (spec "b") in
+  let os = Aft.os ~mode [ "a"; "b" ] in
+  let rejects what apps os =
+    match Aft.link os apps with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+  in
+  rejects "another mode"
+    [ a; Aft.compile ~mode:Iso.Software_only (spec "b") ]
+    os;
+  rejects "another shadow" [ a; Aft.compile ~mode ~shadow:true (spec "b") ] os;
+  rejects "shadow OS" [ a; b ] (Aft.os ~mode ~shadow:true [ "a"; "b" ]);
+  rejects "another order" [ b; a ] os;
+  rejects "a missing app" [ a ] os;
+  rejects "another name" [ a; Aft.compile ~mode (spec "c") ] os;
+  check_bool "the matching list links" true
+    (List.length (Aft.link os [ a; b ]).Aft.fw_apps = 2)
+
+(* names are checked before any app is compiled *)
+let test_aft_names_before_compile () =
+  match
+    Aft.build ~mode:Iso.No_isolation
+      [
+        { Aft.name = "a"; source = "int x = ;" };
+        { Aft.name = "a"; source = tiny_app };
+      ]
+  with
+  | exception Aft.Build_error msg ->
+    Alcotest.(check string) "error" "duplicate app names" msg
+  | exception e -> Alcotest.failf "unexpected %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "expected duplicate-name error"
+
 let test_stack_depth_analysis () =
   let src =
     "int leaf(int x) { int a[4]; a[0] = x; return a[0]; }\n\
@@ -551,6 +626,9 @@ let () =
           quick "bounds symbols" test_aft_bounds_symbols;
           quick "duplicate names" test_aft_duplicate_names;
           quick "bad name" test_aft_bad_name;
+          quick "link = build on shared parts" test_aft_link_shared_parts;
+          quick "link rejects mismatched parts" test_aft_link_rejects_mismatch;
+          quick "names checked before compiling" test_aft_names_before_compile;
           quick "stack depth" test_stack_depth_analysis;
           quick "recursion flag" test_stack_depth_recursion_flag;
         ] );

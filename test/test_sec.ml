@@ -474,6 +474,79 @@ let test_binary_cells_share_victim_wcet () =
         (bytes_of base_fw.Aft.fw_image = before))
     Iso.all
 
+(* The shared parts: a mode's base compiles the victim and the carrier
+   once and lays out each app order's OS once, and a source cell
+   compiles only its attacker and links it with them.  Every cell, and
+   the injection pair, must equal what a fresh build from source gives:
+   the two-phase [Aft.build] below for a source cell, one
+   [Aft.build] for the binary cells' carrier and the injection pair. *)
+
+let parts = Test_support.Fw_parts.of_firmware
+
+let fresh_source ~mode (attack : Attacks.t) gen =
+  let victim = Amulet_apps.Suite.(spec_for mode security_victim) in
+  let build ~certify targets =
+    let attacker = { Aft.name = "attacker"; source = gen targets } in
+    Aft.build ~mode ~certify
+      (match attack.Attacks.atk_position with
+      | Attacks.First -> [ attacker; victim ]
+      | Attacks.Last -> [ victim; attacker ])
+  in
+  match build ~certify:false Attacks.placeholder_targets with
+  | exception (Aft.Source_error { msg; _ } | Aft.Build_error msg) -> Error msg
+  | fw_a ->
+    let targets = Attacks.resolve_targets fw_a ~attacker:"attacker" in
+    Ok (build ~certify:true targets, targets)
+
+let test_shared_builds_equal_fresh () =
+  let pair mode first second =
+    Aft.build ~mode
+      (List.map (Amulet_apps.Suite.spec_for mode) [ first; second ])
+  in
+  List.iter
+    (fun mode ->
+      let open Amulet_apps.Suite in
+      let base = Attacks.base mode Attacks.corpus in
+      let carrier = pair mode security_carrier security_victim in
+      let base_fw = Option.get (Attacks.base_firmware base) in
+      let fail what = Alcotest.failf "%s under %s: %s" what (Iso.name mode) in
+      if parts base_fw <> parts carrier then
+        fail "carrier base" "differs from a fresh build";
+      List.iter
+        (fun (attack : Attacks.t) ->
+          let name = attack.Attacks.atk_name in
+          match (Attacks.build_on base ~attack, attack.Attacks.atk_source) with
+          | Attacks.Rejected msg, Some gen -> (
+            match fresh_source ~mode attack gen with
+            | Error m when m = msg -> ()
+            | Error m ->
+              fail name (Printf.sprintf "rejected as %S, fresh as %S" msg m)
+            | Ok _ -> fail name "rejected, but a fresh build links")
+          | Attacks.Built { fw; targets; _ }, Some gen -> (
+            match fresh_source ~mode attack gen with
+            | Error m ->
+              fail name ("built, but a fresh build is rejected: " ^ m)
+            | Ok (fresh, fresh_targets) ->
+              if parts fw <> parts fresh then fail name "image differs";
+              if targets <> fresh_targets then fail name "targets differ")
+          | Attacks.Built { fw; targets; _ }, None ->
+            (* a payload patches only chunk bytes *)
+            let _, symbols, notes, entry, apps = parts fw
+            and _, symbols', notes', entry', apps' = parts carrier in
+            if
+              (symbols, notes, entry, apps)
+              <> (symbols', notes', entry', apps')
+            then fail name "differs from the fresh carrier beyond its chunks";
+            if targets <> Attacks.resolve_targets carrier ~attacker:"carrier"
+            then fail name "targets differ"
+          | Attacks.Rejected msg, None -> fail name ("rejected: " ^ msg))
+        Attacks.corpus;
+      if
+        parts (Campaign.injection_pair ~mode base)
+        <> parts (pair mode security_victim security_carrier)
+      then fail "injection pair" "differs from a fresh build")
+    Iso.all
+
 (* ------------------------------------------------------------------ *)
 (* Campaign telemetry: the per-mode dispatch-cycle histograms are
    merged from per-cell shards computed on parallel domains; the merge
@@ -534,6 +607,8 @@ let () =
             test_shared_path_equals_single_cells;
           Alcotest.test_case "binary cells share the victim WCET" `Quick
             test_binary_cells_share_victim_wcet;
+          Alcotest.test_case "shared builds = fresh builds" `Quick
+            test_shared_builds_equal_fresh;
         ] );
       ( "proof-crosscheck",
         [
