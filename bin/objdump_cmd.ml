@@ -170,7 +170,9 @@ let dump_code fw os_too =
           let mangled =
             Iso.mangle ~prefix:ab.Aft.ab_name fi.Amulet_cc.Codegen.fi_name
           in
-          match List.assoc_opt mangled symbols with
+          match
+            Hashtbl.find_opt fw.Aft.fw_image.Amulet_link.Image.table mangled
+          with
           | Some addr -> Hashtbl.replace fn_stats addr fi
           | None -> ())
         ab.Aft.ab_compiled.Amulet_cc.Driver.infos)

@@ -59,9 +59,10 @@ let loop_bounds image =
 (* Bounded longest path: collapse natural loops innermost-first, then
    take the maximum-cost path from the entry over the resulting DAG.
    [nodes] is [(addr, cost, succs)]; successors outside the node set
-   are span exits and contribute nothing. *)
+   are span exits and contribute nothing.  [loops] is the
+   {!Loopbound.analyze} verdict on the same graph. *)
 
-let solve ~bounds ~what ~entry nodes =
+let solve ~bounds ~what ~entry ~loops nodes =
   let cost = Hashtbl.create 64 in
   let succ = Hashtbl.create 64 in
   List.iter
@@ -114,16 +115,7 @@ let solve ~bounds ~what ~entry nodes =
     in
     go start
   in
-  let g =
-    {
-      Loopbound.g_entry = entry;
-      g_nodes =
-        List.map
-          (fun (a, _, ss) -> { Loopbound.n_id = a; n_succs = ss })
-          nodes;
-    }
-  in
-  (match Loopbound.analyze g with
+  (match loops with
   | Loopbound.Irreducible { edge_src; edge_dst } ->
     raise
       (Unb
@@ -168,6 +160,16 @@ let solve ~bounds ~what ~entry nodes =
         List.iter (fun u -> if u <> h then Hashtbl.replace rep u h) body)
       loops);
   longest (find entry)
+
+let graph_loops ~entry nodes =
+  Loopbound.analyze
+    {
+      Loopbound.g_entry = entry;
+      g_nodes =
+        List.map
+          (fun (a, _, ss) -> { Loopbound.n_id = a; n_succs = ss })
+          nodes;
+    }
 
 (* ------------------------------------------------------------------ *)
 
@@ -251,8 +253,10 @@ let analyze ~image ~(cfg : Cfi.t) =
       end
     in
     visit entry;
-    solve ~bounds ~what ~entry
-      (Hashtbl.fold (fun a (c, ss) acc -> (a, c, ss) :: acc) nodes [])
+    let nodes =
+      Hashtbl.fold (fun a (c, ss) acc -> (a, c, ss) :: acc) nodes []
+    in
+    solve ~bounds ~what ~entry ~loops:(graph_loops ~entry nodes) nodes
   in
   let gate_cost svc =
     let lbl = Amulet_cc.Apis.gate_label svc in
@@ -276,6 +280,17 @@ let analyze ~image ~(cfg : Cfi.t) =
     | _ -> 0
   in
   (* ---- app functions ---- *)
+  (* each function's loops, analysed once for both its loop count and
+     [solve] *)
+  let loop_memo = Hashtbl.create 16 in
+  let fn_loops (f : Cfi.func) =
+    match Hashtbl.find_opt loop_memo f.Cfi.f_name with
+    | Some l -> l
+    | None ->
+      let l = Loopbound.analyze (Loopbound.of_func f) in
+      Hashtbl.replace loop_memo f.Cfi.f_name l;
+      l
+  in
   let fn_memo : (string, verdict) Hashtbl.t = Hashtbl.create 16 in
   let rec fn_wcet stack name =
     match Hashtbl.find_opt fn_memo name with
@@ -332,7 +347,7 @@ let analyze ~image ~(cfg : Cfi.t) =
             List.map fst b.Cfi.b_succs ))
         f.Cfi.f_blocks
     in
-    solve ~bounds ~what:name ~entry:f.Cfi.f_entry nodes
+    solve ~bounds ~what:name ~entry:f.Cfi.f_entry ~loops:(fn_loops f) nodes
   in
   let verdict_of name =
     match fn_wcet [] name with
@@ -343,7 +358,7 @@ let analyze ~image ~(cfg : Cfi.t) =
     List.map
       (fun (f : Cfi.func) ->
         let nloops, nbounded =
-          match Loopbound.analyze (Loopbound.of_func f) with
+          match fn_loops f with
           | Loopbound.Reducible ls ->
             ( List.length ls,
               List.length

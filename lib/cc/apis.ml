@@ -128,16 +128,23 @@ let osreturn_label = "__osreturn"
    pushes before switching stacks ([Stubs.gate]). *)
 let gate_footprint = 18
 
+(* [Runtime.helpers] by name (the names are distinct); nothing writes
+   it after module initialisation, so domains may share it. *)
+let helper_footprints = Hashtbl.of_seq (List.to_seq Runtime.helpers)
+
 let footprint name =
   if String.starts_with ~prefix:gate_prefix name then Some gate_footprint
-  else List.assoc_opt name Runtime.helpers
+  else Hashtbl.find_opt helper_footprints name
 
 let externals symbols =
   let tbl = Hashtbl.create 32 in
   List.iter
     (fun (name, addr) ->
-      if footprint name <> None || name = osreturn_label then
-        Hashtbl.replace tbl addr name)
+      if
+        String.starts_with ~prefix:gate_prefix name
+        || Hashtbl.mem helper_footprints name
+        || name = osreturn_label
+      then Hashtbl.replace tbl addr name)
     symbols;
   tbl
 

@@ -102,7 +102,12 @@ val footprint : string -> int option
 val externals : (string * int) list -> (int, string) Hashtbl.t
 (** [externals symbols] maps the address of every gate, runtime helper
     and OS return path among [symbols] to its name; a later symbol at
-    an address replaces an earlier one. *)
+    an address replaces an earlier one.  One pass over [symbols], with a
+    constant-time test per name: the {!gate_label} prefix, a table of
+    the {!Runtime.helpers} names built once, or {!osreturn_label}.
+    [test_link] checks that this gives the same table, last-wins
+    choices included, as comparing every symbol with each helper
+    name. *)
 
 (** {1 Certification note}
 

@@ -1,16 +1,22 @@
 type t = {
   chunks : (int * Bytes.t) list;
   symbols : (string * int) list;
+  table : (string, int) Hashtbl.t;
   entry : int;
   notes : (string * string) list;
       (* free-form certification metadata attached after linking,
          e.g. "cert.gates.<app>" -> comma-separated service names *)
 }
 
-let symbol t name = List.assoc name t.symbols
+let make ~chunks ~table ~entry =
+  let symbols = Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] in
+  { chunks; symbols; table; entry; notes = [] }
+
+let symbol t name = Hashtbl.find t.table name
 let note t key = List.assoc_opt key t.notes
 let with_notes t notes = { t with notes }
-let has_symbol t name = List.mem_assoc name t.symbols
+let with_chunks t chunks = { t with chunks }
+let has_symbol t name = Hashtbl.mem t.table name
 
 let chunk_containing t addr =
   List.find_opt
@@ -18,7 +24,7 @@ let chunk_containing t addr =
     t.chunks
 
 let span t name =
-  match List.assoc_opt name t.symbols with
+  match Hashtbl.find_opt t.table name with
   | None -> None
   | Some addr -> (
     match chunk_containing t addr with

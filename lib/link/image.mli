@@ -1,23 +1,44 @@
 (** Linked firmware image: binary chunks, symbol table, entry point. *)
 
-type t = {
+type t = private {
   chunks : (int * Bytes.t) list;  (** (base address, contents) *)
   symbols : (string * int) list;
+  table : (string, int) Hashtbl.t;
+      (** the linker's name -> address table, one binding per name;
+          [symbols] lists exactly its bindings.  Nothing writes it
+          after {!make}, so an image is safe to share across domains
+          and an image derived by {!with_chunks} or {!with_notes}
+          shares it. *)
   entry : int;
   notes : (string * string) list;
       (** free-form certification metadata attached after linking,
           e.g. ["cert.gates.<app>"] -> comma-separated service names *)
 }
 
+val make :
+  chunks:(int * Bytes.t) list ->
+  table:(string, int) Hashtbl.t ->
+  entry:int ->
+  t
+(** The image of a link, without notes.  It takes ownership of
+    [table], whose names must each be bound once; [symbols] is the
+    table's bindings in [Hashtbl.fold] order. *)
+
 val symbol : t -> string -> int
-(** @raise Not_found when the symbol is undefined. *)
+(** Constant time, from {!t.table}.
+    @raise Not_found when the symbol is undefined. *)
 
 val has_symbol : t -> string -> bool
+(** Constant time, from {!t.table}. *)
 
 val note : t -> string -> string option
 (** Look up a metadata note by key. *)
 
 val with_notes : t -> (string * string) list -> t
+
+val with_chunks : t -> (int * Bytes.t) list -> t
+(** The image with its chunks replaced, e.g. by a patched copy; the
+    symbols, entry point and notes stay. *)
 
 val load : t -> Amulet_mcu.Machine.t -> unit
 (** Blit all chunks into machine memory and point the reset vector at

@@ -53,5 +53,4 @@ let link ?(extra_symbols = []) ~entry sections =
         with Assembler.Error e -> errf "section %s: %s" s.name e)
       sections
   in
-  let symbols = Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] in
-  { Image.chunks; symbols; entry = resolve entry; notes = [] }
+  Image.make ~chunks ~table ~entry:(resolve entry)

@@ -4,7 +4,11 @@
     Every section automatically defines [<name>__start] and
     [<name>__end] symbols — the AFT uses these as the app boundary
     constants that phase 4 patches into the compiler-inserted checks,
-    and as {!Asm.Border}s into the stubs' MPU configurations. *)
+    and as {!Asm.Border}s into the stubs' MPU configurations.
+
+    The image keeps the table the linker resolves against
+    ({!Image.make}), so looking a symbol up by name is constant time
+    for every later pass. *)
 
 exception Error of string
 

@@ -62,7 +62,7 @@ let bracket_ranges image ~is_start ~end_of =
     (fun (name, addr) ->
       if not (is_start name) then None
       else
-        match List.assoc_opt (end_of name) image.Image.symbols with
+        match Hashtbl.find_opt image.Image.table (end_of name) with
         | Some e when e > addr -> Some (addr, e)
         | _ -> None)
     image.Image.symbols
@@ -80,7 +80,7 @@ let create (fw : Amulet_aft.Aft.firmware) =
       ctx = None;
     }
   in
-  let sym name = List.assoc_opt name image.Image.symbols in
+  let sym name = Hashtbl.find_opt image.Image.table name in
   (* OS code: gates, trampolines, osreturn — the context-switch cost *)
   paint t layout.Layout.os_code_base
     (layout.Layout.os_code_base + layout.Layout.os_code_size)

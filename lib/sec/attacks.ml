@@ -513,7 +513,7 @@ let patch_words image ~addr words =
       image.Image.chunks
   in
   if not !patched then failwith "patch_words: address outside image chunks";
-  { image with Image.chunks }
+  Image.with_chunks image chunks
 
 let build_binary ~attack (fw, targets) payload =
   let attacker = "carrier" in

@@ -4,27 +4,12 @@
    everything the build hands on: chunks, symbols in list order, notes,
    entry point, handler and trampoline addresses.  `dune runtest` diffs
    the output against images.expected, so any change to any image
-   shows up as a changed line. *)
+   shows up as a changed line.  The builds are listed in
+   Test_support.Image_builds, which test_link also walks. *)
 
 module Aft = Amulet_aft.Aft
 module Image = Amulet_link.Image
 module Iso = Amulet_cc.Isolation
-module Suite = Amulet_apps.Suite
-
-let builds =
-  List.map (fun (a : Suite.app) -> (a.name, [ a ])) Suite.all
-  @ [
-      ("platform", Suite.platform_apps);
-      ("security", Suite.security_apps);
-      ("extension", Suite.extension_apps);
-      (* the campaign's binary-cell base and its injection pair, which
-         the campaign lists itself (today in security's order) *)
-      ("carrier+victim", [ Suite.security_carrier; Suite.security_victim ]);
-      ("victim+carrier", [ Suite.security_victim; Suite.security_carrier ]);
-    ]
-
-let variants =
-  [ ("default", true, false); ("shadow", true, true); ("no-elide", false, false) ]
 
 let digest (fw : Aft.firmware) =
   let b = Buffer.create 65536 in
@@ -46,17 +31,6 @@ let digest (fw : Aft.firmware) =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let () =
-  List.iter
-    (fun (label, apps) ->
-      List.iter
-        (fun mode ->
-          List.iter
-            (fun (variant, elide, shadow) ->
-              let fw =
-                Aft.build ~mode ~shadow ~elide (List.map (Suite.spec_for mode) apps)
-              in
-              Printf.printf "%-15s %-15s %-8s os_code=%d %s\n" label (Iso.name mode)
-                variant fw.Aft.fw_layout.Amulet_aft.Layout.os_code_size (digest fw))
-            variants)
-        Iso.all)
-    builds
+  Test_support.Image_builds.iter (fun label mode variant fw ->
+      Printf.printf "%-15s %-15s %-8s os_code=%d %s\n" label (Iso.name mode)
+        variant fw.Aft.fw_layout.Amulet_aft.Layout.os_code_size (digest fw))

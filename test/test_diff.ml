@@ -154,18 +154,6 @@ let reference_result p =
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
-(* Every property draws from a per-test RNG seeded from [master_seed],
-   so a failure reproduces exactly by re-running with the printed
-   [QCHECK_SEED] — independent of how many cases other tests drew. *)
-let master_seed =
-  match Sys.getenv_opt "QCHECK_SEED" with
-  | Some s -> (
-    try int_of_string s
-    with _ -> failwith ("QCHECK_SEED is not an integer: " ^ s))
-  | None -> 0x5EED
-
-let fresh_rand () = Random.State.make [| master_seed |]
-
 (* Wrap a property so a failing case prints the reproducing seed and
    the generated case ([show]) to stderr — alcotest swallows qcheck's
    own counterexample output unless run verbose. *)
@@ -178,7 +166,7 @@ let report ~show name prop p =
        test/test_diff.exe\n\
        [test_diff] generated case:\n\
        %s%!"
-      name reason master_seed (show p)
+      name reason Test_support.Seed.master_seed (show p)
   in
   match prop p with
   | true -> true
@@ -710,7 +698,7 @@ let test_keyed_validation () =
     (M.cycles bare.Kernel.machine)
 
 let () =
-  let to_alcotest t = QCheck_alcotest.to_alcotest ~rand:(fresh_rand ()) t in
+  let to_alcotest = Test_support.Seed.to_alcotest in
   Alcotest.run "diff"
     [
       ( "reference-vs-simulator",

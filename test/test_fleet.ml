@@ -610,7 +610,7 @@ let test_restore_keeps_blocks () =
     Iso.all
 
 let () =
-  let q = QCheck_alcotest.to_alcotest in
+  let q = Test_support.Seed.to_alcotest in
   Alcotest.run "fleet"
     [
       ( "scenario",

@@ -138,7 +138,7 @@ let test_single_sample () =
     (Hist.equal (of_list [ 9; 9 ]) (Hist.merge a b))
 
 let () =
-  let q = QCheck_alcotest.to_alcotest in
+  let q = Test_support.Seed.to_alcotest in
   Alcotest.run "hist"
     [
       ( "properties",

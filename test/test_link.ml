@@ -9,6 +9,8 @@ module Aft = Amulet_aft.Aft
 module O = Amulet_mcu.Opcode
 module Mpu = Amulet_mcu.Mpu
 module Iso = Amulet_cc.Isolation
+module Apis = Amulet_cc.Apis
+module Attacks = Amulet_sec.Attacks
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -329,6 +331,112 @@ let test_image_load () =
   check_int "reset vector" 0x4400
     (Amulet_mcu.Machine.mem_checked_read m Amulet_mcu.Word.W16 0xFFFE)
 
+(* Lookups by name read the linker's table; they must answer as a scan
+   of [Image.symbols] does, on the linked image and on the images
+   [with_chunks] and [with_notes] derive from it.  Labels share a long
+   prefix, and the probes include names no section defines. *)
+let lookup_prefix = "app$a_long_label_prefix_shared_by_every_name_"
+
+let prop_lookups_agree =
+  let open QCheck2.Gen in
+  let name =
+    map (fun s -> lookup_prefix ^ s)
+      (string_size ~gen:(oneofl [ 'a'; 'b'; '$' ]) (0 -- 3))
+  in
+  QCheck2.Test.make ~count:200 ~name:"symbol lookups = scan of symbols"
+    ~print:QCheck2.Print.(pair (list (list string)) (list string))
+    (pair (list_size (1 -- 4) (list_size (0 -- 6) name))
+       (list_size (0 -- 8) name))
+    (fun (labels, probes) ->
+      let seen = Hashtbl.create 16 in
+      let fresh l =
+        let f = not (Hashtbl.mem seen l) in
+        Hashtbl.replace seen l ();
+        f
+      in
+      let sections =
+        List.mapi
+          (fun i ls ->
+            section
+              (lookup_prefix ^ "s" ^ string_of_int i)
+              (0x4400 + (i * 0x100))
+              (List.concat_map
+                 (fun l -> [ A.label l; A.nop ])
+                 (List.filter fresh ls)))
+          labels
+      in
+      let img =
+        Linker.link ~entry:(lookup_prefix ^ "s0__start") sections
+      in
+      let agree (i : Image.t) =
+        let syms = i.Image.symbols in
+        syms = img.Image.symbols
+        && List.for_all
+             (fun q ->
+               (match Image.symbol i q with
+               | a -> List.assoc_opt q syms = Some a
+               | exception Not_found -> not (List.mem_assoc q syms))
+               && Image.has_symbol i q = List.mem_assoc q syms)
+             (List.map fst img.Image.symbols @ probes)
+      in
+      let zeroed =
+        Image.with_chunks img
+          (List.map
+             (fun (b, d) -> (b, Bytes.make (Bytes.length d) '\000'))
+             img.Image.chunks)
+      in
+      let noted i = Image.with_notes i [ ("k", "v") ] in
+      agree img && agree zeroed && agree (noted img) && agree (noted zeroed))
+
+(* [Apis.externals] and [Apis.footprint] against the reference scan
+   ([Test_support.Ref_externals]) on every pinned build and on every
+   campaign cell image of each mode, the binary cells' patched copies
+   of the carrier firmware included. *)
+let test_externals_agree () =
+  let bindings tbl =
+    List.sort compare (Hashtbl.fold (fun a n acc -> (a, n) :: acc) tbl [])
+  in
+  let check what (img : Image.t) =
+    let syms = img.Image.symbols in
+    Alcotest.(check (list (pair int string)))
+      (what ^ ": externals")
+      (bindings (Test_support.Ref_externals.externals syms))
+      (bindings (Apis.externals syms));
+    List.iter
+      (fun (name, _) ->
+        Alcotest.(check (option int))
+          (what ^ ": footprint " ^ name)
+          (Test_support.Ref_externals.footprint name)
+          (Apis.footprint name))
+      syms
+  in
+  let builds = ref 0 and patched = ref 0 in
+  Test_support.Image_builds.iter (fun label mode variant fw ->
+      incr builds;
+      check
+        (String.concat " " [ label; Iso.name mode; variant ])
+        fw.Aft.fw_image);
+  check_int "every pinned build" 288 !builds;
+  List.iter
+    (fun mode ->
+      let base = Attacks.base mode Attacks.corpus in
+      List.iter
+        (fun (atk : Attacks.t) ->
+          match Attacks.build_on base ~attack:atk with
+          | Attacks.Rejected _ -> ()
+          | Attacks.Built { fw; _ } ->
+            if atk.Attacks.atk_level = Attacks.Binary then incr patched;
+            check (atk.Attacks.atk_name ^ " " ^ Iso.name mode) fw.Aft.fw_image)
+        Attacks.corpus)
+    Iso.all;
+  check_int "every binary cell"
+    (List.length Iso.all
+    * List.length
+        (List.filter
+           (fun (a : Attacks.t) -> a.Attacks.atk_level = Attacks.Binary)
+           Attacks.corpus))
+    !patched
+
 (* ------------------------------------------------------------------ *)
 (* Layout invariants *)
 
@@ -599,7 +707,7 @@ let () =
           quick "jump relaxation" test_jump_relaxation;
           quick "symbolic CG sizing" test_symbolic_cg_size_agreement;
           quick "relaxation boundary" test_relaxation_boundary;
-          QCheck_alcotest.to_alcotest prop_layout_agrees;
+          Test_support.Seed.to_alcotest prop_layout_agrees;
         ] );
       ( "linker",
         [
@@ -609,6 +717,8 @@ let () =
           quick "emission errors" test_emission_errors;
           quick "start/end symbols" test_start_end_symbols;
           quick "image load" test_image_load;
+          Test_support.Seed.to_alcotest prop_lookups_agree;
+          quick "externals = reference scan" test_externals_agree;
         ] );
       ( "layout",
         [

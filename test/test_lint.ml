@@ -76,7 +76,7 @@ let patch_word image addr w =
         else (base, b))
       image.I.chunks
   in
-  { image with I.chunks }
+  I.with_chunks image chunks
 
 let test_cfi_rejects_computed_jump () =
   let mode = Iso.Mpu_assisted in

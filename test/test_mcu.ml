@@ -715,7 +715,7 @@ let encode_length_property =
       let _, len = Decode.decode_words (words @ [ 0; 0 ]) in
       len = 2 * List.length words)
 
-let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
+let qsuite name tests = (name, List.map Test_support.Seed.to_alcotest tests)
 
 (* ------------------------------------------------------------------ *)
 (* Trace ring and machine observability hooks *)

@@ -357,6 +357,6 @@ let () =
           Alcotest.test_case "sensors deterministic" `Quick
             test_sensors_deterministic;
           Alcotest.test_case "fall spike" `Quick test_fall_scenario_spike;
-          QCheck_alcotest.to_alcotest sensors_memo_property;
+          Test_support.Seed.to_alcotest sensors_memo_property;
         ] );
     ]

@@ -347,7 +347,7 @@ let () =
       ( "contract",
         [
           quick "pointer shapes" test_pointer_shapes;
-          QCheck_alcotest.to_alcotest prop_service_contract;
+          Test_support.Seed.to_alcotest prop_service_contract;
         ] );
       ("disasm", [ quick "firmware listing" test_disasm_roundtrip ]);
     ]
