@@ -221,14 +221,13 @@ let reconstruct ~(image : I.t) ~mode ~prefix =
     report code_lo None "code before the first function symbol"
   | _ -> ());
   let total_insns = ref 0 in
+  (* a span ends where the next one starts, the last at the section end *)
+  let limits =
+    List.tl (List.map (fun (a, _, _) -> a) span_list) @ [ code_hi ]
+  in
   let funcs =
-    List.mapi
-      (fun i (entry, name, stub) ->
-        let limit =
-          match List.nth_opt span_list (i + 1) with
-          | Some (next, _, _) -> next
-          | None -> code_hi
-        in
+    List.map2
+      (fun (entry, name, stub) limit ->
         (* linear-sweep decode: every byte of the span must decode *)
         let insns = Hashtbl.create 32 in
         let order = ref [] in
@@ -271,20 +270,20 @@ let reconstruct ~(image : I.t) ~mode ~prefix =
               match br_target i_op with Some k -> mark k | None -> ()));
             if is_control i_op then mark (a + i_size))
           order;
-        (* split into blocks *)
+        (* split into blocks, each kept with its last instruction *)
         let blocks = ref [] in
         let cur = ref [] in
         let flush () =
           match !cur with
           | [] -> ()
-          | l ->
-            let l = List.rev l in
+          | last :: _ as rev ->
+            let l = List.rev rev in
             let addr = (List.hd l).i_addr in
             let cycles =
               List.fold_left (fun acc i -> acc + Cyc.cycles i.i_op) 0 l
             in
-            blocks := { b_addr = addr; b_insns = l; b_cycles = cycles;
-                        b_succs = [] } :: !blocks;
+            blocks := ({ b_addr = addr; b_insns = l; b_cycles = cycles;
+                         b_succs = [] }, last) :: !blocks;
             cur := []
         in
         List.iter
@@ -295,17 +294,16 @@ let reconstruct ~(image : I.t) ~mode ~prefix =
             if is_control i.i_op then flush ())
           order;
         flush ();
-        let blocks = List.rev !blocks in
+        let blocks = Array.of_list (List.rev !blocks) in
         (* successor edges + control-policy checks *)
         let in_span t = t >= entry && t < limit in
-        List.iteri
-          (fun bi b ->
-            let last = List.nth b.b_insns (List.length b.b_insns - 1) in
+        Array.iteri
+          (fun bi (b, last) ->
             let a = last.i_addr and op = last.i_op in
             let next_block () =
-              match List.nth_opt blocks (bi + 1) with
-              | Some nb -> Some nb.b_addr
-              | None -> None
+              if bi + 1 < Array.length blocks then
+                Some (fst blocks.(bi + 1)).b_addr
+              else None
             in
             let fall_off () =
               report a (Some op)
@@ -346,28 +344,23 @@ let reconstruct ~(image : I.t) ~mode ~prefix =
           )
           blocks;
         (* mid-block computed-PC writes (non-terminator positions) *)
-        List.iter
-          (fun b ->
-            List.iteri
-              (fun ii i ->
-                if
-                  ii < List.length b.b_insns - 1
-                  && (is_computed_pc_write i.i_op || is_ret i.i_op
-                     || Option.is_some (br_target i.i_op))
-                then
-                  report i.i_addr (Some i.i_op)
-                    "control transfer in the middle of a basic block")
-              b.b_insns)
-          blocks;
-        (name, entry, limit, stub, blocks))
-      span_list
+        let rec mid_block = function
+          | [] | [ _ ] -> ()
+          | i :: rest ->
+            if
+              is_computed_pc_write i.i_op || is_ret i.i_op
+              || Option.is_some (br_target i.i_op)
+            then
+              report i.i_addr (Some i.i_op)
+                "control transfer in the middle of a basic block";
+            mid_block rest
+        in
+        Array.iter (fun (b, _) -> mid_block b.b_insns) blocks;
+        (name, entry, limit, stub, Array.to_list (Array.map fst blocks)))
+      span_list limits
   in
-  (* cross-function tables for call checks *)
-  let block_of = Hashtbl.create 64 and preds = Hashtbl.create 64 in
-  List.iter
-    (fun (_, _, _, _, blocks) ->
-      List.iter (fun b -> Hashtbl.replace block_of b.b_addr b) blocks)
-    funcs;
+  (* predecessor edges for the guard-evidence check *)
+  let preds = Hashtbl.create 64 in
   List.iter
     (fun (_, _, _, _, blocks) ->
       List.iter

@@ -540,18 +540,29 @@ let run ctx ?recorder st0 addr0 =
 (* ------------------------------------------------------------------ *)
 (* Whole-section verification *)
 
+(* Reads cluster in one chunk, so the closure keeps the chunk of its
+   last read and walks the list only when a read falls outside it.
+   The chunks are disjoint ({!Amulet_link.Image.t}), so a word inside
+   the kept chunk is in no other. *)
 let make_fetch (image : I.t) =
   let chunks = image.I.chunks in
+  let base = ref 0 and bytes = ref Bytes.empty in
   fun a ->
-    let rec go = function
-      | [] -> 0
-      | (base, b) :: rest ->
-        if a >= base && a + 1 < base + Bytes.length b then
-          Char.code (Bytes.get b (a - base))
-          lor (Char.code (Bytes.get b (a - base + 1)) lsl 8)
-        else go rest
-    in
-    go chunks
+    let off = a - !base in
+    if off >= 0 && off + 1 < Bytes.length !bytes then
+      Bytes.get_uint16_le !bytes off
+    else
+      let rec go = function
+        | [] -> 0
+        | (b0, b) :: rest ->
+          if a >= b0 && a + 1 < b0 + Bytes.length b then begin
+            base := b0;
+            bytes := b;
+            Bytes.get_uint16_le b (a - b0)
+          end
+          else go rest
+      in
+      go chunks
 
 (* External control can only enter an app at its function symbols
    (<prefix>$name with no further '$' — compiler-internal labels use

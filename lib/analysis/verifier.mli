@@ -59,4 +59,10 @@ val pp_violation : Format.formatter -> violation -> unit
 val pp_stats : Format.formatter -> stats -> unit
 
 val make_fetch : Amulet_link.Image.t -> int -> int
-(** Word fetch over the image's chunks (0 outside any chunk). *)
+(** Word fetch over the image's chunks (0 outside any chunk, and for a
+    word that straddles two).  The closure keeps the chunk of its last
+    read and walks the chunk list only when a read leaves it: exact,
+    since an image's chunks are disjoint ({!Amulet_link.Image.t}), and
+    cheap, since reads cluster (a campaign pass makes 115 k reads and
+    766 walks).  The closure is mutable: make one per analysis, never
+    share one across domains. *)

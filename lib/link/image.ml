@@ -8,14 +8,32 @@ type t = {
          e.g. "cert.gates.<app>" -> comma-separated service names *)
 }
 
+(* No address lies in two chunks; empty chunks hold none. *)
+let check_disjoint what chunks =
+  let rec go = function
+    | (b1, d1) :: ((b2, _) :: _ as rest) ->
+      if b1 + Bytes.length d1 > b2 then
+        invalid_arg
+          (Printf.sprintf "Image.%s: chunks at 0x%04X and 0x%04X overlap" what
+             b1 b2);
+      go rest
+    | _ -> ()
+  in
+  go
+    (List.filter (fun (_, d) -> Bytes.length d > 0) chunks
+    |> List.sort (fun (a, _) (b, _) -> compare a b))
+
 let make ~chunks ~table ~entry =
+  check_disjoint "make" chunks;
   let symbols = Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] in
   { chunks; symbols; table; entry; notes = [] }
 
 let symbol t name = Hashtbl.find t.table name
 let note t key = List.assoc_opt key t.notes
 let with_notes t notes = { t with notes }
-let with_chunks t chunks = { t with chunks }
+let with_chunks t chunks =
+  check_disjoint "with_chunks" chunks;
+  { t with chunks }
 let has_symbol t name = Hashtbl.mem t.table name
 
 let chunk_containing t addr =

@@ -1,7 +1,12 @@
 (** Linked firmware image: binary chunks, symbol table, entry point. *)
 
 type t = private {
-  chunks : (int * Bytes.t) list;  (** (base address, contents) *)
+  chunks : (int * Bytes.t) list;
+      (** (base address, contents), pairwise disjoint: no address lies
+          in two chunks.  {!make} and {!with_chunks} reject overlapping
+          chunks (the linker already rejects overlapping sections), and
+          [Amulet_analysis.Verifier.make_fetch] relies on it to read a
+          word from the chunk of its last read without a walk. *)
   symbols : (string * int) list;
   table : (string, int) Hashtbl.t;
       (** the linker's name -> address table, one binding per name;
@@ -22,7 +27,8 @@ val make :
   t
 (** The image of a link, without notes.  It takes ownership of
     [table], whose names must each be bound once; [symbols] is the
-    table's bindings in [Hashtbl.fold] order. *)
+    table's bindings in [Hashtbl.fold] order.
+    @raise Invalid_argument when two chunks overlap. *)
 
 val symbol : t -> string -> int
 (** Constant time, from {!t.table}.
@@ -38,7 +44,8 @@ val with_notes : t -> (string * string) list -> t
 
 val with_chunks : t -> (int * Bytes.t) list -> t
 (** The image with its chunks replaced, e.g. by a patched copy; the
-    symbols, entry point and notes stay. *)
+    symbols, entry point and notes stay.
+    @raise Invalid_argument when two chunks overlap. *)
 
 val load : t -> Amulet_mcu.Machine.t -> unit
 (** Blit all chunks into machine memory and point the reset vector at

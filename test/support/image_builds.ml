@@ -1,10 +1,11 @@
 (* The firmware builds test/images pins: each suite app alone and five
    app groups, under every mode, with default options, the shadow stack
-   and guard elision off (288 builds). *)
+   and guard elision off (288 builds); and the campaign's cells. *)
 
 module Aft = Amulet_aft.Aft
 module Iso = Amulet_cc.Isolation
 module Suite = Amulet_apps.Suite
+module Attacks = Amulet_sec.Attacks
 
 let groups =
   List.map (fun (a : Suite.app) -> (a.name, [ a ])) Suite.all
@@ -36,3 +37,16 @@ let iter f =
             variants)
         Iso.all)
     groups
+
+(* [f mode attack built] for every cell of one
+   [Attacks.base mode Attacks.corpus] per mode, mode by mode in corpus
+   order: the firmwares the campaign builds, the binary cells' patched
+   copies of the carrier firmware included. *)
+let iter_cells f =
+  List.iter
+    (fun mode ->
+      let base = Attacks.base mode Attacks.corpus in
+      List.iter
+        (fun (atk : Attacks.t) -> f mode atk (Attacks.build_on base ~attack:atk))
+        Attacks.corpus)
+    Iso.all

@@ -296,6 +296,64 @@ let test_overlap_detection () =
   expect_error "overlap" (Linker.Error "sections a and b overlap") (fun () ->
       Linker.link ~entry:"e" [ s1; s2 ])
 
+(* An image's chunks share no address: [Image.make] and
+   [Image.with_chunks] reject overlapping ones, whatever their order.
+   Adjacent chunks and empty ones share none. *)
+let test_overlapping_chunks_rejected () =
+  let img = Linker.link ~entry:"s__start" [ section "s" 0x4400 [ A.nop ] ] in
+  let chunk base n = (base, Bytes.make n '\000') in
+  let rejected what chunks =
+    (match Image.with_chunks img chunks with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "with_chunks: %s accepted" what);
+    match Image.make ~chunks ~table:(Hashtbl.create 1) ~entry:0 with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "make: %s accepted" what
+  in
+  rejected "one shared byte" [ chunk 0x4400 4; chunk 0x4403 2 ];
+  rejected "a nested chunk" [ chunk 0x4400 8; chunk 0x4402 2 ];
+  rejected "one base twice" [ chunk 0x4400 2; chunk 0x4400 2 ];
+  rejected "an overlap out of order" [ chunk 0x4500 4; chunk 0x44FF 2 ];
+  let ok = [ chunk 0x4404 2; chunk 0x4400 4; chunk 0x4402 0; chunk 0x4406 1 ] in
+  check_int "adjacent and empty chunks" 4
+    (List.length (Image.with_chunks img ok).Image.chunks)
+
+(* [Verifier.make_fetch] keeps the chunk of its last read; it must read
+   what the chunk walk of [Test_support.Ref_fetch] reads at every
+   address from below the first chunk to past the last, in address
+   order and shuffled.  Chunks are adjacent or gapped, of odd and even
+   lengths and bases, listed in any order. *)
+let prop_fetch_agrees =
+  let open QCheck2.Gen in
+  let chunk = pair (0 -- 3) (string_size (0 -- 9)) in
+  let gen =
+    let* first = 0x4400 -- 0x4403 in
+    let* specs = list_size (1 -- 6) chunk in
+    let chunks, stop =
+      List.fold_left
+        (fun (acc, base) (gap, data) ->
+          let base = base + gap in
+          ((base, Bytes.of_string data) :: acc, base + String.length data))
+        ([], first) specs
+    in
+    let* chunks = shuffle_l chunks in
+    let+ order = shuffle_l (List.init (stop - first + 6) (fun i -> first - 3 + i)) in
+    (chunks, order)
+  in
+  QCheck2.Test.make ~count:500 ~name:"make_fetch = chunk walk"
+    ~print:(fun (chunks, _) ->
+      String.concat " "
+        (List.map (fun (b, d) -> Printf.sprintf "%04X+%d" b (Bytes.length d)) chunks))
+    gen
+    (fun (chunks, order) ->
+      let img = Image.make ~chunks ~table:(Hashtbl.create 1) ~entry:0 in
+      let agrees addrs =
+        let fetch = Amulet_analysis.Verifier.make_fetch img in
+        let reference = Test_support.Ref_fetch.make_fetch img in
+        List.for_all (fun a -> fetch a = reference a) addrs
+      in
+      agrees (List.sort compare order) && agrees order)
+
 (* Emission errors; the linker prefixes the section.  A jump the
    layout kept short is out of range only if its label resolves
    elsewhere than the layout placed it. *)
@@ -417,18 +475,12 @@ let test_externals_agree () =
         (String.concat " " [ label; Iso.name mode; variant ])
         fw.Aft.fw_image);
   check_int "every pinned build" 288 !builds;
-  List.iter
-    (fun mode ->
-      let base = Attacks.base mode Attacks.corpus in
-      List.iter
-        (fun (atk : Attacks.t) ->
-          match Attacks.build_on base ~attack:atk with
-          | Attacks.Rejected _ -> ()
-          | Attacks.Built { fw; _ } ->
-            if atk.Attacks.atk_level = Attacks.Binary then incr patched;
-            check (atk.Attacks.atk_name ^ " " ^ Iso.name mode) fw.Aft.fw_image)
-        Attacks.corpus)
-    Iso.all;
+  Test_support.Image_builds.iter_cells (fun mode (atk : Attacks.t) built ->
+      match built with
+      | Attacks.Rejected _ -> ()
+      | Attacks.Built { fw; _ } ->
+        if atk.Attacks.atk_level = Attacks.Binary then incr patched;
+        check (atk.Attacks.atk_name ^ " " ^ Iso.name mode) fw.Aft.fw_image);
   check_int "every binary cell"
     (List.length Iso.all
     * List.length
@@ -714,6 +766,8 @@ let () =
           quick "undefined symbol" test_undefined_symbol;
           quick "duplicate symbol" test_duplicate_symbol_across_sections;
           quick "overlap" test_overlap_detection;
+          quick "overlapping chunks" test_overlapping_chunks_rejected;
+          Test_support.Seed.to_alcotest prop_fetch_agrees;
           quick "emission errors" test_emission_errors;
           quick "start/end symbols" test_start_end_symbols;
           quick "image load" test_image_load;

@@ -76,6 +76,97 @@ let test_loop_merged_header () =
     Alcotest.(check (list int)) "merged body" [ 2; 3; 4 ] l.LB.l_body
   | _ -> Alcotest.fail "expected one merged loop"
 
+(* Loopbound against the reference (Test_support.Ref_loopbound, the
+   dominator construction on every graph).  A case is a base shape (a
+   straight line of up to 70 nodes, or a random DAG), then any of: a
+   self-loop, a loop, two nested loops, two loops merged on one header,
+   a two-entry loop, unreachable nodes with a cycle of their own, a
+   repeated id, successors outside the node set and an entry outside
+   it.  Ids are relabelled and the node list shuffled last. *)
+let gen_graph =
+  let open QCheck2.Gen in
+  let* n = 1 -- 70 in
+  let node = 0 -- (n - 1) in
+  let sorted k = map (List.sort compare) (list_repeat k node) in
+  let* base =
+    let* dag = bool in
+    flatten_l
+      (List.init n (fun i ->
+           if not dag then pure (if i + 1 < n then [ i + 1 ] else [])
+           else if i + 1 < n then list_size (1 -- 3) ((i + 1) -- (n - 1))
+           else pure []))
+  in
+  let some g = opt ~ratio:0.25 g in
+  let* self = some node in
+  let* loop = some (sorted 2) in
+  let* nested = some (sorted 4) in
+  let* merged = some (triple node node node) in
+  let* two_entry = some (sorted 4) in
+  let* unreachable = some (1 -- 4) in
+  let* repeated = some (triple bool node (list_size (0 -- 3) node)) in
+  let* outside = some (pair node (1 -- 3)) in
+  let* missing_entry = frequencyl [ (1, true); (9, false) ] in
+  let extra =
+    List.concat
+      [
+        (match self with Some i -> [ (i, i) ] | None -> []);
+        (match loop with Some [ i; j ] -> [ (j, i) ] | _ -> []);
+        (match nested with Some [ a; b; c; d ] -> [ (c, b); (d, a) ] | _ -> []);
+        (match merged with
+        | Some (h, x, y) -> [ (max h x, h); (max h y, h) ]
+        | None -> []);
+        (* a loop k..j entered at k and, from p below it, at m *)
+        (match two_entry with
+        | Some [ p; k; m; j ] when p < k && k < m -> [ (j, k); (p, m) ]
+        | _ -> []);
+      ]
+  in
+  let u = Option.value ~default:0 unreachable in
+  let nodes =
+    List.mapi
+      (fun i ss ->
+        ( i,
+          ss
+          @ List.filter_map (fun (a, b) -> if a = i then Some b else None) extra
+          @
+          match outside with
+          | Some (o, k) when o = i -> List.init k (fun x -> n + u + 1 + x)
+          | _ -> [] ))
+      base
+    (* unreachable: a cycle through n .. n+u-1 that also enters node 0 *)
+    @ List.init u (fun x -> (n + x, [ n + ((x + 1) mod u); 0 ]))
+  in
+  let nodes =
+    match repeated with
+    | Some (first, i, ss) -> if first then (i, ss) :: nodes else nodes @ [ (i, ss) ]
+    | None -> nodes
+  in
+  let entry = if missing_entry then n + u else 0 in
+  let* ids = shuffle_l (List.init (n + u + 4) Fun.id) in
+  let id = Array.of_list (List.map (fun x -> 0x4400 + (2 * x)) ids) in
+  let+ nodes = shuffle_l nodes in
+  {
+    LB.g_entry = id.(entry);
+    g_nodes =
+      List.map
+        (fun (i, ss) -> { LB.n_id = id.(i); n_succs = List.map (Array.get id) ss })
+        nodes;
+  }
+
+let print_graph (g : LB.graph) =
+  Printf.sprintf "entry %d: %s" g.LB.g_entry
+    (String.concat "; "
+       (List.map
+          (fun (n : LB.node) ->
+            Printf.sprintf "%d -> [%s]" n.LB.n_id
+              (String.concat " " (List.map string_of_int n.LB.n_succs)))
+          g.LB.g_nodes))
+
+let prop_loopbound_matches_reference =
+  QCheck2.Test.make ~count:1000 ~name:"analyze = dominator reference"
+    ~print:print_graph gen_graph (fun g ->
+      LB.analyze g = Test_support.Ref_loopbound.analyze g)
+
 (* ------------------------------------------------------------------ *)
 (* Static analysis over real firmware *)
 
@@ -184,6 +275,7 @@ let () =
           Alcotest.test_case "self loop" `Quick test_loop_self;
           Alcotest.test_case "irreducible" `Quick test_loop_irreducible;
           Alcotest.test_case "merged header" `Quick test_loop_merged_header;
+          Test_support.Seed.to_alcotest prop_loopbound_matches_reference;
         ] );
       ( "static",
         [
