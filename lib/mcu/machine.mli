@@ -131,12 +131,42 @@ val restore : t -> snapshot -> unit
     @raise Invalid_argument unless [snapshot] is the latest taken of
     this machine. *)
 
+(** {2 The bus}
+
+    Region decoding, MPU checks, MMIO dispatch, statistics and trace
+    events for every access the CPU makes.  Backing memory is read and
+    stored without a call into {!Memory} (see {!Memory.t});
+    [test/support/ref_bus.ml] keeps the data path through
+    [Memory.read]/[Memory.write] as the lockstep's reference. *)
+
+val bus_read : t -> Word.width -> int -> int
+(** A data read: MMIO space answers with its register value
+    ({!peripheral_read}), unmapped space raises {!Fault}, and backing
+    memory is checked for read permission, counted in
+    [stats.data_reads] and reported to a watcher as a
+    {!Trace.Mem_read}.  An odd word address is aligned down. *)
+
+val bus_write : t -> Word.width -> int -> int -> unit
+(** A data write: to MMIO space through {!peripheral_write}, a
+    {!Fault} in unmapped space, and in backing memory a write
+    permission check, the store, a count in [stats.data_writes] and a
+    {!Trace.Mem_write}. *)
+
 val fetch : t -> int -> int
 (** An instruction word read through the bus at the given address:
     MMIO space answers with its register value, unmapped space raises
     {!Fault}, and backing RAM is checked for execute permission before
     the word is counted in [stats.fetch_words].  {!run} fetches this way
-    where it cannot predecode; tests use it as the reference fetch. *)
+    where it cannot predecode. *)
+
+val peripheral_read : t -> Word.width -> int -> int
+(** A read of MMIO space: the MPU's and the timer's registers, 0
+    elsewhere. *)
+
+val peripheral_write : t -> Word.width -> int -> int -> unit
+(** A write to MMIO space: the MPU's registers (a bad password raises
+    {!Fault}), the timer's, and the debug ports; an {!Trace.Io_write}
+    for every write that takes effect. *)
 
 val run : ?fuel:int -> t -> stop_reason
 (** Run until halt, fault, software fault, or [fuel] instructions

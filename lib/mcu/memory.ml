@@ -6,9 +6,11 @@
    the next block runs.  Bit 1 ("written") marks a page written since
    the last snapshot or restore; its first write pushes the page on
    [written], so a restore visits only those pages.  The data path
-   compares the state byte with "written, not watched": an ordinary
-   write costs one byte load and a compare, and only a page's first
-   write or a write into watched code takes the slow path. *)
+   compares the state byte with "written, not watched"
+   ([written_only]): an ordinary write costs one byte load and a
+   compare, and only a page's first write or a write into watched code
+   takes the slow path.  [Machine] makes that compare itself and stores
+   into such pages without calling in (see memory.mli). *)
 
 (* Per page: its bytes when the snapshot was taken, or "" for a page
    never written (still zero). *)

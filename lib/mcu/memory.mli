@@ -1,11 +1,42 @@
 (** Flat 64 KiB backing store for the simulated address space.
 
-    This module is a raw byte store: permission checks, MMIO dispatch
-    and region semantics live in {!Machine}.  Word accesses are
-    little-endian; an odd word address is aligned down, as on the real
-    MSP430 CPU. *)
+    The bytes, plus the books two features keep per 256 B page: which
+    pages hold predecoded code (code-write tracking) and which were
+    written since the last {!snapshot}.  Permission checks, MMIO
+    dispatch and region semantics live in {!Machine}.  Word accesses
+    are little-endian; an odd word address is aligned down, as on the
+    real MSP430 CPU. *)
 
-type t
+type snapshot
+(** The contents {!restore} returns to (see "Snapshot and restore"). *)
+
+type t = private {
+  data : Bytes.t;  (** the 64 KiB, address [a] at index [a] *)
+  state : Bytes.t;
+      (** one state byte per 256 B page: bit 0 "watched" (the page
+          holds predecoded code), bit 1 "written" (since the last
+          {!snapshot} or {!restore}) *)
+  written : Bytes.t;
+      (** the page numbers whose written bit is set, first write
+          first; [nwritten] of them are live *)
+  mutable nwritten : int;
+  mutable base : snapshot;  (** the latest snapshot *)
+  mutable code_gen : int;  (** see {!code_gen} *)
+  mutable dirty : (int * int) list;  (** see {!take_dirty_code} *)
+}
+(** Fields are read-only outside this module, and only its functions
+    change the books ([state], [written], [nwritten], [code_gen],
+    [dirty]).  The machine reads [data], [state] and [code_gen] on its
+    hot paths without a call, and stores without one under one rule:
+
+    - a store into a page whose state byte is {!written_only} needs no
+      bookkeeping: it may set the bytes of [data] directly;
+    - every other store goes through {!write}, which keeps the
+      books. *)
+
+val written_only : char
+(** The state byte of a page written since the last snapshot or
+    restore and not watched. *)
 
 val create : unit -> t
 (** A zero-filled 64 KiB memory. *)
@@ -42,10 +73,8 @@ val equal : t -> t -> bool
     the pages ever written (a booted image costs a few KiB, not
     64 KiB); a restore copies back, or zeroes, only the pages written
     since.  The bits cost the data path nothing: the write path
-    compares one state byte per access, as it does for code
-    watching. *)
-
-type snapshot
+    compares one state byte per access with {!written_only}, as it
+    does for code watching. *)
 
 val snapshot : t -> snapshot
 (** The current contents, which become the reference for {!restore}
@@ -70,8 +99,9 @@ val unchanged : t -> lo:int -> hi:int -> bool
     Support for the machine's predecoded-block cache.  The machine
     watches every byte span it predecodes; writes landing in a watched
     256 B page bump {!code_gen} and queue a dirty span.  The dispatch
-    loop compares generations (one integer) per block, and only walks
-    {!take_dirty_code} when something actually changed. *)
+    loop compares the generation field with the one its block started
+    under once per uop, and only walks {!take_dirty_code} when
+    something actually changed. *)
 
 val code_gen : t -> int
 (** Monotonic counter, bumped by every write into a watched page and

@@ -48,7 +48,7 @@ let bucket_mid i =
 let ensure t i =
   let n = Array.length t.buckets in
   if i >= n then begin
-    let n' = max (i + 1) (max 64 (2 * n)) in
+    let n' = Int.max (i + 1) (Int.max 64 (2 * n)) in
     let b = Array.make n' 0 in
     Array.blit t.buckets 0 b 0 n;
     t.buckets <- b
@@ -56,7 +56,7 @@ let ensure t i =
 
 let record_n t v ~n =
   if n > 0 then begin
-    let v = max 0 v in
+    let v = Int.max 0 v in
     let i = index_of v in
     ensure t i;
     t.buckets.(i) <- t.buckets.(i) + n;
@@ -100,14 +100,14 @@ let quantile t q =
   end
 
 let merge a b =
-  let n = max (Array.length a.buckets) (Array.length b.buckets) in
+  let n = Int.max (Array.length a.buckets) (Array.length b.buckets) in
   let get arr i = if i < Array.length arr then arr.(i) else 0 in
   {
     buckets = Array.init n (fun i -> get a.buckets i + get b.buckets i);
     count = a.count + b.count;
     sum = a.sum + b.sum;
-    min_v = min a.min_v b.min_v;
-    max_v = max a.max_v b.max_v;
+    min_v = Int.min a.min_v b.min_v;
+    max_v = Int.max a.max_v b.max_v;
   }
 
 let equal a b =

@@ -58,7 +58,7 @@ let write_samples ~period_ms f c =
   for i = 0 to c.n - 1 do
     let tm = c.now_ms - ((c.n - 1 - i) * period_ms) in
     M.mem_checked_write c.machine W.W16 (buf + (2 * i))
-      (f c.api.sensors ~time_ms:(max 0 tm) land 0xFFFF)
+      (f c.api.sensors ~time_ms:(Int.max 0 tm) land 0xFFFF)
   done;
   set_result c c.n
 
@@ -171,7 +171,7 @@ let pointer_step machine ~certified ~valid (p : Apis.pointer) =
     let n =
       match p with
       | Apis.C_string _ ->
-        string_length machine addr (min n (span_above valid addr))
+        string_length machine addr (Int.min n (span_above valid addr))
       | _ -> n
     in
     M.add_cycles machine (Apis.variable_charge p n);

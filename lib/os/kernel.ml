@@ -393,7 +393,7 @@ let rearm t (e : Event.t) =
     | Event.Sensor_sample sensor -> (
       match List.assoc_opt sensor app.subscriptions with
       | Some rate_hz ->
-        post t ~delay_ms:(max 1 (1000 / rate_hz)) ~app:e.Event.app
+        post t ~delay_ms:(Int.max 1 (1000 / rate_hz)) ~app:e.Event.app
           e.Event.kind ~arg:e.Event.arg
       | None -> ())
     | Event.Timer_fired id -> (
@@ -408,13 +408,13 @@ let dispatch_next t =
   | None -> None
   | Some e ->
     (* how late the event runs relative to its scheduled time *)
-    let latency = max 0 (t.now - e.Event.at) in
+    let latency = Int.max 0 (t.now - e.Event.at) in
     (match t.obs with
     | Some obs ->
       Obs.counter obs ~name:"dispatch_latency_cycles" ~ts:t.now latency
     | None -> ());
     queue_gauge t;
-    t.now <- max t.now e.Event.at;
+    t.now <- Int.max t.now e.Event.at;
     t.vbase <- t.now - M.cycles t.machine;
     let before = M.cycles t.machine in
     let record = dispatch_event t e in

@@ -1,9 +1,11 @@
 (* The reference stepper: the specification [Machine.run] is tested
-   against.  One instruction is fetched word by word through the
-   machine's checked [fetch] as [Decode] asks for it, PC moves past it,
-   the [Cpu] executors run, and its cost is charged only once it has
-   retired.  Nothing is predecoded or cached, and no executor is shared
-   with the machine, which runs its own, specialised per uop.
+   against.  One instruction is fetched word by word through
+   [Ref_bus.fetch] as [Decode] asks for it, PC moves past it, the [Cpu]
+   executors run over [Ref_bus]'s data path, and its cost is charged
+   only once it has retired.  Nothing is predecoded or cached, and
+   neither an executor nor a memory access is shared with the machine,
+   which runs its own executors, specialised per uop, over its own
+   bus.
 
    The boundary contract is the interpreter's: the step hook runs with
    no instruction in flight, then the watcher chain is snapshotted, and
@@ -22,7 +24,7 @@ module Trace = Amulet_mcu.Trace
 let emit m e = Option.iter (fun f -> f e) m.M.emit_hook
 
 let execute m instr ~pc0 ~len =
-  let cpu = m.M.cpu in
+  let cpu = Ref_bus.cpu m in
   let regs = cpu.Cpu.regs in
   Registers.set_pc regs (pc0 + len);
   (match instr with
@@ -35,8 +37,9 @@ let execute m instr ~pc0 ~len =
   | Opcode.Jump (c, off) ->
     if Cpu.cond_true regs c then Registers.set_pc regs (pc0 + 2 + (2 * off))
   | Opcode.Reti -> Cpu.exec_reti cpu);
-  cpu.Cpu.cycles <- cpu.Cpu.cycles + Cycles.cycles instr;
-  cpu.Cpu.insns <- cpu.Cpu.insns + 1
+  let counters = m.M.cpu in
+  counters.Cpu.cycles <- counters.Cpu.cycles + Cycles.cycles instr;
+  counters.Cpu.insns <- counters.Cpu.insns + 1
 
 (* One instruction; the fault that stopped it, if any. *)
 let step m =
@@ -46,7 +49,7 @@ let step m =
   let pc0 = Registers.get_pc (M.regs m) in
   let fault =
     match
-      let instr, len = Decode.decode ~fetch:(M.fetch m) ~addr:pc0 in
+      let instr, len = Decode.decode ~fetch:(Ref_bus.fetch m) ~addr:pc0 in
       execute m instr ~pc0 ~len;
       instr
     with

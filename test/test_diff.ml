@@ -243,18 +243,20 @@ let mode_agreement =
 
    The same linked image is loaded into two machines.  The first is
    driven by [run ~fuel:1], which dispatches from the predecoded block
-   cache and runs each uop's specialised executor; the second by
-   [Refstep.run ~fuel:1], which fetches and decodes every instruction
-   afresh and runs [Cpu]'s executors.  Stop reason, register file, cycle
-   counter, retired-instruction count, access statistics, console and
-   all 64 KiB of memory must be identical at every instruction
-   boundary. *)
+   cache and runs each uop's specialised executor over the machine's
+   bus; the second by [Refstep.run ~fuel:1], which fetches and decodes
+   every instruction afresh and runs [Cpu]'s executors over [Ref_bus],
+   the data path through [Memory.read] and [Memory.write].  Stop
+   reason, register file, cycle counter, retired-instruction count,
+   access statistics, console and all 64 KiB of memory must be
+   identical at every instruction boundary. *)
 
 module Mem = Amulet_mcu.Memory
 module Regs = Amulet_mcu.Registers
 module Cpu = Amulet_mcu.Cpu
 module Trace = Amulet_mcu.Trace
 module Refstep = Test_support.Refstep
+module Ref_bus = Test_support.Ref_bus
 
 let boot image =
   let m = M.create () in
@@ -426,6 +428,29 @@ let test_hook_patches_block () =
   Alcotest.(check int) "one hook call per instruction" m.M.cpu.Cpu.insns
     (boundaries log)
 
+(* An executed store into the running block, on a page written since
+   boot and watched since predecode: the store must go through
+   [Memory.write], so the block exits and the patched immediate is
+   decoded before it runs. *)
+let test_store_patches_block () =
+  let m, _ =
+    directed
+      (words_of
+         [
+           (* code_base + 0: patches the immediate at code_base + 12 *)
+           Opcode.Fmt1
+             ( Opcode.MOV,
+               Word.W16,
+               Opcode.S_immediate 0x3333,
+               Opcode.D_absolute (code_base + 12) );
+           (* + 6 *) mov_imm 0x1111 (Opcode.D_reg 5);
+           (* + 10 *) mov_imm 0x2222 (Opcode.D_reg 6);
+           halt;
+         ])
+      ~expect:"halted"
+  in
+  Alcotest.(check int) "patched immediate executed" 0x3333 (reg m 6)
+
 let test_hook_moves_pc () =
   (* Before the second MOV, skip it. *)
   let arm =
@@ -567,6 +592,58 @@ let icase_machine c =
       ~sam:(Mpu.sam_bits ~seg1:"rx" ~seg2:"rw" ~seg3:"" ~info:"r" ())
       ~enable:true;
   m
+
+(* The bus against [Ref_bus] at every address: a byte read, a word read
+   and a fetch at each of the 65 536, over random bytes, with the MPU
+   disabled and under two configurations that between them deny every
+   access somewhere.  Value or fault, access statistics, watcher events
+   and the MPU's violation flags must agree. *)
+let bus_configs =
+  [
+    None;
+    Some (Mpu.sam_bits ~seg1:"rx" ~seg2:"rw" ~seg3:"" ~info:"r" ());
+    Some (Mpu.sam_bits ~seg1:"x" ~seg2:"w" ~seg3:"r" ());
+  ]
+
+let test_bus_every_address () =
+  let rand = Random.State.make [| Test_support.Seed.master_seed |] in
+  let bytes =
+    Bytes.init 0x10000 (fun _ -> Char.chr (Random.State.int rand 256))
+  in
+  let read w = ((fun m -> M.bus_read m w), fun m -> Ref_bus.bus_read m w) in
+  let accesses =
+    [ ("byte read", read Word.W8); ("word read", read Word.W16);
+      ("fetch", (M.fetch, Ref_bus.fetch)) ]
+  in
+  let outcome f m addr =
+    match f m addr with v -> Ok v | exception M.Fault fault -> Error fault
+  in
+  List.iter
+    (fun sam ->
+      let mk () =
+        let m = M.create () in
+        M.load_bytes m ~addr:0 bytes;
+        Option.iter
+          (fun sam ->
+            Mpu.configure m.M.mpu ~b1:mpu_b1 ~b2:mpu_b2 ~sam ~enable:true)
+          sam;
+        let log = ref [] in
+        M.add_watch m (fun e -> log := e :: !log);
+        (m, log)
+      in
+      let (a, la), (b, lb) = (mk (), mk ()) in
+      for addr = 0 to 0xFFFF do
+        List.iter
+          (fun (what, (f, g)) ->
+            if outcome f a addr <> outcome g b addr then
+              Alcotest.failf "%s at %04X disagrees with Ref_bus" what addr)
+          accesses
+      done;
+      compare_machines ~at:"every address" a b;
+      if !la <> !lb then Alcotest.fail "event logs diverged";
+      Alcotest.(check int) "violation flags" (Mpu.violation_flags b.M.mpu)
+        (Mpu.violation_flags a.M.mpu))
+    bus_configs
 
 let instruction_lockstep =
   let name = "every instruction form in lockstep" in
@@ -740,6 +817,10 @@ let () =
               test_hook_patches_block;
             Alcotest.test_case "hook moves pc mid-block" `Quick
               test_hook_moves_pc;
+            Alcotest.test_case "store patches the running block" `Quick
+              test_store_patches_block;
+            Alcotest.test_case "bus = Ref_bus at every address" `Quick
+              test_bus_every_address;
             to_alcotest instruction_lockstep;
           ] );
     ]

@@ -1232,6 +1232,180 @@ let snapshot_restore_property =
       Machine.restore m snap;
       Memory.equal m.Machine.mem saved && rerun m snap = expected)
 
+(* ------------------------------------------------------------------ *)
+(* Direct stores keep Memory's books *)
+
+(* [Machine] stores straight into [Memory.data] wherever a page is
+   written and not watched, and through [Memory.write] elsewhere.  Two
+   machines boot the same code and take the same steps: stores on the
+   first go through [Machine] (an executed store, or the host services'
+   [mem_checked_write]), on the second through [Test_support.Ref_bus],
+   whose every store is a [Memory.write].  Between the stores, runs
+   predecode code (marking its page watched), snapshots and restores
+   reset the written bits, and drains take the dirty spans.  After
+   every step the bytes, the page states and first-write order,
+   [code_gen], the pending dirty spans and [Memory.unchanged] over a
+   random range must agree.
+
+   Code sits at offset 0x80 of pages 0x44, 0x47 and 0x4A; page 0x44
+   also holds a byte and a word store gadget ([MOV(.B) R5, 0(R4)], then
+   [JMP $]).  Stores never land on code bytes, so no block goes stale,
+   and every step that runs code first drains both machines' spans:
+   [Machine.run] drains its own at dispatch, and the reference
+   stepper does not. *)
+
+module Ref_bus = Test_support.Ref_bus
+module Refstep = Test_support.Refstep
+
+let code_pages = [ 0x44; 0x47; 0x4A ]
+let gadget w = match w with Word.W8 -> 0x4480 | Word.W16 -> 0x4486
+let pure_code p = (p lsl 8) + 0x8C
+
+let books_image m =
+  let open Opcode in
+  let store w = Fmt1 (MOV, w, S_reg 5, D_indexed (4, 0)) in
+  let here = Jump (JMP, -1) in
+  let pure =
+    [ Fmt1 (MOV, Word.W16, S_immediate 0x1234, D_reg 6);
+      Fmt1 (ADD, Word.W16, S_reg 6, D_reg 7); here ]
+  in
+  let load addr insns =
+    Machine.load_words m ~addr (List.concat_map Encode.encode insns)
+  in
+  load (gadget Word.W8) [ store Word.W8; here; store Word.W16; here ];
+  List.iter (fun p -> load (pure_code p) pure) code_pages
+
+type via = Executed | Host
+
+type books_step =
+  | Store of via * Word.width * int * int
+  | Predecode of int
+  | Snapshot
+  | Restore
+  | Drain
+
+let print_books_step (step, (lo, hi)) =
+  let store via w a v =
+    Printf.sprintf "%s %s %04X <- %04X" via
+      (match w with Word.W8 -> "byte" | Word.W16 -> "word")
+      a v
+  in
+  (match step with
+  | Store (Executed, w, a, v) -> store "exec" w a v
+  | Store (Host, w, a, v) -> store "host" w a v
+  | Predecode e -> Printf.sprintf "predecode %04X" e
+  | Snapshot -> "snapshot"
+  | Restore -> "restore"
+  | Drain -> "drain")
+  ^ Printf.sprintf " / unchanged [%04X, %04X)" lo hi
+
+let gen_books_step =
+  let open QCheck2.Gen in
+  let page = oneofl ([ 0x1C; 0x1D; 0x23; 0x48; 0x49 ] @ code_pages) in
+  (* off code bytes: [0x80, 0xA0) of a code page moves down by 0x40 *)
+  let off_code a =
+    let o = a land 0xFE in
+    if List.mem (a lsr 8) code_pages && o >= 0x80 && o < 0xA0 then a - 0x40
+    else a
+  in
+  let addr =
+    map off_code
+      (frequency
+         [
+           (2, int_range Memory_map.sram_start (Memory_map.sram_limit - 1));
+           (3, map2 (fun p o -> (p lsl 8) + o) page (int_range 0 255));
+           (2, map2 (fun p d -> (p lsl 8) + d) page (int_range (-2) 1));
+         ])
+  in
+  let store =
+    let+ via = oneofl [ Executed; Host ]
+    and+ w = oneofl [ Word.W8; Word.W16 ]
+    and+ a = addr
+    and+ v = int_range 0 0xFFFF in
+    Store (via, w, a, v)
+  in
+  let step =
+    frequency
+      [
+        (12, store);
+        (2, map (fun p -> Predecode (pure_code p)) (oneofl code_pages));
+        (1, return Snapshot);
+        (1, return Restore);
+        (1, return Drain);
+      ]
+  in
+  let range =
+    let+ lo = addr and+ len = int_range 0 600 in
+    (lo, min 0x10000 (lo + len))
+  in
+  pair step range
+
+let books_machine () =
+  let m = Machine.create () in
+  books_image m;
+  Machine.reset m;
+  m
+
+(* Run [fuel] instructions from [pc]: through [Machine] on [a], and
+   through [Machine] too or the reference stepper on [b]. *)
+let run_both a b ~pc ~fuel ~reference =
+  List.iter (fun m -> Registers.set_pc (Machine.regs m) pc) [ a; b ];
+  let ra = Machine.run ~fuel a in
+  let rb = if reference then Refstep.run ~fuel b else Machine.run ~fuel b in
+  if ra <> rb then
+    Alcotest.failf "stop %a vs %a" Machine.pp_stop_reason ra
+      Machine.pp_stop_reason rb
+
+let drain_both a b =
+  let da = Memory.take_dirty_code a.Machine.mem
+  and db = Memory.take_dirty_code b.Machine.mem in
+  if da <> db then Alcotest.fail "drained spans differ"
+
+let same_books a b (lo, hi) =
+  let ma = a.Machine.mem and mb = b.Machine.mem in
+  let written (m : Memory.t) =
+    Bytes.sub m.Memory.written 0 m.Memory.nwritten
+  in
+  Memory.equal ma mb
+  && Bytes.equal ma.Memory.state mb.Memory.state
+  && Bytes.equal (written ma) (written mb)
+  && ma.Memory.code_gen = mb.Memory.code_gen
+  && ma.Memory.dirty = mb.Memory.dirty
+  && Memory.unchanged ma ~lo ~hi = Memory.unchanged mb ~lo ~hi
+
+let direct_stores_property =
+  QCheck2.Test.make ~count:300 ~name:"direct stores keep Memory's books"
+    ~print:(fun steps -> String.concat "\n" (List.map print_books_step steps))
+    QCheck2.Gen.(list_size (int_range 1 40) gen_books_step)
+    (fun steps ->
+      let a = books_machine () and b = books_machine () in
+      run_both a b ~pc:(pure_code 0x44) ~fuel:3 ~reference:false;
+      let snaps = ref (Machine.snapshot a, Machine.snapshot b) in
+      List.for_all
+        (fun (step, range) ->
+          (match step with
+          | Store (Host, w, addr, v) ->
+            Machine.mem_checked_write a w addr v;
+            Ref_bus.mem_checked_write b w addr v
+          | Store (Executed, w, addr, v) ->
+            drain_both a b;
+            List.iter
+              (fun m ->
+                Registers.set (Machine.regs m) 4 addr;
+                Registers.set (Machine.regs m) 5 v)
+              [ a; b ];
+            run_both a b ~pc:(gadget w) ~fuel:1 ~reference:true
+          | Predecode pc ->
+            drain_both a b;
+            run_both a b ~pc ~fuel:3 ~reference:false
+          | Snapshot -> snaps := (Machine.snapshot a, Machine.snapshot b)
+          | Restore ->
+            Machine.restore a (fst !snaps);
+            Machine.restore b (snd !snaps)
+          | Drain -> drain_both a b);
+          same_books a b range)
+        steps)
+
 let () =
   Alcotest.run "mcu"
     [
@@ -1332,5 +1506,5 @@ let () =
           Alcotest.test_case "reset drops cache" `Quick
             test_reset_drops_code_cache;
         ] );
-      qsuite "snapshot" [ snapshot_restore_property ];
+      qsuite "snapshot" [ snapshot_restore_property; direct_stores_property ];
     ]
