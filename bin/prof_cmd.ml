@@ -115,31 +115,6 @@ let profile_with_trace ~warmup ~mode app =
   Obs.close obs;
   (p, Summary.of_string (Buffer.contents buf))
 
-(* ARP-view per-state accounting, recovered from the trace: each
-   dispatch span is attributed to the value of the app's [state]
-   global when the event arrived. *)
-let per_state_accounting records =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      match r with
-      | Obs.Span { name = handler; cat = "dispatch"; dur; _ } -> (
-        match Obs.int_arg r "state" with
-        | None -> ()
-        | Some state ->
-          let count, cycles, accesses =
-            Option.value
-              (Hashtbl.find_opt tbl (state, handler))
-              ~default:(0, 0, 0)
-          in
-          let reads = Option.value (Obs.int_arg r "reads") ~default:0 in
-          let writes = Option.value (Obs.int_arg r "writes") ~default:0 in
-          Hashtbl.replace tbl (state, handler)
-            (count + 1, cycles + dur, accesses + reads + writes))
-      | _ -> ())
-    records;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
-
 let arp_cmd app_name warmup () =
   let app = Cli.suite_app app_name in
   let baseline, baseline_records =
@@ -171,7 +146,7 @@ let arp_cmd app_name warmup () =
         (Energy.battery_impact_percent ~overhead_cycles_per_week:overhead);
       (* ARP-view per-state accounting, when the app has a state
          machine — read back from the same run's trace records *)
-      (match per_state_accounting records with
+      (match Summary.per_state_accounting records with
       | [] -> ()
       | states ->
         Format.printf "  per-state accounting (ARP-view):@.";

@@ -3,11 +3,11 @@
    and prove that every branch, call and return stays inside the app.
 
    The pass is independent of the compiler: it partitions the code
-   section into function spans using only the linker symbol table
-   (function symbols are [<prefix>$name]; compiler-internal labels use
-   a "$$" separator and never start a span), decodes every byte with
-   the simulator's own decoder, and rejects any instruction whose
-   control-flow effect cannot be classified:
+   section into the function and stub spans of the link map
+   ({!Section}), decodes every byte with the simulator's own decoder,
+   reads each instruction's effects from {!Amulet_mcu.Opcode}, and
+   rejects any instruction whose control-flow effect cannot be
+   classified:
 
    - relative jumps must land on an instruction boundary of the same
      function span;
@@ -25,7 +25,6 @@
      is rejected outright — the class of transfer the interval-based
      SFI verifier cannot classify. *)
 
-module I = Amulet_link.Image
 module O = Amulet_mcu.Opcode
 module D = Amulet_mcu.Decode
 module Cyc = Amulet_mcu.Cycles
@@ -64,80 +63,20 @@ type callee =
   | C_indirect
 
 type t = {
-  cf_prefix : string;
+  cf_section : Section.t;
   cf_mode : Iso.mode;
-  cf_code_lo : int;
-  cf_code_hi : int;
   cf_funcs : func list;
   cf_insns : int;
   cf_entry_of : (int, string) Hashtbl.t;  (* function entry -> name *)
   cf_stub_of : (int, string) Hashtbl.t;  (* stub entry -> name *)
-  cf_extern : (int, string) Hashtbl.t;  (* helper/gate addr -> name *)
   cf_addr_taken : string list;  (* functions whose entry escapes *)
 }
 
-(* ------------------------------------------------------------------ *)
-(* Span discovery *)
-
-let is_fn_symbol ~prefix name =
-  let pl = String.length prefix in
-  String.length name > pl + 1
-  && String.sub name 0 pl = prefix
-  && name.[pl] = '$'
-  &&
-  let rest = String.sub name (pl + 1) (String.length name - pl - 1) in
-  rest <> "" && not (String.contains rest '$')
-
-let is_stub_symbol ~prefix name =
-  let fault = (if prefix = "" then "os" else prefix) ^ "$$fault" in
-  let fl = String.length fault in
-  (String.length name >= fl && String.sub name 0 fl = fault)
-  || name = prefix ^ "$$exit"
-  || name = "__exit_" ^ prefix
-
-(* (entry, name, is_stub) for every span start, sorted by address. *)
-let spans (image : I.t) ~prefix ~code_lo ~code_hi =
-  List.filter_map
-    (fun (name, a) ->
-      if a < code_lo || a >= code_hi then None
-      else if is_fn_symbol ~prefix name then Some (a, name, false)
-      else if is_stub_symbol ~prefix name then Some (a, name, true)
-      else None)
-    image.I.symbols
-  |> List.sort compare
-
-(* ------------------------------------------------------------------ *)
-(* Instruction classification *)
-
-let is_ret = function
-  | O.Fmt1 (O.MOV, _, O.S_indirect_inc 1, O.D_reg 0) -> true
-  | _ -> false
-
-let br_target = function
-  | O.Fmt1 (O.MOV, _, O.S_immediate k, O.D_reg 0) -> Some k
-  | _ -> None
-
-(* Does the instruction write the PC in a way that is neither the
-   canonical RET nor the canonical BR-immediate? *)
-let is_computed_pc_write op =
-  match op with
-  | O.Fmt1 (o, _, _, O.D_reg 0) ->
-    O.writes_back o && Option.is_none (br_target op) && not (is_ret op)
-  | O.Fmt2 ((O.RRC | O.SWPB | O.RRA | O.SXT), _, O.S_reg 0) -> true
-  | _ -> false
-
-let is_control op =
-  match op with
-  | O.Jump _ | O.Reti -> true
-  | _ -> is_ret op || Option.is_some (br_target op) || is_computed_pc_write op
-
-let jump_target a off = a + 2 + (2 * off)
-
-(* Does the instruction write register [r] (call/jump effects aside)? *)
-let writes_reg r = function
-  | O.Fmt1 (o, _, _, O.D_reg d) -> O.writes_back o && d = r
-  | O.Fmt2 ((O.RRC | O.SWPB | O.RRA | O.SXT), _, O.S_reg d) -> d = r
-  | _ -> false
+(* Control transfers end a block; a CALL returns to the next
+   instruction, so it does not. *)
+let is_control = function
+  | O.Fmt2 (O.CALL, _, _) -> false
+  | op -> O.writes_reg op Amulet_mcu.Registers.pc
 
 (* ------------------------------------------------------------------ *)
 (* Guard-evidence check.
@@ -153,18 +92,12 @@ type cell = Cell_reg of int | Cell_ret
 
 let insn_clobbers_cell cell op =
   match cell with
-  | Cell_reg r -> writes_reg r op
-  | Cell_ret -> (
+  | Cell_reg r -> O.writes_reg op r
+  | Cell_ret ->
     (* anything that moves SP or stores to memory (the app's stack is
        inside its own data region, so any store may alias the return
        slot) invalidates 0(SP) *)
-    match op with
-    | O.Fmt1 (o, _, _, (O.D_reg 1 | O.D_indexed _ | O.D_absolute _)) ->
-      O.writes_back o
-    | O.Fmt1 (_, _, O.S_indirect_inc 1, _) -> true
-    | O.Fmt2 (O.PUSH, _, _) | O.Fmt2 (O.CALL, _, _) -> true
-    | O.Fmt2 ((O.RRC | O.SWPB | O.RRA | O.SXT), _, O.S_reg 1) -> true
-    | _ -> false)
+    O.writes_reg op Amulet_mcu.Registers.sp || O.writes_memory op
 
 let cmp_matches cell bound op =
   match (cell, op) with
@@ -184,18 +117,10 @@ let cmp_is_shadow cell op =
 (* ------------------------------------------------------------------ *)
 (* Reconstruction *)
 
-let reconstruct ~(image : I.t) ~mode ~prefix =
-  let sym name =
-    try I.symbol image name
-    with Not_found ->
-      invalid_arg
-        (Printf.sprintf "cfi: image has no symbol %s (prefix %S)" name prefix)
-  in
-  let code_lo = sym (Iso.code_lo_sym ~prefix) in
-  let code_hi = sym (Iso.code_hi_sym ~prefix) in
-  let data_lo = sym (Iso.data_lo_sym ~prefix) in
-  let data_hi = sym (Iso.data_hi_sym ~prefix) in
-  let fetch = Verifier.make_fetch image in
+let of_section (sec : Section.t) ~mode =
+  let prefix = sec.Section.prefix in
+  let code_lo = sec.Section.code_lo and code_hi = sec.Section.code_hi in
+  let fetch = sec.Section.fetch and extern = sec.Section.externals in
   let viols = ref [] in
   let report a op reason =
     let text =
@@ -203,15 +128,16 @@ let reconstruct ~(image : I.t) ~mode ~prefix =
     in
     viols := { cv_addr = a; cv_text = text; cv_reason = reason } :: !viols
   in
-  let extern = Amulet_cc.Apis.externals image.I.symbols in
-  let span_list = spans image ~prefix ~code_lo ~code_hi in
+  let span_list = sec.Section.spans in
   if span_list = [] then
     invalid_arg
       (Printf.sprintf "cfi: no function symbols in code section of %S" prefix);
   let entry_of = Hashtbl.create 16 and stub_of = Hashtbl.create 8 in
   List.iter
-    (fun (a, name, stub) ->
-      Hashtbl.replace (if stub then stub_of else entry_of) a name)
+    (fun (a, name, kind) ->
+      Hashtbl.replace
+        (if kind = Section.Function then entry_of else stub_of)
+        a name)
     span_list;
   let span_entry a = Hashtbl.mem entry_of a || Hashtbl.mem stub_of a in
   (* uncovered bytes before the first span would be unreachable code
@@ -227,7 +153,8 @@ let reconstruct ~(image : I.t) ~mode ~prefix =
   in
   let funcs =
     List.map2
-      (fun (entry, name, stub) limit ->
+      (fun (entry, name, kind) limit ->
+        let stub = kind <> Section.Function in
         (* linear-sweep decode: every byte of the span must decode *)
         let insns = Hashtbl.create 32 in
         let order = ref [] in
@@ -264,10 +191,9 @@ let reconstruct ~(image : I.t) ~mode ~prefix =
               if t >= entry && t < limit && boundary t then
                 Hashtbl.replace leaders t ()
             in
-            (match i_op with
-            | O.Jump (_, off) -> mark (jump_target a off)
-            | _ -> (
-              match br_target i_op with Some k -> mark k | None -> ()));
+            (match O.jump_target i_op ~pc:a with
+            | Some t -> mark t
+            | None -> Option.iter mark (O.br_target i_op));
             if is_control i_op then mark (a + i_size))
           order;
         (* split into blocks, each kept with its last instruction *)
@@ -309,53 +235,36 @@ let reconstruct ~(image : I.t) ~mode ~prefix =
               report a (Some op)
                 (Printf.sprintf "control falls off the end of %s" name)
             in
-            match op with
-            | O.Jump (O.JMP, off) ->
-              let t = jump_target a off in
+            let fall_through () =
+              match next_block () with
+              | Some nb when nb = a + last.i_size ->
+                b.b_succs <- (nb, E_fall) :: b.b_succs
+              | _ -> fall_off ()
+            in
+            match (op, O.jump_target op ~pc:a) with
+            | O.Jump (O.JMP, _), Some t ->
               if in_span t && boundary t then b.b_succs <- [ (t, E_jump) ]
               else report a (Some op) "jump target outside the function"
-            | O.Jump (_, off) ->
-              let t = jump_target a off in
+            | _, Some t ->
               if in_span t && boundary t then
                 b.b_succs <- [ (t, E_taken) ]
               else report a (Some op) "branch target outside the function";
-              (match next_block () with
-              | Some nb when nb = a + last.i_size ->
-                b.b_succs <- (nb, E_fall) :: b.b_succs
-              | _ -> fall_off ())
-            | O.Reti -> report a (Some op) "RETI in application code"
-            | _ when is_ret op -> () (* guard evidence checked below *)
-            | _ when Option.is_some (br_target op) ->
-              let k = Option.get (br_target op) in
-              if in_span k && boundary k then b.b_succs <- [ (k, E_jump) ]
-              else if span_entry k then () (* fault/exit stub or tail entry *)
-              else if Hashtbl.mem extern k then ()
-              else
-                report a (Some op)
-                  (Printf.sprintf "branch to unclassified address 0x%04X" k)
-            | _ when is_computed_pc_write op ->
-              report a (Some op) "computed jump (PC written from a register)"
+              fall_through ()
+            | O.Reti, None -> report a (Some op) "RETI in application code"
+            | _ when O.is_ret op -> () (* guard evidence checked below *)
             | _ -> (
-              (* straight-line block: falls through to the next one *)
-              match next_block () with
-              | Some nb when nb = a + last.i_size ->
-                b.b_succs <- [ (nb, E_fall) ]
-              | _ -> fall_off ())
-          )
+              match O.br_target op with
+              | Some k ->
+                if in_span k && boundary k then b.b_succs <- [ (k, E_jump) ]
+                else if span_entry k then () (* fault/exit stub or tail entry *)
+                else if Hashtbl.mem extern k then ()
+                else
+                  report a (Some op)
+                    (Printf.sprintf "branch to unclassified address 0x%04X" k)
+              | None when is_control op ->
+                report a (Some op) "computed jump (PC written from a register)"
+              | None -> fall_through ()))
           blocks;
-        (* mid-block computed-PC writes (non-terminator positions) *)
-        let rec mid_block = function
-          | [] | [ _ ] -> ()
-          | i :: rest ->
-            if
-              is_computed_pc_write i.i_op || is_ret i.i_op
-              || Option.is_some (br_target i.i_op)
-            then
-              report i.i_addr (Some i.i_op)
-                "control transfer in the middle of a basic block";
-            mid_block rest
-        in
-        Array.iter (fun (b, _) -> mid_block b.b_insns) blocks;
         (name, entry, limit, stub, Array.to_list (Array.map fst blocks)))
       span_list limits
   in
@@ -461,7 +370,7 @@ let reconstruct ~(image : I.t) ~mode ~prefix =
               | O.Fmt2 (O.CALL, _, _) ->
                 report i.i_addr (Some i.i_op)
                   "call through a memory operand"
-              | _ when is_ret i.i_op ->
+              | _ when O.is_ret i.i_op ->
                 if
                   (not stub) && prefix <> ""
                   && Iso.checks_lower_bound mode
@@ -486,7 +395,7 @@ let reconstruct ~(image : I.t) ~mode ~prefix =
             (fun i ->
               match i.i_op with
               | O.Fmt2 (O.CALL, _, _) -> ()
-              | _ when Option.is_some (br_target i.i_op) -> ()
+              | _ when Option.is_some (O.br_target i.i_op) -> ()
               | O.Fmt1 (_, _, O.S_immediate k, _) -> (
                 match Hashtbl.find_opt entry_of k with
                 | Some n -> Hashtbl.replace addr_taken n ()
@@ -499,8 +408,8 @@ let reconstruct ~(image : I.t) ~mode ~prefix =
             b.b_insns)
         blocks)
     funcs;
-  let a = ref (data_lo land lnot 1) in
-  while !a + 1 < data_hi do
+  let a = ref (sec.Section.data_lo land lnot 1) in
+  while !a + 1 < sec.Section.data_hi do
     (match Hashtbl.find_opt entry_of (fetch !a) with
     | Some n -> Hashtbl.replace addr_taken n ()
     | None -> ());
@@ -508,10 +417,8 @@ let reconstruct ~(image : I.t) ~mode ~prefix =
   done;
   let t =
     {
-      cf_prefix = prefix;
+      cf_section = sec;
       cf_mode = mode;
-      cf_code_lo = code_lo;
-      cf_code_hi = code_hi;
       cf_funcs =
         List.map
           (fun (name, entry, limit, stub, blocks) ->
@@ -521,7 +428,6 @@ let reconstruct ~(image : I.t) ~mode ~prefix =
       cf_insns = !total_insns;
       cf_entry_of = entry_of;
       cf_stub_of = stub_of;
-      cf_extern = extern;
       cf_addr_taken =
         Hashtbl.fold (fun k () acc -> k :: acc) addr_taken []
         |> List.sort compare;
@@ -530,6 +436,9 @@ let reconstruct ~(image : I.t) ~mode ~prefix =
   match !viols with
   | [] -> Ok t
   | vs -> Error (List.sort (fun a b -> compare a.cv_addr b.cv_addr) vs)
+
+let reconstruct ~image ~mode ~prefix =
+  of_section (Section.make image ~prefix) ~mode
 
 (* ------------------------------------------------------------------ *)
 (* Queries *)
@@ -540,7 +449,7 @@ let call_target t op =
     match Hashtbl.find_opt t.cf_entry_of k with
     | Some n -> Some (C_local n)
     | None -> (
-      match Hashtbl.find_opt t.cf_extern k with
+      match Hashtbl.find_opt t.cf_section.Section.externals k with
       | Some n -> (
         match Amulet_cc.Apis.service_of_gate_label n with
         | Some svc -> Some (C_gate svc)

@@ -1,9 +1,9 @@
 (** Binary-level CFI certification.
 
     Reconstructs the per-function control-flow graph of an app's
-    linked code section from the instruction stream (the symbol table
-    is used only to delimit function spans) and proves every control
-    transfer stays inside the app:
+    linked code section from the instruction stream (the link map,
+    read through {!Section}, only delimits function spans) and proves
+    every control transfer stays inside the app:
 
     - relative jumps land on instruction boundaries of their own
       function; [BR #imm] may additionally target another span entry
@@ -56,40 +56,29 @@ type callee =
   | C_indirect
 
 type t = {
-  cf_prefix : string;
+  cf_section : Section.t;  (** the link-map facts the CFG was built from *)
   cf_mode : Amulet_cc.Isolation.mode;
-  cf_code_lo : int;
-  cf_code_hi : int;
   cf_funcs : func list;
   cf_insns : int;
   cf_entry_of : (int, string) Hashtbl.t;
   cf_stub_of : (int, string) Hashtbl.t;
-  cf_extern : (int, string) Hashtbl.t;
   cf_addr_taken : string list;
       (** functions whose entry address escapes into a register or the
           data section — the possible targets of any indirect call *)
 }
+
+val of_section :
+  Section.t -> mode:Amulet_cc.Isolation.mode -> (t, violation list) result
+(** @raise Invalid_argument when the section has no function symbol. *)
 
 val reconstruct :
   image:Amulet_link.Image.t ->
   mode:Amulet_cc.Isolation.mode ->
   prefix:string ->
   (t, violation list) result
-(** @raise Invalid_argument when the image lacks the section-bound
+(** [of_section (Section.make image ~prefix)].
+    @raise Invalid_argument when the image lacks the section-bound
     symbols or any function symbol for [prefix]. *)
-
-val is_ret : Amulet_mcu.Opcode.t -> bool
-(** The canonical [RET] ([MOV @SP+, PC]). *)
-
-val br_target : Amulet_mcu.Opcode.t -> int option
-(** The target of a canonical [BR #imm] ([MOV #imm, PC]). *)
-
-val is_computed_pc_write : Amulet_mcu.Opcode.t -> bool
-(** Writes the PC in a way that is neither the canonical [RET] nor the
-    canonical [BR #imm]. *)
-
-val jump_target : int -> int -> int
-(** [jump_target addr offset]: target of the relative jump at [addr]. *)
 
 val call_target : t -> Amulet_mcu.Opcode.t -> callee option
 (** Classify a [CALL] instruction's target ([None] for non-calls). *)

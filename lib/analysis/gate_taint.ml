@@ -30,7 +30,6 @@
    ({!Amulet_cc.Apis.extent}), the same declaration the kernel clamps
    with (e.g. [api_read_accel] validates at most 128 bytes). *)
 
-module I = Amulet_link.Image
 module O = Amulet_mcu.Opcode
 module W = Amulet_mcu.Word
 module Iso = Amulet_cc.Isolation
@@ -102,33 +101,42 @@ let byte_clamp width v =
   | W.W8 -> (
     match v with Iv (l, h) when 0 <= l && h <= 0xFF -> v | _ -> Iv (0, 0xFF))
 
+(* Every register the instruction writes becomes Top, except a
+   register destination whose new value the domain models. *)
 let step regs (i : Cfi.insn) =
-  match i.Cfi.i_op with
-  | O.Fmt1 (op, w, src, O.D_reg d) when O.writes_back op ->
-    let sv = src_value regs w src in
-    let nv =
-      match op with
-      | O.MOV -> (
-        match src with
-        (* the prologue's MOV SP, R4 establishes the frame pointer —
-           the reference point of every Fp value *)
-        | O.S_reg 1 -> if d = 4 then Fp (0, 0) else Top
-        | _ -> sv)
-      | O.ADD -> add_value regs.(d) sv
-      | O.SUB -> sub_value regs.(d) sv
-      | O.AND -> (
-        match src with O.S_immediate k -> Iv (0, k land 0xFFFF) | _ -> Top)
-      | _ -> Top
-    in
-    regs.(d) <- byte_clamp w nv
-  | O.Fmt1 _ -> () (* memory destinations, CMP, BIT *)
+  let op = i.Cfi.i_op in
+  let dst, v =
+    match op with
+    | O.Fmt1 (op2, w, src, O.D_reg d) ->
+      let sv = src_value regs w src in
+      let nv =
+        match op2 with
+        | O.MOV -> (
+          match src with
+          (* the prologue's MOV SP, R4 establishes the frame pointer —
+             the reference point of every Fp value *)
+          | O.S_reg 1 -> if d = 4 then Fp (0, 0) else Top
+          | _ -> sv)
+        | O.ADD -> add_value regs.(d) sv
+        | O.SUB -> sub_value regs.(d) sv
+        | O.AND -> (
+          match src with O.S_immediate k -> Iv (0, k land 0xFFFF) | _ -> Top)
+        | _ -> Top
+      in
+      (d, byte_clamp w nv)
+    | _ -> (-1, Top)
+  in
+  let written = O.writes op in
+  for r = 0 to 15 do
+    if written land (1 lsl r) <> 0 then regs.(r) <- (if r = dst then v else Top)
+  done;
+  match op with
   | O.Fmt2 (O.CALL, _, _) ->
     (* caller-saved registers die across any call *)
     for r = 12 to 15 do
       regs.(r) <- Top
     done
-  | O.Fmt2 ((O.RRC | O.SWPB | O.RRA | O.SXT), _, O.S_reg r) -> regs.(r) <- Top
-  | O.Fmt2 _ | O.Jump _ | O.Reti -> ()
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Per-function fixpoint *)
@@ -179,17 +187,10 @@ let fixpoint (f : Cfi.func) : (int, value array) Hashtbl.t =
 (* ------------------------------------------------------------------ *)
 (* Certification *)
 
-type bounds = {
-  data_lo : int;
-  data_hi : int;
-  stack_top : int option;
-  sep : bool;  (** separate-stack mode *)
-}
-
 (* The service's pointer is R12, its first argument; its extent depends
    on R13 only through an upper bound that is non-negative as a signed
    word. *)
-let certify_arg bounds stack fname pointer regs =
+let certify_arg (sec : Section.t) ~sep stack fname pointer regs =
   let ext =
     Apis.extent pointer
       (match regs.(13) with Iv (_, h) when h <= 0x7FFF -> Some h | _ -> None)
@@ -197,20 +198,22 @@ let certify_arg bounds stack fname pointer regs =
   match regs.(12) with
   | Top -> (false, "arg 0: provenance unknown")
   | Iv (l, h) ->
-    if l >= bounds.data_lo && h + ext <= bounds.data_hi then
+    if l >= sec.Section.data_lo && h + ext <= sec.Section.data_hi then
       (true, Printf.sprintf "arg 0: [%04X,%04X]+%d within the D region" l h ext)
     else
       (false, Printf.sprintf "arg 0: [%04X,%04X]+%d escapes the D region" l h ext)
   | Fp (dl, dh) -> (
-    if not bounds.sep then (false, "arg 0: frame-relative with a shared stack")
+    if not sep then (false, "arg 0: frame-relative with a shared stack")
     else
-      match (bounds.stack_top, Stackcert.entry_max_of stack fname) with
+      match (sec.Section.stack_top, Stackcert.entry_max_of stack fname) with
       | Some top, Some em ->
         (* FP = entry SP - 2 (saved FP), and the entry SP sits between
            [stack_top - entry_max] and [stack_top - trampoline] *)
         let fp_min = top - em - 2
         and fp_max = top - Stackcert.trampoline_bytes - 2 in
-        if fp_min + dl >= bounds.data_lo && fp_max + dh + ext <= bounds.data_hi
+        if
+          fp_min + dl >= sec.Section.data_lo
+          && fp_max + dh + ext <= sec.Section.data_hi
         then
           ( true,
             Printf.sprintf "arg 0: FP%+d..FP%+d+%d within the D region" dl dh
@@ -223,23 +226,9 @@ let certify_arg bounds stack fname pointer regs =
         (false, Printf.sprintf "arg 0: no certified entry depth for %s" fname)
       | None, _ -> (false, "arg 0: no stack_top symbol"))
 
-let analyze ~(cfg : Cfi.t) ~(stack : Stackcert.t) ~(image : I.t) =
-  let prefix = cfg.Cfi.cf_prefix in
-  let sym name =
-    try I.symbol image name
-    with Not_found ->
-      invalid_arg (Printf.sprintf "gate_taint: image has no %s" name)
-  in
-  let bounds =
-    {
-      data_lo = sym (Iso.data_lo_sym ~prefix);
-      data_hi = sym (Iso.data_hi_sym ~prefix);
-      stack_top =
-        (try Some (I.symbol image (Iso.stack_top_sym ~prefix) land lnot 1)
-         with Not_found -> None);
-      sep = Iso.separate_stacks cfg.Cfi.cf_mode;
-    }
-  in
+let analyze ~(cfg : Cfi.t) ~(stack : Stackcert.t) =
+  let sec = cfg.Cfi.cf_section in
+  let sep = Iso.separate_stacks cfg.Cfi.cf_mode in
   let sites = ref [] in
   List.iter
     (fun (f : Cfi.func) ->
@@ -259,7 +248,8 @@ let analyze ~(cfg : Cfi.t) ~(stack : Stackcert.t) ~(image : I.t) =
                     () (* nothing for the kernel to validate *)
                   | Some s ->
                     let certified, reason =
-                      certify_arg bounds stack f.Cfi.f_name s.Apis.pointer regs
+                      certify_arg sec ~sep stack f.Cfi.f_name s.Apis.pointer
+                        regs
                     in
                     sites :=
                       {

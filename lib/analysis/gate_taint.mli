@@ -30,9 +30,8 @@ type t = {
           certified (and that have at least one such site) *)
 }
 
-val analyze :
-  cfg:Cfi.t -> stack:Stackcert.t -> image:Amulet_link.Image.t -> t
-(** @raise Invalid_argument when the image lacks the app's
-    data-section bound symbols. *)
+val analyze : cfg:Cfi.t -> stack:Stackcert.t -> t
+(** Certifies against the data-section bounds and stack top of the
+    CFG's {!Section}. *)
 
 val pp_site : Format.formatter -> site -> unit

@@ -73,21 +73,22 @@ let severity_name = function Note -> "note" | Warn -> "warning" | Error -> "erro
 
 (* The chain gate certification rests on: the stack bound over the
    certified CFG, then gate-argument provenance under that bound. *)
-let stack_and_gates ~image cfg =
-  let st = Stackcert.analyze ~cfg ~image in
-  (st.Stackcert.sc_verdict, Gate_taint.analyze ~cfg ~stack:st ~image)
+let stack_and_gates cfg =
+  let st = Stackcert.analyze ~cfg in
+  (st.Stackcert.sc_verdict, Gate_taint.analyze ~cfg ~stack:st)
 
 (* Eliding gate validation is sound only where app code is immutable. *)
 let elision_sound mode = mode <> Iso.No_isolation
 
 let lint_app ~image ~mode prefix =
-  let sfi = Verifier.verify_app ~image ~mode ~prefix in
-  let cfi = Cfi.reconstruct ~image ~mode ~prefix in
+  let sec = Section.make image ~prefix in
+  let sfi = Verifier.verify sec ~mode in
+  let cfi = Cfi.of_section sec ~mode in
   let stack, gates =
     match cfi with
     | Error _ -> (None, None)
     | Ok cfg ->
-      let v, gt = stack_and_gates ~image cfg in
+      let v, gt = stack_and_gates cfg in
       (Some v, Some gt)
   in
   let wcet =
@@ -238,7 +239,7 @@ let certified_gates ~image ~mode ~prefix =
   else
     match Cfi.reconstruct ~image ~mode ~prefix with
     | Error _ -> []
-    | Ok cfg -> (snd (stack_and_gates ~image cfg)).Gate_taint.gt_certified
+    | Ok cfg -> (snd (stack_and_gates cfg)).Gate_taint.gt_certified
 
 let pp_diag ppf d =
   Format.fprintf ppf "%s%s: [%s/%s] %s"

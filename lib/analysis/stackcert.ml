@@ -15,7 +15,6 @@
    ({!Amulet_cc.Stack_depth}): the two are computed from independent
    artifacts and cross-checked in the tests. *)
 
-module I = Amulet_link.Image
 module O = Amulet_mcu.Opcode
 module Iso = Amulet_cc.Isolation
 
@@ -64,7 +63,9 @@ type local = {
 
 (* Per-insn transfer on (sp, fp): sp = bytes below the entry SP
    (>= 0, entry has the return address at 0(SP)); fp = displacement
-   recorded by the prologue's MOV SP, R4. *)
+   recorded by the prologue's MOV SP, R4.  Beyond the stack idioms,
+   any other SP write is unanalyzable and any other R4 write un-tracks
+   the frame pointer. *)
 let step_insn addr (sp, fp) op =
   match op with
   | O.Fmt2 (O.PUSH, _, _) -> (sp + 2, fp)
@@ -78,18 +79,16 @@ let step_insn addr (sp, fp) op =
   | O.Fmt1 (O.ADD, _, O.S_immediate k, O.D_reg 1) ->
     (max 0 (sp - signed16 k), fp)
   | O.Fmt1 (O.SUB, _, O.S_immediate k, O.D_reg 1) -> (sp + signed16 k, fp)
-  | O.Fmt1 (O.MOV, _, O.S_indirect_inc 1, O.D_reg d) ->
-    (* pop; popping the saved FP un-tracks R4 *)
-    (max 0 (sp - 2), if d = 4 then None else fp)
-  | O.Fmt1 (o, _, O.S_indirect_inc 1, _) when O.writes_back o ->
-    (max 0 (sp - 2), fp)
-  | O.Fmt1 (o, _, _, O.D_reg 1) when O.writes_back o ->
-    raise (Unanalyzable_sp (addr, "unanalyzable SP write"))
-  | O.Fmt2 ((O.RRC | O.SWPB | O.RRA | O.SXT), _, O.S_reg 1) ->
-    raise (Unanalyzable_sp (addr, "unanalyzable SP write"))
-  | O.Fmt1 (o, _, _, O.D_reg 4) when O.writes_back o -> (sp, None)
-  | O.Fmt2 ((O.RRC | O.SWPB | O.RRA | O.SXT), _, O.S_reg 4) -> (sp, None)
-  | _ -> (sp, fp)
+  | _ ->
+    let sp =
+      match op with
+      | O.Fmt1 (_, _, O.S_indirect_inc 1, d) when d <> O.D_reg 1 ->
+        max 0 (sp - 2) (* pop *)
+      | _ when O.writes_reg op 1 ->
+        raise (Unanalyzable_sp (addr, "unanalyzable SP write"))
+      | _ -> sp
+    in
+    (sp, if O.writes_reg op 4 then None else fp)
 
 let join (sp1, fp1) (sp2, fp2) =
   ( max sp1 sp2,
@@ -153,8 +152,9 @@ let analyze_function (f : Cfi.func) : local =
 
 exception Cycle of string list
 
-let analyze ~(cfg : Cfi.t) ~(image : I.t) =
-  let prefix = cfg.Cfi.cf_prefix in
+let analyze ~(cfg : Cfi.t) =
+  let sec = cfg.Cfi.cf_section in
+  let prefix = sec.Section.prefix in
   let funcs = Cfi.functions cfg in
   let unmangled name =
     let pl = String.length prefix + 1 in
@@ -308,14 +308,14 @@ let analyze ~(cfg : Cfi.t) ~(image : I.t) =
         { sc_verdict = Not_applicable; sc_fn_depth = fd; sc_entry_max = em }
       else
         let stack_top =
-          try I.symbol image (Iso.stack_top_sym ~prefix) land lnot 1
-          with Not_found ->
+          match sec.Section.stack_top with
+          | Some a -> a
+          | None ->
             invalid_arg
-              (Printf.sprintf "stackcert: image has no %s"
-                 (Iso.stack_top_sym ~prefix))
+              (Printf.sprintf "stackcert: image has no stack top for %S"
+                 prefix)
         in
-        let data_lo = I.symbol image (Iso.data_lo_sym ~prefix) in
-        let region = stack_top - data_lo in
+        let region = stack_top - sec.Section.data_lo in
         let verdict =
           if bound <= region then Certified { bound; region; chain }
           else Rejected { bound; region; chain }

@@ -1,7 +1,8 @@
 (** Binary-level worst-case stack bound over the CFI-reconstructed
     CFG, checked against the app's actual stack region from the link
-    map ([data_lo, stack_top)).  Replaces trust in the compiler's
-    source-level estimate; the two bounds are cross-checked in tests. *)
+    map ([data_lo, stack_top) of the CFG's {!Section}).  Replaces trust
+    in the compiler's source-level estimate; the two bounds are
+    cross-checked in tests. *)
 
 type verdict =
   | Certified of { bound : int; region : int; chain : string list }
@@ -26,7 +27,7 @@ type t = {
 
 val trampoline_bytes : int
 
-val analyze : cfg:Cfi.t -> image:Amulet_link.Image.t -> t
+val analyze : cfg:Cfi.t -> t
 (** @raise Invalid_argument when a separate-stack image lacks the
     [stack_top] symbol for the app. *)
 

@@ -3,19 +3,23 @@
    the policy and DESIGN.md for the soundness/TCB discussion.
 
    The verifier shares no code with the compiler's check insertion: it
-   reuses only the instruction decoder, the linker's symbol table, the
+   reuses only the instruction decoder, the instructions' effect
+   definitions ({!Amulet_mcu.Opcode.writes} and friends) and the
+   section's link-map facts ({!Section}: the linker's symbol table, the
    section-naming convention and the service table's list of callable
-   externals ({!Amulet_cc.Apis.externals}), which declares the platform
-   interface and contains no check-insertion code.  So a bug in codegen
-   or in the range analysis cannot silently produce an
-   accepted-but-unsafe image. *)
+   externals), none of which contains check-insertion code.  So a bug
+   in codegen or in the range analysis cannot silently produce an
+   accepted-but-unsafe image.  It keeps its own interval explorer
+   rather than running over CFI's blocks, so SFI and CFI stay two
+   independent proofs. *)
 
-module I = Amulet_link.Image
 module O = Amulet_mcu.Opcode
 module W = Amulet_mcu.Word
 module M = Amulet_mcu.Machine
 module T = Amulet_mcu.Timer
 module D = Amulet_mcu.Decode
+module R = Amulet_mcu.Registers
+module S = Section
 module Iso = Amulet_cc.Isolation
 
 type violation = { vaddr : int; vtext : string; vreason : string }
@@ -98,15 +102,9 @@ let av_xor a b =
   | Iv (_, h1), Iv (_, h2) -> Iv (0, pow2_mask (max h1 h2))
   | _ -> Any
 
-(* value written to a register by a byte-width operation *)
+(* the low byte at byte width: a register read, or the value a
+   byte-width operation writes to a register *)
 let byte_clamp w v =
-  match (w, v) with
-  | W.W16, _ -> v
-  | W.W8, Iv (l, h) when h <= 0xFF -> Iv (l, h)
-  | W.W8, _ -> Iv (0, 0xFF)
-
-(* low byte of a register read at byte width *)
-let byte_read w v =
   match (w, v) with
   | W.W16, _ -> v
   | W.W8, Iv (l, h) when h <= 0xFF -> Iv (l, h)
@@ -146,16 +144,7 @@ type cmp_src = Cs_iv of int * int | Cs_shadow
 (* ------------------------------------------------------------------ *)
 (* Verification context *)
 
-type ctx = {
-  mode : Iso.mode;
-  code_lo : int;
-  code_hi : int;
-  data_lo : int;
-  data_hi : int;
-  extern_ok : (int, string) Hashtbl.t;  (* whitelisted call/branch targets *)
-  bc_addr : int option;  (* __bounds_check, when linked *)
-  fetch : int -> int;
-}
+type ctx = { mode : Iso.mode; sec : S.t }
 
 type recorder = {
   viols : (int * string, violation) Hashtbl.t;
@@ -166,23 +155,26 @@ type recorder = {
 let checked ctx = ctx.mode <> Iso.No_isolation
 
 (* policy for a dynamic access whose start address is in [l, h] *)
-let region_ok ctx (l, h) =
-  match ctx.mode with
+let region_ok { mode; sec } (l, h) =
+  match mode with
   | Iso.No_isolation -> true
-  | Iso.Mpu_assisted -> l >= ctx.data_lo (* MPU enforces the upper bound *)
+  | Iso.Mpu_assisted -> l >= sec.S.data_lo (* MPU enforces the upper bound *)
   | Iso.Software_only | Iso.Feature_limited ->
-    l >= ctx.data_lo && h < ctx.data_hi
+    l >= sec.S.data_lo && h < sec.S.data_hi
 
-let code_ok ctx (l, h) =
-  match ctx.mode with
+let code_ok { mode; sec } (l, h) =
+  match mode with
   | Iso.No_isolation -> true
-  | Iso.Mpu_assisted -> l >= ctx.code_lo
+  | Iso.Mpu_assisted -> l >= sec.S.code_lo
   | Iso.Software_only | Iso.Feature_limited ->
-    l >= ctx.code_lo && h < ctx.code_hi
+    l >= sec.S.code_lo && h < sec.S.code_hi
+
+let in_code ctx a = a >= ctx.sec.S.code_lo && a < ctx.sec.S.code_hi
+let in_data ctx a = a >= ctx.sec.S.data_lo && a < ctx.sec.S.data_hi
 
 (* absolute addresses an app may always write / read *)
 let abs_store_ok ctx a =
-  (a >= ctx.data_lo && a < ctx.data_hi)
+  in_data ctx a
   || List.mem a
        [
          M.halt_port; M.console_port; M.sw_fault_port; T.ctl_addr;
@@ -190,8 +182,7 @@ let abs_store_ok ctx a =
        ]
 
 let abs_load_ok ctx a =
-  (a >= ctx.data_lo && a < ctx.data_hi)
-  || List.mem a [ T.counter_addr; Iso.shadow_sp_addr ]
+  in_data ctx a || List.mem a [ T.counter_addr; Iso.shadow_sp_addr ]
 
 let bounds_of = function Iv (l, h) -> (l, h) | _ -> (0, 0xFFFF)
 
@@ -246,7 +237,7 @@ let run ctx ?recorder st0 addr0 =
     if r = 1 then kill_tos ()
   in
   let add_succ a insn t st' =
-    if t >= ctx.code_lo && t < ctx.code_hi then succs := (t, st') :: !succs
+    if in_code ctx t then succs := (t, st') :: !succs
     else viol a insn "jump target outside the app code section"
   in
   (* dynamic memory access through a computed address *)
@@ -284,30 +275,44 @@ let run ctx ?recorder st0 addr0 =
            (if store then "store" else "load")
            x)
   in
-  (* evaluate a source operand: side checks + post-increment + value *)
-  let src_av a insn w s =
+  (* a source operand: its access check (a store for the single-operand
+     read-modify-write forms) and the value it reads *)
+  let src_av a insn w ~store s =
+    let loaded = if w = W.W8 then Iv (0, 0xFF) else Any in
     match s with
     | O.S_immediate k ->
+      if store then viol a insn "single-operand op on an immediate";
       let k = k land 0xFFFF in
       let k = if w = W.W8 then k land 0xFF else k in
       Iv (k, k)
-    | O.S_reg r -> byte_read w st.regs.(r)
+    | O.S_reg r -> byte_clamp w st.regs.(r)
     | O.S_indexed (r, off) ->
-      check_indexed a insn ~store:false r off;
-      if w = W.W8 then Iv (0, 0xFF) else Any
+      check_indexed a insn ~store r off;
+      loaded
     | O.S_absolute x ->
-      check_abs a insn ~store:false x;
-      if x = Iso.shadow_sp_addr && w = W.W16 then Shadow
-      else if w = W.W8 then Iv (0, 0xFF)
-      else Any
-    | O.S_indirect r ->
-      check_indexed a insn ~store:false r 0;
-      if w = W.W8 then Iv (0, 0xFF) else Any
-    | O.S_indirect_inc r ->
-      check_indexed a insn ~store:false r 0;
-      let step = if w = W.W8 then 1 else 2 in
-      set_reg r (av_add st.regs.(r) (Iv (step, step)));
-      if w = W.W8 then Iv (0, 0xFF) else Any
+      check_abs a insn ~store x;
+      if x = Iso.shadow_sp_addr && w = W.W16 then Shadow else loaded
+    | O.S_indirect r | O.S_indirect_inc r ->
+      check_indexed a insn ~store r 0;
+      loaded
+  in
+  (* Where an instruction's effects land: each register [O.writes]
+     names takes [v] if it is [dst] (-1 for none), its incremented value
+     if it is the base of an [@Rn+] [src] (SP always moves a whole
+     word), else [Any]. *)
+  let apply insn ~dst v w src =
+    let inc = match src with O.S_indirect_inc r -> r | _ -> -1 in
+    let written = O.writes insn in
+    for r = 0 to 15 do
+      if written land (1 lsl r) <> 0 then
+        set_reg r
+          (if r = dst then v
+           else if r = inc then
+             let step = if w = W.W8 && r <> R.sp then 1 else 2 in
+             av_add st.regs.(r) (Iv (step, step))
+           else Any)
+    done;
+    if O.writes_memory insn then kill_tos ()
   in
   let transfer op cur sav =
     match op with
@@ -357,12 +362,12 @@ let run ctx ?recorder st0 addr0 =
   in
   while not !stop do
     let a = !addr in
-    if a < ctx.code_lo || a >= ctx.code_hi then begin
+    if not (in_code ctx a) then begin
       viol a None "control runs past the end of the code section";
       stop := true
     end
     else
-      match D.decode ~fetch:ctx.fetch ~addr:a with
+      match D.decode ~fetch:ctx.sec.S.fetch ~addr:a with
       | exception D.Illegal w ->
         viol a None (Printf.sprintf "undecodable word 0x%04X" w);
         stop := true
@@ -371,24 +376,24 @@ let run ctx ?recorder st0 addr0 =
         | Some r -> Hashtbl.replace r.visited a ()
         | None -> ());
         let ii = Some insn in
-        let next_cmp = ref None in
         (match insn with
         (* ---- control transfers ---- *)
-        | O.Jump (O.JMP, off) ->
-          add_succ a ii (a + 2 + (2 * off)) (copy_state st);
-          stop := true
-        | O.Jump (cond, off) ->
-          (match refine cond true with
-          | Some st' -> add_succ a ii (a + 2 + (2 * off)) st'
-          | None -> ());
-          (match refine cond false with
-          | Some st' -> add_succ a ii (a + size) st'
-          | None -> ());
+        | O.Jump (cond, _) ->
+          let t = Option.get (O.jump_target insn ~pc:a) in
+          if cond = O.JMP then add_succ a ii t (copy_state st)
+          else begin
+            (match refine cond true with
+            | Some st' -> add_succ a ii t st'
+            | None -> ());
+            match refine cond false with
+            | Some st' -> add_succ a ii (a + size) st'
+            | None -> ()
+          end;
           stop := true
         | O.Reti ->
           viol a ii "RETI in application code";
           stop := true
-        | O.Fmt1 (O.MOV, _, O.S_indirect_inc 1, O.D_reg 0) ->
+        | _ when O.is_ret insn ->
           (* RET: the return address must be proven by the epilogue
              guard (or the shadow-stack comparison) in the modes whose
              compiler inserts one *)
@@ -399,32 +404,23 @@ let run ctx ?recorder st0 addr0 =
                viol a ii
                  "return address not proven inside the app code section");
           stop := true
-        | O.Fmt1 (O.MOV, _, O.S_immediate k, O.D_reg 0) ->
-          (* BR #addr *)
-          let k = k land 0xFFFF in
-          if k >= ctx.code_lo && k < ctx.code_hi then
-            add_succ a ii k (copy_state st)
-          else if not (Hashtbl.mem ctx.extern_ok k) then
+        | _ when Option.is_some (O.br_target insn) ->
+          let k = Option.get (O.br_target insn) in
+          if in_code ctx k then add_succ a ii k (copy_state st)
+          else if not (Hashtbl.mem ctx.sec.S.externals k) then
             viol a ii
               (Printf.sprintf
                  "branch to 0x%04X, outside the section and not a runtime \
                   entry"
                  k);
           stop := true
-        | O.Fmt1 (_, _, _, O.D_reg 0) ->
-          (* any other PC write: the compiler never emits computed
-             branches (indirect control flow goes through CALL after a
-             code-bounds check), so reject them outright *)
-          viol a ii "computed branch in application code";
-          stop := true
         (* ---- calls ---- *)
         | O.Fmt2 (O.CALL, _, s) ->
           (match s with
           | O.S_immediate k ->
             let k = k land 0xFFFF in
-            if k >= ctx.code_lo && k < ctx.code_hi then
-              calls := k :: !calls
-            else if not (Hashtbl.mem ctx.extern_ok k) then
+            if in_code ctx k then calls := k :: !calls
+            else if not (Hashtbl.mem ctx.sec.S.externals k) then
               viol a ii
                 (Printf.sprintf
                    "call to 0x%04X, outside the section and not a runtime \
@@ -441,7 +437,7 @@ let run ctx ?recorder st0 addr0 =
           (* refine the Feature-Limited array index certified by
              __bounds_check: MOV Ri,R14; MOV #len,R15; CALL *)
           let bc_refine =
-            match (s, ctx.bc_addr, !prev1, !prev2) with
+            match (s, ctx.sec.S.bounds_check, !prev1, !prev2) with
             | ( O.S_immediate k,
                 Some bc,
                 Some (O.Fmt1 (O.MOV, W.W16, O.S_immediate n, O.D_reg 15)),
@@ -450,85 +446,89 @@ let run ctx ?recorder st0 addr0 =
               Some (rs, n)
             | _ -> None
           in
+          apply insn ~dst:(-1) Any W.W16 s;
           (* caller-saved registers and the flags die across any call *)
           for r = 12 to 15 do
             set_reg r Any
           done;
-          kill_tos ();
           (match bc_refine with
           | Some (rs, n) ->
             set_reg rs (Iv (0, n - 1));
             set_reg 14 (Iv (0, n - 1))
           | None -> ());
           carry_clr := false
-        (* ---- other single-operand ---- *)
-        | O.Fmt2 (O.PUSH, w, s) ->
-          ignore (src_av a ii w s);
-          kill_tos () (* SP moved *)
-        | O.Fmt2 ((O.RRA | O.RRC | O.SWPB | O.SXT) as op1, w, s) ->
-          (match s with
-          | O.S_reg r ->
-            let v =
-              match (op1, st.regs.(r)) with
-              | O.RRA, Iv (l, h) when h <= 0x7FFF -> Iv (l lsr 1, h lsr 1)
-              | O.RRC, Iv (l, h) when !carry_clr -> Iv (l lsr 1, h lsr 1)
-              | _ -> Any
-            in
-            set_reg r (byte_clamp w v)
-          | O.S_indexed (r, off) -> check_indexed a ii ~store:true r off
-          | O.S_indirect r | O.S_indirect_inc r ->
-            check_indexed a ii ~store:true r 0
-          | O.S_absolute x -> check_abs a ii ~store:true x
-          | O.S_immediate _ -> viol a ii "single-operand op on an immediate");
+        | _ when O.writes_reg insn R.pc ->
+          (* any other PC write: the compiler never emits computed
+             branches (indirect control flow goes through CALL after a
+             code-bounds check), so reject them outright *)
+          viol a ii "computed branch in application code";
+          stop := true
+        (* ---- other single-operand: PUSH, RRC, SWPB, RRA, SXT ---- *)
+        | O.Fmt2 (op1, w, s) ->
+          (* the operand at its width; RRA keeps the sign bit *)
+          let v = src_av a ii w ~store:(op1 <> O.PUSH) s in
+          let sign = if w = W.W8 then 0x80 else 0x8000 in
+          let shifted =
+            match (op1, v) with
+            | O.RRA, Iv (l, h) when h < sign -> Iv (l lsr 1, h lsr 1)
+            | O.RRC, Iv (l, h) when !carry_clr -> Iv (l lsr 1, h lsr 1)
+            | _ -> Any
+          in
+          let dst = match s with O.S_reg r -> r | _ -> -1 in
+          apply insn ~dst (byte_clamp w shifted) w s;
           carry_clr := false
         (* ---- two-operand ---- *)
         | O.Fmt1 (op, w, s, d) ->
-          let sav = src_av a ii w s in
-          (match d with
-          | O.D_reg rd ->
-            if O.writes_back op then begin
-              let v =
-                match (op, w, s, rd) with
-                (* frame-pointer discipline: only MOV SP->R4 / POP R4
-                   re-establish a trusted frame pointer *)
-                | O.MOV, W.W16, O.S_reg 1, 4 -> Frame
-                | O.MOV, W.W16, O.S_indirect_inc 1, 4 -> Frame
-                | _ -> byte_clamp w (transfer op st.regs.(rd) sav)
+          let sav = src_av a ii w ~store:false s in
+          let dst, v =
+            match d with
+            | O.D_reg rd -> (
+              match (op, w, s, rd) with
+              (* frame-pointer discipline: only MOV SP->R4 / POP R4
+                 re-establish a trusted frame pointer *)
+              | O.MOV, W.W16, O.S_reg 1, 4 -> (rd, Frame)
+              | O.MOV, W.W16, O.S_indirect_inc 1, 4 -> (rd, Frame)
+              | _ -> (rd, byte_clamp w (transfer op st.regs.(rd) sav)))
+            | O.D_indexed (rd, off) ->
+              check_indexed a ii ~store:(O.writes_memory insn) rd off;
+              (-1, Any)
+            | O.D_absolute x ->
+              check_abs a ii ~store:(O.writes_memory insn) x;
+              (-1, Any)
+          in
+          (* comparison bookkeeping for the following Jcc: a CMP refines
+             the cell it compares unless it writes that cell itself *)
+          let next_cmp =
+            if op = O.CMP && w = W.W16 then
+              let ccell =
+                match d with
+                | O.D_reg r when r <> R.pc && not (O.writes_reg insn r) ->
+                  Some (Cell_reg r)
+                | O.D_indexed (1, 0) -> Some Cell_tos
+                | _ -> None
               in
-              set_reg rd v
-            end
-          | O.D_indexed (rd, off) ->
-            check_indexed a ii ~store:(O.writes_back op) rd off;
-            if O.writes_back op then kill_tos ()
-          | O.D_absolute x ->
-            check_abs a ii ~store:(O.writes_back op) x;
-            if O.writes_back op then kill_tos ());
-          (* comparison bookkeeping for the following Jcc *)
-          (if op = O.CMP && w = W.W16 then
-             let ccell =
-               match d with
-               | O.D_reg r -> Some (Cell_reg r)
-               | O.D_indexed (1, 0) -> Some Cell_tos
-               | _ -> None
-             in
-             let csrc =
-               match s with
-               | O.S_immediate k -> Some (Cs_iv (k land 0xFFFF, k land 0xFFFF))
-               | O.S_reg rs -> (
-                 match st.regs.(rs) with
-                 | Iv (l, h) -> Some (Cs_iv (l, h))
-                 | _ -> None)
-               | O.S_indirect rs when st.regs.(rs) = Shadow -> Some Cs_shadow
-               | _ -> None
-             in
-             match (ccell, csrc) with
-             | Some c, Some cs -> next_cmp := Some (cs, c)
-             | _ -> ());
+              let csrc =
+                match s with
+                | O.S_immediate k ->
+                  Some (Cs_iv (k land 0xFFFF, k land 0xFFFF))
+                | O.S_reg rs -> (
+                  match st.regs.(rs) with
+                  | Iv (l, h) -> Some (Cs_iv (l, h))
+                  | _ -> None)
+                | O.S_indirect rs when st.regs.(rs) = Shadow -> Some Cs_shadow
+                | _ -> None
+              in
+              match (ccell, csrc) with
+              | Some c, Some cs -> Some (cs, c)
+              | _ -> None
+            else None
+          in
+          apply insn ~dst v w s;
           if op = O.BIC && s = O.S_immediate 1 && d = O.D_reg 2 then
             (* BIC #1,SR: the carry-clearing idiom before RRC *)
             carry_clr := true
           else if O.sets_flags op then begin
-            last_cmp := !next_cmp;
+            last_cmp := next_cmp;
             carry_clr := false
           end);
         prev2 := !prev1;
@@ -540,80 +540,10 @@ let run ctx ?recorder st0 addr0 =
 (* ------------------------------------------------------------------ *)
 (* Whole-section verification *)
 
-(* Reads cluster in one chunk, so the closure keeps the chunk of its
-   last read and walks the list only when a read falls outside it.
-   The chunks are disjoint ({!Amulet_link.Image.t}), so a word inside
-   the kept chunk is in no other. *)
-let make_fetch (image : I.t) =
-  let chunks = image.I.chunks in
-  let base = ref 0 and bytes = ref Bytes.empty in
-  fun a ->
-    let off = a - !base in
-    if off >= 0 && off + 1 < Bytes.length !bytes then
-      Bytes.get_uint16_le !bytes off
-    else
-      let rec go = function
-        | [] -> 0
-        | (b0, b) :: rest ->
-          if a >= b0 && a + 1 < b0 + Bytes.length b then begin
-            base := b0;
-            bytes := b;
-            Bytes.get_uint16_le b (a - b0)
-          end
-          else go rest
-      in
-      go chunks
-
-(* External control can only enter an app at its function symbols
-   (<prefix>$name with no further '$' — compiler-internal labels use
-   "$$") or at its exit stub; everything else is reached by edges. *)
-let entry_points (image : I.t) ~prefix ~code_lo ~code_hi =
-  let pl = String.length prefix in
-  List.filter_map
-    (fun (name, a) ->
-      if a < code_lo || a >= code_hi then None
-      else
-        let is_fn =
-          String.length name > pl + 1
-          && String.sub name 0 pl = prefix
-          && name.[pl] = '$'
-          &&
-          let rest = String.sub name (pl + 1) (String.length name - pl - 1) in
-          not (String.contains rest '$')
-        in
-        if is_fn || name = prefix ^ "$$exit" || name = "__exit_" ^ prefix
-        then Some a
-        else None)
-    image.I.symbols
-
 let widen_limit = 8
 
-let verify_app ~(image : I.t) ~mode ~prefix =
-  let sym name =
-    try I.symbol image name
-    with Not_found ->
-      invalid_arg
-        (Printf.sprintf "verifier: image has no symbol %s (prefix %S)" name
-           prefix)
-  in
-  let code_lo = sym (Iso.code_lo_sym ~prefix) in
-  let code_hi = sym (Iso.code_hi_sym ~prefix) in
-  let data_lo = sym (Iso.data_lo_sym ~prefix) in
-  let data_hi = sym (Iso.data_hi_sym ~prefix) in
-  let extern_ok = Amulet_cc.Apis.externals image.I.symbols in
-  let ctx =
-    {
-      mode;
-      code_lo;
-      code_hi;
-      data_lo;
-      data_hi;
-      extern_ok;
-      bc_addr =
-        (try Some (I.symbol image "__bounds_check") with Not_found -> None);
-      fetch = make_fetch image;
-    }
-  in
+let verify sec ~mode =
+  let ctx = { mode; sec } in
   (* fixpoint over block-entry states *)
   let states : (int, state) Hashtbl.t = Hashtbl.create 64 in
   let counts : (int, int) Hashtbl.t = Hashtbl.create 64 in
@@ -632,9 +562,12 @@ let verify_app ~(image : I.t) ~mode ~prefix =
         Queue.push a work
       end
   in
+  (* external control enters an app only at its function symbols or
+     its exit stub; everything else is reached by edges *)
   List.iter
-    (fun a -> schedule a (top_state ()))
-    (entry_points image ~prefix ~code_lo ~code_hi);
+    (fun (a, _, kind) ->
+      if kind <> S.Fault_stub then schedule a (top_state ()))
+    sec.S.spans;
   while not (Queue.is_empty work) do
     let a = Queue.pop work in
     let succs, calls = run ctx (Hashtbl.find states a) a in
@@ -670,3 +603,5 @@ let verify_app ~(image : I.t) ~mode ~prefix =
     Error
       (Hashtbl.fold (fun _ v acc -> v :: acc) r.viols []
       |> List.sort (fun a b -> compare (a.vaddr, a.vreason) (b.vaddr, b.vreason)))
+
+let verify_app ~image ~mode ~prefix = verify (S.make image ~prefix) ~mode

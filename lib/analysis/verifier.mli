@@ -44,25 +44,19 @@ type stats = {
   v_rets : int;  (** returns covered by a return-address guard *)
 }
 
+val verify :
+  Section.t -> mode:Amulet_cc.Isolation.mode -> (stats, violation list) result
+(** Verify the app code section [\[code_lo, code_hi)] against [mode]'s
+    isolation policy.  Under [No_isolation] every image is accepted. *)
+
 val verify_app :
   image:Amulet_link.Image.t ->
   mode:Amulet_cc.Isolation.mode ->
   prefix:string ->
   (stats, violation list) result
-(** Verify the app code section of [prefix] (between the linker's
-    [<prefix>_code__start]/[__end] symbols) against [mode]'s
-    isolation policy.  Under [No_isolation] every image is accepted.
+(** [verify (Section.make image ~prefix) ~mode].
     @raise Invalid_argument when the image lacks the section-bound
     symbols for [prefix]. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 val pp_stats : Format.formatter -> stats -> unit
-
-val make_fetch : Amulet_link.Image.t -> int -> int
-(** Word fetch over the image's chunks (0 outside any chunk, and for a
-    word that straddles two).  The closure keeps the chunk of its last
-    read and walks the chunk list only when a read leaves it: exact,
-    since an image's chunks are disjoint ({!Amulet_link.Image.t}), and
-    cheap, since reads cluster (a campaign pass makes 115 k reads and
-    766 walks).  The closure is mutable: make one per analysis, never
-    share one across domains. *)

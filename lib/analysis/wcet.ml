@@ -174,9 +174,9 @@ let graph_loops ~entry nodes =
 (* ------------------------------------------------------------------ *)
 
 let analyze ~image ~(cfg : Cfi.t) =
-  let prefix = cfg.Cfi.cf_prefix in
+  let prefix = cfg.Cfi.cf_section.Section.prefix in
   let bounds = loop_bounds image in
-  let fetch = Verifier.make_fetch image in
+  let fetch = I.make_fetch image in
   let certified = Amulet_cc.Apis.certified_services image ~app:prefix in
   (* ---- OS-side spans: stubs, gates, runtime helpers ----
      Instruction-level exploration from an entry address; terminals
@@ -226,27 +226,28 @@ let analyze ~image ~(cfg : Cfi.t) =
           if writes_port M.halt_port || writes_port M.sw_fault_port then
             (base, [])
           else
-            match op with
-            | O.Jump (O.JMP, off) -> (base, [ Cfi.jump_target a off ])
-            | O.Jump (_, off) -> (base, [ Cfi.jump_target a off; a + size ])
-            | O.Reti -> (base, [])
-            | _ when Cfi.is_ret op -> (base, [])
-            | _ when Option.is_some (Cfi.br_target op) ->
-              (base, [ Option.get (Cfi.br_target op) ])
-            | _ when Cfi.is_computed_pc_write op -> (base, [])
-            | O.Fmt2 (O.CALL, _, O.S_immediate k) ->
+            match (op, O.jump_target op ~pc:a) with
+            | O.Jump (O.JMP, _), Some t -> (base, [ t ])
+            | _, Some t -> (base, [ t; a + size ])
+            | O.Fmt2 (O.CALL, _, O.S_immediate k), None ->
               let callee =
-                match Hashtbl.find_opt cfg.Cfi.cf_extern k with
+                match
+                  Hashtbl.find_opt cfg.Cfi.cf_section.Section.externals k
+                with
                 | Some n -> span_wcet ~what:n k
                 | None -> span_wcet ~what:(Printf.sprintf "0x%04X" k) k
               in
               (base + callee, [ a + size ])
-            | O.Fmt2 (O.CALL, _, _) ->
+            | O.Fmt2 (O.CALL, _, _), None ->
               raise
                 (Unb
                    ( Printf.sprintf "indirect call at 0x%04X in OS span" a,
                      [] ))
-            | _ -> (base, [ a + size ])
+            | _ -> (
+              match O.br_target op with
+              | Some k -> (base, [ k ])
+              | None when O.writes_reg op Amulet_mcu.Registers.pc -> (base, [])
+              | None -> (base, [ a + size ]))
         in
         Hashtbl.replace nodes a (cost, succs);
         List.iter visit succs
@@ -273,7 +274,7 @@ let analyze ~image ~(cfg : Cfi.t) =
   let stub_extra (b : Cfi.block) =
     match List.rev b.Cfi.b_insns with
     | last :: _ when b.Cfi.b_succs = [] -> (
-      match Cfi.br_target last.Cfi.i_op with
+      match O.br_target last.Cfi.i_op with
       | Some k when Hashtbl.mem cfg.Cfi.cf_stub_of k ->
         span_wcet ~what:(Hashtbl.find cfg.Cfi.cf_stub_of k) k
       | _ -> 0)

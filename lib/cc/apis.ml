@@ -80,7 +80,8 @@ let max_count = function
 let count pointer word =
   match pointer with
   | Counted { lo; hi; _ } ->
-    max lo (min hi (Amulet_mcu.Word.to_signed Amulet_mcu.Word.W16 word))
+    Int.max lo
+      (Int.min hi (Amulet_mcu.Word.to_signed Amulet_mcu.Word.W16 word))
   | _ -> max_count pointer
 
 let validated_bytes pointer n =

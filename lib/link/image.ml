@@ -71,6 +71,28 @@ let nearest_symbol t addr =
           else Some (name, a))
     None t.symbols
 
+(* Reads cluster in one chunk, so the closure keeps the chunk of its
+   last read and walks the list only when a read falls outside it.
+   The chunks are disjoint, so a word inside the kept chunk is in no
+   other. *)
+let make_fetch t =
+  let last = ref (0, Bytes.empty) in
+  fun a ->
+    let base, bytes = !last in
+    let off = a - base in
+    if off >= 0 && off + 1 < Bytes.length bytes then
+      Bytes.get_uint16_le bytes off
+    else
+      match
+        List.find_opt
+          (fun (b0, b) -> a >= b0 && a + 1 < b0 + Bytes.length b)
+          t.chunks
+      with
+      | None -> 0
+      | Some ((b0, b) as chunk) ->
+        last := chunk;
+        Bytes.get_uint16_le b (a - b0)
+
 let load t machine =
   List.iter
     (fun (addr, data) -> Amulet_mcu.Machine.load_bytes machine ~addr data)

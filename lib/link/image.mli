@@ -5,8 +5,8 @@ type t = private {
       (** (base address, contents), pairwise disjoint: no address lies
           in two chunks.  {!make} and {!with_chunks} reject overlapping
           chunks (the linker already rejects overlapping sections), and
-          [Amulet_analysis.Verifier.make_fetch] relies on it to read a
-          word from the chunk of its last read without a walk. *)
+          {!make_fetch} relies on it to read a word from the chunk of
+          its last read without a walk. *)
   symbols : (string * int) list;
   table : (string, int) Hashtbl.t;
       (** the linker's name -> address table, one binding per name;
@@ -46,6 +46,12 @@ val with_chunks : t -> (int * Bytes.t) list -> t
 (** The image with its chunks replaced, e.g. by a patched copy; the
     symbols, entry point and notes stay.
     @raise Invalid_argument when two chunks overlap. *)
+
+val make_fetch : t -> int -> int
+(** Word fetch over the chunks (0 outside any chunk, and for a word that
+    straddles two).  It keeps the chunk of its last read, one immutable
+    value, and walks the list only when a read leaves it (a campaign
+    pass makes 115 k reads and 766 walks). *)
 
 val load : t -> Amulet_mcu.Machine.t -> unit
 (** Blit all chunks into machine memory and point the reset vector at

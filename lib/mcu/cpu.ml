@@ -3,14 +3,9 @@ type bus = {
   write : Word.width -> int -> int -> unit;
 }
 
-type t = {
-  regs : Registers.t;
-  bus : bus;
-  mutable cycles : int;
-  mutable insns : int;
-}
+type t = { regs : Registers.t; mutable cycles : int; mutable insns : int }
 
-let create bus = { regs = Registers.create (); bus; cycles = 0; insns = 0 }
+let create () = { regs = Registers.create (); cycles = 0; insns = 0 }
 
 (* Width masks, kept local so the executors make no cross-module call
    per operand. *)
@@ -23,13 +18,13 @@ let sign = function Word.W8 -> 0x80 | Word.W16 -> 0x8000
 let tag_reg = 0x10000
 let tag_imm = 0x20000
 
-let read_op t width p =
-  if p < tag_reg then t.bus.read width p
+let read_op bus t width p =
+  if p < tag_reg then bus.read width p
   else if p < tag_imm then t.regs.(p - tag_reg) land mask width
   else p land mask width
 
-let write_op t width value p =
-  if p < tag_reg then t.bus.write width p value
+let write_op bus t width value p =
+  if p < tag_reg then bus.write width p value
   else if p < tag_imm then
     (* Byte writes to a register clear the upper byte (MSP430 rule). *)
     t.regs.(p - tag_reg) <- value land mask width
@@ -123,10 +118,10 @@ let logic width v ovf =
 
 (* SP always moves down a full word, even for PUSH.B; the store itself
    is [width]-sized, leaving the high byte of the slot untouched. *)
-let push t width v =
+let push bus t width v =
   let sp = t.regs.(Registers.sp) - 2 in
   t.regs.(Registers.sp) <- sp land 0xFFFF;
-  t.bus.write width sp v
+  bus.write width sp v
 
 let cond_true (regs : Registers.t) c =
   let sr = regs.(Registers.sr) in
@@ -141,16 +136,18 @@ let cond_true (regs : Registers.t) c =
   | Opcode.JL -> n <> v
   | Opcode.JMP -> true
 
-let exec_fmt1 t op width src dst ~src_ext_addr ~dst_ext_addr =
-  let s = read_op t width (resolve_src t width ~ext_addr:src_ext_addr src) in
+let exec_fmt1 bus t op width src dst ~src_ext_addr ~dst_ext_addr =
+  let s =
+    read_op bus t width (resolve_src t width ~ext_addr:src_ext_addr src)
+  in
   let d = resolve_dst t ~ext_addr:dst_ext_addr dst in
   match op with
-  | Opcode.MOV -> write_op t width s d
-  | Opcode.BIC -> write_op t width (read_op t width d land lnot s) d
-  | Opcode.BIS -> write_op t width (read_op t width d lor s) d
+  | Opcode.MOV -> write_op bus t width s d
+  | Opcode.BIC -> write_op bus t width (read_op bus t width d land lnot s) d
+  | Opcode.BIS -> write_op bus t width (read_op bus t width d lor s) d
   | Opcode.ADD | Opcode.ADDC | Opcode.SUBC | Opcode.SUB | Opcode.CMP
   | Opcode.DADD | Opcode.BIT | Opcode.XOR | Opcode.AND ->
-    let dv = read_op t width d in
+    let dv = read_op bus t width d in
     let cin = carry_in t in
     let r =
       match op with
@@ -166,39 +163,39 @@ let exec_fmt1 t op width src dst ~src_ext_addr ~dst_ext_addr =
     in
     (match op with
     | Opcode.CMP | Opcode.BIT -> ()
-    | _ -> write_op t width (value_of r) d);
+    | _ -> write_op bus t width (value_of r) d);
     set_flags t r
 
-let exec_fmt2 t op width src ~src_ext_addr =
+let exec_fmt2 bus t op width src ~src_ext_addr =
   let p = resolve_src t width ~ext_addr:src_ext_addr src in
   match op with
   | Opcode.RRC | Opcode.RRA ->
-    let v = read_op t width p in
+    let v = read_op bus t width p in
     let top =
       match op with
       | Opcode.RRC -> if carry_in t <> 0 then sign width else 0
       | _ -> v land sign width
     in
     let r = result width ((v lsr 1) lor top) (v land Registers.bit_c) in
-    write_op t width (value_of r) p;
+    write_op bus t width (value_of r) p;
     set_flags t r
   | Opcode.SWPB ->
-    write_op t Word.W16 (Word.swap_bytes (read_op t Word.W16 p)) p
+    write_op bus t Word.W16 (Word.swap_bytes (read_op bus t Word.W16 p)) p
   | Opcode.SXT ->
-    let v = Word.sign_extend_byte (read_op t Word.W16 p) in
+    let v = Word.sign_extend_byte (read_op bus t Word.W16 p) in
     let r = result Word.W16 v (if v <> 0 then Registers.bit_c else 0) in
-    write_op t Word.W16 v p;
+    write_op bus t Word.W16 v p;
     set_flags t r
-  | Opcode.PUSH -> push t width (read_op t width p)
+  | Opcode.PUSH -> push bus t width (read_op bus t width p)
   | Opcode.CALL ->
-    let target = read_op t Word.W16 p in
-    push t Word.W16 t.regs.(Registers.pc);
+    let target = read_op bus t Word.W16 p in
+    push bus t Word.W16 t.regs.(Registers.pc);
     t.regs.(Registers.pc) <- target
 
-let exec_reti t =
+let exec_reti bus t =
   let sp = t.regs.(Registers.sp) in
-  let sr = t.bus.read Word.W16 sp in
-  let pc = t.bus.read Word.W16 (sp + 2) in
+  let sr = bus.read Word.W16 sp in
+  let pc = bus.read Word.W16 (sp + 2) in
   t.regs.(Registers.sp) <- (sp + 4) land 0xFFFF;
   t.regs.(Registers.sr) <- sr;
   t.regs.(Registers.pc) <- pc

@@ -3,8 +3,8 @@
 
     The CPU owns the register file and the cycle and retired-instruction
     counters.  Its executors state what each instruction does, reading
-    and writing data through a {!bus}, which is where MPU checks, MMIO
-    dispatch and tracing are implemented (see {!Machine}).  They are the
+    and writing data through the {!bus} the caller passes, where MPU
+    checks, MMIO dispatch and tracing happen.  They are the
     specification, not the simulator's fast path: {!Machine.run} runs
     its own executors, one per predecoded micro-op specialised on the
     uop's form, and the tests' reference stepper runs these, so the
@@ -19,12 +19,11 @@ type bus = {
 
 type t = {
   regs : Registers.t;
-  bus : bus;
   mutable cycles : int;  (** total cycles executed *)
   mutable insns : int;  (** total instructions retired *)
 }
 
-val create : bus -> t
+val create : unit -> t
 
 (** {2 Executors}
 
@@ -35,6 +34,7 @@ val create : bus -> t
     executor returns. *)
 
 val exec_fmt1 :
+  bus ->
   t ->
   Opcode.op2 ->
   Word.width ->
@@ -45,8 +45,9 @@ val exec_fmt1 :
   unit
 
 val exec_fmt2 :
-  t -> Opcode.op1 -> Word.width -> Opcode.src -> src_ext_addr:int -> unit
+  bus -> t -> Opcode.op1 -> Word.width -> Opcode.src -> src_ext_addr:int ->
+  unit
 
-val exec_reti : t -> unit
+val exec_reti : bus -> t -> unit
 
 val cond_true : Registers.t -> Opcode.cond -> bool

@@ -13,11 +13,11 @@ let name_at symbols addr =
 let annotate symbols instr ~addr =
   let target =
     match instr with
-    | Opcode.Jump (_, off) -> Some (addr + 2 + (2 * off))
     | Opcode.Fmt2 (Opcode.CALL, _, Opcode.S_immediate t) -> Some t
-    | Opcode.Fmt1 (Opcode.MOV, _, Opcode.S_immediate t, Opcode.D_reg 0) ->
-      Some t
-    | _ -> None
+    | _ -> (
+      match Opcode.jump_target instr ~pc:addr with
+      | None -> Opcode.br_target instr
+      | t -> t)
   in
   match target with
   | None -> ""

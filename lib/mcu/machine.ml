@@ -265,37 +265,25 @@ let no_block =
   }
 
 let create () =
-  let self = ref None in
-  let me () = match !self with Some t -> t | None -> assert false in
-  let bus =
-    {
-      Cpu.read = (fun w a -> bus_read (me ()) w a);
-      Cpu.write = (fun w a v -> bus_write (me ()) w a v);
-    }
-  in
-  let t =
-    {
-      mem = Memory.create ();
-      mpu = Mpu.create ();
-      timer = Timer.create ();
-      cpu = Cpu.create bus;
-      stats = Trace.create_stats ();
-      console = Buffer.create 64;
-      halted = false;
-      sw_fault = None;
-      host_call = (fun _ _ -> ());
-      on_event = None;
-      on_step = None;
-      emit_hook = None;
-      in_step = false;
-      extra_cycles = 0;
-      blocks = Hashtbl.create 256;
-      lookup = Array.make lookup_slots no_block;
-      code_drained = 0;
-    }
-  in
-  self := Some t;
-  t
+  {
+    mem = Memory.create ();
+    mpu = Mpu.create ();
+    timer = Timer.create ();
+    cpu = Cpu.create ();
+    stats = Trace.create_stats ();
+    console = Buffer.create 64;
+    halted = false;
+    sw_fault = None;
+    host_call = (fun _ _ -> ());
+    on_event = None;
+    on_step = None;
+    emit_hook = None;
+    in_step = false;
+    extra_cycles = 0;
+    blocks = Hashtbl.create 256;
+    lookup = Array.make lookup_slots no_block;
+    code_drained = 0;
+  }
 
 let load_words t ~addr words = Memory.blit_words t.mem ~addr words
 let load_bytes t ~addr b = Memory.blit t.mem ~addr b

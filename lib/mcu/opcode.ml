@@ -38,6 +38,50 @@ let cond_name = function
 let writes_back = function CMP | BIT -> false | _ -> true
 let sets_flags = function MOV | BIC | BIS -> false | _ -> true
 
+let bit r = 1 lsl r
+let pc_bit = bit Registers.pc
+let sp_bit = bit Registers.sp
+let sr_bit = bit Registers.sr
+let reg_operand = function S_reg r -> bit r | _ -> 0
+let autoinc = function S_indirect_inc r -> bit r | _ -> 0
+
+let writes = function
+  | Fmt1 (op, _, s, d) ->
+    autoinc s
+    lor (match d with D_reg r when writes_back op -> bit r | _ -> 0)
+    lor if sets_flags op then sr_bit else 0
+  | Fmt2 (op, _, s) -> (
+    autoinc s
+    lor
+    match op with
+    | RRC | RRA | SXT -> reg_operand s lor sr_bit
+    | SWPB -> reg_operand s
+    | PUSH -> sp_bit
+    | CALL -> sp_bit lor pc_bit)
+  | Jump _ -> pc_bit
+  | Reti -> sp_bit lor sr_bit lor pc_bit
+
+let writes_reg op r = writes op land bit r <> 0
+
+let writes_memory = function
+  | Fmt1 (op, _, _, (D_indexed _ | D_absolute _)) -> writes_back op
+  | Fmt2 ((RRC | SWPB | RRA | SXT), _, (S_reg _ | S_immediate _)) -> false
+  | Fmt2 _ -> true
+  | Fmt1 _ | Jump _ | Reti -> false
+
+let is_ret = function
+  | Fmt1 (MOV, Word.W16, S_indirect_inc 1, D_reg 0) -> true
+  | _ -> false
+
+let br_target = function
+  | Fmt1 (MOV, Word.W16, S_immediate k, D_reg 0) -> Some (k land 0xFFFF)
+  | _ -> None
+
+let jump_target op ~pc =
+  match op with
+  | Jump (_, off) -> Some ((pc + 2 + (2 * off)) land 0xFFFF)
+  | _ -> None
+
 let pp_src ppf = function
   | S_reg r -> Format.fprintf ppf "R%d" r
   | S_indexed (r, x) -> Format.fprintf ppf "%d(R%d)" x r

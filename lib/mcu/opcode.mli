@@ -50,6 +50,32 @@ val writes_back : op2 -> bool
 val sets_flags : op2 -> bool
 (** MOV, BIC and BIS leave the status flags untouched. *)
 
+(** {2 Effects}
+
+    Stated once for every pass over machine code; test_diff checks
+    {!writes} against {!Cpu}'s executors. *)
+
+val writes : t -> int
+(** Bit [r] set when the instruction may change register [r]: a
+    write-back destination; the register operand of RRC, SWPB, RRA and
+    SXT; every [@Rn+] base; SP for PUSH, CALL and RETI; SR when it sets
+    the flags and for RETI; PC for jumps, CALL, RETI and any other PC
+    write. *)
+
+val writes_reg : t -> reg -> bool
+val writes_memory : t -> bool
+(** A write-back to a memory destination, RRC/SWPB/RRA/SXT on a memory
+    operand, PUSH or CALL. *)
+
+val is_ret : t -> bool
+(** The canonical RET, [MOV @SP+, PC] at word width. *)
+
+val br_target : t -> int option
+(** The target of the canonical [BR #imm], [MOV #imm, PC] at word width. *)
+
+val jump_target : t -> pc:int -> int option
+(** Where a relative jump at [pc] lands. *)
+
 val pp_src : Format.formatter -> src -> unit
 val pp_dst : Format.formatter -> dst -> unit
 val pp : Format.formatter -> t -> unit

@@ -51,10 +51,7 @@ let decode ~fetch ~pc =
       | Opcode.Fmt1 (_, width, src, _) ->
         if Encode.src_needs_ext width src then 2 else 0
       | _ -> 0);
-    u_target =
-      (match instr with
-      | Opcode.Jump (_, off) -> (pc + 2 + (2 * off)) land 0xFFFF
-      | _ -> 0);
+    u_target = Option.value ~default:0 (Opcode.jump_target instr ~pc);
   }
 
 exception Unfetchable
@@ -70,25 +67,13 @@ let fetchable a =
     true
   | Memory_map.Peripherals | Memory_map.Unmapped -> false
 
-(* Conservative "may rewrite PC": these end a block.  CMP/BIT to R0
-   only set flags, and PUSH only reads its source, so they chain. *)
-let ends_block = function
-  | Opcode.Jump _ | Opcode.Reti -> true
-  | Opcode.Fmt2 (op, _, src) -> (
-    match op with
-    | Opcode.CALL -> true
-    | Opcode.PUSH -> false
-    | Opcode.RRC | Opcode.SWPB | Opcode.RRA | Opcode.SXT ->
-      src = Opcode.S_reg Registers.pc)
-  | Opcode.Fmt1 (op, _, _, Opcode.D_reg 0) -> Opcode.writes_back op
-  | Opcode.Fmt1 _ -> false
-
 let build ~read_word ~pc:start =
   let fetch a =
     if fetchable a then read_word (a land 0xFFFF) else raise Unfetchable
   in
-  (* Uops from [pc], latest first.  The block stops after a control
-     transfer, at the cap, where fall-through would wrap the address
+  (* Uops from [pc], latest first.  The block stops after anything
+     that may write PC (a CMP or BIT to R0 only sets flags, so it
+     chains), at the cap, where fall-through would wrap the address
      space, and before anything undecodable. *)
   let rec go pc n acc =
     if n = max_uops then acc
@@ -97,7 +82,10 @@ let build ~read_word ~pc:start =
       | exception (Unfetchable | Decode.Illegal _) -> acc
       | u ->
         let next = pc + u.u_len in
-        if ends_block u.u_instr || next >= Memory_map.address_space then
+        if
+          Opcode.writes_reg u.u_instr Registers.pc
+          || next >= Memory_map.address_space
+        then
           u :: acc
         else go next (n + 1) (u :: acc)
   in

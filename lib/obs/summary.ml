@@ -135,3 +135,25 @@ let pp_agg ppf agg =
       Agg.fault_cap
 
 let pp_report ppf records = pp_agg ppf (aggregate records)
+
+let per_state_accounting records =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun r ->
+      match r with
+      | Obs.Span { name = handler; cat = "dispatch"; dur; _ } -> (
+        match Obs.int_arg r "state" with
+        | None -> ()
+        | Some state ->
+          let count, cycles, accesses =
+            Option.value
+              (Hashtbl.find_opt tbl (state, handler))
+              ~default:(0, 0, 0)
+          in
+          let reads = Option.value (Obs.int_arg r "reads") ~default:0 in
+          let writes = Option.value (Obs.int_arg r "writes") ~default:0 in
+          Hashtbl.replace tbl (state, handler)
+            (count + 1, cycles + dur, accesses + reads + writes))
+      | _ -> ())
+    records;
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare

@@ -28,3 +28,10 @@ val pp_agg : Format.formatter -> Agg.t -> unit
 
 val pp_report : Format.formatter -> Obs.record list -> unit
 (** [aggregate] then [pp_agg]. *)
+
+val per_state_accounting :
+  Obs.record list -> ((int * string) * (int * int * int)) list
+(** The ARP view ("memory accesses and context switches per state and
+    transition"): dispatch spans with a [state] argument, the app's
+    [state] global when the event arrived, as sorted ((state, handler),
+    (count, cycles, data accesses)). *)

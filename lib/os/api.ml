@@ -117,7 +117,7 @@ let behaviours =
         (* the period is an unsigned 16-bit millisecond count (1..65535) *)
         let id = c.api.next_timer in
         c.api.next_timer <- id + 1;
-        effect c (Set_timer { id; period_ms = max 1 (arg c 0) });
+        effect c (Set_timer { id; period_ms = Int.max 1 (arg c 0) });
         set_result c id );
     ( "api_cancel_timer",
       fun c ->
@@ -126,7 +126,10 @@ let behaviours =
     ( "api_subscribe",
       with_sensor (fun c sensor ->
           Subscribe
-            { sensor; rate_hz = max 1 (min 100 (W.to_signed W.W16 (arg c 1))) })
+            {
+              sensor;
+              rate_hz = Int.max 1 (Int.min 100 (W.to_signed W.W16 (arg c 1)));
+            })
     );
     ("api_unsubscribe", with_sensor (fun _ sensor -> Unsubscribe sensor));
     ( "api_rand",

@@ -46,7 +46,6 @@ type app_state = {
   certified : bool array;
   valid : (int * int) list;
   handler_stats : (string, handler_stats) Hashtbl.t;
-  state_stats : (int * string, handler_stats) Hashtbl.t;
   state_addr : int option;
       (* address of the app's "state" global, when it declares one *)
 }
@@ -198,7 +197,6 @@ let start ?(policy = Disable) ?(scenario = Sensors.Daily_mix) ?seed b =
           certified = f.af_certified;
           valid = f.af_valid;
           handler_stats = Hashtbl.create 8;
-          state_stats = Hashtbl.create 8;
           state_addr = f.af_state_addr;
         })
       b.b_apps
@@ -283,9 +281,12 @@ let dispatch_event t (e : Event.t) =
     | Some haddr ->
       let m = t.machine in
       let regs = M.regs m in
+      (* the ARP view: the dispatch span names the state the app's
+         machine was in when the event arrived *)
       let state_before =
-        Option.map (fun a -> M.mem_checked_read m Amulet_mcu.Word.W16 a)
-          app.state_addr
+        match (t.obs, app.state_addr) with
+        | Some _, Some a -> Some (M.mem_checked_read m Amulet_mcu.Word.W16 a)
+        | _ -> None
       in
       let cycles0 = M.cycles m in
       let reads0 = m.M.stats.Amulet_mcu.Trace.data_reads in
@@ -340,23 +341,18 @@ let dispatch_event t (e : Event.t) =
           dr_outcome = outcome;
         }
       in
-      let bump tbl key =
-        let s = Option.value ~default:no_stats (Hashtbl.find_opt tbl key) in
-        Hashtbl.replace tbl key
-          {
-            hs_count = s.hs_count + 1;
-            hs_cycles = s.hs_cycles + record.dr_cycles;
-            hs_reads = s.hs_reads + record.dr_reads;
-            hs_writes = s.hs_writes + record.dr_writes;
-            hs_api_calls = s.hs_api_calls + record.dr_api_calls;
-          }
+      let s =
+        Option.value ~default:no_stats
+          (Hashtbl.find_opt app.handler_stats handler)
       in
-      bump app.handler_stats handler;
-      (* ARP-view accounting: attribute the dispatch to the state the
-         app's machine was in when the event arrived *)
-      (match state_before with
-      | Some st -> bump app.state_stats (st, handler)
-      | None -> ());
+      Hashtbl.replace app.handler_stats handler
+        {
+          hs_count = s.hs_count + 1;
+          hs_cycles = s.hs_cycles + record.dr_cycles;
+          hs_reads = s.hs_reads + record.dr_reads;
+          hs_writes = s.hs_writes + record.dr_writes;
+          hs_api_calls = s.hs_api_calls + record.dr_api_calls;
+        };
       (match t.obs with
       | Some obs ->
         let outcome_str =
@@ -452,9 +448,8 @@ let app_by_name t name =
   | None -> raise Not_found
 
 let handler_profile app handler = Hashtbl.find_opt app.handler_stats handler
-let sorted tbl = List.sort compare (List.of_seq (Hashtbl.to_seq tbl))
-let handler_profiles app = sorted app.handler_stats
-let state_profile app = sorted app.state_stats
+let handler_profiles app =
+  List.sort compare (List.of_seq (Hashtbl.to_seq app.handler_stats))
 let display_line t n = t.api.Api.display.(n land 3)
 let log_contents t = Buffer.contents t.api.Api.log
 

@@ -68,11 +68,10 @@ type app_state = {
       (** the address ranges this app may hand to the OS *)
   handler_stats : (string, handler_stats) Hashtbl.t;
       (** by handler name *)
-  state_stats : (int * string, handler_stats) Hashtbl.t;
-      (** by (value of the [state] global, handler name) *)
   state_addr : int option;
-      (** address of the app's [state] global, when it declares one —
-          enables the ARP-view per-state accounting *)
+      (** address of the app's [state] global, when it declares one;
+          dispatch spans carry its value for the ARP view
+          ({!Amulet_obs.Summary.per_state_accounting}) *)
 }
 
 type t = {
@@ -152,12 +151,6 @@ val handler_profile : app_state -> string -> handler_stats option
 
 val handler_profiles : app_state -> (string * handler_stats) list
 (** All handlers with at least one dispatch, sorted by name. *)
-
-val state_profile : app_state -> ((int * string) * handler_stats) list
-(** ARP-view accounting: dispatch statistics keyed by (value of the
-    app's [state] global when the event arrived, handler name) —
-    the paper's "memory accesses and context switches per state and
-    transition".  Empty for apps without a [state] global. *)
 
 val display_line : t -> int -> string
 val log_contents : t -> string

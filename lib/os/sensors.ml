@@ -103,7 +103,7 @@ let isqrt n =
     while (!x + 1) * (!x + 1) <= n do
       incr x
     done;
-    min !x 32767
+    Int.min !x 32767
   end
 
 let accel_magnitude =
@@ -143,12 +143,12 @@ let light t ~time_ms =
     if hour < 6 || hour >= 20 then 2
     else 800 - (60 * abs (hour - 13))
   in
-  max 0 (base + noise t ~tag:13 ~time:(time_ms / 5_000) ~amp:30)
+  Int.max 0 (base + noise t ~tag:13 ~time:(time_ms / 5_000) ~amp:30)
 
 (* Two-week battery life: 100 % over 14 * 86400e3 ms. *)
 let battery_percent _ ~time_ms =
   let life_ms = 14 * 86_400_000 in
-  max 0 (100 - (time_ms * 100 / life_ms))
+  Int.max 0 (100 - (time_ms * 100 / life_ms))
 
 let button_state t ~time_ms =
   (* a press roughly every 97 seconds of active use *)

@@ -76,7 +76,5 @@ let bus_write m width addr v =
 (* A host service's store: raw memory, no region or MPU check. *)
 let mem_checked_write m width addr v = Memory.write m.M.mem width addr v
 
-(* A CPU over [m]'s register file whose data accesses go through this
-   bus.  Its counters are copies: the caller charges [m]'s. *)
-let cpu m =
-  { m.M.cpu with Cpu.bus = { Cpu.read = bus_read m; write = bus_write m } }
+(* This data path as the bus [Cpu]'s executors take. *)
+let bus m = { Cpu.read = bus_read m; write = bus_write m }

@@ -1,4 +1,4 @@
-(* Reference for [Amulet_analysis.Verifier.make_fetch]: every read
+(* Reference for [Amulet_link.Image.make_fetch]: every read
    walks the image's chunk list from its head.  The library remembers
    the chunk of its last read; the two must read the same word at every
    address. *)

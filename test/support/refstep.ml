@@ -24,22 +24,21 @@ module Trace = Amulet_mcu.Trace
 let emit m e = Option.iter (fun f -> f e) m.M.emit_hook
 
 let execute m instr ~pc0 ~len =
-  let cpu = Ref_bus.cpu m in
+  let bus = Ref_bus.bus m and cpu = m.M.cpu in
   let regs = cpu.Cpu.regs in
   Registers.set_pc regs (pc0 + len);
   (match instr with
   | Opcode.Fmt1 (op, width, src, dst) ->
     let ext = if Encode.src_needs_ext width src then 2 else 0 in
-    Cpu.exec_fmt1 cpu op width src dst ~src_ext_addr:(pc0 + 2)
+    Cpu.exec_fmt1 bus cpu op width src dst ~src_ext_addr:(pc0 + 2)
       ~dst_ext_addr:(pc0 + 2 + ext)
   | Opcode.Fmt2 (op, width, src) ->
-    Cpu.exec_fmt2 cpu op width src ~src_ext_addr:(pc0 + 2)
+    Cpu.exec_fmt2 bus cpu op width src ~src_ext_addr:(pc0 + 2)
   | Opcode.Jump (c, off) ->
     if Cpu.cond_true regs c then Registers.set_pc regs (pc0 + 2 + (2 * off))
-  | Opcode.Reti -> Cpu.exec_reti cpu);
-  let counters = m.M.cpu in
-  counters.Cpu.cycles <- counters.Cpu.cycles + Cycles.cycles instr;
-  counters.Cpu.insns <- counters.Cpu.insns + 1
+  | Opcode.Reti -> Cpu.exec_reti bus cpu);
+  cpu.Cpu.cycles <- cpu.Cpu.cycles + Cycles.cycles instr;
+  cpu.Cpu.insns <- cpu.Cpu.insns + 1
 
 (* One instruction; the fault that stopped it, if any. *)
 let step m =

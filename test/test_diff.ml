@@ -660,6 +660,28 @@ let instruction_lockstep =
          compare_machines ~at:"after one instruction" a b;
          Mpu.violation_flags a.M.mpu = Mpu.violation_flags b.M.mpu))
 
+(* The certifier's model of an instruction against the specification:
+   every register one random instruction changes through [Refstep],
+   whether it retires or faults, is one [Opcode.writes_reg] names.  PC
+   counts only when it ends anywhere but past the instruction. *)
+let effects_cover_changes =
+  let name = "Opcode.writes_reg covers every register change" in
+  QCheck2.Test.make ~count:3000 ~name ~print:show_icase gen_icase
+    (report ~show:show_icase name (fun c ->
+         let m = icase_machine c in
+         let before = Array.copy (M.regs m) in
+         ignore (Refstep.run ~fuel:1 m);
+         let after = M.regs m in
+         let next = code_base + (2 * List.length (Encode.encode c.i_instr)) in
+         List.for_all
+           (fun r ->
+             let moved =
+               if r = Regs.pc then after.(r) <> next
+               else after.(r) <> before.(r)
+             in
+             (not moved) || Opcode.writes_reg c.i_instr r)
+           (List.init 16 Fun.id)))
+
 (* Attack-corpus observer effect: every corpus attack that builds,
    under every isolation mode, dispatched on two kernels over the same
    firmware: one with nothing attached, one with a no-op watcher and a
@@ -822,5 +844,6 @@ let () =
             Alcotest.test_case "bus = Ref_bus at every address" `Quick
               test_bus_every_address;
             to_alcotest instruction_lockstep;
+            to_alcotest effects_cover_changes;
           ] );
     ]

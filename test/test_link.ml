@@ -318,7 +318,7 @@ let test_overlapping_chunks_rejected () =
   check_int "adjacent and empty chunks" 4
     (List.length (Image.with_chunks img ok).Image.chunks)
 
-(* [Verifier.make_fetch] keeps the chunk of its last read; it must read
+(* [Image.make_fetch] keeps the chunk of its last read; it must read
    what the chunk walk of [Test_support.Ref_fetch] reads at every
    address from below the first chunk to past the last, in address
    order and shuffled.  Chunks are adjacent or gapped, of odd and even
@@ -348,7 +348,7 @@ let prop_fetch_agrees =
     (fun (chunks, order) ->
       let img = Image.make ~chunks ~table:(Hashtbl.create 1) ~entry:0 in
       let agrees addrs =
-        let fetch = Amulet_analysis.Verifier.make_fetch img in
+        let fetch = Image.make_fetch img in
         let reference = Test_support.Ref_fetch.make_fetch img in
         List.for_all (fun a -> fetch a = reference a) addrs
       in

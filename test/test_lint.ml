@@ -105,6 +105,40 @@ let test_cfi_rejects_computed_jump () =
            && v.cv_reason = "computed jump (PC written from a register)")
          vs)
 
+(* MOV @R5+, R6 moves R5 after the code-bounds guard proved it, so the
+   guard no longer covers the call through R5. *)
+let test_cfi_autoinc_clobbers_guard () =
+  let module A = Amulet_link.Asm in
+  let image =
+    Test_support.Hand_app.link
+      [
+        A.cmp (A.Simm (A.Sym "app_code__start")) (A.Dreg 5);
+        A.jcc Amulet_mcu.Opcode.JC "lo_ok";
+        A.br (A.Sym "app$$fault");
+        A.label "lo_ok";
+        A.cmp (A.Simm (A.Sym "app_code__end")) (A.Dreg 5);
+        A.jcc Amulet_mcu.Opcode.JNC "hi_ok";
+        A.br (A.Sym "app$$fault");
+        A.label "hi_ok";
+        A.mov (A.Sinc 5) (A.Dreg 6);
+        A.label "call";
+        A.call_reg 5;
+      ]
+  in
+  List.iter
+    (fun mode ->
+      match An.Cfi.reconstruct ~image ~mode ~prefix:"app" with
+      | Ok _ -> Alcotest.failf "%s: CFI accepted" (Iso.name mode)
+      | Error vs ->
+        Alcotest.(check (list (pair int string)))
+          (Iso.name mode)
+          [ (I.symbol image "call",
+             "indirect call without a dominating code-bounds guard") ]
+          (List.map
+             (fun (v : An.Cfi.violation) -> (v.cv_addr, v.cv_reason))
+             vs))
+    [ Iso.Software_only; Iso.Mpu_assisted ]
+
 (* ------------------------------------------------------------------ *)
 (* Binary stack bounds *)
 
@@ -124,7 +158,7 @@ let test_stackcert_suite () =
       List.iter
         (fun (spec : Aft.app_spec) ->
           let cfg = cfg_of ~mode ~prefix:spec.name fw.Aft.fw_image in
-          let r = An.Stackcert.analyze ~cfg ~image:fw.Aft.fw_image in
+          let r = An.Stackcert.analyze ~cfg in
           match r.An.Stackcert.sc_verdict with
           | An.Stackcert.Certified _ -> ()
           | An.Stackcert.Unbounded { fenced; _ } ->
@@ -150,7 +184,7 @@ let test_stackcert_cross_check () =
   List.iter2
     (fun (spec : Aft.app_spec) (ab : Aft.app_build) ->
       let cfg = cfg_of ~mode ~prefix:spec.name fw.Aft.fw_image in
-      let r = An.Stackcert.analyze ~cfg ~image:fw.Aft.fw_image in
+      let r = An.Stackcert.analyze ~cfg in
       match r.An.Stackcert.sc_verdict with
       | An.Stackcert.Certified { bound; _ } ->
         let src = ab.Aft.ab_compiled.Amulet_cc.Driver.stack_bytes in
@@ -177,7 +211,7 @@ let test_stackcert_rejects_overflow () =
   let mode = Iso.Mpu_assisted in
   let fw = Aft.build ~mode [ { Aft.name = "ovf"; source = overflow_src } ] in
   let cfg = cfg_of ~mode ~prefix:"ovf" fw.Aft.fw_image in
-  let r = An.Stackcert.analyze ~cfg ~image:fw.Aft.fw_image in
+  let r = An.Stackcert.analyze ~cfg in
   match r.An.Stackcert.sc_verdict with
   | An.Stackcert.Rejected { bound; region; chain } ->
     Alcotest.(check bool) "bound exceeds region" true (bound > region);
@@ -191,8 +225,8 @@ let test_stackcert_rejects_overflow () =
 
 let gate_of ~mode ~prefix image =
   let cfg = cfg_of ~mode ~prefix image in
-  let stack = An.Stackcert.analyze ~cfg ~image in
-  An.Gate_taint.analyze ~cfg ~stack ~image
+  let stack = An.Stackcert.analyze ~cfg in
+  An.Gate_taint.analyze ~cfg ~stack
 
 (* In separate-stack modes every pointer a suite app passes to a gate
    is either a link-time constant or a frame slot with a certified FP
@@ -252,6 +286,35 @@ let test_gate_rejects_unknown_provenance () =
          && (not s.An.Gate_taint.gs_certified)
          && s.An.Gate_taint.gs_reason = "arg 0: provenance unknown")
        gt.An.Gate_taint.gt_sites)
+
+(* MOV @R12+, R6 moves the pointer 2 bytes on, so the 6 bytes
+   api_read_accel_xyz writes end 2 bytes past the region: the site must
+   keep its dynamic check. *)
+let test_gate_autoinc () =
+  let module A = Amulet_link.Asm in
+  let image =
+    Test_support.Hand_app.link
+      [
+        A.mov (A.Simm (A.Off ("app_data__end", -6))) (A.Dreg 12);
+        A.mov (A.Sinc 12) (A.Dreg 6);
+        A.label "call";
+        A.call (Apis.gate_label "api_read_accel_xyz");
+      ]
+  in
+  List.iter
+    (fun mode ->
+      Alcotest.(check (list string)) (Iso.name mode) []
+        (An.Lint.certified_gates ~image ~mode ~prefix:"app");
+      let r = An.Lint.run ~image ~mode ~apps:[ "app" ] in
+      Alcotest.(check int) (Iso.name mode ^ ": errors") 0 r.An.Lint.l_errors;
+      Alcotest.(check (list (option int)))
+        (Iso.name mode ^ ": gate notes")
+        [ Some (I.symbol image "call") ]
+        (List.filter_map
+           (fun (d : An.Lint.diag) ->
+             if d.An.Lint.d_pass = "gates" then Some d.An.Lint.d_addr else None)
+           r.An.Lint.l_diags))
+    [ Iso.Software_only; Iso.Mpu_assisted ]
 
 (* ------------------------------------------------------------------ *)
 (* Unified lint report *)
@@ -374,6 +437,8 @@ let suite =
         Alcotest.test_case "accepts shadow builds" `Quick test_cfi_shadow;
         Alcotest.test_case "rejects computed jump" `Quick
           test_cfi_rejects_computed_jump;
+        Alcotest.test_case "autoincrement clobbers a call guard" `Quick
+          test_cfi_autoinc_clobbers_guard;
       ] );
     ( "gate-taint",
       [
@@ -383,6 +448,8 @@ let suite =
           test_gate_shared_stack;
         Alcotest.test_case "rejects unknown provenance" `Quick
           test_gate_rejects_unknown_provenance;
+        Alcotest.test_case "autoincremented pointer stays dynamic" `Quick
+          test_gate_autoinc;
       ] );
     ( "stackcert",
       [

@@ -14,14 +14,14 @@ type alu_out = { value : int; carry : bool; overflow : bool }
 
 (* [op.width R6, R5] with R5 = [dst], R6 = [src] and C = [carry]. *)
 let alu ?(carry = false) op width dst src =
-  let cpu =
-    Cpu.create { Cpu.read = (fun _ _ -> 0); write = (fun _ _ _ -> ()) }
-  in
+  let cpu = Cpu.create () in
   let regs = cpu.Cpu.regs in
   Registers.set regs 5 dst;
   Registers.set regs 6 src;
   Registers.set_carry regs carry;
-  Cpu.exec_fmt1 cpu op width (Opcode.S_reg 6) (Opcode.D_reg 5) ~src_ext_addr:0
+  Cpu.exec_fmt1
+    { Cpu.read = (fun _ _ -> 0); write = (fun _ _ _ -> ()) }
+    cpu op width (Opcode.S_reg 6) (Opcode.D_reg 5) ~src_ext_addr:0
     ~dst_ext_addr:0;
   {
     value = Registers.get regs 5;

@@ -4,6 +4,7 @@
 module Aft = Amulet_aft.Aft
 module Layout = Amulet_aft.Layout
 module Os = Amulet_os
+module Obs = Amulet_obs
 module Iso = Amulet_cc.Isolation
 module M = Amulet_mcu.Machine
 module W = Amulet_mcu.Word
@@ -238,22 +239,25 @@ let test_state_profile () =
      }\n"
   in
   let fw = build_one src "twostate" in
-  let k = Os.Kernel.create fw in
+  let obs = Obs.Obs.create () in
+  let buf = Buffer.create 4096 in
+  Obs.Obs.add_sink obs (Obs.Obs.jsonl_buffer_sink buf);
+  let k = Os.Kernel.create ~obs fw in
   let _ = Os.Kernel.run_for_ms k 2_000 in
-  let app = Os.Kernel.app_by_name k "twostate" in
-  let profile = Os.Kernel.state_profile app in
+  Obs.Obs.close obs;
+  let profile =
+    Obs.Summary.per_state_accounting
+      (Obs.Summary.of_string (Buffer.contents buf))
+  in
   let stats_of st =
     match List.assoc_opt (st, "handle_timer") profile with
     | Some s -> s
     | None -> Alcotest.failf "no stats for state %d" st
   in
-  let s0 = stats_of 0 and s1 = stats_of 1 in
-  check_bool "both states dispatched" true
-    (s0.Os.Kernel.hs_count >= 5 && s1.Os.Kernel.hs_count >= 5);
+  let (count0, cycles0, _), (count1, cycles1, _) = (stats_of 0, stats_of 1) in
+  check_bool "both states dispatched" true (count0 >= 5 && count1 >= 5);
   check_bool "state-1 handler does more work" true
-    (s1.Os.Kernel.hs_cycles / s1.Os.Kernel.hs_count
-    > s0.Os.Kernel.hs_cycles / s0.Os.Kernel.hs_count
-      + 50)
+    (cycles1 / count1 > (cycles0 / count0) + 50)
 
 let test_event_queue_order () =
   let q = Os.Event_queue.create () in

@@ -9,7 +9,11 @@ module Aft = Amulet_aft.Aft
 module Apps = Amulet_apps.Suite
 module I = Amulet_link.Image
 module O = Amulet_mcu.Opcode
+module W = Amulet_mcu.Word
+module A = Amulet_link.Asm
 module V = Amulet_analysis.Verifier
+module Cfi = Amulet_analysis.Cfi
+module Hand_app = Test_support.Hand_app
 
 let app_named name =
   List.find (fun (a : Apps.app) -> a.Apps.name = name) Apps.all
@@ -114,6 +118,195 @@ let test_rejects_corrupt mode () =
       Alcotest.(check bool) "at least one violation" true (vs <> []))
 
 (* ------------------------------------------------------------------ *)
+(* Instruction effects.  SFI and CFI read which registers an
+   instruction writes, and what counts as RET or BR, from [Opcode]; each
+   image below passed a check it should fail while the passes kept
+   their own copies. *)
+
+let checked_modes = [ Iso.Feature_limited; Iso.Software_only; Iso.Mpu_assisted ]
+
+let reasons vs = List.map (fun v -> (v.V.vaddr, v.V.vreason)) vs
+
+let check_violations what expected = function
+  | Ok _ -> Alcotest.failf "%s: accepted" what
+  | Error vs ->
+    Alcotest.(check (list (pair int string))) what expected (reasons vs)
+
+(* One word over the first instruction of pedometer's handle_init. *)
+let patched_pedometer mode op =
+  let image = (build mode (app_named "pedometer")).Aft.fw_image in
+  let entry = I.symbol image "pedometer$handle_init" in
+  poke image entry (List.hd (Amulet_mcu.Encode.encode op));
+  (image, entry)
+
+let test_pc_writes () =
+  let cfi image mode = Cfi.reconstruct ~image ~mode ~prefix:"pedometer" in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun op1 ->
+          let image, entry =
+            patched_pedometer mode (O.Fmt2 (op1, W.W16, O.S_reg 0))
+          in
+          let what =
+            Printf.sprintf "%s R0, %s" (O.op1_name op1) (Iso.name mode)
+          in
+          let sfi = V.verify_app ~image ~mode ~prefix:"pedometer" in
+          if mode = Iso.No_isolation then
+            Alcotest.(check bool) what true (Result.is_ok sfi)
+          else
+            check_violations what
+              [ (entry, "computed branch in application code") ]
+              sfi;
+          Alcotest.(check bool) (what ^ ": CFI rejects") true
+            (Result.is_error (cfi image mode)))
+        [ O.SWPB; O.RRA ];
+      (* CMP #0, R0 only sets the flags: both passes accept it *)
+      let image, _ =
+        patched_pedometer mode
+          (O.Fmt1 (O.CMP, W.W16, O.S_immediate 0, O.D_reg 0))
+      in
+      let what = "CMP #0, R0, " ^ Iso.name mode in
+      Alcotest.(check bool) (what ^ ": SFI accepts") true
+        (Result.is_ok (V.verify_app ~image ~mode ~prefix:"pedometer"));
+      Alcotest.(check bool) (what ^ ": CFI accepts") true
+        (Result.is_ok (cfi image mode)))
+    Iso.all
+
+(* A CMP against PC refines nothing: PC has moved on by the time
+   anything reads it. *)
+let test_cmp_pc_not_refined () =
+  let image =
+    Hand_app.link
+      [
+        A.cmp (A.imm Hand_app.data_lo) (A.Dreg 0);
+        A.jcc O.JNC "done";
+        A.cmp (A.imm (Hand_app.data_lo + 0x40)) (A.Dreg 0);
+        A.jcc O.JC "done";
+        A.mov (A.Sreg 0) (A.Dreg 5);
+        A.label "store";
+        A.mov (A.imm 0) (A.Didx (5, A.Num 0));
+        A.label "done";
+      ]
+  in
+  List.iter
+    (fun mode ->
+      check_violations (Iso.name mode)
+        [ (I.symbol image "store",
+           "store address not proven inside the app data section") ]
+        (V.verify_app ~image ~mode ~prefix:"app"))
+    checked_modes
+
+(* RRA @R5+ moves R5 to the end of the data section, where the next
+   store lands.  Under the MPU the verifier leaves upper bounds to the
+   hardware, so only the two modes that prove them are checked. *)
+let test_format2_autoinc () =
+  let image =
+    Hand_app.link
+      [
+        A.mov (A.Simm (A.Off ("app_data__end", -2))) (A.Dreg 5);
+        A.Ins (A.I2 (O.RRA, W.W16, A.Sinc 5));
+        A.label "store";
+        A.mov (A.imm 0x1234) (A.Didx (5, A.Num 0));
+      ]
+  in
+  List.iter
+    (fun mode ->
+      check_violations (Iso.name mode)
+        [ (I.symbol image "store",
+           "store address not proven inside the app data section") ]
+        (V.verify_app ~image ~mode ~prefix:"app"))
+    [ Iso.Feature_limited; Iso.Software_only ]
+
+(* A single-operand store to 0(SP) between the return-address guard
+   and RET rewrites the address the guard proved. *)
+let test_store_after_return_guard () =
+  let guard bound ok cond =
+    [
+      A.cmp (A.Simm (A.Sym bound)) (A.Didx (1, A.Num 0));
+      A.jcc cond ok;
+      A.br (A.Sym "app$$fault");
+      A.label ok;
+    ]
+  in
+  let image =
+    Hand_app.link
+      (guard "app_code__start" "lo_ok" O.JC
+      @ guard "app_code__end" "hi_ok" O.JNC
+      @ [
+          A.Ins (A.I2 (O.SWPB, W.W16, A.Sidx (1, A.Num 0)));
+          A.label "ret";
+          A.ret;
+        ])
+  in
+  let ret = I.symbol image "ret" in
+  List.iter
+    (fun mode ->
+      check_violations (Iso.name mode)
+        [ (ret, "return address not proven inside the app code section") ]
+        (V.verify_app ~image ~mode ~prefix:"app");
+      match Cfi.reconstruct ~image ~mode ~prefix:"app" with
+      | Ok _ -> Alcotest.failf "%s: CFI accepted" (Iso.name mode)
+      | Error vs ->
+        Alcotest.(check (list (pair int string)))
+          (Iso.name mode ^ ": CFI")
+          [ (ret, "RET without a dominating return-address guard") ]
+          (List.map (fun v -> (v.Cfi.cv_addr, v.Cfi.cv_reason)) vs))
+    [ Iso.Software_only; Iso.Mpu_assisted ]
+
+(* RRA.B keeps bit 7: 0x80 shifts to 0xC0, not 0x40, so the index
+   takes the store past the data section (an upper bound, which the
+   verifier leaves to the MPU in that mode). *)
+let test_byte_rra () =
+  let image =
+    Hand_app.link
+      [
+        A.movb (A.imm 0x80) (A.Dreg 5);
+        A.Ins (A.I2 (O.RRA, W.W8, A.Sreg 5));
+        A.add (A.Simm (A.Sym "app_data__start")) (A.Dreg 5);
+        A.label "store";
+        A.mov (A.imm 0) (A.Didx (5, A.Num 0));
+      ]
+  in
+  List.iter
+    (fun mode ->
+      check_violations (Iso.name mode)
+        [ (I.symbol image "store",
+           "store address not proven inside the app data section") ]
+        (V.verify_app ~image ~mode ~prefix:"app"))
+    [ Iso.Feature_limited; Iso.Software_only ]
+
+(* MOV.B #imm, PC and MOV.B @SP+, PC keep only the low byte, so neither
+   is the BR or RET its word form is: the machine would land in the
+   peripheral page. *)
+let test_byte_transfers () =
+  let image =
+    Hand_app.link
+      [
+        A.label "br";
+        A.Ins (A.I1 (O.MOV, W.W8, A.Simm (A.Sym "app$$exit"), A.Dreg 0));
+        A.label "ret";
+        A.Ins (A.I1 (O.MOV, W.W8, A.Sinc 1, A.Dreg 0));
+      ]
+  in
+  let at l = I.symbol image l in
+  List.iter
+    (fun mode ->
+      check_violations (Iso.name mode)
+        [ (at "br", "computed branch in application code") ]
+        (V.verify_app ~image ~mode ~prefix:"app");
+      match Cfi.reconstruct ~image ~mode ~prefix:"app" with
+      | Ok _ -> Alcotest.failf "%s: CFI accepted" (Iso.name mode)
+      | Error vs ->
+        Alcotest.(check (list (pair int string)))
+          (Iso.name mode ^ ": CFI")
+          (List.map
+             (fun l -> (at l, "computed jump (PC written from a register)"))
+             [ "br"; "ret" ])
+          (List.map (fun v -> (v.Cfi.cv_addr, v.Cfi.cv_reason)) vs))
+    checked_modes
+
+(* ------------------------------------------------------------------ *)
 (* Stats and error handling *)
 
 let test_stats () =
@@ -162,6 +355,19 @@ let () =
             (test_rejects_corrupt Iso.Software_only);
           Alcotest.test_case "corrupted guard (mpu)" `Quick
             (test_rejects_corrupt Iso.Mpu_assisted);
+        ] );
+      ( "effects",
+        [
+          Alcotest.test_case "PC writes agree with CFI" `Quick test_pc_writes;
+          Alcotest.test_case "CMP to PC refines nothing" `Quick
+            test_cmp_pc_not_refined;
+          Alcotest.test_case "format-II autoincrement" `Quick
+            test_format2_autoinc;
+          Alcotest.test_case "store after the return guard" `Quick
+            test_store_after_return_guard;
+          Alcotest.test_case "byte-width BR and RET" `Quick
+            test_byte_transfers;
+          Alcotest.test_case "RRA.B keeps bit 7" `Quick test_byte_rra;
         ] );
       ( "stats",
         [
