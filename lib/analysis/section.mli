@@ -1,6 +1,6 @@
 (** One app section's link-map facts, read from the image once for the
     certifier's passes: the SFI verifier, CFI and, through the CFG, the
-    stack bound and gate provenance. *)
+    stack bound, gate provenance and WCET. *)
 
 type span_kind =
   | Function  (** [<prefix>$name], no further [$] *)
@@ -19,7 +19,8 @@ type t = private {
       (** the span entries in [\[code_lo, code_hi)], by address, then
           name.  Control enters an app only at a function or exit stub. *)
   externals : (int, string) Hashtbl.t;  (** {!Amulet_cc.Apis.externals} *)
-  fetch : int -> int;  (** {!Amulet_link.Image.make_fetch} *)
+  fetch : int -> int;
+      (** {!Amulet_link.Image.make_fetch}: every word of the image *)
 }
 
 val make : Amulet_link.Image.t -> prefix:string -> t

@@ -276,7 +276,9 @@ let run ctx ?recorder st0 addr0 =
            x)
   in
   (* a source operand: its access check (a store for the single-operand
-     read-modify-write forms) and the value it reads *)
+     read-modify-write forms) and the value it reads.  Reading [@Rn+]
+     moves the base at once, as the machine does before it resolves the
+     destination (SP always moves a whole word). *)
   let src_av a insn w ~store s =
     let loaded = if w = W.W8 then Iv (0, 0xFF) else Any in
     match s with
@@ -292,25 +294,28 @@ let run ctx ?recorder st0 addr0 =
     | O.S_absolute x ->
       check_abs a insn ~store x;
       if x = Iso.shadow_sp_addr && w = W.W16 then Shadow else loaded
-    | O.S_indirect r | O.S_indirect_inc r ->
+    | O.S_indirect r ->
       check_indexed a insn ~store r 0;
       loaded
+    | O.S_indirect_inc r ->
+      check_indexed a insn ~store r 0;
+      let step = if w = W.W8 && r <> R.sp then 1 else 2 in
+      set_reg r (av_add st.regs.(r) (Iv (step, step)));
+      loaded
   in
-  (* Where an instruction's effects land: each register [O.writes]
-     names takes [v] if it is [dst] (-1 for none), its incremented value
-     if it is the base of an [@Rn+] [src] (SP always moves a whole
-     word), else [Any]. *)
-  let apply insn ~dst v w src =
-    let inc = match src with O.S_indirect_inc r -> r | _ -> -1 in
+  (* The rest of an instruction's effects once [src] has been read:
+     each register [O.writes] names takes [v] if it is [dst] (-1 for
+     none), else [Any], except an [@Rn+] base, which keeps the value the
+     read moved it to.  SP is never that exception, since PUSH and CALL
+     move it again. *)
+  let apply insn ~dst v src =
+    let inc =
+      match src with O.S_indirect_inc r when r <> R.sp -> r | _ -> -1
+    in
     let written = O.writes insn in
     for r = 0 to 15 do
-      if written land (1 lsl r) <> 0 then
-        set_reg r
-          (if r = dst then v
-           else if r = inc then
-             let step = if w = W.W8 && r <> R.sp then 1 else 2 in
-             av_add st.regs.(r) (Iv (step, step))
-           else Any)
+      if written land (1 lsl r) <> 0 && (r = dst || r <> inc) then
+        set_reg r (if r = dst then v else Any)
     done;
     if O.writes_memory insn then kill_tos ()
   in
@@ -446,7 +451,7 @@ let run ctx ?recorder st0 addr0 =
               Some (rs, n)
             | _ -> None
           in
-          apply insn ~dst:(-1) Any W.W16 s;
+          apply insn ~dst:(-1) Any s;
           (* caller-saved registers and the flags die across any call *)
           for r = 12 to 15 do
             set_reg r Any
@@ -475,7 +480,7 @@ let run ctx ?recorder st0 addr0 =
             | _ -> Any
           in
           let dst = match s with O.S_reg r -> r | _ -> -1 in
-          apply insn ~dst (byte_clamp w shifted) w s;
+          apply insn ~dst (byte_clamp w shifted) s;
           carry_clr := false
         (* ---- two-operand ---- *)
         | O.Fmt1 (op, w, s, d) ->
@@ -523,7 +528,7 @@ let run ctx ?recorder st0 addr0 =
               | _ -> None
             else None
           in
-          apply insn ~dst v w s;
+          apply insn ~dst v s;
           if op = O.BIC && s = O.S_immediate 1 && d = O.D_reg 2 then
             (* BIC #1,SR: the carry-clearing idiom before RRC *)
             carry_clr := true

@@ -174,9 +174,9 @@ let graph_loops ~entry nodes =
 (* ------------------------------------------------------------------ *)
 
 let analyze ~image ~(cfg : Cfi.t) =
-  let prefix = cfg.Cfi.cf_section.Section.prefix in
+  let sec = cfg.Cfi.cf_section in
+  let prefix = sec.Section.prefix and fetch = sec.Section.fetch in
   let bounds = loop_bounds image in
-  let fetch = I.make_fetch image in
   let certified = Amulet_cc.Apis.certified_services image ~app:prefix in
   (* ---- OS-side spans: stubs, gates, runtime helpers ----
      Instruction-level exploration from an entry address; terminals

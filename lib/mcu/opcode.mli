@@ -53,7 +53,8 @@ val sets_flags : op2 -> bool
 (** {2 Effects}
 
     Stated once for every pass over machine code; test_diff checks
-    {!writes} against {!Cpu}'s executors. *)
+    {!writes}, {!writes_memory} and {!jump_target} against {!Cpu}'s
+    executors. *)
 
 val writes : t -> int
 (** Bit [r] set when the instruction may change register [r]: a

@@ -660,27 +660,38 @@ let instruction_lockstep =
          compare_machines ~at:"after one instruction" a b;
          Mpu.violation_flags a.M.mpu = Mpu.violation_flags b.M.mpu))
 
-(* The certifier's model of an instruction against the specification:
-   every register one random instruction changes through [Refstep],
-   whether it retires or faults, is one [Opcode.writes_reg] names.  PC
-   counts only when it ends anywhere but past the instruction. *)
+(* The certifier's model of an instruction against the specification,
+   one random instruction run through [Refstep], whether it retires or
+   faults: every register it changes is one [Opcode.writes_reg] names
+   (PC counts only when it ends anywhere but past the instruction); a
+   store to memory or a peripheral means [Opcode.writes_memory]; and a
+   jump that retires lands past itself or at [Opcode.jump_target]. *)
 let effects_cover_changes =
-  let name = "Opcode.writes_reg covers every register change" in
+  let name = "Opcode effects cover every change" in
   QCheck2.Test.make ~count:3000 ~name ~print:show_icase gen_icase
     (report ~show:show_icase name (fun c ->
          let m = icase_machine c in
          let before = Array.copy (M.regs m) in
-         ignore (Refstep.run ~fuel:1 m);
+         let stored = ref false in
+         M.add_watch m (function
+           | Trace.Mem_write _ | Trace.Io_write _ -> stored := true
+           | _ -> ());
+         let stop = Refstep.run ~fuel:1 m in
          let after = M.regs m in
          let next = code_base + (2 * List.length (Encode.encode c.i_instr)) in
+         let pc = after.(Regs.pc) in
          List.for_all
            (fun r ->
              let moved =
-               if r = Regs.pc then after.(r) <> next
-               else after.(r) <> before.(r)
+               if r = Regs.pc then pc <> next else after.(r) <> before.(r)
              in
              (not moved) || Opcode.writes_reg c.i_instr r)
-           (List.init 16 Fun.id)))
+           (List.init 16 Fun.id)
+         && ((not !stored) || Opcode.writes_memory c.i_instr)
+         &&
+         match (stop, Opcode.jump_target c.i_instr ~pc:code_base) with
+         | M.Out_of_fuel, Some t -> pc = next || pc = t
+         | _ -> true))
 
 (* Attack-corpus observer effect: every corpus attack that builds,
    under every isolation mode, dispatched on two kernels over the same

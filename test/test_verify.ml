@@ -197,26 +197,38 @@ let test_cmp_pc_not_refined () =
         (V.verify_app ~image ~mode ~prefix:"app"))
     checked_modes
 
-(* RRA @R5+ moves R5 to the end of the data section, where the next
-   store lands.  Under the MPU the verifier leaves upper bounds to the
-   hardware, so only the two modes that prove them are checked. *)
-let test_format2_autoinc () =
-  let image =
-    Hand_app.link
-      [
-        A.mov (A.Simm (A.Off ("app_data__end", -2))) (A.Dreg 5);
-        A.Ins (A.I2 (O.RRA, W.W16, A.Sinc 5));
-        A.label "store";
-        A.mov (A.imm 0x1234) (A.Didx (5, A.Num 0));
-      ]
-  in
+(* An [@Rn+] base moves as soon as its operand is read.  RRA @R5+ moves
+   R5 to the end of the data section, where the next store lands; MOV
+   and ADD @R5+, 0(R5) store at the moved base, since the machine
+   increments R5 before it resolves the destination.  Under the MPU the
+   verifier leaves upper bounds to the hardware, so only the two modes
+   that prove them are checked. *)
+let test_autoinc () =
+  let fmt1 op = A.Ins (A.I1 (op, W.W16, A.Sinc 5, A.Didx (5, A.Num 0))) in
   List.iter
-    (fun mode ->
-      check_violations (Iso.name mode)
-        [ (I.symbol image "store",
-           "store address not proven inside the app data section") ]
-        (V.verify_app ~image ~mode ~prefix:"app"))
-    [ Iso.Feature_limited; Iso.Software_only ]
+    (fun (what, body) ->
+      let image =
+        Hand_app.link
+          (A.mov (A.Simm (A.Off ("app_data__end", -2))) (A.Dreg 5) :: body)
+      in
+      List.iter
+        (fun mode ->
+          check_violations
+            (what ^ ", " ^ Iso.name mode)
+            [ (I.symbol image "store",
+               "store address not proven inside the app data section") ]
+            (V.verify_app ~image ~mode ~prefix:"app"))
+        [ Iso.Feature_limited; Iso.Software_only ])
+    [
+      ( "RRA @R5+",
+        [
+          A.Ins (A.I2 (O.RRA, W.W16, A.Sinc 5));
+          A.label "store";
+          A.mov (A.imm 0x1234) (A.Didx (5, A.Num 0));
+        ] );
+      ("MOV @R5+, 0(R5)", [ A.label "store"; fmt1 O.MOV ]);
+      ("ADD @R5+, 0(R5)", [ A.label "store"; fmt1 O.ADD ]);
+    ]
 
 (* A single-operand store to 0(SP) between the return-address guard
    and RET rewrites the address the guard proved. *)
@@ -361,8 +373,8 @@ let () =
           Alcotest.test_case "PC writes agree with CFI" `Quick test_pc_writes;
           Alcotest.test_case "CMP to PC refines nothing" `Quick
             test_cmp_pc_not_refined;
-          Alcotest.test_case "format-II autoincrement" `Quick
-            test_format2_autoinc;
+          Alcotest.test_case "autoincrement moves the base first" `Quick
+            test_autoinc;
           Alcotest.test_case "store after the return guard" `Quick
             test_store_after_return_guard;
           Alcotest.test_case "byte-width BR and RET" `Quick
