@@ -155,11 +155,7 @@ let dump_cfg fw mode format =
   !rc
 
 let dump_code fw os_too =
-  let machine = Amulet_mcu.Machine.create () in
-  Amulet_link.Image.load fw.Aft.fw_image machine;
-  let fetch a =
-    Amulet_mcu.Machine.mem_checked_read machine Amulet_mcu.Word.W16 a
-  in
+  let fetch = Amulet_link.Image.make_fetch fw.Aft.fw_image in
   let symbols = fw.Aft.fw_image.Amulet_link.Image.symbols in
   (* per-function check statistics, shown next to the function label *)
   let fn_stats = Hashtbl.create 32 in

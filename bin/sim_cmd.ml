@@ -44,7 +44,7 @@ let run mode scenario seconds trace trace_format profile apps () =
           Format.printf "  %-18s %6d events, avg %5d cycles@." handler
             s.Os.Kernel.hs_count
             (s.Os.Kernel.hs_cycles / max 1 s.Os.Kernel.hs_count))
-        (Os.Kernel.handler_profiles st);
+        (Os.Kernel.handler_stats st records);
       match st.Os.Kernel.last_forensics with
       | Some dump -> Format.printf "%s" dump
       | None -> ())

@@ -47,7 +47,8 @@ let () =
   (* 3. Inspect the results. *)
   Format.printf "display line 0: %S@." (Os.Kernel.display_line k 0);
   let app = Os.Kernel.app_by_name k "hello" in
-  (match Os.Kernel.handler_profile app "handle_timer" with
+  let stats = Os.Kernel.handler_stats app records in
+  (match List.assoc_opt "handle_timer" stats with
   | Some s ->
     Format.printf "handle_timer ran %d times, avg %d cycles per event@."
       s.Os.Kernel.hs_count

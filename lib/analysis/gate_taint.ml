@@ -52,12 +52,10 @@ type t = {
           certified (and that have at least one such site) *)
 }
 
-let signed16 k = if k land 0x8000 <> 0 then (k land 0xFFFF) - 0x10000 else k
-
 (* signed view of an unsigned interval; None when it spans the sign
    boundary *)
 let signed_iv l h =
-  let sl = signed16 l and sh = signed16 h in
+  let sl = W.to_signed W.W16 l and sh = W.to_signed W.W16 h in
   if sl <= sh then Some (sl, sh) else None
 
 let join_value a b =
@@ -141,48 +139,30 @@ let step regs (i : Cfi.insn) =
 (* ------------------------------------------------------------------ *)
 (* Per-function fixpoint *)
 
+(* Intervals can keep growing around a loop; past the limit every
+   still-changing register becomes Top. *)
 let widen_limit = 8
 
 let fixpoint (f : Cfi.func) : (int, value array) Hashtbl.t =
-  let states : (int, value array) Hashtbl.t = Hashtbl.create 16 in
-  let counts : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let work = Queue.create () in
   let block_of = Hashtbl.create 16 in
   List.iter (fun b -> Hashtbl.replace block_of b.Cfi.b_addr b) f.Cfi.f_blocks;
-  let schedule a st =
-    match Hashtbl.find_opt states a with
-    | None ->
-      Hashtbl.replace states a st;
-      Queue.push a work
-    | Some old ->
-      let j = Array.init 16 (fun r -> join_value old.(r) st.(r)) in
-      if j <> old then begin
-        let c = Option.value ~default:0 (Hashtbl.find_opt counts a) + 1 in
-        Hashtbl.replace counts a c;
-        (* intervals can keep growing around a loop; past the limit,
-           degrade every still-changing register to Top *)
-        let j =
-          if c > widen_limit then
-            Array.init 16 (fun r -> if j.(r) = old.(r) then old.(r) else Top)
-          else j
-        in
-        if j <> old then begin
-          Hashtbl.replace states a j;
-          Queue.push a work
-        end
-      end
-  in
-  schedule f.Cfi.f_entry (Array.make 16 Top);
-  while not (Queue.is_empty work) do
-    let a = Queue.pop work in
+  let transfer a st =
     match Hashtbl.find_opt block_of a with
-    | None -> ()
+    | None -> []
     | Some b ->
-      let regs = Array.copy (Hashtbl.find states a) in
+      let regs = Array.copy st in
       List.iter (fun i -> step regs i) b.Cfi.b_insns;
-      List.iter (fun (t, _) -> schedule t regs) b.Cfi.b_succs
-  done;
-  states
+      List.map (fun (t, _) -> (t, regs)) b.Cfi.b_succs
+  in
+  let widen _ ~joins ~old j =
+    if joins > widen_limit then
+      Array.init 16 (fun r -> if j.(r) = old.(r) then old.(r) else Top)
+    else j
+  in
+  Fixpoint.solve
+    ~join:(fun old st -> Array.init 16 (fun r -> join_value old.(r) st.(r)))
+    ~equal:( = ) ~widen ~transfer
+    [ (f.Cfi.f_entry, Array.make 16 Top) ]
 
 (* ------------------------------------------------------------------ *)
 (* Certification *)

@@ -4,12 +4,13 @@
     same structural facts about a reconstructed CFG: which edges are
     back edges, which blocks are loop headers, what each loop's body
     is, and whether the graph is reducible at all.  This module
-    computes them with the textbook construction — iterative dominator
-    sets, back edges as the edges whose target dominates their source,
-    and natural-loop bodies by backwards reachability from the back
-    edge's source — kept deliberately graph-generic so the same code
-    serves block-level app CFGs ({!Cfi.func}) and the instruction-level
-    graphs the WCET pass builds for OS stubs and runtime helpers.
+    computes them with the textbook construction — dominator sets (a
+    forward dataflow on {!Fixpoint}), back edges as the edges whose
+    target dominates their source, and natural-loop bodies by backwards
+    reachability from the back edge's source — kept deliberately
+    graph-generic so the same code serves block-level app CFGs
+    ({!Cfi.func}) and the instruction-level graphs the WCET pass builds
+    for OS stubs and runtime helpers.
 
     A graph without a cycle has no loop, and most graphs have none: a
     campaign pass analyses 560 graphs, 530 of them loop-free.  So one

@@ -16,6 +16,7 @@
    artifacts and cross-checked in the tests. *)
 
 module O = Amulet_mcu.Opcode
+module W = Amulet_mcu.Word
 module Iso = Amulet_cc.Isolation
 
 type verdict =
@@ -51,8 +52,6 @@ let extern_cost name =
 
 exception Unanalyzable_sp of int * string
 
-let signed16 k = if k land 0x8000 <> 0 then (k land 0xFFFF) - 0x10000 else k
-
 (* ------------------------------------------------------------------ *)
 (* Local pass: SP displacement per function *)
 
@@ -77,8 +76,9 @@ let step_insn addr (sp, fp) op =
     | None ->
       raise (Unanalyzable_sp (addr, "SP restored from an untracked R4")))
   | O.Fmt1 (O.ADD, _, O.S_immediate k, O.D_reg 1) ->
-    (max 0 (sp - signed16 k), fp)
-  | O.Fmt1 (O.SUB, _, O.S_immediate k, O.D_reg 1) -> (sp + signed16 k, fp)
+    (max 0 (sp - W.to_signed W.W16 k), fp)
+  | O.Fmt1 (O.SUB, _, O.S_immediate k, O.D_reg 1) ->
+    (sp + W.to_signed W.W16 k, fp)
   | _ ->
     let sp =
       match op with
@@ -96,41 +96,21 @@ let join (sp1, fp1) (sp2, fp2) =
     | Some a, Some b when a = b -> Some a
     | _ -> None )
 
-(* A net-growth loop makes sp diverge; cap the joins per block. *)
+(* A net-growth loop makes sp diverge: the join that changes a
+   block's state for the 33rd time gives up. *)
 let widen_limit = 32
 
 let analyze_function (f : Cfi.func) : local =
-  let states : (int, int * (int option)) Hashtbl.t = Hashtbl.create 16 in
-  let counts : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let work = Queue.create () in
   let block_of = Hashtbl.create 16 in
   List.iter (fun b -> Hashtbl.replace block_of b.Cfi.b_addr b) f.Cfi.f_blocks;
-  let schedule a st =
-    match Hashtbl.find_opt states a with
-    | None ->
-      Hashtbl.replace states a st;
-      Queue.push a work
-    | Some old ->
-      let j = join old st in
-      if j <> old then begin
-        let c = Option.value ~default:0 (Hashtbl.find_opt counts a) + 1 in
-        Hashtbl.replace counts a c;
-        if c > widen_limit then
-          raise
-            (Unanalyzable_sp
-               (a, "stack depth does not converge (net growth in a loop)"));
-        Hashtbl.replace states a j;
-        Queue.push a work
-      end
-  in
+  (* every visit of a block records its call sites, so a site reached
+     with several depths appears once per visit, in visit order: the
+     interprocedural pass keeps the first of equal chains *)
   let maxd = ref 0 and sites = ref [] in
-  schedule f.Cfi.f_entry (0, None);
-  while not (Queue.is_empty work) do
-    let a = Queue.pop work in
+  let transfer a st =
     match Hashtbl.find_opt block_of a with
-    | None -> ()
+    | None -> []
     | Some b ->
-      let st = Hashtbl.find states a in
       let final =
         List.fold_left
           (fun st (i : Cfi.insn) ->
@@ -143,8 +123,18 @@ let analyze_function (f : Cfi.func) : local =
             st')
           st b.Cfi.b_insns
       in
-      List.iter (fun (t, _) -> schedule t final) b.Cfi.b_succs
-  done;
+      List.map (fun (t, _) -> (t, final)) b.Cfi.b_succs
+  in
+  let widen a ~joins ~old:_ j =
+    if joins > widen_limit then
+      raise
+        (Unanalyzable_sp
+           (a, "stack depth does not converge (net growth in a loop)"));
+    j
+  in
+  ignore
+    (Fixpoint.solve ~join ~equal:( = ) ~widen ~transfer
+       [ (f.Cfi.f_entry, (0, None)) ]);
   { l_max = !maxd; l_sites = List.rev !sites }
 
 (* ------------------------------------------------------------------ *)

@@ -190,17 +190,18 @@ let bounds_of = function Iv (l, h) -> (l, h) | _ -> (0, 0xFFFF)
 (* Single-trace interpreter.
 
    Simulates straight-line code from [addr0] with entry state [st0]
-   until a control transfer, producing the successor edges (with
-   conditional-branch refinement applied) and any in-section call
-   targets.  With [recorder] set it also replays the policy checks and
-   records violations — used for the final pass over the fixpoint. *)
+   until a control transfer, producing the successor states: each
+   edge's (with conditional-branch refinement applied) and the top
+   state at each in-section call target.  With [recorder] set it also
+   replays the policy checks and records violations — used for the
+   final pass over the fixpoint. *)
 
 let run ctx ?recorder st0 addr0 =
   let st = copy_state st0 in
   let last_cmp = ref None in
   let carry_clr = ref false in
   let prev1 = ref None and prev2 = ref None in
-  let succs = ref [] and calls = ref [] in
+  let succs = ref [] in
   let addr = ref addr0 in
   let stop = ref false in
   let viol a insn reason =
@@ -256,13 +257,13 @@ let run ctx ?recorder st0 addr0 =
     | Frame -> () (* FP-relative with proven frame pointer *)
     | Shadow -> () (* shadow-stack maintenance pattern *)
     | v ->
-      let soff = if off land 0x8000 <> 0 then off - 0x10000 else off in
+      (* [off] is signed: Decode sign-extends x(Rn) offsets *)
       let v =
-        if soff = 0 then v
+        if off = 0 then v
         else
           match v with
-          | Iv (l, h) when l + soff >= 0 && h + soff <= 0xFFFF ->
-            Iv (l + soff, h + soff)
+          | Iv (l, h) when l + off >= 0 && h + off <= 0xFFFF ->
+            Iv (l + off, h + off)
           | _ -> Any
       in
       check_dyn a insn ~store v
@@ -424,7 +425,7 @@ let run ctx ?recorder st0 addr0 =
           (match s with
           | O.S_immediate k ->
             let k = k land 0xFFFF in
-            if in_code ctx k then calls := k :: !calls
+            if in_code ctx k then succs := (k, top_state ()) :: !succs
             else if not (Hashtbl.mem ctx.sec.S.externals k) then
               viol a ii
                 (Printf.sprintf
@@ -540,45 +541,34 @@ let run ctx ?recorder st0 addr0 =
         prev1 := Some insn;
         if not !stop then addr := a + size
   done;
-  (!succs, !calls)
+  !succs
 
 (* ------------------------------------------------------------------ *)
 (* Whole-section verification *)
 
+(* A loop that keeps moving a register changes its header's state on
+   every trip; after [widen_limit] such changes the state is the top
+   state, joined with the changing state so that R4 stays [Frame] only
+   while the joined state still has it. *)
 let widen_limit = 8
 
 let verify sec ~mode =
   let ctx = { mode; sec } in
-  (* fixpoint over block-entry states *)
-  let states : (int, state) Hashtbl.t = Hashtbl.create 64 in
-  let counts : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let work = Queue.create () in
-  let schedule a st =
-    match Hashtbl.find_opt states a with
-    | None ->
-      Hashtbl.replace states a st;
-      Queue.push a work
-    | Some old ->
-      let j = state_join old st in
-      if not (state_equal j old) then begin
-        let c = (Option.value ~default:0 (Hashtbl.find_opt counts a)) + 1 in
-        Hashtbl.replace counts a c;
-        Hashtbl.replace states a (if c > widen_limit then top_state () else j);
-        Queue.push a work
-      end
-  in
   (* external control enters an app only at its function symbols or
      its exit stub; everything else is reached by edges *)
-  List.iter
-    (fun (a, _, kind) ->
-      if kind <> S.Fault_stub then schedule a (top_state ()))
-    sec.S.spans;
-  while not (Queue.is_empty work) do
-    let a = Queue.pop work in
-    let succs, calls = run ctx (Hashtbl.find states a) a in
-    List.iter (fun (t, st') -> schedule t st') succs;
-    List.iter (fun t -> schedule t (top_state ())) calls
-  done;
+  let entries =
+    List.filter_map
+      (fun (a, _, kind) ->
+        if kind = S.Fault_stub then None else Some (a, top_state ()))
+      sec.S.spans
+  in
+  let states =
+    Fixpoint.solve ~join:state_join ~equal:state_equal
+      ~widen:(fun _ ~joins ~old:_ j ->
+        if joins > widen_limit then state_join j (top_state ()) else j)
+      ~transfer:(fun a st -> run ctx st a)
+      entries
+  in
   (* final pass: replay every reached block and record the verdicts *)
   let r =
     {

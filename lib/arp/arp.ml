@@ -48,17 +48,18 @@ let profile_app ?(scenario = Os.Sensors.Walking) ?(warmup_ms = 90_000) ?obs
     ~mode (app : Apps.app) =
   let fw = Aft.build ~mode [ Apps.spec_for mode app ] in
   let k = Os.Kernel.create ~scenario ?obs fw in
-  let _ = Os.Kernel.run_for_ms k warmup_ms in
+  let records = Os.Kernel.run_for_ms k warmup_ms in
   let st = Os.Kernel.app_by_name k app.Apps.name in
   (match st.Os.Kernel.last_fault with
   | Some f ->
     failwith (Printf.sprintf "ARP: %s faulted during profiling: %s" app.Apps.name f)
   | None -> ());
+  let stats = Os.Kernel.handler_stats st records in
   let handlers =
     List.filter_map
       (fun (handler, events_per_week) ->
-        match Os.Kernel.handler_profile st handler with
-        | Some s when s.Os.Kernel.hs_count > 0 ->
+        match List.assoc_opt handler stats with
+        | Some s ->
           let n = float_of_int s.Os.Kernel.hs_count in
           Some
             {

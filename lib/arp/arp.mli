@@ -5,9 +5,10 @@
     rates, and extrapolates weekly cycle counts and energy.  This
     implementation measures each handler by running it in the kernel
     on the simulated MCU (warm-up period, then per-event averages from
-    the kernel's handler statistics) and reads the event rates
-    directly from the app's own subscriptions and timers — the same
-    extrapolation with measured rather than hand-annotated inputs.
+    the warm-up's dispatch records, {!Amulet_os.Kernel.handler_stats})
+    and reads the event rates directly from the app's own
+    subscriptions and timers — the same extrapolation with measured
+    rather than hand-annotated inputs.
 
     It also exposes the static enumeration of AFT phase 1 (checked and
     statically-verified access sites per function) for the report. *)

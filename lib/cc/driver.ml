@@ -13,13 +13,10 @@ type compiled = {
 
 let default_stack_bytes = 512
 
-let compile ~prefix ~mode ?(shadow = false) ?analyze ?loop_bounds
-    ?(extra_externals = []) source =
+let compile ~prefix ~mode ?(shadow = false) ?analyze ?loop_bounds source =
   let ast = Parser.parse source in
   Feature_check.check ~mode ast;
-  let externals =
-    Runtime.builtin_externals @ Apis.signatures @ extra_externals
-  in
+  let externals = Runtime.builtin_externals @ Apis.signatures in
   let tast = Typecheck.check ~externals ast in
   (* the range analysis runs between type checking and code generation
      and may itself reject proven-out-of-bounds accesses *)

@@ -25,7 +25,6 @@ val compile :
   ?shadow:bool ->
   ?analyze:(Tast.program -> Codegen.classifier) ->
   ?loop_bounds:(Tast.program -> Srcloc.t -> int option) ->
-  ?extra_externals:(string * Ctype.t) list ->
   string ->
   compiled
 (** Full pipeline: lex, parse, phase-1 feature check, type check,

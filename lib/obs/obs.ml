@@ -196,8 +196,8 @@ type t = {
   mutable prof : Profile.t option;
 }
 
-let create ?(ring_capacity = 64) () =
-  { sinks = []; ring = Trace.create_ring ~capacity:ring_capacity; prof = None }
+let create () =
+  { sinks = []; ring = Trace.create_ring ~capacity:64; prof = None }
 
 let add_sink t sink = t.sinks <- t.sinks @ [ sink ]
 let enable_profile t fw = t.prof <- Some (Profile.create fw)

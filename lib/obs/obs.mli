@@ -62,9 +62,9 @@ val console_sink : Format.formatter -> sink
 
 type t
 
-val create : ?ring_capacity:int -> unit -> t
-(** Fresh context with no sinks and a forensics ring of
-    [ring_capacity] (default 64) machine trace events. *)
+val create : unit -> t
+(** Fresh context with no sinks and a forensics ring of the last 64
+    machine trace events. *)
 
 val add_sink : t -> sink -> unit
 val enable_profile : t -> Amulet_aft.Aft.firmware -> unit

@@ -31,9 +31,6 @@ type handler_stats = {
   hs_api_calls : int;
 }
 
-let no_stats =
-  { hs_count = 0; hs_cycles = 0; hs_reads = 0; hs_writes = 0; hs_api_calls = 0 }
-
 type app_state = {
   build : Aft.app_build;
   mutable enabled : bool;
@@ -45,7 +42,6 @@ type app_state = {
   mutable timers : (int * int) list;
   certified : bool array;
   valid : (int * int) list;
-  handler_stats : (string, handler_stats) Hashtbl.t;
   state_addr : int option;
       (* address of the app's "state" global, when it declares one *)
 }
@@ -60,7 +56,6 @@ type t = {
   obs : Obs.t option;
   mutable now : int;
   mutable vbase : int;
-  mutable dispatches : int;
   mutable current_app : int;
 }
 
@@ -196,7 +191,6 @@ let start ?(policy = Disable) ?(scenario = Sensors.Daily_mix) ?seed b =
           timers = [];
           certified = f.af_certified;
           valid = f.af_valid;
-          handler_stats = Hashtbl.create 8;
           state_addr = f.af_state_addr;
         })
       b.b_apps
@@ -208,7 +202,6 @@ let start ?(policy = Disable) ?(scenario = Sensors.Daily_mix) ?seed b =
       apps; policy; obs = b.b_obs;
       now = M.cycles machine;
       vbase = 0;
-      dispatches = 0;
       current_app = -1;
     }
   in
@@ -264,122 +257,107 @@ let handle_fault t (app : app_state) msg =
       post t ~delay_ms:1 ~app:index Event.Init ~arg:0
     end
 
-let dispatch_event t (e : Event.t) =
+let dispatch_event t (e : Event.t) ~latency =
   let app = t.apps.(e.Event.app) in
   let handler = Event.handler_name e.Event.kind in
-  let no_handler =
+  match
+    if app.enabled then Aft.handler_addr app.build handler else None
+  with
+  | None ->
     {
       dr_app = e.Event.app; dr_kind = e.Event.kind; dr_cycles = 0;
-      dr_latency = 0; dr_reads = 0; dr_writes = 0; dr_api_calls = 0;
+      dr_latency = latency; dr_reads = 0; dr_writes = 0; dr_api_calls = 0;
       dr_outcome = No_handler;
     }
-  in
-  if not app.enabled then no_handler
-  else
-    match Aft.handler_addr app.build handler with
-    | None -> no_handler
-    | Some haddr ->
-      let m = t.machine in
-      let regs = M.regs m in
-      (* the ARP view: the dispatch span names the state the app's
-         machine was in when the event arrived *)
-      let state_before =
-        match (t.obs, app.state_addr) with
-        | Some _, Some a -> Some (M.mem_checked_read m Amulet_mcu.Word.W16 a)
-        | _ -> None
-      in
-      let cycles0 = M.cycles m in
-      let reads0 = m.M.stats.Amulet_mcu.Trace.data_reads in
-      let writes0 = m.M.stats.Amulet_mcu.Trace.data_writes in
-      let api0 = t.api.Api.calls in
-      m.M.halted <- false;
-      m.M.sw_fault <- None;
-      R.set regs 12 e.Event.arg;
-      R.set regs 15 haddr;
-      R.set_pc regs app.build.Aft.ab_tramp;
-      t.current_app <- e.Event.app;
-      with_profile t (fun p ->
-          Profile.set_context p ~app:app.build.Aft.ab_name ~handler);
-      let stop = M.run ~fuel:handler_fuel m in
-      with_profile t Profile.clear_context;
-      t.current_app <- -1;
-      let outcome =
-        match stop with
-        | M.Halted -> Ok
-        | M.Sw_fault code ->
-          App_fault (Printf.sprintf "software check fault %d" code)
-        | M.Faulted f -> App_fault (Format.asprintf "%a" M.pp_fault f)
-        | M.Out_of_fuel -> App_fault "runaway handler"
-      in
-      (match outcome with
-      | App_fault msg ->
-        (* forensics first: [handle_fault] resets the MPU, destroying
-           the very configuration the dump must show *)
-        (match t.obs with
-        | Some obs ->
-          let forensics =
-            Forensics.report ~fw:t.fw ~ring:(Obs.ring obs) ~stop m
-          in
-          app.last_forensics <- Some forensics;
-          Obs.instant obs ~cat:"kernel" ~tid:e.Event.app ~name:"fault"
-            ~ts:(vnow t)
-            ~args:
-              [ ("message", Obs.Vstr msg); ("forensics", Obs.Vstr forensics) ]
-            ()
-        | None -> ());
-        handle_fault t app msg
-      | Ok | No_handler -> ());
-      let record =
-        {
-          dr_app = e.Event.app;
-          dr_kind = e.Event.kind;
-          dr_cycles = M.cycles m - cycles0;
-          dr_latency = 0;  (* queue wait is known at the pop site only *)
-          dr_reads = m.M.stats.Amulet_mcu.Trace.data_reads - reads0;
-          dr_writes = m.M.stats.Amulet_mcu.Trace.data_writes - writes0;
-          dr_api_calls = t.api.Api.calls - api0;
-          dr_outcome = outcome;
-        }
-      in
-      let s =
-        Option.value ~default:no_stats
-          (Hashtbl.find_opt app.handler_stats handler)
-      in
-      Hashtbl.replace app.handler_stats handler
-        {
-          hs_count = s.hs_count + 1;
-          hs_cycles = s.hs_cycles + record.dr_cycles;
-          hs_reads = s.hs_reads + record.dr_reads;
-          hs_writes = s.hs_writes + record.dr_writes;
-          hs_api_calls = s.hs_api_calls + record.dr_api_calls;
-        };
+  | Some haddr ->
+    let m = t.machine in
+    let regs = M.regs m in
+    (* the ARP view: the dispatch span names the state the app's
+       machine was in when the event arrived *)
+    let state_before =
+      match (t.obs, app.state_addr) with
+      | Some _, Some a -> Some (M.mem_checked_read m Amulet_mcu.Word.W16 a)
+      | _ -> None
+    in
+    let cycles0 = M.cycles m in
+    let reads0 = m.M.stats.Amulet_mcu.Trace.data_reads in
+    let writes0 = m.M.stats.Amulet_mcu.Trace.data_writes in
+    let api0 = t.api.Api.calls in
+    m.M.halted <- false;
+    m.M.sw_fault <- None;
+    R.set regs 12 e.Event.arg;
+    R.set regs 15 haddr;
+    R.set_pc regs app.build.Aft.ab_tramp;
+    t.current_app <- e.Event.app;
+    with_profile t (fun p ->
+        Profile.set_context p ~app:app.build.Aft.ab_name ~handler);
+    let stop = M.run ~fuel:handler_fuel m in
+    with_profile t Profile.clear_context;
+    t.current_app <- -1;
+    let outcome =
+      match stop with
+      | M.Halted -> Ok
+      | M.Sw_fault code ->
+        App_fault (Printf.sprintf "software check fault %d" code)
+      | M.Faulted f -> App_fault (Format.asprintf "%a" M.pp_fault f)
+      | M.Out_of_fuel -> App_fault "runaway handler"
+    in
+    (match outcome with
+    | App_fault msg ->
+      (* forensics first: [handle_fault] resets the MPU, destroying
+         the very configuration the dump must show *)
       (match t.obs with
       | Some obs ->
-        let outcome_str =
-          match outcome with
-          | Ok -> "ok"
-          | No_handler -> "no_handler"
-          | App_fault msg -> "fault: " ^ msg
+        let forensics =
+          Forensics.report ~fw:t.fw ~ring:(Obs.ring obs) ~stop m
         in
-        let args =
-          [
-            ("app", Obs.Vstr app.build.Aft.ab_name);
-            ("kind", Obs.Vstr (Event.kind_name e.Event.kind));
-            ("outcome", Obs.Vstr outcome_str);
-            ("reads", Obs.Vint record.dr_reads);
-            ("writes", Obs.Vint record.dr_writes);
-            ("api_calls", Obs.Vint record.dr_api_calls);
-          ]
-          @
-          match state_before with
-          | Some st -> [ ("state", Obs.Vint st) ]
-          | None -> []
-        in
-        Obs.span obs ~cat:"dispatch" ~tid:e.Event.app ~args ~name:handler
-          ~ts:t.now ~dur:record.dr_cycles ()
+        app.last_forensics <- Some forensics;
+        Obs.instant obs ~cat:"kernel" ~tid:e.Event.app ~name:"fault"
+          ~ts:(vnow t)
+          ~args:
+            [ ("message", Obs.Vstr msg); ("forensics", Obs.Vstr forensics) ]
+          ()
       | None -> ());
-      t.dispatches <- t.dispatches + 1;
-      record
+      handle_fault t app msg
+    | Ok | No_handler -> ());
+    let record =
+      {
+        dr_app = e.Event.app;
+        dr_kind = e.Event.kind;
+        dr_cycles = M.cycles m - cycles0;
+        dr_latency = latency;
+        dr_reads = m.M.stats.Amulet_mcu.Trace.data_reads - reads0;
+        dr_writes = m.M.stats.Amulet_mcu.Trace.data_writes - writes0;
+        dr_api_calls = t.api.Api.calls - api0;
+        dr_outcome = outcome;
+      }
+    in
+    (match t.obs with
+    | Some obs ->
+      let outcome_str =
+        match outcome with
+        | Ok -> "ok"
+        | No_handler -> "no_handler"
+        | App_fault msg -> "fault: " ^ msg
+      in
+      let args =
+        [
+          ("app", Obs.Vstr app.build.Aft.ab_name);
+          ("kind", Obs.Vstr (Event.kind_name e.Event.kind));
+          ("outcome", Obs.Vstr outcome_str);
+          ("reads", Obs.Vint record.dr_reads);
+          ("writes", Obs.Vint record.dr_writes);
+          ("api_calls", Obs.Vint record.dr_api_calls);
+        ]
+        @
+        match state_before with
+        | Some st -> [ ("state", Obs.Vint st) ]
+        | None -> []
+      in
+      Obs.span obs ~cat:"dispatch" ~tid:e.Event.app ~args ~name:handler
+        ~ts:t.now ~dur:record.dr_cycles ()
+    | None -> ());
+    record
 
 (* Re-arm periodic sources after delivering one of their events. *)
 let rearm t (e : Event.t) =
@@ -413,7 +391,7 @@ let dispatch_next t =
     t.now <- Int.max t.now e.Event.at;
     t.vbase <- t.now - M.cycles t.machine;
     let before = M.cycles t.machine in
-    let record = dispatch_event t e in
+    let record = dispatch_event t e ~latency in
     let elapsed = M.cycles t.machine - before in
     t.now <- t.now + elapsed;
     rearm t e;
@@ -423,7 +401,7 @@ let dispatch_next t =
     (match t.obs with
     | Some obs -> Obs.emit_profile_counters obs ~ts:t.now
     | None -> ());
-    Some { record with dr_latency = latency }
+    Some record
 
 let run_for_ms t ms =
   let deadline = t.now + Event.ms_to_cycles ms in
@@ -447,9 +425,31 @@ let app_by_name t name =
   | Some a -> a
   | None -> raise Not_found
 
-let handler_profile app handler = Hashtbl.find_opt app.handler_stats handler
-let handler_profiles app =
-  List.sort compare (List.of_seq (Hashtbl.to_seq app.handler_stats))
+let handler_stats app records =
+  let index = app.build.Aft.ab_layout.Amulet_aft.Layout.index in
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun r ->
+      if r.dr_app = index && r.dr_outcome <> No_handler then begin
+        let h = Event.handler_name r.dr_kind in
+        let s =
+          Option.value (Hashtbl.find_opt tbl h)
+            ~default:
+              { hs_count = 0; hs_cycles = 0; hs_reads = 0; hs_writes = 0;
+                hs_api_calls = 0 }
+        in
+        Hashtbl.replace tbl h
+          {
+            hs_count = s.hs_count + 1;
+            hs_cycles = s.hs_cycles + r.dr_cycles;
+            hs_reads = s.hs_reads + r.dr_reads;
+            hs_writes = s.hs_writes + r.dr_writes;
+            hs_api_calls = s.hs_api_calls + r.dr_api_calls;
+          }
+      end)
+    records;
+  List.sort compare (List.of_seq (Hashtbl.to_seq tbl))
+
 let display_line t n = t.api.Api.display.(n land 3)
 let log_contents t = Buffer.contents t.api.Api.log
 
@@ -463,7 +463,7 @@ let os_intact t =
    app and confirm the kernel can still dispatch it cleanly.  Other
    queued events may be delivered on the way; the probe caps the
    number of dispatches so a runaway queue cannot hang it. *)
-let liveness_probe ?(max_dispatches = 64) t ~app =
+let liveness_probe t ~app =
   if app < 0 || app >= Array.length t.apps then false
   else begin
     post t ~delay_ms:0 ~app (Event.Button 1) ~arg:1;
@@ -479,7 +479,7 @@ let liveness_probe ?(max_dispatches = 64) t ~app =
             | App_fault _ -> false)
           else go (budget - 1)
     in
-    go max_dispatches
+    go 64
   end
 
 let unrecovered_faults t =

@@ -38,8 +38,8 @@ type dispatch_record = {
   dr_outcome : outcome;
 }
 
-(** Accumulated per-(app, handler) profile snapshot — the input ARP
-    needs. *)
+(** One app's dispatches of one handler, summed ({!handler_stats}) —
+    the input ARP needs. *)
 type handler_stats = {
   hs_count : int;
   hs_cycles : int;
@@ -66,8 +66,6 @@ type app_state = {
           dynamic range walk for them *)
   valid : (int * int) list;
       (** the address ranges this app may hand to the OS *)
-  handler_stats : (string, handler_stats) Hashtbl.t;
-      (** by handler name *)
   state_addr : int option;
       (** address of the app's [state] global, when it declares one;
           dispatch spans carry its value for the ARP view
@@ -86,7 +84,6 @@ type t = {
   mutable vbase : int;
       (** virtual-time offset of the machine cycle counter, so trace
           records emitted mid-dispatch land on the virtual timeline *)
-  mutable dispatches : int;
   mutable current_app : int;
 }
 
@@ -147,10 +144,13 @@ val run_for_ms : t -> int -> dispatch_record list
 
 val app_by_name : t -> string -> app_state
 
-val handler_profile : app_state -> string -> handler_stats option
-
-val handler_profiles : app_state -> (string * handler_stats) list
-(** All handlers with at least one dispatch, sorted by name. *)
+val handler_stats :
+  app_state -> dispatch_record list -> (string * handler_stats) list
+(** The app's dispatches among the records (those {!run_for_ms} or
+    {!dispatch_next} returned), summed per handler and sorted by
+    handler name.  [No_handler] records are skipped, so the list names
+    every handler that ran, faulting runs included.  The kernel itself
+    keeps no per-handler state. *)
 
 val display_line : t -> int -> string
 val log_contents : t -> string
@@ -163,11 +163,11 @@ val os_intact : t -> bool
     code.  Exact, and cheap: only the pages written since the kernel
     started are compared ({!Amulet_mcu.Memory.unchanged}). *)
 
-val liveness_probe : ?max_dispatches:int -> t -> app:int -> bool
+val liveness_probe : t -> app:int -> bool
 (** Post a [Button] event to [app] and dispatch until it is delivered
-    (bounded by [max_dispatches], default 64).  [true] when the kernel
-    delivered it and the app survived — the campaign's
-    "kernel still live / victim still schedulable" check. *)
+    (at most 64 dispatches).  [true] when the kernel delivered it and
+    the app survived — the campaign's "kernel still live / victim
+    still schedulable" check. *)
 
 val unrecovered_faults : t -> (string * string) list
 (** Apps left disabled by a fault under the [Disable] policy (or after

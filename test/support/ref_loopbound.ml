@@ -3,7 +3,9 @@
    sets, back edges as the edges whose target dominates their source, a
    DFS for retreating edges, natural-loop bodies by backwards
    reachability).  The library skips the dominator sets when one DFS
-   finds no cycle; the two must give the same verdict on every graph. *)
+   finds no cycle, and solves them on the worklist engine
+   ([Fixpoint.solve]) when it finds one; the two must give the same
+   verdict on every graph. *)
 
 open Amulet_analysis.Loopbound
 module ISet = Set.Make (Int)

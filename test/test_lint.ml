@@ -220,6 +220,38 @@ let test_stackcert_rejects_overflow () =
       (List.mem "ovf$big" chain && List.mem "ovf$main" chain)
   | v -> Alcotest.failf "expected rejection, got %a" An.Stackcert.pp_verdict v
 
+(* A loop that pushes on every trip moves the SP displacement at its
+   header on every join, and the 33rd such join gives up.  The pass
+   counts joins, not trips, so a loop that runs three times is
+   rejected too. *)
+let test_stackcert_net_growth () =
+  let module A = Amulet_link.Asm in
+  let why = "stack depth does not converge (net growth in a loop)" in
+  List.iter
+    (fun (what, body) ->
+      let image = Test_support.Hand_app.link body in
+      List.iter
+        (fun mode ->
+          let what = what ^ ", " ^ Iso.name mode in
+          let cfg = cfg_of ~mode ~prefix:"app" image in
+          match (An.Stackcert.analyze ~cfg).An.Stackcert.sc_verdict with
+          | An.Stackcert.Unanalyzable { addr; reason } ->
+            Alcotest.(check (pair int string))
+              what (I.symbol image "loop", why) (addr, reason)
+          | v -> Alcotest.failf "%s: %a" what An.Stackcert.pp_verdict v)
+        modes)
+    [
+      ("PUSH R4; JMP", [ A.label "loop"; A.push (A.Sreg 4); A.jmp "loop" ]);
+      ( "three trips",
+        [
+          A.mov (A.imm 3) (A.Dreg 6);
+          A.label "loop";
+          A.push (A.Sreg 4);
+          A.sub (A.imm 1) (A.Dreg 6);
+          A.jcc Amulet_mcu.Opcode.JNE "loop";
+        ] );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Gate-argument provenance *)
 
@@ -315,6 +347,43 @@ let test_gate_autoinc () =
              if d.An.Lint.d_pass = "gates" then Some d.An.Lint.d_addr else None)
            r.An.Lint.l_diags))
     [ Iso.Software_only; Iso.Mpu_assisted ]
+
+(* R12 moves in a loop, so its interval at the loop header changes on
+   every join until the ninth change widens it to Top: the site keeps
+   its dynamic check.  Set once, the same pointer certifies. *)
+let test_gate_widening () =
+  let module A = Amulet_link.Asm in
+  let check what body (certified, reason) =
+    let image =
+      Test_support.Hand_app.link
+        (A.mov (A.imm Test_support.Hand_app.data_lo) (A.Dreg 12)
+         :: body
+        @ [ A.label "call"; A.call (Apis.gate_label "api_read_accel_xyz") ])
+    in
+    List.iter
+      (fun mode ->
+        Alcotest.(check (list (triple int bool string)))
+          (what ^ ", " ^ Iso.name mode)
+          [ (I.symbol image "call", certified, reason) ]
+          (List.map
+             (fun (s : An.Gate_taint.site) ->
+               ( s.An.Gate_taint.gs_addr,
+                 s.An.Gate_taint.gs_certified,
+                 s.An.Gate_taint.gs_reason ))
+             (gate_of ~mode ~prefix:"app" image).An.Gate_taint.gt_sites))
+      modes
+  in
+  check "pointer moved in a loop"
+    [
+      A.label "loop";
+      A.add (A.imm 2) (A.Dreg 12);
+      A.cmp (A.imm 0) (A.Dreg 13);
+      A.jcc Amulet_mcu.Opcode.JNE "loop";
+    ]
+    (false, "arg 0: provenance unknown");
+  check "pointer set once"
+    [ A.mov (A.imm 2) (A.Dreg 13) ]
+    (true, "arg 0: [6000,6000]+6 within the D region")
 
 (* ------------------------------------------------------------------ *)
 (* Unified lint report *)
@@ -426,6 +495,72 @@ let test_certified_gates_parity () =
   parity ~mode ~apps:[ "prog" ]
     (patch_word image (I.symbol image "prog$f") mov_r5_pc)
 
+(* ------------------------------------------------------------------ *)
+(* The fixpoint engine *)
+
+(* A random graph of up to 12 nodes, each edge adding a weight of 0-4
+   to a state capped at [cap]; states join by max.  From the third
+   change at a node on, the widening adds 10 more, up to [cap]: it goes
+   up, as [Fixpoint.solve] requires, but like the certifier's
+   widenings not always to the top, and any cycle of positive weight
+   reaches [cap]. *)
+let cap = 60
+
+let gen_fixpoint_case =
+  let open QCheck2.Gen in
+  let* n = 1 -- 12 in
+  let node = 0 -- (n - 1) in
+  let* succs = list_repeat n (list_size (0 -- 3) (pair node (0 -- 4))) in
+  let* entries = list_size (1 -- 3) (pair node (0 -- 10)) in
+  pure (Array.of_list succs, entries)
+
+let print_fixpoint_case (succs, entries) =
+  let edges =
+    List.concat
+      (List.mapi
+         (fun u l -> List.map (fun (v, w) -> Printf.sprintf "%d-%d->%d" u w v) l)
+         (Array.to_list succs))
+  in
+  Printf.sprintf "edges %s; entries %s" (String.concat " " edges)
+    (String.concat " "
+       (List.map (fun (a, s) -> Printf.sprintf "%d:%d" a s) entries))
+
+(* The table is a post-fixpoint (joining any entry's state, or any
+   state a stored one transfers, changes nothing) and holds exactly the
+   nodes reachable from the entries. *)
+let prop_fixpoint =
+  QCheck2.Test.make ~count:1000
+    ~name:"Fixpoint.solve: post-fixpoint over the reachable nodes"
+    ~print:print_fixpoint_case gen_fixpoint_case (fun (succs, entries) ->
+      let transfer a s =
+        List.map (fun (v, w) -> (v, Int.min cap (s + w))) succs.(a)
+      in
+      let tbl =
+        An.Fixpoint.solve ~join:Int.max ~equal:Int.equal
+          ~widen:(fun _ ~joins ~old:_ s ->
+            if joins >= 3 then Int.min cap (s + 10) else s)
+          ~transfer entries
+      in
+      let stable (a, s) =
+        match Hashtbl.find_opt tbl a with
+        | Some t -> Int.max t s = t
+        | None -> false
+      in
+      let reach = Hashtbl.create 16 in
+      let rec visit a =
+        if not (Hashtbl.mem reach a) then begin
+          Hashtbl.replace reach a ();
+          List.iter (fun (v, _) -> visit v) succs.(a)
+        end
+      in
+      List.iter (fun (a, _) -> visit a) entries;
+      List.for_all stable entries
+      && Hashtbl.fold
+           (fun a s ok -> ok && List.for_all stable (transfer a s))
+           tbl true
+      && Hashtbl.length tbl = Hashtbl.length reach
+      && Hashtbl.fold (fun a _ ok -> ok && Hashtbl.mem reach a) tbl true)
+
 let suite =
   [
     ( "cfi",
@@ -450,6 +585,8 @@ let suite =
           test_gate_rejects_unknown_provenance;
         Alcotest.test_case "autoincremented pointer stays dynamic" `Quick
           test_gate_autoinc;
+        Alcotest.test_case "pointer moved in a loop widens" `Quick
+          test_gate_widening;
       ] );
     ( "stackcert",
       [
@@ -459,7 +596,10 @@ let suite =
           test_stackcert_cross_check;
         Alcotest.test_case "rejects hidden overflow" `Quick
           test_stackcert_rejects_overflow;
+        Alcotest.test_case "net growth in a loop" `Quick
+          test_stackcert_net_growth;
       ] );
+    ("fixpoint", [ Test_support.Seed.to_alcotest prop_fixpoint ]);
     ( "report",
       [
         Alcotest.test_case "suite lints clean under mpu" `Quick

@@ -213,9 +213,11 @@ let test_api_pointer_validation () =
 let test_handler_stats () =
   let fw = build_one counter_app "counter" in
   let k = Os.Kernel.create ~scenario:Os.Sensors.Walking fw in
-  let _ = Os.Kernel.run_for_ms k 1_000 in
+  let records = Os.Kernel.run_for_ms k 1_000 in
   let app = Os.Kernel.app_by_name k "counter" in
-  match Os.Kernel.handler_profile app "handle_accel" with
+  match
+    List.assoc_opt "handle_accel" (Os.Kernel.handler_stats app records)
+  with
   | None -> Alcotest.fail "no stats for handle_accel"
   | Some s ->
     check_bool "counted" true (s.Os.Kernel.hs_count >= 5);

@@ -319,6 +319,74 @@ let test_byte_transfers () =
     checked_modes
 
 (* ------------------------------------------------------------------ *)
+(* Widening and offsets *)
+
+(* Pointer walks with no bound: R5 moves by 2 on every trip, so the
+   loop's entry state keeps changing until the ninth change widens it.
+   The first loop stores through R5.  The other two move R5 into R4
+   and store through 0(R4), where R4 is the trusted frame pointer only
+   on the first trip: the widened state must keep R4 unknown rather
+   than prove the store as a frame store. *)
+let test_widening () =
+  let walk store_base step =
+    [
+      A.mov (A.imm Hand_app.data_lo) (A.Dreg 5);
+      A.label "loop";
+      A.mov (A.imm 0) (A.Didx (store_base, A.Num 0));
+    ]
+    @ (if store_base = 4 then [ A.mov (A.Sreg 5) (A.Dreg 4) ] else [])
+    @ [ step (A.imm 2) (A.Dreg 5); A.jmp "loop" ]
+  in
+  List.iter
+    (fun (what, body) ->
+      let image = Hand_app.link body in
+      List.iter
+        (fun mode ->
+          check_violations
+            (what ^ ", " ^ Iso.name mode)
+            [ (I.symbol image "loop",
+               "store address not proven inside the app data section") ]
+            (V.verify_app ~image ~mode ~prefix:"app"))
+        checked_modes;
+      Alcotest.(check bool) (what ^ ", no-isolation accepts") true
+        (Result.is_ok
+           (V.verify_app ~image ~mode:Iso.No_isolation ~prefix:"app")))
+    [
+      ("0(R5), R5 up", walk 5 A.add);
+      ("0(R4), R5 up", walk 4 A.add);
+      ("0(R4), R5 down", walk 4 A.sub);
+    ]
+
+(* x(Rn) offsets arrive signed from the decoder: -2(R5) with R5 at
+   data_lo + 4 stores inside the data section, -4(R5) with R5 at
+   data_lo + 2 stores below it. *)
+let test_negative_offset () =
+  let store base off =
+    Hand_app.link
+      [
+        A.mov (A.imm (Hand_app.data_lo + base)) (A.Dreg 5);
+        A.label "store";
+        A.mov (A.imm 1) (A.Didx (5, A.Num off));
+      ]
+  in
+  let inside = store 4 (-2) and below = store 2 (-4) in
+  List.iter
+    (fun mode ->
+      (match V.verify_app ~image:inside ~mode ~prefix:"app" with
+      | Ok st ->
+        Alcotest.(check int) (Iso.name mode ^ ": -2(R5) proved") 1
+          st.V.v_stores
+      | Error vs ->
+        Alcotest.failf "%s: -2(R5) rejected: %s" (Iso.name mode)
+          (String.concat "; " (List.map (fun v -> v.V.vreason) vs)));
+      check_violations
+        (Iso.name mode ^ ": -4(R5)")
+        [ (I.symbol below "store",
+           "store address not proven inside the app data section") ]
+        (V.verify_app ~image:below ~mode ~prefix:"app"))
+    checked_modes
+
+(* ------------------------------------------------------------------ *)
 (* Stats and error handling *)
 
 let test_stats () =
@@ -380,6 +448,12 @@ let () =
           Alcotest.test_case "byte-width BR and RET" `Quick
             test_byte_transfers;
           Alcotest.test_case "RRA.B keeps bit 7" `Quick test_byte_rra;
+        ] );
+      ( "widening",
+        [
+          Alcotest.test_case "unbounded pointer walk" `Quick test_widening;
+          Alcotest.test_case "negative x(Rn) offset" `Quick
+            test_negative_offset;
         ] );
       ( "stats",
         [
