@@ -61,6 +61,7 @@ type t = {
   mutable on_step : (t -> unit) option;
   mutable emit_hook : (Trace.event -> unit) option;
   mutable in_step : bool;
+  mutable hooked : bool;
   mutable extra_cycles : int;
   blocks : (int, block) Hashtbl.t;
   lookup : block array;
@@ -109,6 +110,9 @@ let add_step_hook t f =
 
 let pc_of t = t.cpu.Cpu.regs.(Registers.pc)
 
+let[@inline] norm width v =
+  match width with Word.W8 -> v land 0xFF | Word.W16 -> v land 0xFFFF
+
 let peripheral_read t width addr =
   let v =
     if Mpu.handles addr then Mpu.mmio_read t.mpu addr
@@ -116,16 +120,21 @@ let peripheral_read t width addr =
       Timer.mmio_read t.timer ~now:(cycles t) addr
     else 0
   in
-  Word.norm width v
+  norm width v
 
 let emit_io t addr value =
   match watcher t with
   | None -> ()
   | Some f -> f (Trace.Io_write { addr; value })
 
+(* The MPU's register block, decoded here rather than by [Mpu.handles]:
+   every gate crossing writes it. *)
+let mpu_first = Mpu.ctl0_addr
+let mpu_last = Mpu.sam_addr
+
 let peripheral_write t width addr v =
-  let v = Word.norm width v in
-  if Mpu.handles addr then begin
+  let v = norm width v in
+  if addr >= mpu_first && addr <= mpu_last && addr land 1 = 0 then begin
     (* The MPU's password check comes first: a rejected or ignored
        write must not appear in traces as if it happened. *)
     match Mpu.mmio_write t.mpu addr v with
@@ -136,12 +145,13 @@ let peripheral_write t width addr v =
   end
   else begin
     emit_io t addr v;
-    if Timer.handles addr then Timer.mmio_write t.timer ~now:(cycles t) addr v
-    else if addr = host_call_port then t.host_call t v
+    if addr = host_call_port then t.host_call t v
     else if addr = console_port then
       Buffer.add_char t.console (Char.chr (v land 0xFF))
     else if addr = halt_port then t.halted <- true
     else if addr = sw_fault_port then t.sw_fault <- Some v
+    else if Timer.handles addr then
+      Timer.mmio_write t.timer ~now:(cycles t) addr v
   end
 
 (* Permission-table bits for each access (see [Mpu.t.perm]). *)
@@ -152,20 +162,18 @@ let write_bit = Mpu.access_bit Mpu.Dwrite
 let permits perm bit granule =
   Char.code (String.unsafe_get perm granule) land bit <> 0
 
-(* One table load and a bit test; the full [Mpu.check] runs only to
-   flag and report a violation.  [addr] must be masked to 16 bits. *)
-let mpu_check t access addr =
-  let bit =
-    match access with
-    | Mpu.Exec -> exec_bit
-    | Mpu.Dread -> read_bit
-    | Mpu.Dwrite -> write_bit
-  in
+(* The full [Mpu.check], run only once the table has denied [access]:
+   it flags the violation, and the fault reports it. *)
+let deny t access addr =
+  match Mpu.check t.mpu access addr with
+  | Mpu.Allowed -> ()
+  | Mpu.Violation segment ->
+    raise (Fault (Mpu_violation { access; addr; pc = pc_of t; segment }))
+
+(* One table load and a bit test.  [addr] must be masked to 16 bits. *)
+let[@inline] mpu_check t access bit addr =
   if not (permits t.mpu.Mpu.perm bit (addr lsr Mpu.granule_shift)) then
-    match Mpu.check t.mpu access addr with
-    | Mpu.Allowed -> ()
-    | Mpu.Violation segment ->
-      raise (Fault (Mpu_violation { access; addr; pc = pc_of t; segment }))
+    deny t access addr
 
 (* The bus's map of the address space, one entry per 256 B page:
    backing [m]emory, [p]eripheral registers or [u]nmapped.  Every
@@ -213,7 +221,7 @@ let bus_read t width addr =
   let addr = addr land 0xFFFF in
   match String.unsafe_get page_kind (addr lsr 8) with
   | 'm' ->
-    mpu_check t Mpu.Dread addr;
+    mpu_check t Mpu.Dread read_bit addr;
     let value = load_mem t width addr in
     t.stats.Trace.data_reads <- t.stats.Trace.data_reads + 1;
     (match watcher t with
@@ -227,7 +235,7 @@ let fetch t addr =
   let addr = addr land 0xFFFF in
   match String.unsafe_get page_kind (addr lsr 8) with
   | 'm' ->
-    mpu_check t Mpu.Exec addr;
+    mpu_check t Mpu.Exec exec_bit addr;
     let value = load_mem t Word.W16 addr in
     t.stats.Trace.fetch_words <- t.stats.Trace.fetch_words + 1;
     value
@@ -238,13 +246,13 @@ let bus_write t width addr v =
   let addr = addr land 0xFFFF in
   match String.unsafe_get page_kind (addr lsr 8) with
   | 'm' -> (
-    mpu_check t Mpu.Dwrite addr;
+    mpu_check t Mpu.Dwrite write_bit addr;
     store_mem t width addr v;
     t.stats.Trace.data_writes <- t.stats.Trace.data_writes + 1;
     match watcher t with
     | None -> ()
     | Some f ->
-      let value = Word.norm width v in
+      let value = norm width v in
       f (Trace.Mem_write { addr; width; value; pc = pc_of t }))
   | 'p' -> peripheral_write t width addr v
   | _ -> raise (Fault (Unmapped { addr; pc = pc_of t; write = true }))
@@ -279,6 +287,7 @@ let create () =
     on_step = None;
     emit_hook = None;
     in_step = false;
+    hooked = false;
     extra_cycles = 0;
     blocks = Hashtbl.create 256;
     lookup = Array.make lookup_slots no_block;
@@ -722,18 +731,19 @@ let block_at t pc =
    the last word's.  A yes is recorded as [b_mpu_key] and holds until
    the configuration key differs, so a block validated while app k
    runs needs no re-check after the OS round trip. *)
+let rec executable perm g last =
+  g > last || (permits perm exec_bit g && executable perm (g + 1) last)
+
 let validated t (b : Predecode.block) =
   let mpu = t.mpu in
   b.Predecode.b_mpu_key = mpu.Mpu.key
-  ||
-  let perm = mpu.Mpu.perm in
-  let last = (b.Predecode.b_hi - 2) lsr Mpu.granule_shift in
-  let rec scan g = g > last || (permits perm exec_bit g && scan (g + 1)) in
-  scan (b.Predecode.b_lo lsr Mpu.granule_shift)
-  && begin
-    b.Predecode.b_mpu_key <- mpu.Mpu.key;
-    true
-  end
+  || executable mpu.Mpu.perm
+       (b.Predecode.b_lo lsr Mpu.granule_shift)
+       ((b.Predecode.b_hi - 2) lsr Mpu.granule_shift)
+     && begin
+       b.Predecode.b_mpu_key <- mpu.Mpu.key;
+       true
+     end
 
 (* The fetch words of a predecoded uop: bulk-counted while its block is
    validated under the live configuration key, otherwise checked one by
@@ -748,7 +758,7 @@ let fetch_predecoded t b (u : Predecode.uop) =
     stats.Trace.fetch_words <- stats.Trace.fetch_words + u.Predecode.u_words
   else
     for w = 0 to u.Predecode.u_words - 1 do
-      mpu_check t Mpu.Exec ((u.Predecode.u_pc + (2 * w)) land 0xFFFF);
+      mpu_check t Mpu.Exec exec_bit ((u.Predecode.u_pc + (2 * w)) land 0xFFFF);
       stats.Trace.fetch_words <- stats.Trace.fetch_words + 1
     done
 
@@ -756,9 +766,9 @@ let fetch_predecoded t b (u : Predecode.uop) =
    in flight.  False when it moved PC or wrote into predecoded code:
    the block in hand is stale, and [hooked] records that this
    boundary's hook has run, so the re-dispatch does not run it again. *)
-let step_hook t f ~pc ~gen0 hooked =
-  if !hooked then begin
-    hooked := false;
+let step_hook t f ~pc ~gen0 =
+  if t.hooked then begin
+    t.hooked <- false;
     true
   end
   else begin
@@ -767,19 +777,20 @@ let step_hook t f ~pc ~gen0 hooked =
     t.in_step <- true;
     (pc_of t = pc && t.mem.Memory.code_gen = gen0)
     || begin
-      hooked := true;
+      t.hooked <- true;
       false
     end
   end
 
-(* Run [b] from uop [i] until the block ends, the machine stops, code
-   is written or fuel runs out.  At each instruction boundary the step
-   hook runs first, then the watcher chain is snapshotted: the
-   instruction's events, and its fault if it raises one, go to that
-   snapshot.  PC advances past the instruction, its executor runs, and
-   its cost is charged only once it has retired.  An empty block
-   decodes one instruction through the checked [fetch]. *)
-let rec exec_from t b ~gen0 budget hooked i =
+(* The careful loop: run [b] from uop [i] until the block ends, the
+   machine stops, code is written or fuel runs out, and return the fuel
+   left.  At each instruction boundary the step hook runs first, then
+   the watcher chain is snapshotted: the instruction's events, and its
+   fault if it raises one, go to that snapshot.  PC advances past the
+   instruction, its executor runs, and its cost is charged only once it
+   has retired.  An empty block decodes one instruction through the
+   checked [fetch]. *)
+let rec exec_from t b ~gen0 budget i =
   let pre = b.pre in
   let uops = pre.Predecode.b_uops in
   let n = Array.length uops in
@@ -790,7 +801,7 @@ let rec exec_from t b ~gen0 budget hooked i =
   if
     match t.on_step with
     | None -> true
-    | Some f -> step_hook t f ~pc ~gen0 hooked
+    | Some f -> step_hook t f ~pc ~gen0
   then begin
     let w = t.on_event in
     if w != t.emit_hook then t.emit_hook <- w;
@@ -814,49 +825,93 @@ let rec exec_from t b ~gen0 budget hooked i =
     (match t.emit_hook with
     | None -> ()
     | Some f -> f (Trace.Exec { pc; instr = u.Predecode.u_instr }));
-    decr budget;
+    let budget = budget - 1 in
     if
       i + 1 < n
       && (not t.halted)
       && (match t.sw_fault with None -> true | Some _ -> false)
       && t.mem.Memory.code_gen = gen0
-      && !budget <> 0
-    then exec_from t b ~gen0 budget hooked (i + 1)
+      && budget <> 0
+    then exec_from t b ~gen0 budget (i + 1)
+    else budget
   end
+  else budget
 
-(* One block, returning the fault that stopped it, if any. *)
-let run_block t b budget hooked =
-  t.in_step <- true;
-  let fault =
-    match exec_from t b ~gen0:t.mem.Memory.code_gen budget hooked 0 with
-    | () -> None
-    | exception Fault f -> Some f
-    | exception Decode.Illegal word ->
-      Some (Illegal_instruction { pc = pc_of t; word })
-  in
-  (match fault with
-  | Some f -> emit t (Trace.Fault_event (Format.asprintf "%a" pp_fault f))
-  | None -> ());
+(* The lean runner: [b] from uop [i] with no hook or watcher armed, the
+   block validated under the live key and fuel for all of it.  Per uop
+   it does what [exec_from] does for such a block: fetch words counted,
+   PC advanced, the executor run, cost and retirement charged.  Only a
+   uop that may store can halt the machine, raise a software fault,
+   write code, change the MPU key or arm a hook (through a port, the
+   host call or memory), so only after one are those checked: a stop
+   or a code write ends the block as in [exec_from], a block that no
+   longer validates or a new hook hands the rest of it to
+   [exec_from]. *)
+let rec lean t b ~gen0 budget i =
+  let u = Array.unsafe_get b.pre.Predecode.b_uops i in
+  let stats = t.stats and cpu = t.cpu in
+  stats.Trace.fetch_words <- stats.Trace.fetch_words + u.Predecode.u_words;
+  cpu.Cpu.regs.(Registers.pc) <-
+    (u.Predecode.u_pc + u.Predecode.u_len) land 0xFFFF;
+  (Array.unsafe_get b.execs i) t;
+  cpu.Cpu.cycles <- cpu.Cpu.cycles + u.Predecode.u_cost;
+  cpu.Cpu.insns <- cpu.Cpu.insns + 1;
+  let budget = budget - 1 and i = i + 1 in
+  if i = Array.length b.execs then budget
+  else if not u.Predecode.u_stores then lean t b ~gen0 budget i
+  else if
+    t.halted
+    || (match t.sw_fault with None -> false | Some _ -> true)
+    || t.mem.Memory.code_gen <> gen0
+  then budget
+  else
+    match (t.on_step, t.on_event) with
+    | None, None when validated t b.pre -> lean t b ~gen0 budget i
+    | _ -> exec_from t b ~gen0 budget i
+
+(* An unobserved block, with fuel for every uop and validated under the
+   live key, runs lean; anything else runs in the careful loop.  A lean
+   block's watcher snapshot is empty throughout: a watcher armed in it
+   hands the rest over to [exec_from], which takes a new one. *)
+let run_block t b budget =
+  let gen0 = t.mem.Memory.code_gen in
+  let n = Array.length b.execs in
+  match (t.on_step, t.on_event) with
+  | None, None when n > 0 && n <= budget && validated t b.pre ->
+    t.emit_hook <- None;
+    lean t b ~gen0 budget 0
+  | _ -> exec_from t b ~gen0 budget 0
+
+let faulted t f =
+  emit t (Trace.Fault_event (Format.asprintf "%a" pp_fault f));
   t.in_step <- false;
-  fault
+  Faulted f
+
+(* Stop checks at every block boundary, except one whose hook already
+   ran: that boundary commits to its instruction. *)
+let rec loop t budget =
+  if t.hooked then dispatch t budget
+  else if t.halted then Halted
+  else
+    match t.sw_fault with
+    | Some code -> Sw_fault code
+    | None -> if budget = 0 then Out_of_fuel else dispatch t budget
+
+and dispatch t budget =
+  sync_code_cache t;
+  let b = block_at t (pc_of t) in
+  t.in_step <- true;
+  match run_block t b budget with
+  | budget ->
+    t.in_step <- false;
+    loop t budget
+  | exception Fault f -> faulted t f
+  | exception Decode.Illegal word ->
+    faulted t (Illegal_instruction { pc = pc_of t; word })
 
 let run ?(fuel = 10_000_000) t =
-  let budget = ref fuel and hooked = ref false in
-  (* A boundary whose hook already ran commits to its instruction. *)
-  let rec loop () =
-    if !hooked then dispatch ()
-    else if t.halted then Halted
-    else
-      match t.sw_fault with
-      | Some code -> Sw_fault code
-      | None -> if !budget = 0 then Out_of_fuel else dispatch ()
-  and dispatch () =
-    sync_code_cache t;
-    match run_block t (block_at t (pc_of t)) budget hooked with
-    | None -> loop ()
-    | Some f -> Faulted f
-  in
-  loop ()
+  t.hooked <- false;
+  loop t fuel
 
 let mem_checked_read t width addr = load_mem t width (addr land 0xFFFF)
 

@@ -59,6 +59,9 @@ type t = {
       (** internal: the watcher chain snapshotted at the instruction
           boundary; {!run} maintains it — do not assign *)
   mutable in_step : bool;  (** internal: an instruction is in flight *)
+  mutable hooked : bool;
+      (** internal: the step hook of the boundary in hand has run and
+          sent dispatch back to the block cache; {!run} maintains it *)
   mutable extra_cycles : int;
       (** cycles charged by host services, included in {!cycles} *)
   blocks : (int, block) Hashtbl.t;
@@ -78,7 +81,10 @@ and block = {
   execs : (t -> unit) array;
       (** [execs.(i)] executes [pre.b_uops.(i)]: built once with the
           block, specialised on the uop's operation, width and
-          addressing modes *)
+          addressing modes.  {!run} calls it from either of its loops;
+          the lean one reads [pre.b_uops.(i).u_stores] after it to
+          know whether the uop may have stopped the machine, written
+          code, moved the MPU key or armed a hook. *)
 }
 
 val host_call_port : int
@@ -193,6 +199,24 @@ val run : ?fuel:int -> t -> stop_reason
     into predecoded code sends dispatch back to the block cache
     without running again for that boundary.  [run ~fuel:1] executes
     exactly one instruction.
+
+    Each block runs in one of two loops, picked at its entry from the
+    machine's state: the lean runner when no step hook and no watcher
+    is armed, the fuel left covers all the block's uops, and the block
+    validates under the live MPU key; the careful loop otherwise, the
+    only one that runs hooks, watchers, per-word Exec checks, empty
+    blocks and the last uops of the fuel.  The lean runner has nothing
+    of the contract to do but fetch-word counting, execution and
+    charging, and checks for a stop, a code write, a new MPU key or a
+    newly armed hook only after a uop that may store
+    ({!Predecode.uop.u_stores}), the only way an instruction can cause
+    one; a stop or code write ends the block, and a hook or a block
+    that no longer validates sends the rest of the block to the
+    careful loop.  Both loops charge and count alike, so no result
+    depends on which ran.  Neither loop nor the executors allocate
+    beyond the event records a watcher receives: a run allocates
+    otherwise only to build a block or to report a fault or a
+    software-fault code.
 
     The cache is invalidated by writes into predecoded code spans
     (tracked by {!Memory.code_gen}; self-modifying code re-decodes

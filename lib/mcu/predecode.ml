@@ -22,6 +22,7 @@ type uop = {
   u_src_ext : int; (* pc+2: where fetch found the src extension word *)
   u_dst_ext : int; (* pc+2(+2): likewise for the dst extension word *)
   u_target : int; (* jump target (masked); 0 for non-jumps *)
+  u_stores : bool; (* Opcode.writes_memory: it may store *)
 }
 
 type block = {
@@ -52,6 +53,7 @@ let decode ~fetch ~pc =
         if Encode.src_needs_ext width src then 2 else 0
       | _ -> 0);
     u_target = Option.value ~default:0 (Opcode.jump_target instr ~pc);
+    u_stores = Opcode.writes_memory instr;
   }
 
 exception Unfetchable

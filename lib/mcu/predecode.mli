@@ -22,6 +22,11 @@ type uop = {
   u_src_ext : int;  (** address fetch used for the src extension word *)
   u_dst_ext : int;  (** likewise for the dst extension word *)
   u_target : int;  (** jump target (masked); 0 for non-jumps *)
+  u_stores : bool;
+      (** {!Opcode.writes_memory}: the uop may store to memory or a
+          peripheral, the only way an instruction can halt the machine,
+          raise a software fault, write code, reconfigure the MPU or
+          run a host call *)
 }
 
 type block = {

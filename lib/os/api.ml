@@ -1,5 +1,6 @@
 module M = Amulet_mcu.Machine
-module R = Amulet_mcu.Registers
+module Cpu = Amulet_mcu.Cpu
+module Memory = Amulet_mcu.Memory
 module W = Amulet_mcu.Word
 module Apis = Amulet_cc.Apis
 
@@ -24,8 +25,9 @@ let create sensors =
   {
     sensors;
     display = Array.make 4 "";
-    log = Buffer.create 256;
-    ble = Buffer.create 256;
+    (* small: a fleet starts a kernel per device; they grow on use *)
+    log = Buffer.create 16;
+    ble = Buffer.create 16;
     rand_state = 0xACE1;
     next_timer = 1;
     calls = 0;
@@ -36,106 +38,115 @@ let xorshift16 s =
   let s = s lxor (s lsr 9) in
   s lxor (s lsl 8) land 0xFFFF
 
-(* One call as a service's behaviour sees it.  [n] is the element count
-   the shared pointer step settled on; the pointer itself is R12. *)
-type call = {
-  api : t;
-  machine : M.t;
-  now_ms : int;
-  n : int;
-  mutable effects : effect list;
-}
+(* Services read their arguments from R12-R14 and write the result to
+   R12 straight in the register file, and read the app's bytes straight
+   from memory: no call into another module per access. *)
+let[@inline] arg m i = m.M.cpu.Cpu.regs.(12 + i)
+let[@inline] set_result m v = m.M.cpu.Cpu.regs.(12) <- v land 0xFFFF
+let[@inline] byte m a =
+  Char.code (Bytes.unsafe_get m.M.mem.Memory.data (a land 0xFFFF))
 
-let arg c i = R.get (M.regs c.machine) (12 + i)
-let set_result c v = R.set (M.regs c.machine) 12 (v land 0xFFFF)
-let effect c e = c.effects <- e :: c.effects
+(* A service's own behaviour, after the shared pointer step: [n] is the
+   element count that step settled on (the pointer itself is R12), and
+   [apply] applies the one effect the service may raise. *)
+type behaviour =
+  t -> M.t -> now_ms:int -> n:int -> apply:(effect -> unit) -> unit
 
-let reading f c = set_result c (f c.api.sensors ~time_ms:c.now_ms)
+let reading f : behaviour =
+ fun t m ~now_ms ~n:_ ~apply:_ -> set_result m (f t.sensors ~time_ms:now_ms)
+
+let answer v : behaviour = fun _ m ~now_ms:_ ~n:_ ~apply:_ -> set_result m v
 
 (* [n] samples ending now, [period_ms] apart, as words at R12 *)
-let write_samples ~period_ms f c =
-  let buf = arg c 0 in
-  for i = 0 to c.n - 1 do
-    let tm = c.now_ms - ((c.n - 1 - i) * period_ms) in
-    M.mem_checked_write c.machine W.W16 (buf + (2 * i))
-      (f c.api.sensors ~time_ms:(Int.max 0 tm) land 0xFFFF)
+let write_samples ~period_ms f : behaviour =
+ fun t m ~now_ms ~n ~apply:_ ->
+  let buf = arg m 0 in
+  for i = 0 to n - 1 do
+    let tm = now_ms - ((n - 1 - i) * period_ms) in
+    M.mem_checked_write m W.W16 (buf + (2 * i))
+      (f t.sensors ~time_ms:(Int.max 0 tm) land 0xFFFF)
   done;
-  set_result c c.n
+  set_result m n
 
-let read_bytes c =
-  String.init c.n (fun i ->
-      Char.chr (M.mem_checked_read c.machine W.W8 (arg c 0 + i)))
+(* [n] bytes at R12 onto [buf] *)
+let append_bytes buf m n =
+  let a = arg m 0 in
+  for i = 0 to n - 1 do
+    Buffer.add_char buf (Char.unsafe_chr (byte m (a + i)))
+  done
 
-let with_sensor f c =
-  match Event.sensor_of_int (arg c 0) with
+let with_sensor f : behaviour =
+ fun _ m ~now_ms:_ ~n:_ ~apply ->
+  match Event.sensor_of_int (arg m 0) with
   | Some sensor ->
-    effect c (f c sensor);
-    set_result c 0
-  | None -> set_result c 0xFFFF
+    apply (f m sensor);
+    set_result m 0
+  | None -> set_result m 0xFFFF
 
-(* Each service's own behaviour, after the shared pointer step. *)
-let behaviours =
+let behaviours : (string * behaviour) list =
   [
-    ("api_null", fun c -> set_result c 0);
-    ("api_get_time", fun c -> set_result c (c.now_ms / 1000));
+    ("api_null", answer 0);
+    ( "api_get_time",
+      fun _ m ~now_ms ~n:_ ~apply:_ -> set_result m (now_ms / 1000) );
     ("api_get_battery", reading Sensors.battery_percent);
     ("api_read_accel", write_samples ~period_ms:20 Sensors.accel_magnitude);
     ( "api_read_accel_xyz",
-      fun c ->
-        let x, y, z = Sensors.accel_sample c.api.sensors ~time_ms:c.now_ms in
-        List.iteri
-          (fun i v ->
-            M.mem_checked_write c.machine W.W16 (arg c 0 + (2 * i))
-              (v land 0xFFFF))
-          [ x; y; z ];
-        set_result c 3 );
+      fun t m ~now_ms ~n:_ ~apply:_ ->
+        let x, y, z = Sensors.accel_sample t.sensors ~time_ms:now_ms in
+        let buf = arg m 0 in
+        M.mem_checked_write m W.W16 buf (x land 0xFFFF);
+        M.mem_checked_write m W.W16 (buf + 2) (y land 0xFFFF);
+        M.mem_checked_write m W.W16 (buf + 4) (z land 0xFFFF);
+        set_result m 3 );
     ("api_read_heart_rate", reading Sensors.heart_rate);
     ("api_read_ppg", write_samples ~period_ms:10 Sensors.ppg_sample);
     ("api_read_temperature", reading Sensors.temperature);
     ("api_read_light", reading Sensors.light);
     ( "api_display_write",
-      fun c ->
-        c.api.display.(arg c 1 land 3) <- read_bytes c;
-        set_result c 0 );
+      (* the one service that keeps the app's bytes: the line is state *)
+      fun t m ~now_ms:_ ~n ~apply:_ ->
+        let a = arg m 0 in
+        t.display.(arg m 1 land 3) <-
+          String.init n (fun i -> Char.unsafe_chr (byte m (a + i)));
+        set_result m 0 );
     ( "api_display_clear",
-      fun c ->
-        Array.fill c.api.display 0 4 "";
-        set_result c 0 );
+      fun t m ~now_ms:_ ~n:_ ~apply:_ ->
+        Array.fill t.display 0 4 "";
+        set_result m 0 );
     ("api_button_state", reading Sensors.button_state);
-    ("api_led", fun c -> set_result c 0);
-    ("api_buzz", fun c -> set_result c 0);
+    ("api_led", answer 0);
+    ("api_buzz", answer 0);
     ( "api_log_append",
-      fun c ->
-        Buffer.add_string c.api.log (read_bytes c);
-        set_result c c.n );
+      fun t m ~now_ms:_ ~n ~apply:_ ->
+        append_bytes t.log m n;
+        set_result m n );
     ( "api_send_ble",
-      fun c ->
-        Buffer.add_string c.api.ble (read_bytes c);
-        set_result c c.n );
+      fun t m ~now_ms:_ ~n ~apply:_ ->
+        append_bytes t.ble m n;
+        set_result m n );
     ( "api_set_timer",
-      fun c ->
+      fun t m ~now_ms:_ ~n:_ ~apply ->
         (* the period is an unsigned 16-bit millisecond count (1..65535) *)
-        let id = c.api.next_timer in
-        c.api.next_timer <- id + 1;
-        effect c (Set_timer { id; period_ms = Int.max 1 (arg c 0) });
-        set_result c id );
+        let id = t.next_timer in
+        t.next_timer <- id + 1;
+        apply (Set_timer { id; period_ms = Int.max 1 (arg m 0) });
+        set_result m id );
     ( "api_cancel_timer",
-      fun c ->
-        effect c (Cancel_timer (arg c 0));
-        set_result c 0 );
+      fun _ m ~now_ms:_ ~n:_ ~apply ->
+        apply (Cancel_timer (arg m 0));
+        set_result m 0 );
     ( "api_subscribe",
-      with_sensor (fun c sensor ->
+      with_sensor (fun m sensor ->
           Subscribe
             {
               sensor;
-              rate_hz = Int.max 1 (Int.min 100 (W.to_signed W.W16 (arg c 1)));
-            })
-    );
+              rate_hz = Int.max 1 (Int.min 100 (W.to_signed W.W16 (arg m 1)));
+            }) );
     ("api_unsubscribe", with_sensor (fun _ sensor -> Unsubscribe sensor));
     ( "api_rand",
-      fun c ->
-        c.api.rand_state <- xorshift16 c.api.rand_state;
-        set_result c c.api.rand_state );
+      fun t m ~now_ms:_ ~n:_ ~apply:_ ->
+        t.rand_state <- xorshift16 t.rand_state;
+        set_result m t.rand_state );
   ]
 
 let handlers =
@@ -146,63 +157,60 @@ let handlers =
       | None -> invalid_arg ("Api: no behaviour for " ^ s.Apis.name))
     Apis.services
 
-(* writable span ending at the first range boundary above addr *)
-let span_above valid addr =
-  List.fold_left
-    (fun acc (lo, hi) -> if addr >= lo && addr < hi then hi - addr else acc)
-    0 valid
+(* Does one of the ranges hold [addr, addr + len)? *)
+let rec inside addr len = function
+  | [] -> false
+  | (lo, hi) :: tl -> (addr >= lo && addr + len <= hi) || inside addr len tl
 
-let string_length machine addr limit =
-  let rec go i =
-    if i < limit && M.mem_checked_read machine W.W8 (addr + i) <> 0 then
-      go (i + 1)
-    else i
-  in
-  go 0
+(* writable span ending at the first range boundary above addr *)
+let rec span_above addr span = function
+  | [] -> span
+  | (lo, hi) :: tl ->
+    span_above addr (if addr >= lo && addr < hi then hi - addr else span) tl
+
+let rec string_length m addr limit i =
+  if i < limit && byte m (addr + i) <> 0 then string_length m addr limit (i + 1)
+  else i
 
 (* The step every pointer service shares: clamp the element count,
    validate the bytes at R12 against [valid] unless certified, charge.
-   [Error (addr, len)] is a rejected range; [Ok n] the count served. *)
-let pointer_step machine ~certified ~valid (p : Apis.pointer) =
-  let regs = M.regs machine in
-  let addr = R.get regs 12 in
-  let n = Apis.count p (R.get regs 13) in
+   Returns the count served, or -1 for a rejected range, which charges
+   no transfer, answers 0xFFFF and applies a [Pointer_fault]. *)
+let pointer_step m ~certified ~valid ~apply (s : Apis.service) =
+  let p = s.Apis.pointer in
+  let addr = arg m 0 in
+  let n = Apis.count p (arg m 1) in
   let len = Apis.validated_bytes p n in
-  if not certified then M.add_cycles machine Apis.validate_charge;
-  let inside (lo, hi) = addr >= lo && addr + len <= hi in
-  if certified || List.exists inside valid then begin
+  if not certified then M.add_cycles m Apis.validate_charge;
+  if certified || inside addr len valid then begin
     let n =
       match p with
       | Apis.C_string _ ->
-        string_length machine addr (Int.min n (span_above valid addr))
+        string_length m addr (Int.min n (span_above addr 0 valid)) 0
       | _ -> n
     in
-    M.add_cycles machine (Apis.variable_charge p n);
-    Ok n
+    M.add_cycles m (Apis.variable_charge p n);
+    n
   end
-  else Error (addr, len)
+  else begin
+    set_result m 0xFFFF;
+    apply (Pointer_fault { service = s.Apis.name; addr; len });
+    -1
+  end
 
-let dispatch t machine ~certified ~valid ~now_ms ~svc =
+let dispatch t m ~certified ~valid ~now_ms ~svc ~apply =
   t.calls <- t.calls + 1;
   if svc < 0 || svc >= Array.length Apis.services then begin
-    M.add_cycles machine Apis.unknown_charge;
-    R.set (M.regs machine) 12 0xFFFF;
-    []
+    M.add_cycles m Apis.unknown_charge;
+    set_result m 0xFFFF
   end
   else begin
     let s = Apis.services.(svc) in
-    M.add_cycles machine s.Apis.base_charge;
-    let step =
+    M.add_cycles m s.Apis.base_charge;
+    let n =
       match s.Apis.pointer with
-      | Apis.No_pointer -> Ok 0
-      | p -> pointer_step machine ~certified:certified.(svc) ~valid p
+      | Apis.No_pointer -> 0
+      | _ -> pointer_step m ~certified:certified.(svc) ~valid ~apply s
     in
-    match step with
-    | Ok n ->
-      let c = { api = t; machine; now_ms; n; effects = [] } in
-      handlers.(svc) c;
-      List.rev c.effects
-    | Error (addr, len) ->
-      R.set (M.regs machine) 12 0xFFFF;
-      [ Pointer_fault { service = s.Apis.name; addr; len } ]
+    if n >= 0 then handlers.(svc) t m ~now_ms ~n ~apply
   end

@@ -9,8 +9,14 @@
     {!Amulet_cc.Apis.services}; gate/context-switch cycles are
     {e executed}, not charged).
 
-    Side effects that concern the scheduler (timers, subscriptions)
-    are returned as {!effect}s for the kernel to apply. *)
+    A side effect that concerns the scheduler (a timer, a subscription)
+    or a rejected pointer is an {!effect}, applied in place through the
+    function the kernel passes to {!dispatch}.  Arguments and the
+    result go straight through the register file, and [api_log_append]
+    and [api_send_ble] append the app's bytes straight from memory.
+    Apart from that effect, [api_display_write]'s line, the log and
+    radio buffers' growth and the sensor models' own samples, a call
+    allocates nothing. *)
 
 type effect =
   | Set_timer of { id : int; period_ms : int }
@@ -39,7 +45,8 @@ val dispatch :
   valid:(int * int) list ->
   now_ms:int ->
   svc:int ->
-  effect list
+  apply:(effect -> unit) ->
+  unit
 (** Serve service number [svc] ({!Amulet_cc.Apis.services}).  Every
     call counts once and pays the service's base charge; a number
     outside the table pays {!Amulet_cc.Apis.unknown_charge} and gets
@@ -52,4 +59,6 @@ val dispatch :
     without that validation and its charge
     ({!Amulet_analysis.Gate_taint} via the image's [cert.gates.*]
     notes).  A rejected range charges no transfer, sets R12 to 0xFFFF
-    and returns {!Pointer_fault}. *)
+    and applies {!Pointer_fault}; the service does not run.  A service
+    applies the one effect it raises through [apply] before it
+    returns. *)

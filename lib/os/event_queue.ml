@@ -1,53 +1,78 @@
-type heap = Leaf | Node of int * Event.t * heap * heap (* rank, min at root *)
+(* A binary min-heap in a growable array, ordered by (at, seq).  Keys
+   are unique (seq is), so any correct heap pops the same sequence. *)
 
-type t = { mutable heap : heap; mutable seq : int; mutable count : int }
+type t = {
+  mutable heap : Event.t array;  (* heap.(0 .. size - 1); root at 0 *)
+  mutable size : int;
+  mutable seq : int;
+}
 
-let create () = { heap = Leaf; seq = 0; count = 0 }
-let is_empty t = t.heap = Leaf
-let size t = t.count
+(* Fills the slots past [size], so they hold no popped event. *)
+let vacant = { Event.at = 0; seq = 0; app = 0; kind = Event.Tick; arg = 0 }
+
+let create () = { heap = [||]; size = 0; seq = 0 }
+let is_empty t = t.size = 0
+let size t = t.size
 
 let before (a : Event.t) (b : Event.t) =
   a.Event.at < b.Event.at || (a.Event.at = b.Event.at && a.Event.seq < b.Event.seq)
 
-let rank = function Leaf -> 0 | Node (r, _, _, _) -> r
+(* Move [e] up from slot [i] to where its parent is before it. *)
+let rec sift_up h i e =
+  let p = (i - 1) / 2 in
+  if i > 0 && before e h.(p) then begin
+    h.(i) <- h.(p);
+    sift_up h p e
+  end
+  else h.(i) <- e
 
-let make v l r =
-  if rank l >= rank r then Node (rank r + 1, v, l, r) else Node (rank l + 1, v, r, l)
+(* Move [e] down from slot [i] of a heap of [n] until no child is
+   before it. *)
+let rec sift_down h n i e =
+  let l = (2 * i) + 1 in
+  if l >= n then h.(i) <- e
+  else
+    let c = if l + 1 < n && before h.(l + 1) h.(l) then l + 1 else l in
+    if before h.(c) e then begin
+      h.(i) <- h.(c);
+      sift_down h n c e
+    end
+    else h.(i) <- e
 
-let rec merge a b =
-  match (a, b) with
-  | Leaf, h | h, Leaf -> h
-  | Node (_, va, la, ra), Node (_, vb, lb, rb) ->
-    if before va vb then make va la (merge ra b)
-    else make vb lb (merge rb a)
+let add t (e : Event.t) =
+  if t.size = Array.length t.heap then begin
+    let h = Array.make (Int.max 16 (2 * t.size)) vacant in
+    Array.blit t.heap 0 h 0 t.size;
+    t.heap <- h
+  end;
+  t.size <- t.size + 1;
+  sift_up t.heap (t.size - 1) e
 
 let push t ~at ~app kind ~arg =
   let e = { Event.at; seq = t.seq; app; kind; arg } in
   t.seq <- t.seq + 1;
-  t.count <- t.count + 1;
-  t.heap <- merge t.heap (Node (1, e, Leaf, Leaf))
+  add t e
 
 let pop t =
-  match t.heap with
-  | Leaf -> None
-  | Node (_, v, l, r) ->
-    t.heap <- merge l r;
-    t.count <- t.count - 1;
-    Some v
+  if t.size = 0 then None
+  else begin
+    let h = t.heap in
+    let top = h.(0) in
+    let n = t.size - 1 in
+    t.size <- n;
+    let last = h.(n) in
+    h.(n) <- vacant;
+    if n > 0 then sift_down h n 0 last;
+    Some top
+  end
 
-let peek t = match t.heap with Leaf -> None | Node (_, v, _, _) -> Some v
+let peek t = if t.size = 0 then None else Some t.heap.(0)
 
 let clear_app t app =
-  let rec collect acc = function
-    | Leaf -> acc
-    | Node (_, v, l, r) -> collect (collect (v :: acc) l) r
-  in
-  let all = collect [] t.heap in
-  let keep = List.filter (fun e -> e.Event.app <> app) all in
-  t.heap <- Leaf;
-  t.count <- 0;
-  List.iter
-    (fun (e : Event.t) ->
-      t.count <- t.count + 1;
-      t.heap <- merge t.heap (Node (1, e, Leaf, Leaf)))
-    keep
+  let h = t.heap and n = t.size in
+  t.size <- 0;
+  for i = 0 to n - 1 do
+    let e = h.(i) in
+    h.(i) <- vacant;
+    if e.Event.app <> app then add t e
+  done

@@ -1,5 +1,9 @@
 (** Priority queue of pending events, ordered by virtual time with
-    FIFO tie-breaking (a leftist heap). *)
+    FIFO tie-breaking: a binary heap in a growable array, keyed by
+    [(at, seq)].  A push allocates only its event (and, when the array
+    is full, a new one of twice the size); a pop only the [Some].
+    [test/support/ref_queue.ml] keeps the leftist heap it replaced as
+    the reference test_os checks it against. *)
 
 type t
 

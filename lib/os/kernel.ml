@@ -84,10 +84,7 @@ let now_ms t = t.now / Event.cycles_per_ms
    up as gaps in Perfetto, not as overlapping spans). *)
 let vnow t = t.vbase + M.cycles t.machine
 
-let with_profile t f =
-  match t.obs with
-  | Some obs -> ( match Obs.profile obs with Some p -> f p | None -> ())
-  | None -> ()
+let profile t = match t.obs with Some obs -> Obs.profile obs | None -> None
 
 let queue_gauge t =
   match t.obs with
@@ -112,31 +109,29 @@ let valid_ranges mode (build : Aft.app_build) =
   else (* shared stack: the app's locals live in SRAM *)
     [ (Map.sram_start, Map.sram_limit); data ]
 
-let apply_effects t app effects =
-  List.iter
-    (fun e ->
-      match e with
-      | Api.Set_timer { id; period_ms } ->
-        app.timers <- (id, period_ms) :: app.timers;
-        post t ~delay_ms:period_ms ~app:app.build.Aft.ab_layout.Amulet_aft.Layout.index
-          (Event.Timer_fired id) ~arg:id
-      | Api.Cancel_timer id ->
-        app.timers <- List.remove_assoc id app.timers
-      | Api.Subscribe { sensor; rate_hz } ->
-        if not (List.mem_assoc sensor app.subscriptions) then begin
-          app.subscriptions <- (sensor, rate_hz) :: app.subscriptions;
-          post t ~delay_ms:(1000 / rate_hz)
-            ~app:app.build.Aft.ab_layout.Amulet_aft.Layout.index
-            (Event.Sensor_sample sensor)
-            ~arg:(Event.sensor_to_int sensor)
-        end
-      | Api.Unsubscribe sensor ->
-        app.subscriptions <- List.remove_assoc sensor app.subscriptions
-      | Api.Pointer_fault { service; addr; len } ->
-        app.last_fault <-
-          Some
-            (Printf.sprintf "pointer %04X+%d rejected by %s" addr len service))
-    effects
+(* The effect a service raised, applied in place for the app being
+   dispatched. *)
+let apply_effect t e =
+  let app = t.apps.(t.current_app) in
+  match e with
+  | Api.Set_timer { id; period_ms } ->
+    app.timers <- (id, period_ms) :: app.timers;
+    post t ~delay_ms:period_ms ~app:app.build.Aft.ab_layout.Amulet_aft.Layout.index
+      (Event.Timer_fired id) ~arg:id
+  | Api.Cancel_timer id -> app.timers <- List.remove_assoc id app.timers
+  | Api.Subscribe { sensor; rate_hz } ->
+    if not (List.mem_assoc sensor app.subscriptions) then begin
+      app.subscriptions <- (sensor, rate_hz) :: app.subscriptions;
+      post t ~delay_ms:(1000 / rate_hz)
+        ~app:app.build.Aft.ab_layout.Amulet_aft.Layout.index
+        (Event.Sensor_sample sensor)
+        ~arg:(Event.sensor_to_int sensor)
+    end
+  | Api.Unsubscribe sensor ->
+    app.subscriptions <- List.remove_assoc sensor app.subscriptions
+  | Api.Pointer_fault { service; addr; len } ->
+    app.last_fault <-
+      Some (Printf.sprintf "pointer %04X+%d rejected by %s" addr len service)
 
 let app_facts (fw : Aft.firmware) build =
   let image = fw.Aft.fw_image in
@@ -205,6 +200,7 @@ let start ?(policy = Disable) ?(scenario = Sensors.Daily_mix) ?seed b =
       current_app = -1;
     }
   in
+  let apply e = apply_effect t e in
   machine.M.host_call <-
     (fun m svc ->
       if t.current_app >= 0 then begin
@@ -218,11 +214,8 @@ let start ?(policy = Disable) ?(scenario = Sensors.Daily_mix) ?seed b =
           in
           Obs.instant obs ~cat:"api" ~tid:t.current_app ~name ~ts:(vnow t) ()
         | None -> ());
-        let effects =
-          Api.dispatch t.api m ~certified:app.certified ~valid:app.valid
-            ~now_ms:(now_ms t) ~svc
-        in
-        apply_effects t app effects
+        Api.dispatch t.api m ~certified:app.certified ~valid:app.valid
+          ~now_ms:(now_ms t) ~svc ~apply
       end);
   (* every app starts with an init event *)
   Array.iteri
@@ -289,10 +282,12 @@ let dispatch_event t (e : Event.t) ~latency =
     R.set regs 15 haddr;
     R.set_pc regs app.build.Aft.ab_tramp;
     t.current_app <- e.Event.app;
-    with_profile t (fun p ->
-        Profile.set_context p ~app:app.build.Aft.ab_name ~handler);
+    let prof = profile t in
+    (match prof with
+    | Some p -> Profile.set_context p ~app:app.build.Aft.ab_name ~handler
+    | None -> ());
     let stop = M.run ~fuel:handler_fuel m in
-    with_profile t Profile.clear_context;
+    (match prof with Some p -> Profile.clear_context p | None -> ());
     t.current_app <- -1;
     let outcome =
       match stop with
@@ -403,19 +398,18 @@ let dispatch_next t =
     | None -> ());
     Some record
 
-let run_for_ms t ms =
-  let deadline = t.now + Event.ms_to_cycles ms in
-  let rec go acc =
-    match Event_queue.peek t.queue with
-    | Some e when e.Event.at <= deadline -> (
-      match dispatch_next t with
-      | Some r -> go (r :: acc)
-      | None -> List.rev acc)
-    | _ ->
-      t.now <- deadline;
-      List.rev acc
-  in
-  go []
+(* The records in dispatch order, the list built front to back. *)
+let[@tail_mod_cons] rec dispatch_until t deadline =
+  match Event_queue.peek t.queue with
+  | Some e when e.Event.at <= deadline -> (
+    match dispatch_next t with
+    | Some r -> r :: dispatch_until t deadline
+    | None -> [])
+  | _ ->
+    t.now <- deadline;
+    []
+
+let run_for_ms t ms = dispatch_until t (t.now + Event.ms_to_cycles ms)
 
 let app_by_name t name =
   match

@@ -1,27 +1,33 @@
 type scenario = Resting | Walking | Running | Fall_at of int | Daily_mix
 
-(* [memo] holds the accelerometer magnitude and PPG samples already
-   synthesised: per series, [memo_slots] (time, value) pairs
-   direct-mapped by time, allocated on first use. *)
-type t = { seed : int; scenario : scenario; mutable memo : int array }
+(* [accel_memo] and [ppg_memo] hold the samples already synthesised
+   for their series: [memo_slots] (time, value) pairs direct-mapped by
+   time, each table allocated on the series' first use. *)
+type t = {
+  seed : int;
+  scenario : scenario;
+  mutable accel_memo : int array;
+  mutable ppg_memo : int array;
+}
 
-let create ?(seed = 0x5EED) scenario = { seed; scenario; memo = [||] }
+let create ?(seed = 0x5EED) scenario =
+  { seed; scenario; accel_memo = [||]; ppg_memo = [||] }
 
 let memo_slots = 64
+let memo_table () = Array.make (2 * memo_slots) (-1)
 
 (* Both series are pure functions of (seed, scenario, time), so a hit
    returns exactly what [f] would.  Negative times are not memoised:
    -1 marks an empty slot. *)
-let memoised series f t ~time_ms =
+let memoised memo f t ~time_ms =
   if time_ms < 0 then f t ~time_ms
   else begin
-    if Array.length t.memo = 0 then t.memo <- Array.make (4 * memo_slots) (-1);
-    let i = 2 * ((series * memo_slots) + (time_ms land (memo_slots - 1))) in
-    if t.memo.(i) = time_ms then t.memo.(i + 1)
+    let i = 2 * (time_ms land (memo_slots - 1)) in
+    if memo.(i) = time_ms then memo.(i + 1)
     else begin
       let v = f t ~time_ms in
-      t.memo.(i) <- time_ms;
-      t.memo.(i + 1) <- v;
+      memo.(i) <- time_ms;
+      memo.(i + 1) <- v;
       v
     end
   end
@@ -106,10 +112,13 @@ let isqrt n =
     Int.min !x 32767
   end
 
-let accel_magnitude =
-  memoised 0 (fun t ~time_ms ->
-      let x, y, z = accel_sample t ~time_ms in
-      isqrt ((x * x) + (y * y) + (z * z)))
+let magnitude t ~time_ms =
+  let x, y, z = accel_sample t ~time_ms in
+  isqrt ((x * x) + (y * y) + (z * z))
+
+let accel_magnitude t ~time_ms =
+  if Array.length t.accel_memo = 0 then t.accel_memo <- memo_table ();
+  memoised t.accel_memo magnitude t ~time_ms
 
 let heart_rate t ~time_ms =
   let base =
@@ -121,15 +130,18 @@ let heart_rate t ~time_ms =
   in
   base + sinusoid ~amp:4 ~freq_mhz:8 ~time_ms + noise t ~tag:7 ~time:(time_ms / 1000) ~amp:3
 
-let ppg_sample =
-  memoised 1 (fun t ~time_ms ->
-      (* pulse waveform at the current heart rate plus baseline wander *)
-      let bpm = heart_rate t ~time_ms in
-      let freq_mhz = bpm * 1000 / 60 in
-      2048
-      + sinusoid ~amp:300 ~freq_mhz ~time_ms
-      + sinusoid ~amp:40 ~freq_mhz:120 ~time_ms
-      + noise t ~tag:9 ~time:time_ms ~amp:25)
+(* pulse waveform at the current heart rate plus baseline wander *)
+let ppg t ~time_ms =
+  let bpm = heart_rate t ~time_ms in
+  let freq_mhz = bpm * 1000 / 60 in
+  2048
+  + sinusoid ~amp:300 ~freq_mhz ~time_ms
+  + sinusoid ~amp:40 ~freq_mhz:120 ~time_ms
+  + noise t ~tag:9 ~time:time_ms ~amp:25
+
+let ppg_sample t ~time_ms =
+  if Array.length t.ppg_memo = 0 then t.ppg_memo <- memo_table ();
+  memoised t.ppg_memo ppg t ~time_ms
 
 let temperature t ~time_ms =
   330 + sinusoid ~amp:8 ~freq_mhz:1 ~time_ms

@@ -6,7 +6,7 @@
     functions of (seed, scenario, time) so experiment runs are exactly
     reproducible.  A [t] remembers the accelerometer magnitude and PPG
     samples it has already synthesised (a small table per series,
-    direct-mapped by time), since a handler reading a buffer of them
+    direct-mapped by time and allocated on the series' first use), since a handler reading a buffer of them
     re-reads the same times; each kernel owns its [t]. *)
 
 type scenario =

@@ -314,6 +314,24 @@ let lockstep_property mode =
          | M.Halted -> true
          | r -> failwith ("lockstep stopped with " ^ show_stop r)))
 
+(* The same programs in one [Machine.run] each, unobserved, so every
+   block that validates runs in the lean runner, against [Refstep] at
+   the same fuel: the stepwise lockstep above runs [~fuel:1], which
+   sends every block of more than one uop to the careful loop. *)
+let whole_run_property mode =
+  let name = "whole-program lockstep (" ^ Iso.name mode ^ ")" in
+  QCheck2.Test.make ~count:40 ~name ~print:to_source gen_program
+    (reporting name (fun p ->
+         let _cu, image = H.build ~mode (to_source p) in
+         let a = boot image and b = boot image in
+         let fuel = 200_000 in
+         let ra = M.run ~fuel a and rb = Refstep.run ~fuel b in
+         if ra <> rb then
+           Printf.ksprintf failwith "stop run=%s ref=%s" (show_stop ra)
+             (show_stop rb);
+         compare_machines ~at:"stop" a b;
+         ra = M.Halted))
+
 (* Directed lockstep for the paths random WearC never takes: fetches
    from MMIO and unmapped space, an illegal word, and step hooks that
    patch the running block or move PC in the middle of it.  Here
@@ -693,6 +711,120 @@ let effects_cover_changes =
          | M.Out_of_fuel, Some t -> pc = next || pc = t
          | _ -> true))
 
+(* The lean runner's exits.  A block runs lean only while nothing
+   observes the machine, so each program runs twice: unobserved, and on
+   a twin with a no-op watcher and step hook, which keeps every block
+   in the careful loop.  The lean runner checks for a stop, a code
+   write, a new MPU key and a new hook only after a uop that may store;
+   each case stores mid-block and needs one of those checks to stop or
+   hand over before the next uop. *)
+let both_loops ?(arm = ignore) prog ~expect =
+  let mk observed =
+    let m = M.create () in
+    M.load_words m ~addr:code_base prog;
+    M.set_reset_vector m code_base;
+    M.reset m;
+    arm m;
+    if observed then begin
+      M.add_watch m ignore;
+      M.add_step_hook m ignore
+    end;
+    m
+  in
+  let lean = mk false and careful = mk true in
+  let rl = M.run ~fuel:1000 lean and rc = M.run ~fuel:1000 careful in
+  Alcotest.(check string) "stop reason" (show_stop rc) (show_stop rl);
+  Alcotest.(check string) "expected stop" expect (show_stop rl);
+  compare_machines ~at:"stop" careful lean;
+  Alcotest.(check int) "violation flags"
+    (Mpu.violation_flags careful.M.mpu)
+    (Mpu.violation_flags lean.M.mpu);
+  lean
+
+let store_to port v =
+  Opcode.Fmt1
+    (Opcode.MOV, Word.W16, Opcode.S_immediate v, Opcode.D_absolute port)
+
+let test_lean_sw_fault () =
+  let m =
+    both_loops
+      (words_of
+         [
+           mov_imm 0x1111 (Opcode.D_reg 5);
+           store_to M.sw_fault_port 7;
+           mov_imm 0x2222 (Opcode.D_reg 6);
+           mov_imm 0x3333 (Opcode.D_reg 7);
+           halt;
+         ])
+      ~expect:"software fault 7"
+  in
+  Alcotest.(check int) "no uop after the store" 0 (reg m 6)
+
+(* Code at [code_base] in segment 1, executable; segment 2 readable and
+   writable only. *)
+let code_segment m =
+  Mpu.configure m.M.mpu ~b1:mpu_b1 ~b2:mpu_b2
+    ~sam:(Mpu.sam_bits ~seg1:"rx" ~seg2:"rw" ~seg3:"" ())
+    ~enable:true
+
+let test_lean_mpu_revokes (_, port, v, seg) () =
+  ignore
+    (both_loops ~arm:code_segment
+       (words_of
+          [
+            mov_imm 0x1111 (Opcode.D_reg 5);
+            store_to port v;
+            mov_imm 0x2222 (Opcode.D_reg 6);
+            halt;
+          ])
+       ~expect:
+         (Printf.sprintf
+            "fault (MPU violation: execute of 440A (%s) at pc=440A)" seg))
+
+let revocations =
+  [
+    (* segment 1 loses execute *)
+    ( "MPUSAM",
+      Mpu.sam_addr,
+      Mpu.sam_bits ~seg1:"r" ~seg2:"rw" ~seg3:"" (),
+      "seg1" );
+    (* the code falls into segment 2 *)
+    ("MPUSEGB1", Mpu.segb1_addr, Mpu.border code_base, "seg2");
+  ]
+
+let test_lean_hook_armed () =
+  let logs = Array.make 2 [] in
+  let arm_at i m =
+    m.M.host_call <-
+      (fun m _ ->
+        M.add_step_hook m (fun m ->
+            let pc = Regs.get_pc (M.regs m) in
+            logs.(i) <-
+              Boundary (pc, M.cycles m, m.M.stats.Trace.fetch_words)
+              :: logs.(i));
+        M.add_watch m (fun e -> logs.(i) <- Event e :: logs.(i)))
+  in
+  let turn = ref 0 in
+  let arm m =
+    arm_at !turn m;
+    incr turn
+  in
+  ignore
+    (both_loops ~arm
+       (words_of
+          [
+            mov_imm 0x1111 (Opcode.D_reg 5);
+            store_to M.host_call_port 1;
+            mov_imm 0x2222 (Opcode.D_reg 6);
+            mov_imm 0x3333 (Opcode.D_reg 7);
+            halt;
+          ])
+       ~expect:"halted");
+  Alcotest.(check int) "a boundary for each later instruction" 3
+    (boundaries logs.(0));
+  if logs.(0) <> logs.(1) then
+    Alcotest.fail "hooks armed by a host call saw different runs"
+
 (* Attack-corpus observer effect: every corpus attack that builds,
    under every isolation mode, dispatched on two kernels over the same
    firmware: one with nothing attached, one with a no-op watcher and a
@@ -833,6 +965,10 @@ let () =
             lockstep_property Iso.Mpu_assisted;
             lockstep_property Iso.Software_only;
             lockstep_property Iso.Feature_limited;
+            whole_run_property Iso.No_isolation;
+            whole_run_property Iso.Mpu_assisted;
+            whole_run_property Iso.Software_only;
+            whole_run_property Iso.Feature_limited;
           ]
         @ List.map
             (fun mode ->
@@ -852,6 +988,18 @@ let () =
               test_hook_moves_pc;
             Alcotest.test_case "store patches the running block" `Quick
               test_store_patches_block;
+            Alcotest.test_case "lean exit: software fault mid-block" `Quick
+              test_lean_sw_fault;
+          ]
+        @ List.map
+            (fun ((what, _, _, _) as r) ->
+              Alcotest.test_case
+                ("lean exit: " ^ what ^ " revokes its own block")
+                `Quick (test_lean_mpu_revokes r))
+            revocations
+        @ [
+            Alcotest.test_case "lean exit: host call arms hooks" `Quick
+              test_lean_hook_armed;
             Alcotest.test_case "bus = Ref_bus at every address" `Quick
               test_bus_every_address;
             to_alcotest instruction_lockstep;

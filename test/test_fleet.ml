@@ -609,6 +609,78 @@ let test_restore_keeps_blocks () =
            blocks true))
     Iso.all
 
+(* --- minor words per dispatch ---------------------------------- *)
+
+(* The kernel's dispatch path on warm kernels, as perfbench drives it:
+   gateheavy's [post] plus [dispatch_next] behind a standing backlog,
+   and restored steady_day devices ([Kernel.start] and [run_for_ms] on
+   one boot).  Counts are deterministic for a given compiler. *)
+
+let words_during f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let gate_words mode =
+  let fw = Aft.build ~mode [ Suite.spec_for mode Suite.gateheavy ] in
+  let k = Kernel.create ~scenario:Amulet_os.Sensors.Walking fw in
+  ignore (Kernel.run_for_ms k 5);
+  let post () = Kernel.post k ~delay_ms:0 ~app:0 (Event.Button 1) ~arg:1 in
+  let press () =
+    post ();
+    ignore (Kernel.dispatch_next k)
+  in
+  for _ = 1 to 4 do
+    post ()
+  done;
+  for _ = 1 to 200 do
+    press ()
+  done;
+  let n = 500 in
+  words_during (fun () ->
+      for _ = 1 to n do
+        press ()
+      done)
+  /. float n
+
+let fleet_words mode =
+  let boot = Kernel.boot (steady_fw mode) in
+  let device seed =
+    Kernel.run_for_ms
+      (Kernel.start ~policy:Kernel.Disable
+         ~scenario:Amulet_os.Sensors.Daily_mix ~seed boot)
+      1000
+  in
+  ignore (device 1);
+  let dispatches = ref 0 in
+  let words =
+    words_during (fun () ->
+        for seed = 2 to 9 do
+          dispatches := !dispatches + List.length (device seed)
+        done)
+  in
+  words /. float !dispatches
+
+(* Every mode's figure, and a failure naming each one over [limit]. *)
+let check_words what ~limit words =
+  let over =
+    List.filter_map
+      (fun mode ->
+        let w = words mode in
+        if w > float limit then
+          Some (Printf.sprintf "%s %.1f" (Iso.name mode) w)
+        else None)
+      Iso.all
+  in
+  if over <> [] then
+    Alcotest.failf "%s: minor words per dispatch over %d: %s" what limit
+      (String.concat ", " over)
+
+let test_gate_words () = check_words "gateheavy" ~limit:100 gate_words
+
+let test_fleet_words () =
+  check_words "restored steady_day" ~limit:50 fleet_words
+
 let () =
   let q = Test_support.Seed.to_alcotest in
   Alcotest.run "fleet"
@@ -661,5 +733,11 @@ let () =
           Alcotest.test_case "hooks end with their kernel" `Quick
             test_restore_drops_hooks;
           Alcotest.test_case "blocks kept" `Quick test_restore_keeps_blocks;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "gateheavy dispatch" `Quick test_gate_words;
+          Alcotest.test_case "restored steady_day dispatch" `Quick
+            test_fleet_words;
         ] );
     ]

@@ -275,6 +275,56 @@ let test_event_queue_order () =
   in
   Alcotest.(check (list int)) "time order, FIFO ties" [ 1; 3; 2; 0 ] order
 
+(* The array heap against the leftist heap it replaced
+   (test/support/ref_queue.ml): random pushes (times from a small range,
+   so ties are common), pops, peeks and clear_apps on both; every pop
+   and peek must return the same event and the sizes must agree. *)
+module Ref_queue = Test_support.Ref_queue
+
+type queue_op = Push of int * int | Pop | Peek | Clear of int
+
+let show_queue_op = function
+  | Push (at, app) -> Printf.sprintf "push at=%d app=%d" at app
+  | Pop -> "pop"
+  | Peek -> "peek"
+  | Clear app -> Printf.sprintf "clear_app %d" app
+
+let queue_property =
+  let open QCheck2.Gen in
+  let app = int_range 0 3 in
+  let op =
+    frequency
+      [
+        (6, map2 (fun at app -> Push (at, app)) (int_range 0 12) app);
+        (3, return Pop);
+        (1, return Peek);
+        (1, map (fun app -> Clear app) app);
+      ]
+  in
+  QCheck2.Test.make ~count:500 ~name:"event queue = leftist heap"
+    ~print:(fun ops -> String.concat "; " (List.map show_queue_op ops))
+    (list_size (int_range 0 200) op)
+    (fun ops ->
+      let q = Os.Event_queue.create () and r = Ref_queue.create () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Push (at, app) ->
+            Os.Event_queue.push q ~at ~app Os.Event.Tick ~arg:at;
+            Ref_queue.push r ~at ~app Os.Event.Tick ~arg:at;
+            true
+          | Pop -> Os.Event_queue.pop q = Ref_queue.pop r
+          | Peek -> Os.Event_queue.peek q = Ref_queue.peek r
+          | Clear app ->
+            Os.Event_queue.clear_app q app;
+            Ref_queue.clear_app r app;
+            true)
+          && Os.Event_queue.size q = Ref_queue.size r
+          && Os.Event_queue.is_empty q = (Ref_queue.size r = 0))
+        ops
+      && List.init (Ref_queue.size r) (fun _ -> Ref_queue.pop r)
+         = List.init (Os.Event_queue.size q) (fun _ -> Os.Event_queue.pop q))
+
 let test_sensors_deterministic () =
   let s1 = Os.Sensors.create ~seed:7 Os.Sensors.Walking in
   let s2 = Os.Sensors.create ~seed:7 Os.Sensors.Walking in
@@ -360,6 +410,7 @@ let () =
       ( "infra",
         [
           Alcotest.test_case "event queue order" `Quick test_event_queue_order;
+          Test_support.Seed.to_alcotest queue_property;
           Alcotest.test_case "sensors deterministic" `Quick
             test_sensors_deterministic;
           Alcotest.test_case "fall spike" `Quick test_fall_scenario_spike;

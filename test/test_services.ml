@@ -255,11 +255,9 @@ let prop_service_contract =
         [ c.r12; c.r13; c.r14 ];
       let api = Os.Api.create (Os.Sensors.create Os.Sensors.Walking) in
       let cycles0 = M.cycles m in
-      let _ =
-        Os.Api.dispatch api m
-          ~certified:(Array.make (Array.length Apis.services) c.certified)
-          ~valid:[ (c.lo, c.hi) ] ~now_ms:c.now_ms ~svc:c.svc
-      in
+      Os.Api.dispatch api m
+        ~certified:(Array.make (Array.length Apis.services) c.certified)
+        ~valid:[ (c.lo, c.hi) ] ~now_ms:c.now_ms ~svc:c.svc ~apply:ignore;
       let charged = M.cycles m - cycles0 in
       let outside_intact () =
         let ok = ref true in
