@@ -144,7 +144,10 @@ type cmp_src = Cs_iv of int * int | Cs_shadow
 (* ------------------------------------------------------------------ *)
 (* Verification context *)
 
-type ctx = { mode : Iso.mode; sec : S.t }
+(* [heads]: the targets of the jumps and branches seen to go back (to
+   their own address or below), the only addresses a widening needs:
+   a trace runs forward, so every loop has one. *)
+type ctx = { mode : Iso.mode; sec : S.t; heads : (int, unit) Hashtbl.t }
 
 type recorder = {
   viols : (int * string, violation) Hashtbl.t;
@@ -155,14 +158,14 @@ type recorder = {
 let checked ctx = ctx.mode <> Iso.No_isolation
 
 (* policy for a dynamic access whose start address is in [l, h] *)
-let region_ok { mode; sec } (l, h) =
+let region_ok { mode; sec; _ } (l, h) =
   match mode with
   | Iso.No_isolation -> true
   | Iso.Mpu_assisted -> l >= sec.S.data_lo (* MPU enforces the upper bound *)
   | Iso.Software_only | Iso.Feature_limited ->
     l >= sec.S.data_lo && h < sec.S.data_hi
 
-let code_ok { mode; sec } (l, h) =
+let code_ok { mode; sec; _ } (l, h) =
   match mode with
   | Iso.No_isolation -> true
   | Iso.Mpu_assisted -> l >= sec.S.code_lo
@@ -238,6 +241,7 @@ let run ctx ?recorder st0 addr0 =
     if r = 1 then kill_tos ()
   in
   let add_succ a insn t st' =
+    if t <= a then Hashtbl.replace ctx.heads t ();
     if in_code ctx t then succs := (t, st') :: !succs
     else viol a insn "jump target outside the app code section"
   in
@@ -547,13 +551,31 @@ let run ctx ?recorder st0 addr0 =
 (* Whole-section verification *)
 
 (* A loop that keeps moving a register changes its header's state on
-   every trip; after [widen_limit] such changes the state is the top
-   state, joined with the changing state so that R4 stays [Frame] only
-   while the joined state still has it. *)
+   every trip.  After [widen_limit] such changes at a loop head, what
+   still changes goes to its limit: an interval bound that moved goes
+   to 0 or 0xFFFF, any other changed value to [Any]; what settled
+   stays.  So a walk that keeps its lower bound and is bounded above by
+   a CMP/Jcc pair in the loop keeps its proof, and R4 stays [Frame]
+   only while it has not changed.  The result contains the joined
+   state, so the widening goes up. *)
 let widen_limit = 8
 
+let widen ~old j =
+  let keep o v =
+    match (o, v) with
+    | _ when o = v -> v
+    | Iv (l, h), Iv (l', h') ->
+      Iv ((if l' < l then 0 else l), if h' > h then 0xFFFF else h)
+    | _ -> Any
+  in
+  {
+    regs = Array.map2 keep old.regs j.regs;
+    tos = keep old.tos j.tos;
+    tos_shadow = j.tos_shadow;
+  }
+
 let verify sec ~mode =
-  let ctx = { mode; sec } in
+  let ctx = { mode; sec; heads = Hashtbl.create 8 } in
   (* external control enters an app only at its function symbols or
      its exit stub; everything else is reached by edges *)
   let entries =
@@ -564,8 +586,9 @@ let verify sec ~mode =
   in
   let states =
     Fixpoint.solve ~join:state_join ~equal:state_equal
-      ~widen:(fun _ ~joins ~old:_ j ->
-        if joins > widen_limit then state_join j (top_state ()) else j)
+      ~widen:(fun a ~joins ~old j ->
+        if joins > widen_limit && Hashtbl.mem ctx.heads a then widen ~old j
+        else j)
       ~transfer:(fun a st -> run ctx st a)
       entries
   in

@@ -52,6 +52,8 @@ let mode_index m =
 let shard_empty () =
   { slots = Array.make (List.length Iso.all) None; violations = [] }
 
+(* The device's histograms are added into the slot's own, which no
+   other shard shares (see [shard_merge]). *)
 let shard_record sh (r : Device.result) =
   let i = mode_index r.Device.r_mode in
   let a =
@@ -60,6 +62,8 @@ let shard_record sh (r : Device.result) =
     | None -> agg_empty r.Device.r_mode
   in
   let v = Device.violations r in
+  Hist.add_into a.ma_dispatch r.Device.r_dispatch;
+  Hist.add_into a.ma_latency r.Device.r_latency;
   sh.slots.(i) <-
     Some
       {
@@ -71,8 +75,6 @@ let shard_record sh (r : Device.result) =
         ma_unrecovered = a.ma_unrecovered + r.Device.r_unrecovered;
         ma_api_calls = a.ma_api_calls + r.Device.r_api_calls;
         ma_cycles = a.ma_cycles + r.Device.r_cycles;
-        ma_dispatch = Hist.merge a.ma_dispatch r.Device.r_dispatch;
-        ma_latency = Hist.merge a.ma_latency r.Device.r_latency;
         ma_oracle_failures = a.ma_oracle_failures + (if v = [] then 0 else 1);
       };
   sh.violations <- List.merge compare (List.sort compare v) sh.violations
@@ -93,12 +95,16 @@ let agg_merge a b =
     ma_oracle_failures = a.ma_oracle_failures + b.ma_oracle_failures;
   }
 
+(* A slot only one side has is copied, never shared: [shard_record]
+   adds into a worker's histograms in place. *)
 let shard_merge x y =
   {
     slots =
       Array.init (Array.length x.slots) (fun i ->
           match (x.slots.(i), y.slots.(i)) with
-          | None, a | a, None -> a
+          | None, None -> None
+          | Some a, None | None, Some a ->
+            Some (agg_merge a (agg_empty a.ma_mode))
           | Some a, Some b -> Some (agg_merge a b));
     violations = List.merge compare x.violations y.violations;
   }

@@ -31,11 +31,15 @@ type shard
 val shard_empty : unit -> shard
 
 val shard_record : shard -> Device.result -> unit
-(** Fold one device in (mutates the shard; worker-local). *)
+(** Fold one device in (mutates the shard; worker-local): its counts
+    are summed and its histograms added into the shard's in place
+    ({!Amulet_obs.Hist.add_into}). *)
 
 val shard_merge : shard -> shard -> shard
 (** Pure, associative, commutative and lossless — bucket-for-bucket
-    the shard of the concatenated device streams. *)
+    the shard of the concatenated device streams.  The result shares
+    no histogram with either argument, so recording into an argument
+    later leaves it unchanged. *)
 
 val shard_equal : shard -> shard -> bool
 val shard_modes : shard -> mode_agg list

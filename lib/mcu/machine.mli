@@ -85,6 +85,25 @@ and block = {
           the lean one reads [pre.b_uops.(i).u_stores] after it to
           know whether the uop may have stopped the machine, written
           code, moved the MPU key or armed a hook. *)
+  mutable bursts : (t -> bool) array;
+      (** internal: the fused steps of the block's stack runs
+          ({!Predecode.uop.u_run}), built by the lean runner when it
+          first reaches one of them, and until then, and in a block
+          without a run, one shared empty array; the careful loop never
+          reads them.  Where [pre.b_uops.(i).u_run = k > 0],
+          [bursts.(i)] runs uops [i .. i+k-1] as one step, and the lean
+          runner calls it at uop [i].  It returns false and changes
+          nothing unless every check those uops would make passes for
+          the whole run: SP even, the byte range not wrapping, both end
+          pages backing memory and, for pushes, written since the last
+          snapshot and not watched, and the permission table granting
+          the write (push) or read (pop) at both end granules.  Then it
+          loads or stores straight on {!Memory.t.data}, sets SP once
+          and charges the run's fetch words, cycles, retired count,
+          data accesses and PC.  A push into written, unwatched memory
+          and a pop cannot stop the machine, write code, change the MPU
+          key or arm a hook, so no check follows it; when it declines,
+          the uops run one by one. *)
 }
 
 val host_call_port : int
@@ -212,7 +231,10 @@ val run : ?fuel:int -> t -> stop_reason
     ({!Predecode.uop.u_stores}), the only way an instruction can cause
     one; a stop or code write ends the block, and a hook or a block
     that no longer validates sends the rest of the block to the
-    careful loop.  Both loops charge and count alike, so no result
+    careful loop.  It also runs each stack run of the block (an AFT
+    gate's register saves and restores) as one fused step where every
+    check of its uops passes for the whole run ({!block}), and uop by
+    uop otherwise.  Both loops charge and count alike, so no result
     depends on which ran.  Neither loop nor the executors allocate
     beyond the event records a watcher receives: a run allocates
     otherwise only to build a block or to report a fault or a

@@ -23,6 +23,7 @@ type uop = {
   u_dst_ext : int; (* pc+2(+2): likewise for the dst extension word *)
   u_target : int; (* jump target (masked); 0 for non-jumps *)
   u_stores : bool; (* Opcode.writes_memory: it may store *)
+  u_run : int; (* at a stack run's first uop, the run's length; else 0 *)
 }
 
 type block = {
@@ -54,7 +55,38 @@ let decode ~fetch ~pc =
       | _ -> 0);
     u_target = Option.value ~default:0 (Opcode.jump_target instr ~pc);
     u_stores = Opcode.writes_memory instr;
+    u_run = 0;
   }
+
+(* A stack run is two or more consecutive uops of one kind: word
+   [PUSH Rn], or word [MOV @SP+, Rn], each with n >= 4 (no PC, SP, SR
+   or constant generator).  Their only effects are on SP, the named
+   registers and the stack bytes, so the machine can run the whole run
+   as one step. *)
+let stack_move u =
+  match u.u_instr with
+  | Opcode.Fmt2 (Opcode.PUSH, Word.W16, Opcode.S_reg r) when r >= 4 -> 1
+  | Opcode.Fmt1
+      (Opcode.MOV, Word.W16, Opcode.S_indirect_inc s, Opcode.D_reg r)
+    when s = Registers.sp && r >= 4 ->
+    2
+  | _ -> 0
+
+let rec run_end uops kind j =
+  if j < Array.length uops && stack_move uops.(j) = kind then
+    run_end uops kind (j + 1)
+  else j
+
+(* Record each run's length on its first uop; a block without a run
+   is left as it is. *)
+let rec mark_runs uops i =
+  if i < Array.length uops then
+    match stack_move uops.(i) with
+    | 0 -> mark_runs uops (i + 1)
+    | kind ->
+      let j = run_end uops kind (i + 1) in
+      if j - i >= 2 then uops.(i) <- { (uops.(i)) with u_run = j - i };
+      mark_runs uops j
 
 exception Unfetchable
 
@@ -92,6 +124,7 @@ let build ~read_word ~pc:start =
         else go next (n + 1) (u :: acc)
   in
   let uops = Array.of_list (List.rev (go start 0 [])) in
+  mark_runs uops 0;
   let hi =
     match uops with
     | [||] -> start + 2

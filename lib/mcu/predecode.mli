@@ -27,6 +27,14 @@ type uop = {
           peripheral, the only way an instruction can halt the machine,
           raise a software fault, write code, reconfigure the MPU or
           run a host call *)
+  u_run : int;
+      (** At the first uop of a stack run, the run's length; 0 on every
+          other uop.  A stack run is two or more consecutive uops of one
+          kind, word [PUSH Rn] or word [MOV @SP+, Rn] with n >= 4, so at
+          most {!max_uops}: an AFT gate saves R4-R11 with one and
+          restores them with another.  Such a run touches only SP, the
+          registers it names and the stack, and the machine's lean runner
+          may run it as one step ({!Machine.block}). *)
 }
 
 type block = {

@@ -99,16 +99,24 @@ let quantile t q =
     min t.max_v (max t.min_v v)
   end
 
+let add_into dst src =
+  if src.count > 0 then begin
+    let n = Array.length src.buckets in
+    ensure dst (n - 1);
+    for i = 0 to n - 1 do
+      dst.buckets.(i) <- dst.buckets.(i) + src.buckets.(i)
+    done;
+    dst.count <- dst.count + src.count;
+    dst.sum <- dst.sum + src.sum;
+    dst.min_v <- Int.min dst.min_v src.min_v;
+    dst.max_v <- Int.max dst.max_v src.max_v
+  end
+
 let merge a b =
-  let n = Int.max (Array.length a.buckets) (Array.length b.buckets) in
-  let get arr i = if i < Array.length arr then arr.(i) else 0 in
-  {
-    buckets = Array.init n (fun i -> get a.buckets i + get b.buckets i);
-    count = a.count + b.count;
-    sum = a.sum + b.sum;
-    min_v = Int.min a.min_v b.min_v;
-    max_v = Int.max a.max_v b.max_v;
-  }
+  let t = create () in
+  add_into t a;
+  add_into t b;
+  t
 
 let equal a b =
   let n = max (Array.length a.buckets) (Array.length b.buckets) in

@@ -60,6 +60,11 @@ val merge : t -> t -> t
     commutative, and [merge (of_samples xs) (of_samples ys)] equals
     [of_samples (xs @ ys)] exactly. *)
 
+val add_into : t -> t -> unit
+(** [add_into dst src] adds [src]'s samples to [dst] in place, leaving
+    [dst] equal to [merge dst src]; [src] is not mutated.  Allocates
+    only when [dst]'s buckets must grow to cover [src]'s. *)
+
 val equal : t -> t -> bool
 (** Structural equality of the bucket contents and exact stats. *)
 

@@ -20,15 +20,21 @@ type kind =
 
 type t = { at : int; seq : int; app : int; kind : kind; arg : int }
 
-let handler_name = function
-  | Init -> "handle_init"
-  | Timer_fired _ -> "handle_timer"
-  | Sensor_sample Accel -> "handle_accel"
-  | Sensor_sample Ppg -> "handle_ppg"
-  | Sensor_sample Temperature -> "handle_temperature"
-  | Sensor_sample Light -> "handle_light"
-  | Button _ -> "handle_button"
-  | Tick -> "handle_tick"
+let handler_names =
+  [| "handle_init"; "handle_timer"; "handle_accel"; "handle_ppg";
+     "handle_temperature"; "handle_light"; "handle_button"; "handle_tick" |]
+
+let handler_index = function
+  | Init -> 0
+  | Timer_fired _ -> 1
+  | Sensor_sample Accel -> 2
+  | Sensor_sample Ppg -> 3
+  | Sensor_sample Temperature -> 4
+  | Sensor_sample Light -> 5
+  | Button _ -> 6
+  | Tick -> 7
+
+let handler_name k = handler_names.(handler_index k)
 
 let kind_name = function
   | Init -> "init"

@@ -28,6 +28,14 @@ type t = {
 }
 
 val handler_name : kind -> string
+
+val handler_index : kind -> int
+(** The kind's handler as a small index:
+    [handler_names.(handler_index k) = handler_name k]. *)
+
+val handler_names : string array
+(** Every handler name, by {!handler_index}. *)
+
 val kind_name : kind -> string
 val pp : Format.formatter -> t -> unit
 

@@ -44,6 +44,8 @@ type app_state = {
   valid : (int * int) list;
   state_addr : int option;
       (* address of the app's "state" global, when it declares one *)
+  handlers : int array;
+      (* by Event.handler_index: the handler's address, or -1 *)
 }
 
 type t = {
@@ -65,6 +67,7 @@ type app_facts = {
   af_certified : bool array;
   af_valid : (int * int) list;
   af_state_addr : int option;
+  af_handlers : int array;
 }
 
 type boot = {
@@ -146,6 +149,10 @@ let app_facts (fw : Aft.firmware) build =
       (if Amulet_link.Image.has_symbol image state_sym then
          Some (Amulet_link.Image.symbol image state_sym)
        else None);
+    af_handlers =
+      Array.map
+        (fun h -> Option.value ~default:(-1) (Aft.handler_addr build h))
+        Event.handler_names;
   }
 
 let boot ?obs fw =
@@ -187,6 +194,7 @@ let start ?(policy = Disable) ?(scenario = Sensors.Daily_mix) ?seed b =
           certified = f.af_certified;
           valid = f.af_valid;
           state_addr = f.af_state_addr;
+          handlers = f.af_handlers;
         })
       b.b_apps
   in
@@ -252,17 +260,16 @@ let handle_fault t (app : app_state) msg =
 
 let dispatch_event t (e : Event.t) ~latency =
   let app = t.apps.(e.Event.app) in
-  let handler = Event.handler_name e.Event.kind in
-  match
-    if app.enabled then Aft.handler_addr app.build handler else None
-  with
-  | None ->
+  let haddr =
+    if app.enabled then app.handlers.(Event.handler_index e.Event.kind) else -1
+  in
+  if haddr < 0 then
     {
       dr_app = e.Event.app; dr_kind = e.Event.kind; dr_cycles = 0;
       dr_latency = latency; dr_reads = 0; dr_writes = 0; dr_api_calls = 0;
       dr_outcome = No_handler;
     }
-  | Some haddr ->
+  else begin
     let m = t.machine in
     let regs = M.regs m in
     (* the ARP view: the dispatch span names the state the app's
@@ -284,7 +291,9 @@ let dispatch_event t (e : Event.t) ~latency =
     t.current_app <- e.Event.app;
     let prof = profile t in
     (match prof with
-    | Some p -> Profile.set_context p ~app:app.build.Aft.ab_name ~handler
+    | Some p ->
+      Profile.set_context p ~app:app.build.Aft.ab_name
+        ~handler:(Event.handler_name e.Event.kind)
     | None -> ());
     let stop = M.run ~fuel:handler_fuel m in
     (match prof with Some p -> Profile.clear_context p | None -> ());
@@ -349,10 +358,12 @@ let dispatch_event t (e : Event.t) ~latency =
         | Some st -> [ ("state", Obs.Vint st) ]
         | None -> []
       in
-      Obs.span obs ~cat:"dispatch" ~tid:e.Event.app ~args ~name:handler
-        ~ts:t.now ~dur:record.dr_cycles ()
+      Obs.span obs ~cat:"dispatch" ~tid:e.Event.app ~args
+        ~name:(Event.handler_name e.Event.kind) ~ts:t.now
+        ~dur:record.dr_cycles ()
     | None -> ());
     record
+  end
 
 (* Re-arm periodic sources after delivering one of their events. *)
 let rearm t (e : Event.t) =

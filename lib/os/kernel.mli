@@ -70,6 +70,11 @@ type app_state = {
       (** address of the app's [state] global, when it declares one;
           dispatch spans carry its value for the ARP view
           ({!Amulet_obs.Summary.per_state_accounting}) *)
+  handlers : int array;
+      (** by {!Event.handler_index}: the address of the app's handler
+          for that kind of event, or [-1] when it has none.  Resolved
+          once at {!boot}, so a dispatch looks its handler up without
+          a string. *)
 }
 
 type t = {

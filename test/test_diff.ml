@@ -939,6 +939,326 @@ let test_keyed_validation () =
     (M.cycles seen.Kernel.machine)
     (M.cycles bare.Kernel.machine)
 
+(* Fused stack runs.  The lean runner runs a run of word PUSH Rn or
+   word MOV @SP+, Rn (n >= 4) as one step when every check its uops
+   would make passes for the whole run, and otherwise runs them one by
+   one.  Each case runs three ways: unobserved (the lean runner), on a
+   twin with a no-op watcher (the careful loop, which never fuses), and
+   on [Refstep].  Registers, memory, cycles, the retired count, the
+   statistics, the stop and its fault must agree, and so must the
+   MPU's violation flags and, between the two interpreters, Memory's
+   page books. *)
+
+module Mem_map = Amulet_mcu.Memory_map
+
+let push r = Opcode.Fmt2 (Opcode.PUSH, Word.W16, Opcode.S_reg r)
+
+let pop r =
+  Opcode.Fmt1 (Opcode.MOV, Word.W16, Opcode.S_indirect_inc Regs.sp,
+    Opcode.D_reg r)
+
+let saves = List.init 8 (fun i -> push (4 + i))
+let restores = List.init 8 (fun i -> pop (11 - i))
+
+let books m =
+  let mem = m.M.mem in
+  ( Bytes.to_string mem.Mem.state,
+    Bytes.sub_string mem.Mem.written 0 mem.Mem.nwritten,
+    mem.Mem.code_gen,
+    mem.Mem.dirty )
+
+(* Mark the pages of [lo, hi] written since the last snapshot. *)
+let touch m lo hi =
+  for p = lo lsr 8 to hi lsr 8 do
+    let a = p lsl 8 in
+    M.mem_checked_write m Word.W8 a (M.mem_checked_read m Word.W8 a)
+  done
+
+let stack_regs = [| 0x1234; 0xA5F0; 0x0001; 0x8000; 0xFFFF; 0x4C3B; 0x0F0F;
+                    0x7E81; 0x2468; 0xBEEF; 0x00FF; 0x5AA5 |]
+
+(* [prog] at [code_base], R4-R15 from [regs], SP at [sp], then [setup];
+   each run in [fuels] on all three machines, compared after each. *)
+let fused_three_ways ?(setup = ignore) ?(regs = stack_regs)
+    ?(fuels = [ 1000 ]) ?expect ~sp prog =
+  let mk () =
+    let m = M.create () in
+    M.load_words m ~addr:code_base (words_of prog);
+    M.set_reset_vector m code_base;
+    M.reset m;
+    Array.iteri (fun i v -> Regs.set (M.regs m) (4 + i) v) regs;
+    Regs.set (M.regs m) Regs.sp sp;
+    setup m;
+    m
+  in
+  let lean = mk () and careful = mk () and spec = mk () in
+  M.add_watch careful ignore;
+  let last =
+    List.fold_left
+      (fun _ fuel ->
+        let rl = M.run ~fuel lean and rc = M.run ~fuel careful in
+        let rs = Refstep.run ~fuel spec in
+        let at = Printf.sprintf "fuel %d" fuel in
+        if rl <> rs || rc <> rs then
+          Printf.ksprintf failwith "%s: lean %s, careful %s, spec %s" at
+            (show_stop rl) (show_stop rc) (show_stop rs);
+        compare_machines ~at:(at ^ ", careful") careful lean;
+        compare_machines ~at:(at ^ ", spec") spec lean;
+        if Mpu.violation_flags lean.M.mpu <> Mpu.violation_flags spec.M.mpu
+           || Mpu.violation_flags careful.M.mpu
+              <> Mpu.violation_flags spec.M.mpu
+        then failwith (at ^ ": violation flags");
+        if books lean <> books careful then failwith (at ^ ": page books");
+        show_stop rl)
+      "" fuels
+  in
+  Option.iter (fun e -> Alcotest.(check string) "stop" e last) expect;
+  lean
+
+let word_at m a = M.mem_checked_read m Word.W16 a
+
+(* SP at 0x2008: the pushes cross from page 0x20 into page 0x1F.
+   After the snapshot only page 0x20 is written, so the run goes uop
+   by uop and [Memory.write] books page 0x1F; with both written it
+   fuses. *)
+let test_burst_page_edge () =
+  let snapshot_then pages m =
+    ignore (M.snapshot m);
+    List.iter (fun p -> touch m (p lsl 8) (p lsl 8)) pages
+  in
+  List.iter
+    (fun pages ->
+      let m =
+        fused_three_ways ~setup:(snapshot_then pages) ~sp:0x2008
+          (saves @ restores @ [ halt ]) ~expect:"halted"
+      in
+      Alcotest.(check int) "R11 saved lowest" stack_regs.(7)
+        (word_at m 0x1FF8);
+      Alcotest.(check int) "R4 saved highest" stack_regs.(0) (word_at m 0x2006);
+      Alcotest.(check int) "SP back" 0x2008 (reg m Regs.sp))
+    [ [ 0x20 ]; [ 0x1F ]; [ 0x1F; 0x20 ]; [] ]
+
+(* Code in segment 1 (read and execute), segment 2 from 0x5000 read
+   and write, segment 3 from 0x6000 no access. *)
+let stack_mpu m =
+  Mpu.configure m.M.mpu ~b1:mpu_b1 ~b2:mpu_b2
+    ~sam:(Mpu.sam_bits ~seg1:"rx" ~seg2:"rw" ~seg3:"" ())
+    ~enable:true
+
+(* The pushes' lower end crosses 0x5000 into segment 1, which denies
+   the write: the fifth push faults, with SP and the fetch words where
+   the uop-by-uop path leaves them.  The pops' upper end crosses 0x6000
+   into segment 3, which denies the read. *)
+let test_burst_mpu_denied () =
+  let setup m =
+    touch m 0x4F00 0x6100;
+    stack_mpu m
+  in
+  let m =
+    fused_three_ways ~setup ~sp:0x5008 (saves @ [ halt ])
+      ~expect:"fault (MPU violation: write of 4FFE (seg1) at pc=440A)"
+  in
+  Alcotest.(check int) "SP at the faulting push" 0x4FFE (reg m Regs.sp);
+  Alcotest.(check int) "five fetch words" 5 m.M.stats.Trace.fetch_words;
+  let m =
+    fused_three_ways ~setup ~sp:0x5FF8 (restores @ [ halt ])
+      ~expect:"fault (MPU violation: read of 6000 (seg3) at pc=440A)"
+  in
+  Alcotest.(check int) "SP past the faulting pop" 0x6002 (reg m Regs.sp)
+
+let test_burst_odd_sp () =
+  List.iter
+    (fun sp ->
+      ignore
+        (fused_three_ways
+           ~setup:(fun m -> touch m 0x1E00 0x2100)
+           ~sp (saves @ restores @ [ halt ]) ~expect:"halted"))
+    [ 0x2001; 0x1F81; 0x2009 ]
+
+(* Four pushes from SP 0x0004 store to two peripheral addresses, then
+   wrap to the vectors; four pops from 0xFFFC wrap into the
+   peripherals. *)
+let test_burst_wrap () =
+  let four = List.filteri (fun i _ -> i < 4) in
+  ignore
+    (fused_three_ways ~setup:(fun m -> touch m 0xFF00 0xFFFF) ~sp:0x0004
+       (four saves @ [ halt ]) ~expect:"halted");
+  ignore
+    (fused_three_ways ~setup:(fun m -> touch m 0xFF00 0xFFFF) ~sp:0xFFFC
+       (four restores @ [ halt ]) ~expect:"halted")
+
+(* Pops that run from SRAM's top page into unmapped space fault at
+   0x2400; pops from the last peripheral page read MMIO, then the
+   bootstrap ROM. *)
+let test_burst_pop_unbacked () =
+  ignore
+    (fused_three_ways ~sp:0x23FC (restores @ [ halt ])
+       ~expect:"fault (unmapped read of 2400 at pc=4406)");
+  ignore
+    (fused_three_ways ~sp:0x0FFC (restores @ [ halt ]) ~expect:"halted")
+
+(* Pushes into the page of the running code.  From SP 0x4480 they
+   land past the block; from 0x4414 they overwrite the halt and the
+   pushes still to come with the same words, so each store is a code
+   write that flushes the block, as uop by uop. *)
+let test_burst_code_page () =
+  ignore
+    (fused_three_ways ~sp:0x4480 (saves @ [ halt ]) ~expect:"halted");
+  let enc i = List.hd (Encode.encode i) in
+  let halt_words = Encode.encode halt in
+  let regs =
+    Array.mapi
+      (fun i v ->
+        match i with
+        | 0 -> List.nth halt_words 1
+        | 1 -> List.nth halt_words 0
+        | 2 | 3 | 4 -> enc (push (13 - i))
+        | _ -> v)
+      stack_regs
+  in
+  let m =
+    fused_three_ways ~regs ~sp:0x4414 (saves @ [ halt ]) ~expect:"halted"
+  in
+  Alcotest.(check bool) "code writes seen" true (m.M.mem.Mem.code_gen > 0)
+
+(* Fuel that ends inside a run: the careful loop runs the first
+   pushes, and the next call starts a block in the run's middle. *)
+let test_burst_fuel () =
+  ignore
+    (fused_three_ways ~fuels:[ 3; 6; 1000 ]
+       ~setup:(fun m -> touch m 0x1F00 0x2000)
+       ~sp:0x2008 (saves @ restores @ [ halt ]) ~expect:"halted")
+
+(* Random runs: registers, the registers a run names, its length, SP
+   near page, granule, region and written-page edges, the pages written
+   since the snapshot and the MPU's configuration. *)
+type bcase = {
+  bc_prog : Opcode.t list;
+  bc_regs : int array;
+  bc_sp : int;
+  bc_touched : int list;  (* pages written after the snapshot *)
+  bc_mpu : (int * int * string * string * string * string) option;
+}
+
+let show_bcase c =
+  Printf.sprintf "%s\nR4..R15 = [%s]\nSP %04X, pages written %s\nmpu %s\n"
+    (String.concat "; " (List.map Opcode.to_string c.bc_prog))
+    (String.concat "; "
+       (Array.to_list (Array.map (Printf.sprintf "%04X") c.bc_regs)))
+    c.bc_sp
+    (String.concat "," (List.map (Printf.sprintf "%02X") c.bc_touched))
+    (match c.bc_mpu with
+    | None -> "off"
+    | Some (b1, b2, s1, s2, s3, info) ->
+      Printf.sprintf "b1 %04X b2 %04X seg1 %S seg2 %S seg3 %S info %S" b1 b2
+        s1 s2 s3 info)
+
+let gen_bcase =
+  let open QCheck2.Gen in
+  let rights = oneofl [ ""; "r"; "w"; "rw" ] in
+  let* mpu =
+    opt
+      (let* b1 = map (fun g -> 0x4800 + (g * 0x400)) (int_range 0 10) in
+       let* b2 = map (fun g -> b1 + (g * 0x400)) (int_range 0 8) in
+       let* s1 = rights and* s2 = rights and* s3 = rights in
+       let+ info = rights in
+       (b1, b2, s1 ^ "x", s2, s3, info))
+  in
+  let edges =
+    [ 0x0000; 0x0100; 0x0FFF; 0x1A00; 0x1C00; 0x1D00; 0x1D80; 0x2000;
+      0x2400; 0x4500; 0x4580; 0xFF80; 0xFFFF ]
+    @ (match mpu with
+      | Some (b1, b2, _, _, _, _) -> [ b1; b1 + 0x80; b2; b2 - 0x80 ]
+      | None -> [ 0x5000; 0x6000 ])
+  in
+  let* sp =
+    map2 (fun e d -> (e + d) land 0xFFFF) (oneofl edges) (int_range (-24) 24)
+  in
+  let* len = frequency [ (8, int_range 2 12); (1, int_range 13 40) ] in
+  let* named = list_repeat len (int_range 4 15) in
+  let* shape = int_range 0 2 in
+  let bc_prog =
+    (match shape with
+    | 0 -> List.map push named
+    | 1 -> List.map pop named
+    | _ -> List.map push named @ List.map pop (List.rev named))
+    @ [ halt ]
+  in
+  let* bc_regs = array_repeat 12 (int_range 0 0xFFFF) in
+  let+ keep = list_repeat 3 bool in
+  let near = List.init 3 (fun i -> ((sp lsr 8) + i - 1) land 0xFF) in
+  let bc_touched = List.filteri (fun i _ -> List.nth keep i) near in
+  { bc_prog; bc_regs; bc_sp = sp; bc_touched; bc_mpu = mpu }
+
+let bursts_agree =
+  let name = "fused stack runs = careful loop = Refstep" in
+  QCheck2.Test.make ~count:1000 ~name ~print:show_bcase gen_bcase
+    (report ~show:show_bcase name (fun c ->
+         let setup m =
+           ignore (M.snapshot m);
+           List.iter
+             (fun p ->
+               let a = p lsl 8 in
+               if Mem_map.region_of_addr a <> Mem_map.Peripherals then
+                 touch m a a)
+             c.bc_touched;
+           Option.iter
+             (fun (b1, b2, seg1, seg2, seg3, info) ->
+               Mpu.configure m.M.mpu ~b1 ~b2
+                 ~sam:(Mpu.sam_bits ~seg1 ~seg2 ~seg3 ~info ())
+                 ~enable:true)
+             c.bc_mpu
+         in
+         ignore
+           (fused_three_ways ~setup ~regs:c.bc_regs ~fuels:[ 300 ]
+              ~sp:c.bc_sp c.bc_prog);
+         true))
+
+(* Every gate saves R4-R11 with one run and restores them with another:
+   after one dispatch of gateheavy, each gate block the kernel ran
+   holds one run of eight pushes and one of eight pops, and the lean
+   runner has built their fused steps. *)
+let test_gates_fuse mode () =
+  let module Suite = Amulet_apps.Suite in
+  let fw = Aft.build ~mode [ Suite.spec_for mode Suite.gateheavy ] in
+  let k = Kernel.create fw in
+  Kernel.post k ~delay_ms:0 ~app:0 (Event.Button 1) ~arg:1;
+  ignore (Kernel.dispatch_next k);
+  ignore (Kernel.dispatch_next k);
+  let image = fw.Aft.fw_image in
+  let gates =
+    Array.to_list Amulet_cc.Apis.services
+    |> List.filter_map (fun s ->
+           let l = Amulet_cc.Apis.gate_label s.Amulet_cc.Apis.name in
+           if Amulet_link.Image.has_symbol image l then
+             Some (Amulet_link.Image.symbol image l)
+           else None)
+  in
+  let ran =
+    List.filter_map (Hashtbl.find_opt k.Kernel.machine.M.blocks) gates
+  in
+  Alcotest.(check bool) "gate blocks ran" true (List.length ran >= 2);
+  List.iter
+    (fun b ->
+      let uops = b.M.pre.Predecode.b_uops in
+      let at =
+        Printf.sprintf "%s gate at %04X" (Iso.name mode)
+          b.M.pre.Predecode.b_lo
+      in
+      let runs =
+        Array.to_list uops
+        |> List.filter (fun u -> u.Predecode.u_run > 0)
+        |> List.map (fun u ->
+               (Opcode.to_string u.Predecode.u_instr, u.Predecode.u_run))
+      in
+      Alcotest.(check (list (pair string int)))
+        at
+        [ (Opcode.to_string (push 4), 8); (Opcode.to_string (pop 11), 8) ]
+        runs;
+      Alcotest.(check int) (at ^ ": fused steps") (Array.length uops)
+        (Array.length b.M.bursts))
+    ran
+
 let () =
   let to_alcotest = Test_support.Seed.to_alcotest in
   Alcotest.run "diff"
@@ -1005,4 +1325,25 @@ let () =
             to_alcotest instruction_lockstep;
             to_alcotest effects_cover_changes;
           ] );
+      ( "bursts",
+        [
+          Alcotest.test_case "page edge, lower page unwritten" `Quick
+            test_burst_page_edge;
+          Alcotest.test_case "MPU denies an end granule" `Quick
+            test_burst_mpu_denied;
+          Alcotest.test_case "odd SP" `Quick test_burst_odd_sp;
+          Alcotest.test_case "SP wraps" `Quick test_burst_wrap;
+          Alcotest.test_case "pops into MMIO and unmapped" `Quick
+            test_burst_pop_unbacked;
+          Alcotest.test_case "pushes into a watched code page" `Quick
+            test_burst_code_page;
+          Alcotest.test_case "fuel ends inside a run" `Quick test_burst_fuel;
+          to_alcotest bursts_agree;
+        ]
+        @ List.map
+            (fun mode ->
+              Alcotest.test_case
+                ("gates fuse (" ^ Iso.name mode ^ ")")
+                `Quick (test_gates_fuse mode))
+            Iso.all );
     ]

@@ -281,6 +281,20 @@ let prop_shard_merge_assoc =
         (Fleet.shard_merge (Fleet.shard_merge a b) c)
         (Fleet.shard_merge a (Fleet.shard_merge b c)))
 
+(* [shard_record] adds into a shard's histograms in place, so a merge
+   must not share one with its arguments: recording into the workers'
+   shards after merging them leaves the merged value as it was, which
+   is the shard of all their devices in one stream. *)
+let prop_shard_merge_unshared =
+  QCheck.Test.make ~count:100 ~name:"recording after a merge leaves it"
+    (QCheck.triple arb_results arb_results arb_results)
+    (fun (xs, ys, zs) ->
+      let a = shard_of xs and b = shard_of ys in
+      let merged = Fleet.shard_merge a b in
+      List.iter (Fleet.shard_record a) zs;
+      List.iter (Fleet.shard_record b) zs;
+      Fleet.shard_equal merged (shard_of (xs @ ys)))
+
 (* --- Obs.Agg partition property ----------------------------------- *)
 
 let gen_record =
@@ -710,6 +724,7 @@ let () =
         [
           q prop_shard_partition_order;
           q prop_shard_merge_assoc;
+          q prop_shard_merge_unshared;
           q prop_agg_partition;
         ] );
       ( "fleet",

@@ -357,6 +357,36 @@ let test_widening () =
       ("0(R4), R5 down", walk 4 A.sub);
     ]
 
+(* A bounded walk: R5 starts at data_lo and moves up by 2 while below
+   data_lo + 0x20.  Its lower bound never moves and the CMP/JC pair
+   bounds it above, so widening only what still changes keeps the
+   store proven. *)
+let test_bounded_walk () =
+  let image =
+    Hand_app.link
+      [
+        A.mov (A.imm Hand_app.data_lo) (A.Dreg 5);
+        A.label "loop";
+        A.cmp (A.imm (Hand_app.data_lo + 0x20)) (A.Dreg 5);
+        A.jcc O.JC "done";
+        A.mov (A.imm 0) (A.Didx (5, A.Num 0));
+        A.add (A.imm 2) (A.Dreg 5);
+        A.jmp "loop";
+        A.label "done";
+      ]
+  in
+  List.iter
+    (fun mode ->
+      match V.verify_app ~image ~mode ~prefix:"app" with
+      | Ok st ->
+        Alcotest.(check int) (Iso.name mode ^ ": store proved") 1
+          st.V.v_stores
+      | Error vs ->
+        Alcotest.failf "%s: bounded walk rejected: %s" (Iso.name mode)
+          (String.concat "; "
+             (List.map (Format.asprintf "%a" V.pp_violation) vs)))
+    checked_modes
+
 (* x(Rn) offsets arrive signed from the decoder: -2(R5) with R5 at
    data_lo + 4 stores inside the data section, -4(R5) with R5 at
    data_lo + 2 stores below it. *)
@@ -452,6 +482,7 @@ let () =
       ( "widening",
         [
           Alcotest.test_case "unbounded pointer walk" `Quick test_widening;
+          Alcotest.test_case "bounded pointer walk" `Quick test_bounded_walk;
           Alcotest.test_case "negative x(Rn) offset" `Quick
             test_negative_offset;
         ] );
